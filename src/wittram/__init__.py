@@ -28,13 +28,10 @@ from .errors import (
     WittramError,
 )
 from .rings import (
-    EisensteinPoly,
-    OKElement,
     OLElement,
     Tower,
     Valuation,
     invert,
-    tower_reduce,
     valuation_K,
     valuation_L,
 )

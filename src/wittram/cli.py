@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .cohomology import trace_image_exponent
-from .errors import ConfigError, ResourceLimit, WittramError
+from .errors import ConfigError, WittramError
 from .harness import SUITE_ORDER, RunConfig, run
 from .report import emit_report
 from .universal import (
@@ -142,13 +142,7 @@ def main(argv=None) -> int:
         if args.command == "extension-info":
             return _cmd_extension_info(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ResourceLimit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WittramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WittramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,10 @@
 """Level-1 cohomology of the cyclic action on O_L, verified at precision.
 
 The trace and sigma-1 operators are realized as D x D matrices over Z/p^N
-in the monomial tower basis (D = p * e_K, column convention).  On top of
-the chain-ring linear algebra this module provides:
+in the flat monomial tower basis (D = p * e_K, column convention), both
+read off the matrix of sigma; an element's coordinate vector is its
+``coeffs`` tuple.  On top of the chain-ring linear algebra this module
+provides:
 
 * a trace-zero Witt vector sampler that builds (a_0, ..., a_m) level by
   level from the carry recursion tr(a_n) = -f_n(sigma^i(a_j)), drawing
@@ -51,7 +53,7 @@ from .linalg import (
     solve_columnwise,
 )
 from .report import CheckResult, SuiteRecord
-from .rings import OLElement, valuation_K_of_embedded, valuation_L
+from .rings import OLElement, valuation_K, valuation_L
 from .universal import carry_polynomial
 from .witt import WittVec, evaluate_poly, witt_trace
 
@@ -75,39 +77,13 @@ def derive_rng(*parts) -> random.Random:
 # -- coordinates and operator matrices ---------------------------------------
 
 
-def flatten(a: OLElement) -> tuple:
-    """Coordinates of an O_L element in the monomial tower basis.
-
-    Index i*e_K + j holds the coefficient of pi_L^i pi_K^j.
-    """
-    out = []
-    for ok in a.coeffs:
-        out.extend(ok.coeffs)
-    return tuple(out)
-
-
-def unflatten(ext: ExtensionData, vec) -> OLElement:
-    tower = ext.tower
-    e = tower.e_K
-    return tower.ol([tower.ok(vec[i * e:(i + 1) * e]) for i in range(tower.p)])
-
-
-def basis_element(ext: ExtensionData, index: int) -> OLElement:
-    tower = ext.tower
-    i, j = divmod(index, tower.e_K)
-    coords = [0] * tower.e_K
-    coords[j] = 1
-    elems = [tower.zero_ok] * tower.p
-    elems[i] = tower.ok(coords)
-    return tower.ol(elems)
-
-
 @dataclass(frozen=True)
 class LinearMap:
-    """A Z/p^N-linear endomorphism of O_L in the monomial tower basis.
+    """A Z/p^N-linear endomorphism of O_L in the flat monomial basis.
 
-    ``rows`` is the matrix in column convention: column c is the image of
-    the c-th basis monomial.
+    An element's ``coeffs`` are its coordinate vector, so applying the map
+    is one matrix-vector product.  ``rows`` is the matrix in column
+    convention: column c is the image of the c-th basis monomial.
     """
 
     ext: ExtensionData
@@ -115,30 +91,28 @@ class LinearMap:
     rows: tuple
 
     def apply(self, a: OLElement) -> OLElement:
-        vec = matvec(self.rows, flatten(a), self.ext.tower.pN)
-        return unflatten(self.ext, vec)
+        return OLElement(a.tower, matvec(self.rows, a.coeffs, a.tower.pN))
 
 
 @lru_cache(maxsize=128)
 def linear_map_of(ext: ExtensionData, which: str) -> LinearMap:
-    """Matrix of the trace or of sigma-1 ("trace" | "sigma-minus-one")."""
+    """Matrix of the trace or of sigma-1 ("trace" | "sigma-minus-one"),
+    both read off the matrix of sigma."""
     if which == "trace":
-        op = ext.trace
+        rows = ext.trace_matrix
     elif which == "sigma-minus-one":
-        def op(a, _ext=ext):
-            return _ext.apply_sigma(a) - a
+        pN = ext.tower.pN
+        rows = tuple(tuple((x - (r == c)) % pN for c, x in enumerate(row))
+                     for r, row in enumerate(ext.sigma))
     else:
         raise ValueError(f"unknown operator {which!r}")
-    dim = ext.tower.p * ext.tower.e_K
-    cols = [flatten(op(basis_element(ext, c))) for c in range(dim)]
-    rows = tuple(tuple(cols[c][r] for c in range(dim)) for r in range(dim))
     return LinearMap(ext, which, rows)
 
 
 def solve_linear(lin: LinearMap, b: OLElement) -> OLElement:
     """Some x with lin(x) = b at precision; NoSolution if b is out of reach."""
-    x = solve_columnwise(lin.rows, flatten(b), lin.ext.p, lin.ext.N)
-    return unflatten(lin.ext, x)
+    x = solve_columnwise(lin.rows, b.coeffs, lin.ext.p, lin.ext.N)
+    return OLElement(b.tower, x)
 
 
 @lru_cache(maxsize=64)
@@ -195,9 +169,7 @@ def trace_image_exponent(ext: ExtensionData) -> int:
         if any(row[ext.e_K:]):
             raise VerificationError("trace image leaves the O_K block")
     tower = ext.tower
-    gens = []
-    for j in range(ext.e_K):
-        gens.append(flatten(tower.embed(tower.pi_K ** (d + j))))
+    gens = [(tower.pi_K ** (d + j)).coeffs for j in range(ext.e_K)]
     expected = howell_form(gens, ext.p, ext.N, tower.p * tower.e_K)
     if expected.rows != img.rows:
         raise VerificationError(
@@ -228,9 +200,7 @@ def random_element(ext: ExtensionData, rng: random.Random,
     valuation identities are exercised away from the generic unit case.
     """
     tower = ext.tower
-    coords = [[rng.randrange(tower.pN) for _ in range(tower.e_K)]
-              for _ in range(tower.p)]
-    a = tower.ol([tower.ok(c) for c in coords])
+    a = tower.element([rng.randrange(tower.pN) for _ in range(tower.dim)])
     cap = 2 * ext.e_L if shift_cap is None else shift_cap
     k = rng.randrange(cap) if cap > 0 else 0
     if k:
@@ -246,13 +216,15 @@ def random_from_basis(ext: ExtensionData, basis: HowellBasis,
     for row in basis.rows:
         c = rng.randrange(pN)
         vec = [(a + c * b) % pN for a, b in zip(vec, row)]
-    return unflatten(ext, vec)
+    return ext.tower.element(vec)
 
 
 def wittvec_coords(a: WittVec) -> list:
     """JSON-serializable coordinates of a Witt vector (per component, per
     pi_L power, the O_K coordinate list)."""
-    return [[list(ok.coeffs) for ok in comp.coeffs] for comp in a.components]
+    e = a.ext.e_K
+    return [[list(comp.coeffs[i:i + e]) for i in range(0, len(comp.coeffs), e)]
+            for comp in a.components]
 
 
 # -- trace valuation verifier -------------------------------------------------
@@ -285,7 +257,7 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
         # (i) lower bound, in v_L units on both sides
         lower.trials += 1
         bound = va.value + t * (p - 1)
-        v_tr = valuation_K_of_embedded(tr_a)
+        v_tr = valuation_K(tr_a)
         lhs_exact = v_tr.is_exact
         lhs = p * v_tr.value  # v_L units; for at-least this is the horizon
         if lhs_exact:
@@ -305,7 +277,7 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
         # (ii) exact equality
         power.trials += 1
         diff = ext.trace(a ** p) - tr_a ** p
-        v_diff = valuation_K_of_embedded(diff)
+        v_diff = valuation_K(diff)
         rhs = ext.e_K + va.value  # v_K(p) + v_L(a), mixed units by design
         if v_diff.is_exact:
             if v_diff.value == rhs:
@@ -378,12 +350,9 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0,
             raise SamplingExhausted(
                 f"global retry budget exhausted at level {n}", level=n)
         c = _carry_target(ext, conjugates, n)
-        try:
-            c_ok = c.ok_part()
-        except ValueError as exc:
-            raise VerificationError("carry target left O_K") from exc
-        del c_ok
-        if member(image, flatten(c)):
+        if not c.lies_in_K:
+            raise VerificationError("carry target left O_K")
+        if member(image, c.coeffs):
             x = solve_linear(tr_map, c)
             particular[n] = x
             comps.append(x + draw_kernel())
@@ -562,7 +531,7 @@ def deterministic_witness(ext: ExtensionData, m: int):
     conjugates = [ext.conjugates(a0)]
     for n in range(1, m + 1):
         c = _carry_target(ext, conjugates, n)
-        if not member(image, flatten(c)):
+        if not member(image, c.coeffs):
             return None, f"carry target left the trace image at level {n}"
         x = solve_linear(tr_map, c)
         comps.append(x)
@@ -593,7 +562,7 @@ def negative_control(ext: ExtensionData, m: int) -> SuiteRecord:
         check.detail["reason"] = note
         return SuiteRecord("negative-control", ext.name, ext.p, ext.N, ext.t, m,
                            [check])
-    in_image = member(coboundary_image(ext), flatten(vec[0]))
+    in_image = member(coboundary_image(ext), vec[0].coeffs)
     check.detail["witness_found"] = not in_image
     check.detail["witness"] = wittvec_coords(vec)
     check.detail["first_component_is_coboundary"] = in_image

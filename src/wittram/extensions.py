@@ -13,8 +13,9 @@ precision.  Three constructions ship built in:
                            L = K(zeta_{p^2}) with pi_L = zeta_{p^2} - 1 and
                            sigma(zeta_{p^2}) = zeta_{p^2}^{1+p}; t = p - 1.
 
-sigma is represented by its value on pi_L and extended as the O_K-algebra
-endomorphism x -> sigma_pi; custom extensions must supply sigma_pi
+sigma is determined by its value on pi_L, extended as the O_K-algebra
+endomorphism x -> sigma_pi, and kept as a matrix over Z/p^N in the flat
+monomial basis of the tower; custom extensions must supply sigma_pi
 explicitly (conjugate roots of an Eisenstein polynomial are p-adically too
 close for naive root-finding to separate them reliably).
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import (
     InvalidExtension,
@@ -32,7 +34,8 @@ from .errors import (
     SigmaWrongOrder,
     VerificationError,
 )
-from .rings import OLElement, Tower, Valuation, is_prime, valuation_L
+from .linalg import matvec
+from .rings import OLElement, Tower, is_prime, valuation_L
 
 BUILTIN_NAMES = ("quadratic-gaussian", "quadratic-sqrt2", "cyclotomic-step")
 DEFAULT_PRECISION = 32
@@ -61,16 +64,18 @@ class ExtensionSpec:
 class ExtensionData:
     """A validated extension: tower, Galois action, and ramification break.
 
-    ``sigma_pi_powers[k][i]`` caches (sigma^k(pi_L))^i for 0 <= k, i < p, so
-    applying any power of sigma to an element is a single coordinate-wise
-    combination.
+    ``sigma`` is the matrix of sigma over Z/p^N in the flat monomial basis,
+    stored as a tuple of D rows (D = p*e_K) in column convention: column c
+    is sigma applied to monomial c.  sigma fixes O_K, so the column of
+    pi_L^i pi_K^j is sigma(pi_L)^i pi_K^j.  Applying sigma, listing
+    conjugates and taking traces are all matrix-vector products.
     """
 
     spec: ExtensionSpec
     name: str
     tower: Tower
     sigma_pi: OLElement
-    sigma_pi_powers: tuple
+    sigma: tuple
     t: int
 
     @property
@@ -89,27 +94,32 @@ class ExtensionData:
     def e_L(self) -> int:
         return self.tower.e_L
 
+    @cached_property
+    def trace_matrix(self) -> tuple:
+        """tr_{L/K} = 1 + sigma + ... + sigma^{p-1} as a matrix like ``sigma``.
+
+        The trace is O_K-linear, so only tr(pi_L^i), i < p, needs conjugates.
+        """
+        pi = self.tower.pi_L
+        return _ok_linear_matrix(self.tower, [sum(self.conjugates(pi ** i))
+                                              for i in range(self.p)])
+
     def apply_sigma(self, a: OLElement, power: int = 1) -> OLElement:
         """sigma^power applied to an element of O_L."""
-        power %= self.p
-        if power == 0:
-            return a
-        table = self.sigma_pi_powers[power]
-        out = self.tower.zero_ol
-        for i, coeff in enumerate(a.coeffs):
-            if not coeff.is_zero:
-                out = out + table[i].scale_ok(coeff)
-        return out
+        coeffs = a.coeffs
+        for _ in range(power % self.p):
+            coeffs = matvec(self.sigma, coeffs, self.tower.pN)
+        return OLElement(self.tower, coeffs)
 
     def conjugates(self, a: OLElement) -> tuple:
-        return tuple(self.apply_sigma(a, k) for k in range(self.p))
+        out = [a]
+        for _ in range(1, self.p):
+            out.append(self.apply_sigma(out[-1]))
+        return tuple(out)
 
     def trace(self, a: OLElement) -> OLElement:
         """tr_{L/K}(a) = a + sigma(a) + ... + sigma^{p-1}(a)."""
-        out = a
-        for k in range(1, self.p):
-            out = out + self.apply_sigma(a, k)
-        return out
+        return OLElement(self.tower, matvec(self.trace_matrix, a.coeffs, self.tower.pN))
 
     def with_precision(self, precision: int) -> "ExtensionData":
         return build_extension(replace(self.spec, precision=precision))
@@ -117,6 +127,19 @@ class ExtensionData:
     def __repr__(self):
         return (f"ExtensionData({self.name}, p={self.p}, N={self.N}, "
                 f"e_K={self.e_K}, t={self.t})")
+
+
+def _ok_linear_matrix(tower: Tower, images) -> tuple:
+    """Rows of the O_K-linear map sending pi_L^i to images[i], i < p.
+
+    Column i*e_K + j is images[i] * pi_K^j.
+    """
+    cols = []
+    for x in images:
+        for _ in range(tower.e_K):
+            cols.append(x.coeffs)
+            x = x * tower.pi_K
+    return tuple(zip(*cols))
 
 
 def _binomials(p: int, k_from: int, k_to: int):
@@ -176,22 +199,27 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     p = tower.p
 
     if spec.sigma_pi is not None:
-        sigma_pi = tower.ol([tower.ok(c) for c in spec.sigma_pi])
+        sigma_pi = tower.from_rows(spec.sigma_pi)
     else:
         # cyclotomic-step: sigma(pi_L) = (pi_L + 1)^(1+p) - 1
         sigma_pi = (tower.pi_L + tower.one_ol) ** (1 + p) - tower.one_ol
 
-    if not _eval_top_modulus(tower, sigma_pi).is_zero:
+    root = tower.one_ol  # E_L(sigma_pi) by Horner; the leading 1 is implicit
+    for c in reversed(tower.E_L):
+        root = root * sigma_pi + c
+    if not root.is_zero:
         raise SigmaNotARoot("sigma(pi_L) is not a root of E_L at precision")
 
-    # one application of sigma needs the powers of sigma_pi
-    first_powers = _powers(tower, sigma_pi)
-    orbit = [tower.pi_L]
+    powers = [tower.one_ol]
+    for _ in range(p - 1):
+        powers.append(powers[-1] * sigma_pi)
+    sigma = _ok_linear_matrix(tower, powers)
+    orbit = [tower.pi_L.coeffs]
     for _ in range(p):
-        orbit.append(_apply_with_powers(tower, orbit[-1], first_powers))
-    if orbit[1] == tower.pi_L:
+        orbit.append(matvec(sigma, orbit[-1], tower.pN))
+    if orbit[1] == orbit[0]:
         raise SigmaWrongOrder("sigma fixes pi_L; the action is trivial")
-    if orbit[p] != tower.pi_L:
+    if orbit[p] != orbit[0]:
         raise SigmaWrongOrder("sigma^p does not fix pi_L at precision")
 
     diff = sigma_pi - tower.pi_L
@@ -204,31 +232,8 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     if t < 1:
         raise InvalidExtension(f"ramification break t = {t} violates t >= 1")
 
-    tables = tuple(_powers(tower, orbit[k]) for k in range(p))
     return ExtensionData(spec=spec, name=name, tower=tower, sigma_pi=sigma_pi,
-                         sigma_pi_powers=tables, t=t)
-
-
-def _eval_top_modulus(tower: Tower, x: OLElement) -> OLElement:
-    acc = tower.one_ol  # monic leading coefficient
-    for c in reversed(tower.E_L.coeffs):
-        acc = acc * x + tower.embed(c)
-    return acc
-
-
-def _powers(tower: Tower, x: OLElement) -> tuple:
-    pows = [tower.one_ol]
-    for _ in range(tower.p - 1):
-        pows.append(pows[-1] * x)
-    return tuple(pows)
-
-
-def _apply_with_powers(tower: Tower, a: OLElement, pows: tuple) -> OLElement:
-    out = tower.zero_ol
-    for i, coeff in enumerate(a.coeffs):
-        if not coeff.is_zero:
-            out = out + pows[i].scale_ok(coeff)
-    return out
+                         sigma=sigma, t=t)
 
 
 def ramification_break(ext: ExtensionData, generator_power: int = 1) -> int:
@@ -303,10 +308,18 @@ def load_spec_file(path) -> ExtensionSpec:
     ``kind="custom"``: ``e_K``, ``E_K`` (list of integers, low to high,
     without the leading 1), ``E_L`` (list of O_K coordinate lists) and
     ``sigma_pi`` (list of O_K coordinate lists).  Integers may be written
-    as decimal strings.
+    as decimal strings.  A document that is not JSON, or lacks a field, or
+    holds a value of the wrong shape raises InvalidExtension.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return _spec_from_document(json.load(fh), path)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidExtension(
+                f"malformed spec file {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _spec_from_document(doc, path) -> ExtensionSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidExtension(f"spec file {path} lacks a 'kind' field")
     kind = doc["kind"]

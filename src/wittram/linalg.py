@@ -19,7 +19,7 @@ dense Smith normal form; all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import NoSolution
 from .rings import padic_val
@@ -34,9 +34,9 @@ class HowellBasis:
     width: int
     rows: tuple
 
-    @property
+    @cached_property
     def pivots(self) -> tuple:
-        """(column, k) pairs: the pivot at ``column`` is p^k."""
+        """(column, k) pairs: the pivot at ``column`` is p^k; computed once."""
         out = []
         for row in self.rows:
             col = next(i for i, x in enumerate(row) if x)
@@ -62,6 +62,7 @@ def howell_form(rows, p: int, N: int, width: int) -> HowellBasis:
         if any(r):
             remaining.append(r)
     basis = []
+    pivots = []
     for col in range(width):
         cand = [r for r in remaining if r[col]]
         rest = [r for r in remaining if not r[col]]
@@ -83,15 +84,12 @@ def howell_form(rows, p: int, N: int, width: int) -> HowellBasis:
             if any(extra):
                 rest.append(extra)
         basis.append(piv)
+        pivots.append((col, k))
         remaining = rest
     # reduce entries above every pivot
-    pivot_info = []
-    for row in basis:
-        col = next(i for i, x in enumerate(row) if x)
-        pivot_info.append((col, padic_val(row[col], p)))
     for i, row in enumerate(basis):
         for j in range(i + 1, len(basis)):
-            col, k = pivot_info[j]
+            col, k = pivots[j]
             q = row[col] // p ** k
             if q:
                 basis[i] = [(x - q * y) % pN for x, y in zip(basis[i], basis[j])]

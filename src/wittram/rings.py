@@ -8,18 +8,27 @@ of the scalar ring sit two monogenic quotients
 
 with both moduli monic and Eisenstein, so the tower models the ring of
 integers of a totally ramified extension L / K / Q_p with e(L/Q_p) = p*e_K,
-truncated at p-adic precision N.  Elements are coordinate tuples in the
-monomial bases (1, pi_K, ..., pi_K^{e_K-1}) and (1, pi_L, ..., pi_L^{p-1});
-every operation returns canonical form (degree below the modulus degree,
-scalar coordinates reduced mod p^N).
+truncated at p-adic precision N.
+
+There is one element type.  An OLElement is a flat tuple of D = p*e_K
+scalars in the monomial basis pi_L^i pi_K^j (i < p, j < e_K), coordinate
+i*e_K + j holding the coefficient of pi_L^i pi_K^j.  O_K is the block
+i = 0.  Products run through structure constants: ``Tower._mul_table[a][b]``
+is the coordinate vector of the product of monomials a and b, and the
+table is filled from the (2p-1)(2e_K-1) monomials pi_L^i pi_K^j of the
+unreduced product range, each reached from its neighbour by one shift:
+multiplying by pi_K shifts within every O_K block and reduces by E_K,
+multiplying by pi_L shifts the blocks and folds the overflow block back in
+through E_L.
 
 Valuations are L-normalized: v_L(pi_L) = 1, v_L(pi_K) = p, v_L(p) = e_L =
-p*e_K.  The monomials pi_K^j pi_L^i (i < p, j < e_K) have pairwise distinct
-valuations p*j + i modulo e_L, and a scalar coordinate c contributes
-e_L * v_p(c); by the non-archimedean property the valuation of a nonzero
-element is therefore the minimum of e_L*v_p(c_ij) + p*j + i over its
-nonzero coordinates.  An element whose residue vanishes at precision gets
-the marker value "at least N*e_L" rather than infinity.
+p*e_K.  The monomials pi_L^i pi_K^j have pairwise distinct valuations
+p*j + i modulo e_L, and a scalar coordinate c contributes e_L * v_p(c); by
+the non-archimedean property the valuation of a nonzero element is
+therefore the minimum of e_L*v_p(c_ij) + p*j + i over its nonzero
+coordinates.  On O_K the K-normalized valuation is v_L / p.  An element
+whose residue vanishes at precision gets the marker value "at least the
+horizon" (N*e_L, or N*e_K for v_K) rather than infinity.
 """
 
 from __future__ import annotations
@@ -82,103 +91,8 @@ class Valuation:
         return f"{self.kind}({self.value})"
 
 
-@dataclass(frozen=True)
-class EisensteinPoly:
-    """A monic Eisenstein modulus, stored by its non-leading coefficients.
-
-    ``coeffs`` holds c_0..c_{degree-1}; the leading coefficient is an
-    implicit 1.  Coefficients are ints for the base-level modulus E_K and
-    OKElement values for the top-level modulus E_L.
-    """
-
-    degree: int
-    coeffs: tuple
-
-
-class OKElement:
-    """An element of O_K in the basis 1, pi_K, ..., pi_K^{e_K-1}."""
-
-    __slots__ = ("tower", "coeffs")
-
-    def __init__(self, tower: "Tower", coeffs: tuple):
-        self.tower = tower
-        self.coeffs = coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, OKElement):
-            if other.tower is not self.tower:
-                raise ValueError("elements belong to different towers")
-            return other
-        if isinstance(other, int):
-            return self.tower.ok_const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        pN = self.tower.pN
-        return OKElement(self.tower, tuple((a + b) % pN for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        pN = self.tower.pN
-        return OKElement(self.tower, tuple(-a % pN for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.tower._ok_mul(self, o)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not supported in O_K")
-        result = self.tower.one_ok
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scale_int(self, c: int) -> "OKElement":
-        pN = self.tower.pN
-        c %= pN
-        return OKElement(self.tower, tuple((a * c) % pN for a in self.coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash((id(self.tower), self.coeffs))
-
-    def __repr__(self):
-        return f"OK{self.coeffs}"
-
-
 class OLElement:
-    """An element of O_L in the basis 1, pi_L, ..., pi_L^{p-1} over O_K."""
+    """An element of O_L: flat coordinates, index i*e_K + j for pi_L^i pi_K^j."""
 
     __slots__ = ("tower", "coeffs")
 
@@ -193,20 +107,20 @@ class OLElement:
             return other
         if isinstance(other, int):
             return self.tower.ol_const(other)
-        if isinstance(other, OKElement):
-            return self.tower.embed(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OLElement(self.tower, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        pN = self.tower.pN
+        return OLElement(self.tower, tuple((a + b) % pN for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return OLElement(self.tower, tuple(-a for a in self.coeffs))
+        pN = self.tower.pN
+        return OLElement(self.tower, tuple(-a % pN for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -221,7 +135,7 @@ class OLElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.tower._ol_mul(self, o)
+        return OLElement(self.tower, tuple(self.tower.flat_mul(self.coeffs, o.coeffs)))
 
     __rmul__ = __mul__
 
@@ -238,20 +152,18 @@ class OLElement:
         return result
 
     def scale_int(self, c: int) -> "OLElement":
-        return OLElement(self.tower, tuple(a.scale_int(c) for a in self.coeffs))
-
-    def scale_ok(self, c: OKElement) -> "OLElement":
-        return OLElement(self.tower, tuple(a * c for a in self.coeffs))
+        pN = self.tower.pN
+        c %= pN
+        return OLElement(self.tower, tuple((a * c) % pN for a in self.coeffs))
 
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.coeffs)
+        return not any(self.coeffs)
 
-    def ok_part(self) -> OKElement:
-        """The O_K component, provided the element actually lies in O_K."""
-        if any(not a.is_zero for a in self.coeffs[1:]):
-            raise ValueError("element does not lie in O_K")
-        return self.coeffs[0]
+    @property
+    def lies_in_K(self) -> bool:
+        """True when only the O_K block (the pi_L^0 coordinates) is nonzero."""
+        return not any(self.coeffs[self.tower.e_K:])
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -263,7 +175,7 @@ class OLElement:
         return hash((id(self.tower), self.coeffs))
 
     def __repr__(self):
-        return f"OL{tuple(a.coeffs for a in self.coeffs)}"
+        return f"OL{self.coeffs}"
 
 
 class Tower:
@@ -273,7 +185,8 @@ class Tower:
     e_K) and ``top_coeffs`` the non-leading coefficients of E_L (length p),
     each given as a coordinate list over O_K.  Both moduli are validated to
     be Eisenstein; the constant-term valuations must resolve exactly at the
-    working precision.
+    working precision.  ``E_K`` keeps the integer coefficients and ``E_L``
+    the coefficients as elements of O_K.
     """
 
     def __init__(self, p: int, N: int, base_coeffs, top_coeffs):
@@ -292,154 +205,91 @@ class Tower:
                 f"top modulus must have degree p = {p}, got {len(top_coeffs)}"
             )
         self.e_L = p * self.e_K
-        self.horizon_K = N * self.e_K
+        self.dim = p * self.e_K
         self.horizon_L = N * self.e_L
 
-        self._base = tuple(c % self.pN for c in base_coeffs)
-        self.zero_ok = OKElement(self, (0,) * self.e_K)
-        self.one_ok = self.ok_const(1)
-        self._top = tuple(self._as_ok(c) for c in top_coeffs)
-
-        self.E_K = EisensteinPoly(self.e_K, self._base)
-        self.E_L = EisensteinPoly(p, self._top)
+        self.E_K = tuple(c % self.pN for c in base_coeffs)
+        self.E_L = tuple(self.element(self._ok_block(c)) for c in top_coeffs)
         self._validate_eisenstein()
 
-        self.zero_ol = OLElement(self, (self.zero_ok,) * p)
-        self.one_ol = self.embed(self.one_ok)
-        self.pi_K = self.reduce_ok([0, 1])
-        self.pi_L = self.reduce_ol([self.zero_ok, self.one_ok])
-        self.pi_K_in_L = self.embed(self.pi_K)
-
-        # structure constants of the flat rank-(p*e_K) module, built once so
-        # products run as dense integer loops instead of nested reductions
-        self.dim = p * self.e_K
-        self._mul_table = None
+        # _overflow[k] = pi_L^p pi_K^k = -(E_L_0 + ... + E_L_{p-1} pi_L^{p-1}) pi_K^k
+        # is where multiplying by pi_L sends coordinate k of the top block
+        top = [-c % self.pN for block in self.E_L for c in block.coeffs[:self.e_K]]
+        self._overflow = [top]
+        for _ in range(self.e_K - 1):
+            self._overflow.append(self._times_pi_K(self._overflow[-1]))
         self._mul_table = self._build_mul_table()
+
+        self.zero_ol = self.element(())
+        self.one_ol = self.ol_const(1)
+        self.pi_K = self.from_rows([[0, 1]])
+        self.pi_L = self.from_rows([[0], [1]])
 
     # -- constructors -------------------------------------------------
 
-    def _as_ok(self, value) -> OKElement:
-        if isinstance(value, OKElement):
-            if value.tower is not self:
-                raise ValueError("coefficient belongs to a different tower")
-            return value
-        if isinstance(value, int):
-            return self.ok_const(value)
-        return self.ok(value)
-
-    def ok(self, coeffs) -> OKElement:
-        """Canonical O_K element from a coordinate list (length <= e_K)."""
-        coeffs = list(coeffs)
-        if len(coeffs) > self.e_K:
-            return self.reduce_ok(coeffs)
-        coeffs += [0] * (self.e_K - len(coeffs))
-        return OKElement(self, tuple(c % self.pN for c in coeffs))
-
-    def ok_const(self, c: int) -> OKElement:
-        return OKElement(self, (c % self.pN,) + (0,) * (self.e_K - 1))
-
-    def ol(self, coeffs) -> OLElement:
-        """Canonical O_L element from a list of O_K coordinates (length <= p)."""
-        coeffs = [self._as_ok(c) if not isinstance(c, OKElement) else c for c in coeffs]
-        if len(coeffs) > self.p:
-            return self.reduce_ol(coeffs)
-        coeffs += [self.zero_ok] * (self.p - len(coeffs))
-        return OLElement(self, tuple(coeffs))
+    def element(self, coeffs) -> OLElement:
+        """Element from flat coordinates; missing trailing ones are zero."""
+        if len(coeffs) > self.dim:
+            raise ValueError(f"{len(coeffs)} coordinates exceed the rank {self.dim}")
+        vec = tuple(c % self.pN for c in coeffs)
+        return OLElement(self, vec + (0,) * (self.dim - len(vec)))
 
     def ol_const(self, c: int) -> OLElement:
-        return self.embed(self.ok_const(c))
+        return self.element((c,))
 
-    def embed(self, a: OKElement) -> OLElement:
-        return OLElement(self, (a,) + (self.zero_ok,) * (self.p - 1))
+    def from_rows(self, rows) -> OLElement:
+        """sum_i (sum_j rows[i][j] pi_K^j) pi_L^i, one O_K coordinate list
+        per power of pi_L; lists may run past the degrees of the moduli."""
+        e = self.e_K
+        acc = [0] * self.dim
+        for row in reversed(rows):
+            acc = self._times_pi_L(acc)
+            acc[:e] = [(a + b) % self.pN for a, b in zip(acc[:e], self._ok_block(row))]
+        return OLElement(self, tuple(acc))
 
     # -- reduction and multiplication ----------------------------------
 
-    def reduce_ok(self, raw) -> OKElement:
-        """Reduce an integer coefficient list modulo the monic E_K."""
-        pN = self.pN
-        e = self.e_K
-        work = [c % pN for c in raw]
-        if len(work) < e:
-            work += [0] * (e - len(work))
-        for d in range(len(work) - 1, e - 1, -1):
-            c = work[d]
+    def _ok_block(self, value) -> list:
+        """O_K coordinates of sum_j value[j] pi_K^j."""
+        acc = [0] * self.e_K
+        for c in reversed(value):
+            acc = self._times_pi_K(acc)
+            acc[0] = (acc[0] + c) % self.pN
+        return acc
+
+    def _times_pi_K(self, vec) -> list:
+        """vec * pi_K: shift every O_K block up one place, reduce by E_K."""
+        e, pN = self.e_K, self.pN
+        out = []
+        for i in range(0, len(vec), e):
+            c = vec[i + e - 1]
+            shifted = [0] + list(vec[i:i + e - 1])
+            out.extend((a - c * k) % pN for a, k in zip(shifted, self.E_K))
+        return out
+
+    def _times_pi_L(self, vec) -> list:
+        """vec * pi_L: shift the O_K blocks up one power of pi_L and fold
+        the overflow block back in through E_L."""
+        e, pN = self.e_K, self.pN
+        out = [0] * e + list(vec[:-e])
+        for k, c in enumerate(vec[-e:]):
             if c:
-                base = self._base
-                off = d - e
-                for j in range(e):
-                    work[off + j] = (work[off + j] - c * base[j]) % pN
-            work.pop()
-        return OKElement(self, tuple(work))
-
-    def reduce_ol(self, raw) -> OLElement:
-        """Reduce an O_K coefficient list modulo the monic E_L."""
-        p = self.p
-        work = [self._as_ok(c) for c in raw]
-        if len(work) < p:
-            work += [self.zero_ok] * (p - len(work))
-        for d in range(len(work) - 1, p - 1, -1):
-            c = work[d]
-            if not c.is_zero:
-                top = self._top
-                off = d - p
-                for j in range(p):
-                    work[off + j] = work[off + j] - c * top[j]
-            work.pop()
-        return OLElement(self, tuple(work))
-
-    def _ok_mul(self, a: OKElement, b: OKElement) -> OKElement:
-        e = self.e_K
-        if e == 1:
-            return OKElement(self, ((a.coeffs[0] * b.coeffs[0]) % self.pN,))
-        raw = [0] * (2 * e - 1)
-        ac, bc = a.coeffs, b.coeffs
-        for i, ai in enumerate(ac):
-            if ai:
-                for j, bj in enumerate(bc):
-                    raw[i + j] += ai * bj
-        return self.reduce_ok(raw)
-
-    def _ol_mul_nested(self, a: OLElement, b: OLElement) -> OLElement:
-        p = self.p
-        raw = [self.zero_ok] * (2 * p - 1)
-        ac, bc = a.coeffs, b.coeffs
-        for i, ai in enumerate(ac):
-            if not ai.is_zero:
-                for j, bj in enumerate(bc):
-                    raw[i + j] = raw[i + j] + ai * bj
-        return self.reduce_ol(raw)
-
-    def _ol_mul(self, a: OLElement, b: OLElement) -> OLElement:
-        if self._mul_table is None:
-            return self._ol_mul_nested(a, b)
-        return self.unflat(self.flat_mul(self.flat(a), self.flat(b)))
+                out = [(a + c * b) % pN for a, b in zip(out, self._overflow[k])]
+        return out
 
     def _build_mul_table(self):
-        monomials = []
-        for idx in range(self.dim):
-            i, j = divmod(idx, self.e_K)
-            ok_coords = [0] * self.e_K
-            ok_coords[j] = 1
-            elems = [self.zero_ok] * self.p
-            elems[i] = OKElement(self, tuple(ok_coords))
-            monomials.append(OLElement(self, tuple(elems)))
-        table = []
-        for a in range(self.dim):
-            row = []
-            for b in range(self.dim):
-                row.append(self.flat(self._ol_mul_nested(monomials[a], monomials[b])))
-            table.append(tuple(row))
-        return tuple(table)
-
-    def flat(self, a: OLElement) -> tuple:
-        """Coordinates in the flat monomial basis pi_L^i pi_K^j, index i*e_K+j."""
-        return tuple(c for ok in a.coeffs for c in ok.coeffs)
-
-    def unflat(self, vec) -> OLElement:
-        e = self.e_K
-        return OLElement(self, tuple(
-            OKElement(self, tuple(v % self.pN for v in vec[i * e:(i + 1) * e]))
-            for i in range(self.p)))
+        p, e = self.p, self.e_K
+        monomials = {}
+        row = [1] + [0] * (self.dim - 1)
+        for i in range(2 * p - 1):
+            vec = row
+            for j in range(2 * e - 1):
+                monomials[i, j] = tuple(vec)
+                vec = self._times_pi_K(vec)
+            row = self._times_pi_L(row)
+        return tuple(
+            tuple(monomials[i1 + i2, j1 + j2] for i2 in range(p) for j2 in range(e))
+            for i1 in range(p) for j1 in range(e))
 
     def flat_mul(self, x, y) -> list:
         """Product of flat coordinate vectors via the structure constants."""
@@ -461,7 +311,7 @@ class Tower:
     # -- validation ----------------------------------------------------
 
     def _validate_eisenstein(self):
-        for i, c in enumerate(self._base):
+        for i, c in enumerate(self.E_K):
             if c == 0:
                 # vanishing at precision means v_p >= N >= 1, fine except at c_0
                 if i == 0:
@@ -477,8 +327,8 @@ class Tower:
                 raise NotEisenstein(f"coefficient {i} of E_K is a unit")
             if i == 0 and v != 1:
                 raise NotEisenstein(f"constant term of E_K has valuation {v} != 1")
-        for i, c in enumerate(self._top):
-            v = self.valuation_ok(c)
+        for i, c in enumerate(self.E_L):
+            v = valuation_K(c)
             if not v.is_exact:
                 if i == 0:
                     raise PrecisionExhausted(
@@ -491,63 +341,34 @@ class Tower:
             if i == 0 and v.value != 1:
                 raise NotEisenstein(f"constant term of E_L has valuation {v.value} != 1")
 
-    # -- valuations ------------------------------------------------------
 
-    def valuation_ok(self, a: OKElement) -> Valuation:
-        """K-normalized valuation: v_K(pi_K) = 1, v_K(p) = e_K."""
-        best = None
-        for j, c in enumerate(a.coeffs):
-            if c:
-                v = self.e_K * padic_val(c, self.p) + j
-                if best is None or v < best:
-                    best = v
-        if best is None:
-            return Valuation.at_least(self.horizon_K)
-        return Valuation.exact(best)
-
-    def valuation_ol(self, a: OLElement) -> Valuation:
-        """L-normalized valuation: v_L(pi_L) = 1, v_L(pi_K) = p, v_L(p) = e_L."""
-        best = None
-        for i, ok in enumerate(a.coeffs):
-            for j, c in enumerate(ok.coeffs):
-                if c:
-                    v = self.e_L * padic_val(c, self.p) + self.p * j + i
-                    if best is None or v < best:
-                        best = v
-        if best is None:
-            return Valuation.at_least(self.horizon_L)
-        return Valuation.exact(best)
-
-
-def tower_reduce(tower: Tower, coeffs, modulus: EisensteinPoly):
-    """Reduce a raw coefficient list modulo one of the tower's moduli.
-
-    The result is the canonical element (degree below deg(modulus)) equal to
-    the input polynomial evaluated at the corresponding uniformizer.
-    """
-    if modulus == tower.E_K:
-        return tower.reduce_ok(coeffs)
-    if modulus == tower.E_L:
-        return tower.reduce_ol(coeffs)
-    raise ValueError("modulus does not belong to this tower")
-
-
-def valuation_K(a: OKElement) -> Valuation:
-    return a.tower.valuation_ok(a)
+# -- valuations ----------------------------------------------------------
 
 
 def valuation_L(a: OLElement) -> Valuation:
-    return a.tower.valuation_ol(a)
+    """L-normalized valuation: v_L(pi_L) = 1, v_L(pi_K) = p, v_L(p) = e_L."""
+    tower = a.tower
+    best = None
+    for idx, c in enumerate(a.coeffs):
+        if c:
+            i, j = divmod(idx, tower.e_K)
+            v = tower.e_L * padic_val(c, tower.p) + tower.p * j + i
+            if best is None or v < best:
+                best = v
+    if best is None:
+        return Valuation.at_least(tower.horizon_L)
+    return Valuation.exact(best)
 
 
-def valuation_K_of_embedded(a: OLElement) -> Valuation:
-    """v_K of an O_L element that is known to lie in O_K.
+def valuation_K(a: OLElement) -> Valuation:
+    """K-normalized valuation v_K = v_L / p of an element of O_K.
 
-    For elements of K the L-valuation is divisible by p = e(L/K) and
-    v_K = v_L / p; reading the valuation off the O_K coordinates directly
-    gives the same answer with the O_K horizon.
+    The horizon maps the same way: N*e_L / p = N*e_K.
     """
-    return a.tower.valuation_ok(a.ok_part())
+    if not a.lies_in_K:
+        raise ValueError("element does not lie in O_K")
+    v = valuation_L(a)
+    return Valuation(v.kind, v.value // a.tower.p)
 
 
 def invert(u: OLElement) -> OLElement:
@@ -559,11 +380,10 @@ def invert(u: OLElement) -> OLElement:
     v_L(1 - ux) >= 2^k.
     """
     tower = u.tower
-    v = tower.valuation_ol(u)
+    v = valuation_L(u)
     if not v.is_exact or v.value != 0:
         raise NotAUnit(f"valuation {v} is not exact(0)")
-    c00 = u.coeffs[0].coeffs[0]
-    x = tower.ol_const(pow(c00 % tower.p, -1, tower.p))
+    x = tower.ol_const(pow(u.coeffs[0] % tower.p, -1, tower.p))
     one = tower.one_ol
     steps = max(1, (tower.horizon_L - 1).bit_length() + 1)
     for _ in range(steps):

@@ -63,17 +63,12 @@ def evaluate_poly(poly: SymPoly, assign: dict, ext: ExtensionData) -> OLElement:
     tower = ext.tower
     dim = tower.dim
     flat_mul = tower.flat_mul
-    bases = {}
     powers = {}
 
     def power(var, e):
         table = powers.get(var)
         if table is None:
-            base = bases.get(var)
-            if base is None:
-                base = tuple(tower.flat(assign[var]))
-                bases[var] = base
-            table = [None, base]
+            table = [None, assign[var].coeffs]
             powers[var] = table
         while len(table) <= e:
             table.append(tuple(flat_mul(table[-1], table[1])))
@@ -94,7 +89,7 @@ def evaluate_poly(poly: SymPoly, assign: dict, ext: ExtensionData) -> OLElement:
         for k in range(dim):
             if vec[k]:
                 total[k] += c * vec[k]
-    return tower.unflat(total)
+    return tower.element(total)
 
 
 def _check_compatible(a: WittVec, b: WittVec):

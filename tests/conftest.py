@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from wittram import build_extension
@@ -30,12 +28,3 @@ def cyclo():
 def all_extensions(gaussian, sqrt2, cyclo):
     return (gaussian, sqrt2, cyclo)
 
-
-def random_ol(ext, rng: random.Random, shift: int = 0):
-    tower = ext.tower
-    coords = [[rng.randrange(tower.pN) for _ in range(tower.e_K)]
-              for _ in range(tower.p)]
-    a = tower.ol([tower.ok(c) for c in coords])
-    if shift:
-        a = a * tower.pi_L ** shift
-    return a

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from wittram.cli import main
 from wittram.harness import RunConfig, run
 from wittram.report import emit_report
@@ -144,3 +146,24 @@ def test_run_config_roundtrip_without_cli():
     assert "h1" in text
     csv_text = emit_report(report, "csv")
     assert csv_text.splitlines()[0].startswith("suite,extension")
+
+
+SQRT2_DOC = {"kind": "custom", "p": 2, "e_K": 1, "E_K": [-2],
+             "E_L": [[-2], [0]], "sigma_pi": [[0], [-1]]}
+BAD_SPECS = {
+    "missing-E_L": json.dumps({k: v for k, v in SQRT2_DOC.items() if k != "E_L"}),
+    "bad-json": "{\"kind\": \"custom\",",
+    "precision-not-an-int": json.dumps(dict(SQRT2_DOC, precision="x")),
+    "E_L-not-a-list": json.dumps(dict(SQRT2_DOC, E_L=5)),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "extension-info"])
+@pytest.mark.parametrize("defect", sorted(BAD_SPECS))
+def test_malformed_spec_file_exits_2(tmp_path, capsys, command, defect):
+    path = tmp_path / "spec.json"
+    path.write_text(BAD_SPECS[defect], encoding="utf-8")
+    assert main([command, "--spec-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittram import (
+    ExtensionSpec,
     NotAUnit,
     NotEisenstein,
     PrecisionExhausted,
@@ -14,13 +15,15 @@ from wittram import (
     Valuation,
     build_extension,
     invert,
-    tower_reduce,
     valuation_K,
     valuation_L,
 )
-from wittram.rings import valuation_K_of_embedded
+from wittram.cohomology import random_element
+from wittram.rings import padic_val
 
-from conftest import random_ol
+
+def random_shifted(ext, rng, shift):
+    return random_element(ext, rng, shift_cap=0) * ext.tower.pi_L ** shift
 
 
 # -- tower reduction ---------------------------------------------------------
@@ -29,26 +32,55 @@ from conftest import random_ol
 def test_reduce_square_of_uniformizer_sqrt2(sqrt2):
     t = sqrt2.tower
     # x^2 -> 2 under E_L = x^2 - 2
-    raw = [t.zero_ok, t.zero_ok, t.one_ok]
-    assert tower_reduce(t, raw, t.E_L) == t.ol_const(2)
+    assert t.pi_L ** 2 == t.ol_const(2)
+    assert t.from_rows([[0], [0], [1]]) == t.ol_const(2)
 
 
 def test_reduce_square_of_uniformizer_gaussian(gaussian):
     t = gaussian.tower
     # x^2 -> 2x - 2 under E_L = x^2 - 2x + 2
-    raw = [t.zero_ok, t.zero_ok, t.one_ok]
-    assert tower_reduce(t, raw, t.E_L) == t.pi_L.scale_int(2) - t.ol_const(2)
+    assert t.pi_L ** 2 == t.pi_L.scale_int(2) - t.ol_const(2)
+    assert t.from_rows([[0], [0], [1]]) == t.pi_L.scale_int(2) - t.ol_const(2)
 
 
 def test_reduce_constant_is_identity(sqrt2):
     t = sqrt2.tower
-    assert tower_reduce(t, [t.ok_const(5)], t.E_L) == t.ol_const(5)
-    assert tower_reduce(t, [5], t.E_K) == t.ok_const(5)
+    assert t.from_rows([[5]]) == t.ol_const(5)
+    # an O_K row past e_K = 1 is reduced by E_K = y - 2: 5 + 0*pi_K = 5
+    assert t.from_rows([[5, 0]]) == t.ol_const(5)
 
 
-def test_reduce_rejects_foreign_modulus(sqrt2, gaussian):
+def test_rejects_elements_of_foreign_tower(sqrt2, gaussian):
     with pytest.raises(ValueError):
-        tower_reduce(sqrt2.tower, [1], gaussian.tower.E_L)
+        sqrt2.tower.pi_L + gaussian.tower.pi_L
+    with pytest.raises(ValueError):
+        sqrt2.tower.pi_L * gaussian.tower.pi_L
+
+
+# -- structure constants -----------------------------------------------------
+
+
+@pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 0), ("quadratic-sqrt2", 0),
+                                    ("cyclotomic-step", 3), ("cyclotomic-step", 5)])
+def test_structure_constants_oracle(kind, p):
+    ext = build_extension(ExtensionSpec(kind=kind, p=p))
+    t = ext.tower
+    # both moduli vanish at their uniformizers (leading coefficients are 1)
+    e_k = sum((c * t.pi_K ** j for j, c in enumerate(t.E_K)), t.pi_K ** t.e_K)
+    e_l = sum((c * t.pi_L ** j for j, c in enumerate(t.E_L)), t.pi_L ** t.p)
+    assert e_k.is_zero and e_l.is_zero
+    rng = random.Random(29)
+    for _ in range(10):
+        _axiom_checks(*(random_element(ext, rng, shift_cap=0) for _ in range(3)))
+    for _ in range(10):
+        a = random_element(ext, rng)
+        assert ext.trace(a) == sum(ext.conjugates(a))
+    # sigma^p is the identity matrix
+    power = ext.sigma
+    for _ in range(ext.p - 1):
+        power = tuple(tuple(sum(x * y for x, y in zip(row, col)) % t.pN
+                            for col in zip(*ext.sigma)) for row in power)
+    assert power == tuple(tuple(int(r == c) for c in range(t.dim)) for r in range(t.dim))
 
 
 # -- valuations ---------------------------------------------------------------
@@ -71,7 +103,7 @@ def test_valuation_of_pi_k_in_cyclotomic_tower(cyclo):
     # oracle: pi_K = zeta_3 - 1 = (pi_L + 1)^3 - 1 computed in the tower
     t = cyclo.tower
     oracle = (t.pi_L + t.one_ol) ** 3 - t.one_ol
-    assert oracle == t.pi_K_in_L
+    assert oracle == t.pi_K
     assert valuation_L(oracle) == Valuation.exact(3)
 
 
@@ -79,19 +111,22 @@ def test_embedded_ok_valuation_divisible_by_p(cyclo):
     rng = random.Random(11)
     t = cyclo.tower
     for _ in range(50):
-        a = t.ok([rng.randrange(t.pN) for _ in range(t.e_K)])
-        v = valuation_L(t.embed(a))
+        a = t.element([rng.randrange(t.pN) for _ in range(t.e_K)])
+        v = valuation_L(a)
         if v.is_exact:
             assert v.value % cyclo.p == 0
-            assert valuation_K(a).value == v.value // cyclo.p
+            # independent oracle: K-normalized, read off the O_K coordinates
+            direct = min(t.e_K * padic_val(c, t.p) + j
+                         for j, c in enumerate(a.coeffs) if c)
+            assert valuation_K(a).value == v.value // cyclo.p == direct
 
 
 def test_valuation_multiplicative(all_extensions):
     rng = random.Random(7)
     for ext in all_extensions:
         for _ in range(40):
-            a = random_ol(ext, rng, shift=rng.randrange(3))
-            b = random_ol(ext, rng, shift=rng.randrange(3))
+            a = random_shifted(ext, rng, rng.randrange(3))
+            b = random_shifted(ext, rng, rng.randrange(3))
             va, vb, vab = valuation_L(a), valuation_L(b), valuation_L(a * b)
             if va.is_exact and vb.is_exact and va.value + vb.value < ext.tower.horizon_L:
                 assert vab == Valuation.exact(va.value + vb.value)
@@ -101,8 +136,8 @@ def test_valuation_ultrametric(all_extensions):
     rng = random.Random(13)
     for ext in all_extensions:
         for _ in range(40):
-            a = random_ol(ext, rng, shift=rng.randrange(4))
-            b = random_ol(ext, rng, shift=rng.randrange(4))
+            a = random_shifted(ext, rng, rng.randrange(4))
+            b = random_shifted(ext, rng, rng.randrange(4))
             va, vb, vs = valuation_L(a), valuation_L(b), valuation_L(a + b)
             if not (va.is_exact and vb.is_exact):
                 continue
@@ -117,11 +152,9 @@ def test_valuation_ultrametric(all_extensions):
 @st.composite
 def ol_elements(draw, ext):
     t = ext.tower
-    coords = draw(st.lists(
-        st.lists(st.integers(min_value=0, max_value=t.pN - 1),
-                 min_size=t.e_K, max_size=t.e_K),
-        min_size=t.p, max_size=t.p))
-    return t.ol([t.ok(c) for c in coords])
+    coords = draw(st.lists(st.integers(min_value=0, max_value=t.pN - 1),
+                           min_size=t.dim, max_size=t.dim))
+    return t.element(coords)
 
 
 def _axiom_checks(a, b, c):
@@ -154,11 +187,9 @@ def test_canonical_form_shapes(all_extensions):
     rng = random.Random(3)
     for ext in all_extensions:
         t = ext.tower
-        a = random_ol(ext, rng) * random_ol(ext, rng)
-        assert len(a.coeffs) == t.p
-        for ok in a.coeffs:
-            assert len(ok.coeffs) == t.e_K
-            assert all(0 <= c < t.pN for c in ok.coeffs)
+        a = random_element(ext, rng, shift_cap=0) * random_element(ext, rng, shift_cap=0)
+        assert len(a.coeffs) == t.dim
+        assert all(0 <= c < t.pN for c in a.coeffs)
 
 
 # -- inversion ---------------------------------------------------------------
@@ -182,7 +213,7 @@ def test_invert_random_units(all_extensions):
         t = ext.tower
         done = 0
         while done < 10:
-            u = random_ol(ext, rng)
+            u = random_element(ext, rng, shift_cap=0)
             if valuation_L(u) != Valuation.exact(0):
                 continue
             assert u * invert(u) == t.one_ol
@@ -225,7 +256,8 @@ def test_precision_one_cannot_certify():
 def test_vk_of_embedded_matches_vl(sqrt2):
     t = sqrt2.tower
     two = t.ol_const(2)
-    assert valuation_K_of_embedded(two) == Valuation.exact(1)
+    assert valuation_K(two) == Valuation.exact(1)
     assert valuation_L(two) == Valuation.exact(2)
+    assert valuation_K(t.zero_ol) == Valuation.at_least(sqrt2.N * sqrt2.e_K)
     with pytest.raises(ValueError):
-        valuation_K_of_embedded(t.pi_L)
+        valuation_K(t.pi_L)
