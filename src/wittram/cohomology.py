@@ -7,8 +7,8 @@ read off the matrix of sigma; an element's coordinate vector is its
 provides:
 
 * a trace-zero Witt vector sampler that builds (a_0, ..., a_m) level by
-  level from the carry recursion tr(a_n) = -f_n(sigma^i(a_j)), drawing
-  kernel elements and backtracking when a prefix cannot be extended;
+  level: tr(a_n) cancels level n of the Witt trace of (a_0, ..., a_{n-1}, 0),
+  drawing kernel elements and backtracking when a prefix cannot be extended;
 
 * verifiers for the trace valuation bounds, for the level-by-level
   valuation cascade on trace-zero vectors, and for the vanishing of the
@@ -40,7 +40,7 @@ from .errors import (
     VanishingViolated,
     VerificationError,
 )
-from .extensions import ExtensionData
+from .extensions import ExtensionData, _twin
 from .linalg import (
     HowellBasis,
     group_order,
@@ -54,8 +54,7 @@ from .linalg import (
 )
 from .report import CheckResult, SuiteRecord
 from .rings import OLElement, valuation_K, valuation_L
-from .universal import carry_polynomial
-from .witt import WittVec, evaluate_poly, witt_trace
+from .witt import WittVec, witt_trace
 
 RETRY_BUDGET = 64
 SATURATION_MARGIN = 4
@@ -113,11 +112,6 @@ def solve_linear(lin: LinearMap, b: OLElement) -> OLElement:
     """Some x with lin(x) = b at precision; NoSolution if b is out of reach."""
     x = solve_columnwise(lin.rows, b.coeffs, lin.ext.p, lin.ext.N)
     return OLElement(b.tower, x)
-
-
-@lru_cache(maxsize=64)
-def _twin(ext: ExtensionData, precision: int) -> ExtensionData:
-    return ext.with_precision(precision)
 
 
 @lru_cache(maxsize=64)
@@ -307,14 +301,11 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
 # -- trace-zero sampler -------------------------------------------------------
 
 
-def _carry_target(ext: ExtensionData, conjugates: list, n: int) -> OLElement:
-    """-f_n evaluated at X_{i,j} = sigma^i(a_j): the required tr(a_n)."""
-    f_n = carry_polynomial(ext.p, n)
-    assign = {}
-    for j in range(n):
-        for i in range(ext.p):
-            assign[(i, j)] = conjugates[j][i]
-    return -evaluate_poly(f_n, assign, ext)
+def _carry_target(ext: ExtensionData, comps, n: int) -> OLElement:
+    """The required tr(a_n): minus component n of the Witt trace of
+    (a_0, ..., a_{n-1}, 0), which is -f_n at X_{i,j} = sigma^i(a_j)."""
+    vec = WittVec(ext, tuple(comps[:n]) + (ext.tower.zero_ol,))
+    return -witt_trace(vec)[n]
 
 
 def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0,
@@ -339,7 +330,6 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0,
         return random_from_basis(ext, kernel, rng)
 
     comps = [draw_kernel()]
-    conjugates = [ext.conjugates(comps[0])]
     particular = [None] * (m + 1)
     retries = [0] * (m + 1)
     attempts = 0
@@ -349,14 +339,13 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0,
         if attempts > retry_budget * (m + 1) * 4:
             raise SamplingExhausted(
                 f"global retry budget exhausted at level {n}", level=n)
-        c = _carry_target(ext, conjugates, n)
+        c = _carry_target(ext, comps, n)
         if not c.lies_in_K:
             raise VerificationError("carry target left O_K")
         if member(image, c.coeffs):
             x = solve_linear(tr_map, c)
             particular[n] = x
             comps.append(x + draw_kernel())
-            conjugates.append(ext.conjugates(comps[n]))
             n += 1
             continue
         # backtrack: redraw the deepest level whose budget still allows it
@@ -372,13 +361,8 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0,
             lvl -= 1
         if lvl == 0:
             comps = [draw_kernel()]
-            conjugates = [ext.conjugates(comps[0])]
         else:
-            comps = comps[:lvl]
-            conjugates = conjugates[:lvl]
-            redrawn = particular[lvl] + draw_kernel()
-            comps.append(redrawn)
-            conjugates.append(ext.conjugates(redrawn))
+            comps = comps[:lvl] + [particular[lvl] + draw_kernel()]
         n = lvl + 1
     vec = WittVec(ext, tuple(comps))
     if not witt_trace(vec).is_zero:
@@ -528,14 +512,11 @@ def deterministic_witness(ext: ExtensionData, m: int):
     image = trace_image(ext)
     tr_map = linear_map_of(ext, "trace")
     comps = [a0]
-    conjugates = [ext.conjugates(a0)]
     for n in range(1, m + 1):
-        c = _carry_target(ext, conjugates, n)
+        c = _carry_target(ext, comps, n)
         if not member(image, c.coeffs):
             return None, f"carry target left the trace image at level {n}"
-        x = solve_linear(tr_map, c)
-        comps.append(x)
-        conjugates.append(ext.conjugates(x))
+        comps.append(solve_linear(tr_map, c))
     vec = WittVec(ext, tuple(comps))
     if not witt_trace(vec).is_zero:
         raise VerificationError("witness construction lost the trace-zero property")

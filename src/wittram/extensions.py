@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     InvalidExtension,
@@ -127,6 +127,13 @@ class ExtensionData:
     def __repr__(self):
         return (f"ExtensionData({self.name}, p={self.p}, N={self.N}, "
                 f"e_K={self.e_K}, t={self.t})")
+
+
+@lru_cache(maxsize=64)
+def _twin(ext: ExtensionData, precision: int) -> ExtensionData:
+    """``ext`` rebuilt at ``precision``, built once per pair: the saturated
+    kernels and the ghost lift of Witt arithmetic both work in it."""
+    return ext.with_precision(precision)
 
 
 def _ok_linear_matrix(tower: Tower, images) -> tuple:

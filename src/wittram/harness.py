@@ -20,7 +20,14 @@ from .cohomology import (
     verify_trace_valuations,
     wittvec_coords,
 )
-from .errors import ConfigError, SamplingExhausted, VanishingViolated, WittramError
+from .errors import (
+    ConfigError,
+    IntegralityError,
+    SamplingExhausted,
+    VanishingViolated,
+    VerificationError,
+    WittramError,
+)
 from .extensions import ExtensionData, resolve_extension
 from .report import REPORT_VERSION, CheckResult, Report, SuiteRecord
 from .universal import (
@@ -237,6 +244,11 @@ def run(config: RunConfig):
                 name, ext.name, ext.p, ext.N, ext.t, config.m,
                 [CheckResult("sampler", "fail",
                              detail={"error": str(exc), "level": exc.level})])
+        except (IntegralityError, VerificationError) as exc:
+            record = SuiteRecord(
+                name, ext.name, ext.p, ext.N, ext.t, config.m,
+                [CheckResult("consistency", "fail",
+                             detail={"error": f"{type(exc).__name__}: {exc}"})])
         record.duration_s = time.perf_counter() - start
         report.suites.append(record)
     exit_code = 1 if report.failed else 0

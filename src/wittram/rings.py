@@ -142,13 +142,13 @@ class OLElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("use invert() for negative powers")
-        result = self.tower.one_ol
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.tower.one_ol
+        result = self
+        for bit in bin(n)[3:]:  # left to right after the leading 1
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def scale_int(self, c: int) -> "OLElement":

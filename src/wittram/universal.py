@@ -13,7 +13,11 @@ guarantees the result has integer coefficients and no constant term; the
 computation certifies both facts and raises IntegralityError otherwise, so
 the certificate doubles as a correctness check on the solve.
 
-Two derived families feed the valuation verifiers downstream:
+The numerical Witt arithmetic does not evaluate these polynomials: it
+runs through the ghost map (see ``witt``).  They are the objects of the
+symbolic suite and the ``witt-poly`` command, and the tests evaluate them
+as an independent oracle for the ghost path.  Besides z_n there are two
+derived families:
 
 * the level-n carry f_n = z_n - sum_i X_{i,n}, computed here in telescoped
   ghost form as sum_{k<n} (1/p^(n-k)) (sum_i X_{i,k}^(p^(n-k)) -
@@ -289,16 +293,17 @@ def sum_polynomials(p: int, n: int, arity: int,
     """The Witt addition laws z_0..z_n for ``arity`` summands.
 
     Each z_k is certified to have integer coefficients and no constant term.
-    Raises ResourceLimit before starting a level whose dense monomial bound
-    exceeds ``max_terms``.
+    Raises ResourceLimit, before any level is built, when the dense monomial
+    bound of level n exceeds ``max_terms``; the bound grows with the level,
+    so no lower level can exceed it first.
     """
     if arity < 2:
         raise ValueError("arity must be >= 2")
     if n < 0:
         raise ValueError("level must be >= 0")
+    _guard(p, n, arity, max_terms)
     zs = []
     for k in range(n + 1):
-        _guard(p, k, arity, max_terms)
         ghost_sum = SymPoly.zero()
         for i in range(arity):
             for e in range(k + 1):

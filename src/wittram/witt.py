@@ -1,11 +1,13 @@
 """Truncated p-typical Witt vectors over the ring of integers of L.
 
-A WittVec of length m+1 is a tuple of O_L elements.  Addition evaluates the
-cached binary universal addition laws; negation solves the addition laws
-level by level (z_n depends on the unknown level only through the linear
-term X_{1,n}, so each component is determined by the lower ones).  The
-ghost map, used as a cross-check oracle throughout the test-suite, is
-evaluated directly from its defining sum.
+A WittVec of length m+1 is a tuple of O_L elements.  Sums, negatives and
+traces run through the ghost map at precision N+m: the coordinates in
+[0, p^N) lift the components, their ghost components W_k are added, negated
+or traced, and z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) / p^k is projected
+back to precision N.  O_L is free over Z_p, so p^k divides an element iff it
+divides every coordinate, which is checked (IntegralityError); z_k is exact
+modulo p^(N+m-k) >= p^N.  The tests compare this path with ``evaluate_poly``
+of the universal polynomials.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IntegralityError, LengthMismatch
-from .extensions import ExtensionData
+from .extensions import ExtensionData, _twin
 from .rings import OLElement
-from .universal import SymPoly, sum_polynomials
+from .universal import SymPoly
 
 
 @dataclass(frozen=True)
@@ -99,37 +101,53 @@ def _check_compatible(a: WittVec, b: WittVec):
         raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
 
 
+def _ghost(hi: ExtensionData, comps) -> list:
+    """Ghost components W_0..W_m of ``comps``, their coordinates lifted
+    unchanged into ``hi`` (the twin at precision N+m, or ``ext`` itself)."""
+    p = hi.p
+    powers = [OLElement(hi.tower, c.coeffs) for c in comps]
+    ghosts = []
+    for k in range(len(powers)):
+        w = [p ** k * x for x in powers[k].coeffs]
+        for i in range(k):
+            powers[i] = powers[i] ** p  # a_i^(p^(k-i))
+            w = [x + p ** i * y for x, y in zip(w, powers[i].coeffs)]
+        ghosts.append(hi.tower.element(w))
+    return ghosts
+
+
+def _from_ghost(ext: ExtensionData, hi: ExtensionData, ghosts) -> WittVec:
+    """The Witt vector over ``ext`` whose ghost components in ``hi`` are
+    ``ghosts``; raises IntegralityError where p^k fails to divide."""
+    p = ext.p
+    powers = []
+    comps = []
+    for k, w in enumerate(ghosts):
+        w = w.coeffs
+        for i in range(k):
+            powers[i] = powers[i] ** p  # z_i^(p^(k-i))
+            w = [x - p ** i * y for x, y in zip(w, powers[i].coeffs)]
+        pk = p ** k
+        if any(x % pk for x in w):
+            raise IntegralityError(f"ghost level {k} is not divisible by p^{k}")
+        z = [x // pk for x in w]
+        powers.append(hi.tower.element(z))
+        comps.append(ext.tower.element(z))
+    return WittVec(ext, tuple(comps))
+
+
 def witt_add(a: WittVec, b: WittVec) -> WittVec:
-    """Witt vector sum via the binary universal addition laws."""
+    """Witt vector sum: the ghost components add."""
     _check_compatible(a, b)
-    m = len(a) - 1
-    zs = sum_polynomials(a.ext.p, m, 2)
-    assign = {}
-    for j in range(m + 1):
-        assign[(0, j)] = a[j]
-        assign[(1, j)] = b[j]
-    comps = tuple(evaluate_poly(zs[n], assign, a.ext) for n in range(m + 1))
-    return WittVec(a.ext, comps)
+    hi = _twin(a.ext, a.ext.N + len(a) - 1)
+    ghosts = [x + y for x, y in zip(_ghost(hi, a.components), _ghost(hi, b.components))]
+    return _from_ghost(a.ext, hi, ghosts)
 
 
 def witt_neg(a: WittVec) -> WittVec:
-    """The additive inverse, solved level by level from the addition laws."""
-    ext = a.ext
-    m = len(a) - 1
-    zs = sum_polynomials(ext.p, m, 2)
-    zero = ext.tower.zero_ol
-    assign = {}
-    for j in range(m + 1):
-        assign[(0, j)] = a[j]
-        assign[(1, j)] = zero
-    comps = []
-    for n in range(m + 1):
-        # z_n = X_{0,n} + X_{1,n} + (terms of lower level); with X_{1,n} = 0
-        # the evaluation is a[n] + tail, and the unknown must cancel it.
-        tail = evaluate_poly(zs[n], assign, ext)
-        comps.append(-tail)
-        assign[(1, n)] = comps[n]
-    return WittVec(ext, tuple(comps))
+    """The additive inverse: the ghost components negate."""
+    hi = _twin(a.ext, a.ext.N + len(a) - 1)
+    return _from_ghost(a.ext, hi, [-w for w in _ghost(hi, a.components)])
 
 
 def verschiebung(a: WittVec) -> WittVec:
@@ -154,22 +172,14 @@ def apply_sigma(a: WittVec, power: int = 1) -> WittVec:
 def witt_trace(a: WittVec) -> WittVec:
     """The Witt sum of all Galois conjugates of ``a``.
 
-    Component 0 equals the ordinary trace of a_0; the vector vanishes
-    exactly on W_{m+1}(O_L)^{tr=0}.
+    sigma is a ring map, so the ghost components of the sum are the traces
+    of the ghost components of ``a``.  Component 0 equals the ordinary trace
+    of a_0; the vector vanishes exactly on W_{m+1}(O_L)^{tr=0}.
     """
-    acc = a
-    for k in range(1, a.ext.p):
-        acc = witt_add(acc, apply_sigma(a, k))
-    return acc
+    hi = _twin(a.ext, a.ext.N + len(a) - 1)
+    return _from_ghost(a.ext, hi, [hi.trace(w) for w in _ghost(hi, a.components)])
 
 
 def ghost_map(a: WittVec) -> tuple:
     """Ghost coordinates (W_0(a), ..., W_m(a)) evaluated in O_L at precision."""
-    p = a.ext.p
-    out = []
-    for n in range(len(a)):
-        acc = a.ext.tower.zero_ol
-        for i in range(n + 1):
-            acc = acc + (a[i] ** (p ** (n - i))).scale_int(p ** i)
-        out.append(acc)
-    return tuple(out)
+    return tuple(_ghost(a.ext, a.components))

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from wittram import harness
 from wittram.cli import main
+from wittram.errors import IntegralityError
 from wittram.harness import RunConfig, run
 from wittram.report import emit_report
 
@@ -77,6 +79,41 @@ def test_proposition_run_passes(capsys):
     out = capsys.readouterr().out
     assert "proposition" in out
     assert "PASS" in out
+
+
+def test_cyclotomic_length_four_passes(capsys):
+    # p = 3, m = 3: the carry polynomial f_3 exceeds the term budget, so
+    # this length is reachable through the ghost map only
+    code = main(["verify", "--extension", "cyclotomic-step", "--m", "3",
+                 "--trials", "20", "--suites", "cascade,proposition",
+                 "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [s["suite"] for s in doc["suites"]] == ["cascade", "proposition"]
+    for suite in doc["suites"]:
+        assert suite["params"]["m"] == 3
+        for check in suite["checks"]:
+            assert check["status"] == "pass"
+            assert check["failures"] == 0
+            assert check["passes"] > 0
+
+
+def test_integrality_failure_inside_a_suite_exits_1(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise IntegralityError("z_1 has a non-integer coefficient")
+
+    monkeypatch.setattr(harness, "sum_polynomials", broken)
+    code = main(["verify", "--extension", "quadratic-sqrt2", "--trials", "5",
+                 "--suites", "symbolic,h1", "--format", "json"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    symbolic, h1 = doc["suites"]
+    assert symbolic["suite"] == "symbolic"
+    assert symbolic["status"] == "fail"
+    assert symbolic["checks"][0]["detail"]["error"] == (
+        "IntegralityError: z_1 has a non-integer coefficient")
+    assert h1["suite"] == "h1"
+    assert h1["status"] == "pass"
 
 
 def test_proposition_negative_control_mode(capsys):

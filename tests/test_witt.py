@@ -5,10 +5,12 @@ import random
 import pytest
 
 from wittram import (
+    IntegralityError,
     LengthMismatch,
     Valuation,
     WittVec,
     apply_sigma,
+    carry_polynomial,
     ghost_map,
     restrict,
     sum_polynomials,
@@ -20,7 +22,7 @@ from wittram import (
     witt_trace,
     witt_zero,
 )
-from wittram.witt import evaluate_poly
+from wittram.witt import _from_ghost, evaluate_poly
 from wittram.cohomology import _carry_target, random_element
 
 
@@ -191,7 +193,8 @@ def test_trace_invariant_under_sigma(all_extensions):
 
 def test_trace_carry_identity(all_extensions):
     # -f_n at X_{i,j} = sigma^i(a_j) equals sum_i sigma^i(a_n) minus the
-    # level-n component of the Witt sum of the conjugates
+    # level-n component of the Witt sum of the conjugates; the direct
+    # evaluation of the carry polynomial is the independent oracle
     rng = random.Random(14)
     for ext in all_extensions:
         for _ in range(8):
@@ -199,11 +202,14 @@ def test_trace_carry_identity(all_extensions):
             total = witt_trace(a)
             conj = [ext.conjugates(c) for c in a.components]
             for n in range(1, 3):
-                target = _carry_target(ext, conj, n)  # -f_n evaluated
+                target = _carry_target(ext, a.components, n)
                 plain_sum = ext.tower.zero_ol
                 for i in range(ext.p):
                     plain_sum = plain_sum + conj[n][i]
                 assert target == plain_sum - total[n]
+                assign = {(i, j): conj[j][i] for i in range(ext.p) for j in range(n)}
+                f_n = carry_polynomial(ext.p, n)
+                assert target == -evaluate_poly(f_n, assign, ext)
 
 
 # -- ghost map -----------------------------------------------------------------------
@@ -273,6 +279,14 @@ def test_ghost_recovery_matches_witt_add(all_extensions):
                 assert all(v % modulus == 0 for v in diff)
 
 
+def test_ghost_recovery_rejects_non_ghost_vectors(all_extensions):
+    # (0, 1) is no ghost vector: W_1 - z_0^p = 1 is not divisible by p
+    for ext in all_extensions:
+        t = ext.tower
+        with pytest.raises(IntegralityError):
+            _from_ghost(ext, ext, [t.zero_ol, t.one_ol])
+
+
 # -- p-ary consistency -----------------------------------------------------------------
 
 
@@ -290,6 +304,11 @@ def test_p_ary_fold_matches_direct_evaluation(all_extensions, m):
             assign = {(i, j): vecs[i][j] for i in range(p) for j in range(m + 1)}
             direct = tuple(evaluate_poly(zs[n], assign, ext) for n in range(m + 1))
             assert folded.components == direct
+            # the trace is the p-ary sum of the conjugates
+            conj = [apply_sigma(vecs[0], i) for i in range(p)]
+            assign = {(i, j): conj[i][j] for i in range(p) for j in range(m + 1)}
+            direct = tuple(evaluate_poly(zs[n], assign, ext) for n in range(m + 1))
+            assert witt_trace(vecs[0]).components == direct
 
 
 # -- restriction -----------------------------------------------------------------------
