@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import (
     NoSolution,
@@ -136,7 +136,12 @@ def trace_kernel_saturated(ext: ExtensionData) -> HowellBasis:
 
 @lru_cache(maxsize=64)
 def trace_image(ext: ExtensionData) -> HowellBasis:
-    return image_columnwise(linear_map_of(ext, "trace").rows, ext.p, ext.N)
+    """Howell basis of tr(O_L); VerificationError if it leaves the O_K block."""
+    img = image_columnwise(linear_map_of(ext, "trace").rows, ext.p, ext.N)
+    for row in img.rows:
+        if any(row[ext.e_K:]):
+            raise VerificationError("trace image leaves the O_K block")
+    return img
 
 
 @lru_cache(maxsize=64)
@@ -159,9 +164,6 @@ def trace_image_exponent(ext: ExtensionData) -> int:
             f"trace image exponent {d} is beyond the O_K horizon {ext.N * ext.e_K}"
         )
     img = trace_image(ext)
-    for row in img.rows:
-        if any(row[ext.e_K:]):
-            raise VerificationError("trace image leaves the O_K block")
     tower = ext.tower
     gens = [(tower.pi_K ** (d + j)).coeffs for j in range(ext.e_K)]
     expected = howell_form(gens, ext.p, ext.N, tower.p * tower.e_K)
@@ -175,9 +177,6 @@ def trace_image_exponent(ext: ExtensionData) -> int:
 def trace_index_exponent(ext: ExtensionData) -> int:
     """log_p |O_K / tr(O_L)| computed from the image alone."""
     img = trace_image(ext)
-    for row in img.rows:
-        if any(row[ext.e_K:]):
-            raise VerificationError("trace image leaves the O_K block")
     restricted = howell_form([row[:ext.e_K] for row in img.rows],
                              ext.p, ext.N, ext.e_K)
     return ext.N * ext.e_K - restricted.order_exponent()
@@ -562,7 +561,7 @@ class QuotientInvariants:
 
     @property
     def order(self) -> int:
-        return reduce(lambda a, b: a * b, self.factors, 1)
+        return group_order(self.factors)
 
 
 def _h1_invariants_at(ext: ExtensionData) -> tuple:

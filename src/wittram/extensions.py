@@ -196,8 +196,8 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     below the precision horizon with t >= 1 (wild ramification).
     """
     if isinstance(spec, str):
-        spec = ExtensionSpec(kind=spec, precision=precision or DEFAULT_PRECISION)
-    elif precision is not None:
+        spec = ExtensionSpec(kind=spec)
+    if precision is not None:
         spec = replace(spec, precision=precision)
     name = spec.kind
     spec = _materialize(spec)

@@ -216,6 +216,10 @@ def run(config: RunConfig):
     for name in config.suites:
         if name not in SUITE_ORDER:
             raise ConfigError(f"unknown suite {name!r}; choose from {SUITE_ORDER}")
+    if config.m < 0:
+        raise ConfigError(f"--m must be >= 0, got {config.m}")
+    if config.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {config.trials}")
     try:
         ext = resolve_extension(config.extension, config.precision)
     except ConfigError:

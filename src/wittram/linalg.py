@@ -12,14 +12,18 @@ Kernels and preimages come from the Howell form of an augmented matrix
 [A^T | I]: a row (v | y) records v = A y, so rows with v = 0 generate the
 kernel and reducing (b | 0) against the left block solves A x = b.
 
-Finite quotients are presented over the integers and resolved with a small
-dense Smith normal form; all arithmetic is exact.
+A finite quotient span(G)/span(S) is presented on the generators G: its
+relations are the syzygies of G and the preimages of S.  The invariant
+factors come from a Smith form over Z/p^N itself, which takes one
+elimination step per pivot because Z/p^N is a chain ring: an entry of least
+valuation divides every other entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
+from math import prod
 
 from .errors import NoSolution
 from .rings import padic_val
@@ -149,33 +153,31 @@ def solve_in_span(rows, target, p: int, N: int):
     return tuple(-x % pN for x in r[width:])
 
 
+def _transpose(matrix_rows) -> list:
+    """The columns of a row-list matrix, as rows."""
+    return [list(col) for col in zip(*matrix_rows)]
+
+
 def kernel_columnwise(matrix_rows, p: int, N: int) -> HowellBasis:
     """Howell basis of {x : A x = 0 mod p^N} for A given as a row list.
 
     A acts in the column convention: (A x)_r = sum_c A[r][c] x[c].
     """
     nrows = len(matrix_rows)
-    ncols = len(matrix_rows[0]) if nrows else 0
-    transpose = [[matrix_rows[r][c] for r in range(nrows)] for c in range(ncols)]
+    transpose = _transpose(matrix_rows)
     aug = _augmented_howell(transpose, p, N, nrows)
     kernel_rows = [row[nrows:] for row in aug.rows if not any(row[:nrows])]
-    return howell_form(kernel_rows, p, N, ncols)
+    return howell_form(kernel_rows, p, N, len(transpose))
 
 
 def image_columnwise(matrix_rows, p: int, N: int) -> HowellBasis:
     """Howell basis of the column span {A x} of A."""
-    nrows = len(matrix_rows)
-    ncols = len(matrix_rows[0]) if nrows else 0
-    columns = [[matrix_rows[r][c] for r in range(nrows)] for c in range(ncols)]
-    return howell_form(columns, p, N, nrows)
+    return howell_form(_transpose(matrix_rows), p, N, len(matrix_rows))
 
 
 def solve_columnwise(matrix_rows, b, p: int, N: int) -> tuple:
     """Some x with A x = b mod p^N; raises NoSolution when b is not reached."""
-    nrows = len(matrix_rows)
-    ncols = len(matrix_rows[0]) if nrows else 0
-    transpose = [[matrix_rows[r][c] for r in range(nrows)] for c in range(ncols)]
-    combo = solve_in_span(transpose, b, p, N)
+    combo = solve_in_span(_transpose(matrix_rows), b, p, N)
     if combo is None:
         raise NoSolution("target vector is not in the image at precision")
     return combo
@@ -192,116 +194,57 @@ def is_full_module(basis: HowellBasis) -> bool:
     return basis.rows == ident
 
 
-def smith_invariants(matrix) -> list:
-    """Diagonal of the Smith normal form of an integer matrix.
+def smith_invariants(rows, p: int, N: int, width: int) -> list:
+    """Invariant factors of (Z/p^N)^width / span(rows), ascending.
 
-    Returns d_1 | d_2 | ... (nonnegative, zeros dropped).  Plain Euclidean
-    pivoting; sizes here stay tiny so no effort is spent on coefficient
-    growth.
+    One factor per column: each step takes an entry of least valuation k,
+    which divides every remaining entry, clears its column in the other rows
+    with the unit inverse of the pivot, records p^k and drops that row and
+    column.  A column left without a pivot is free and contributes p^N.
+    Since the remaining entries keep valuation >= k, the pivots come out in
+    ascending order.
     """
-    A = [list(map(int, row)) for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
+    pN = p ** N
+    A = [[x % pN for x in row] for row in rows]
+    cols = list(range(width))
     out = []
-    k = 0
-    while k < min(m, n):
-        # locate the smallest nonzero entry in the trailing submatrix
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+    while True:
+        best = min(((padic_val(row[j], p), i, j) for i, row in enumerate(A)
+                    for j in cols if row[j]), default=None)
         if best is None:
-            break
-        bi, bj = best
-        A[k], A[bi] = A[bi], A[k]
+            return out + [pN] * len(cols)
+        k, i, j = best
+        piv = A.pop(i)
+        unit_inv = pow(piv[j] // p ** k, -1, pN)
         for row in A:
-            row[k], row[bj] = row[bj], row[k]
-        while True:
-            done = True
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    q = A[i][k] // A[k][k]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-                    if A[i][k]:
-                        done = False
-            for j in range(k + 1, n):
-                if A[k][j]:
-                    q = A[k][j] // A[k][k]
-                    for row in A:
-                        row[j] -= q * row[k]
-                    if A[k][j]:
-                        done = False
-            if not done:
-                # a smaller remainder appeared; re-pivot on it
-                best = None
-                for i in range(k, m):
-                    for j in range(k, n):
-                        if A[i][j] and (best is None
-                                        or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                            best = (i, j)
-                bi, bj = best
-                A[k], A[bi] = A[bi], A[k]
-                for row in A:
-                    row[k], row[bj] = row[bj], row[k]
-                continue
-            # enforce divisibility of the rest by the pivot
-            stumble = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if A[i][j] % A[k][k]:
-                        stumble = i
-                        break
-                if stumble is not None:
-                    break
-            if stumble is None:
-                break
-            A[k] = [a + b for a, b in zip(A[k], A[stumble])]
-        out.append(abs(A[k][k]))
-        k += 1
-    return [d for d in out if d]
+            q = (row[j] // p ** k) * unit_inv % pN
+            if q:
+                for c in cols:
+                    row[c] = (row[c] - q * piv[c]) % pN
+        cols.remove(j)
+        out.append(p ** k)
 
 
 def quotient_invariants(gen_rows, sub_rows, p: int, N: int) -> tuple:
     """Invariant factors of span(gen_rows) / span(sub_rows) over Z/p^N.
 
-    ``sub_rows`` must generate a submodule of span(gen_rows).  The quotient
-    is presented on the generators: its relation module is spanned by the
-    coefficient syzygies of the generators, the preimages of the sub-module
-    generators, and p^N times the coordinate vectors; the invariant factors
-    are read off the integer Smith form of that relation matrix.  Returned
-    in descending order, with trivial factors dropped.
+    ``sub_rows`` must generate a submodule of span(gen_rows), else
+    ValueError.  With r generators the quotient is (Z/p^N)^r modulo the
+    coefficient syzygies of the generators and the preimages of the
+    sub-module generators; its invariant factors are read off the Smith
+    form of that relation matrix over Z/p^N.  Returned in descending order,
+    with trivial factors dropped.
     """
-    r = len(gen_rows)
-    if r == 0:
-        if any(any(row) for row in sub_rows):
-            raise ValueError("sub_rows do not lie in the span of gen_rows")
-        return ()
-    pN = p ** N
-    width = len(gen_rows[0])
-    # syzygies: y with sum_i y_i gen_i = 0, i.e. kernel of the column matrix
-    col_matrix = [[gen_rows[i][c] for i in range(r)] for c in range(width)]
-    syz = kernel_columnwise(col_matrix, p, N)
-    relations = [list(row) for row in syz.rows]
+    relations = list(kernel_columnwise(_transpose(gen_rows), p, N).rows)
     for b in sub_rows:
         combo = solve_in_span(gen_rows, b, p, N)
         if combo is None:
             raise ValueError("sub_rows do not lie in the span of gen_rows")
-        relations.append(list(combo))
-    for i in range(r):
-        row = [0] * r
-        row[i] = pN
-        relations.append(row)
-    diag = smith_invariants(relations)
-    factors = [d for d in diag if d > 1]
-    for d in factors:
-        q = d
-        while q % p == 0:
-            q //= p
-        if q != 1:
-            raise ValueError(f"invariant factor {d} is not a power of p")
-    return tuple(sorted(factors, reverse=True))
+        relations.append(combo)
+    factors = smith_invariants(relations, p, N, len(gen_rows))
+    return tuple(d for d in reversed(factors) if d > 1)
 
 
 def group_order(factors) -> int:
-    return reduce(lambda a, b: a * b, factors, 1)
+    """Order of the finite abelian group with the given invariant factors."""
+    return prod(factors)

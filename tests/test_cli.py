@@ -1,13 +1,17 @@
 """CLI behavior: exit codes, formats, golden polynomial output, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wittram import harness
 from wittram.cli import main
 from wittram.errors import IntegralityError
-from wittram.harness import RunConfig, run
+from wittram.harness import SUITE_ORDER, RunConfig, run
 from wittram.report import emit_report
 
 
@@ -65,6 +69,53 @@ def test_guard_violation_exits_2(capsys):
                  "--precision", "2", "--m", "2"]) == 2
     err = capsys.readouterr().err
     assert "guard" in err
+
+
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["verify", "extension-info"])
+def test_precision_zero_exits_2(command, capsys):
+    assert main([command, "--extension", "quadratic-gaussian",
+                 "--precision", "0"]) == 2
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag,value", [("--m", "-1"), ("--trials", "0"),
+                                        ("--trials", "-3")])
+def test_bad_m_or_trials_exits_2(flag, value, capsys):
+    assert main(["verify", "--extension", "quadratic-gaussian",
+                 flag, value]) == 2
+    _assert_one_error_line(capsys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(extension=st.sampled_from(["quadratic-gaussian", "quadratic-sqrt2"]),
+       m=st.integers(-2, 3), trials=st.integers(-2, 3),
+       precision=st.integers(-2, 80), max_terms=st.integers(-1, 10 ** 7),
+       suites=st.lists(st.sampled_from(SUITE_ORDER), min_size=1, unique=True))
+@example(extension="quadratic-sqrt2", m=-1, trials=3, precision=48,
+         max_terms=10 ** 6, suites=["cascade"])
+def test_verify_fuzz_exit_codes(extension, m, trials, precision, max_terms,
+                                suites):
+    # whatever the flags, verify ends with a documented exit code and at most
+    # one line on stderr, never with an escaping exception
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--extension", extension, "--m", str(m),
+                     "--trials", str(trials), "--precision", str(precision),
+                     "--max-terms", str(max_terms),
+                     "--suites", ",".join(suites), "--format", "json"])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1
+    if code == 2:
+        assert lines and lines[0].startswith("error:")
 
 
 def test_unknown_suite_exits_2(capsys):

@@ -145,23 +145,48 @@ def test_solve_in_span_roundtrip():
 
 
 def test_smith_on_diagonal():
-    assert smith_invariants([[2, 0], [0, 8]]) == [2, 8]
-    assert smith_invariants([[4]]) == [4]
-    assert smith_invariants([[0]]) == []
+    assert smith_invariants([[2, 0], [0, 8]], 2, 4, 2) == [2, 8]
+    assert smith_invariants([[4]], 2, 3, 1) == [4]
+    # a column with no pivot is a free Z/8 summand
+    assert smith_invariants([[0]], 2, 3, 1) == [8]
 
 
 def test_smith_divisibility_chain():
     rng = random.Random(21)
     for _ in range(30):
         rows = [[rng.randrange(-20, 20) for _ in range(3)] for _ in range(4)]
-        diag = smith_invariants(rows)
+        diag = smith_invariants(rows, 2, 6, 3)
+        assert len(diag) == 3
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
 
 
 def test_smith_known_example():
-    # [[2,4],[6,8]]: det = -8, gcd of entries 2 -> invariants (2, 4)
-    assert smith_invariants([[2, 4], [6, 8]]) == [2, 4]
+    # [[2,4],[6,8]] over Z/2^4: det = -8 has valuation 3 and the entries have
+    # valuation >= 1 -> invariants (2, 4)
+    assert smith_invariants([[2, 4], [6, 8]], 2, 4, 2) == [2, 4]
+
+
+@pytest.mark.parametrize("p,N,width", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
+def test_smith_matches_enumeration(p, N, width):
+    # Q = (Z/p^N)^width / span has #{x : p^j x in span} = |span| * |Q[p^j]|
+    # and |Q[p^j]| = prod min(d, p^j); the counts for j = 0..N fix every d
+    rng = random.Random(1000 * p + 10 * N + width)
+    pN = p ** N
+    vectors = list(itertools.product(range(pN), repeat=width))
+    for trial in range(25):
+        rows = [tuple(rng.randrange(pN) for _ in range(width))
+                for _ in range(trial % 4)]
+        span = brute_span(rows, pN) if rows else {(0,) * width}
+        diag = smith_invariants(rows, p, N, width)
+        assert len(diag) == width
+        for j in range(N + 1):
+            count = sum(tuple(p ** j * x % pN for x in vec) in span
+                        for vec in vectors)
+            expected = len(span)
+            for d in diag:
+                expected *= min(d, p ** j)
+            assert count == expected
 
 
 # -- quotients -------------------------------------------------------------------------
