@@ -67,7 +67,8 @@ def _extension_flags(cmd):
                      help="built-in extension name")
     cmd.add_argument("--spec-file", default=None,
                      help="path to a JSON extension spec")
-    cmd.add_argument("--precision", type=int, default=32)
+    cmd.add_argument("--precision", type=int, default=None,
+                     help="precision N (default: the spec file's, else 32)")
 
 
 def _pick_extension(args) -> str:

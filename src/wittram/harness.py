@@ -9,7 +9,7 @@ bounds involved are linear in t and e_L while the guard grows with both).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cohomology import (
@@ -50,7 +50,7 @@ SYMBOLIC_LEVELS = {2: 3, 3: 2}
 @dataclass(frozen=True)
 class RunConfig:
     extension: str = "quadratic-gaussian"
-    precision: int = 32
+    precision: int = None  # None: the spec file's or the built-in default
     m: int = 1
     trials: int = 200
     seed: int = 0
@@ -110,36 +110,19 @@ def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT,
     for k in range(n_max + 1):
         digests[f"z_{k}"] = zs[k].digest()
         rep = structure_check(zs[k], 1)
-        structure.trials += 1
-        if rep.is_integral and rep.has_no_constant_term:
-            structure.passes += 1
-        else:
-            structure.failures += 1
-            structure.status = "fail"
-        ghost.trials += 1
+        structure.record(rep.is_integral and rep.has_no_constant_term)
         w_k = ghost_polynomial(p, k)
         lhs = SymPoly.zero()
         for i in range(p):
             lhs = lhs + w_k.substitute({(0, e): SymPoly.var(i, e)
                                         for e in range(k + 1)})
         rhs = w_k.substitute({(0, e): zs[e] for e in range(k + 1)})
-        if (lhs - rhs).is_zero:
-            ghost.passes += 1
-        else:
-            ghost.failures += 1
-            ghost.status = "fail"
+        ghost.record((lhs - rhs).is_zero)
     checks.extend([structure, ghost])
 
     base = CheckResult("base-cases", "pass")
-    base.trials = 2
-    f0 = carry_polynomial(p, 0, max_terms)
-    g_base = carry_residue_polynomial(p, 1, max_terms)
-    for poly in (f0, g_base):
-        if poly.is_zero:
-            base.passes += 1
-        else:
-            base.failures += 1
-            base.status = "fail"
+    base.record(carry_polynomial(p, 0, max_terms).is_zero)
+    base.record(carry_residue_polynomial(p, 1, max_terms).is_zero)
     checks.append(base)
 
     carry_struct = CheckResult("carry-structure", "pass")
@@ -147,18 +130,8 @@ def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT,
     for n in range(1, n_max + 1):
         f_n = carry_polynomial(p, n, max_terms)
         digests[f"f_{n}"] = f_n.digest()
-        carry_struct.trials += 1
-        if structure_check(f_n, p).passed:
-            carry_struct.passes += 1
-        else:
-            carry_struct.failures += 1
-            carry_struct.status = "fail"
-        carry_ident.trials += 1
-        if (f_n + _sum_vars(p, n) - zs[n]).is_zero:
-            carry_ident.passes += 1
-        else:
-            carry_ident.failures += 1
-            carry_ident.status = "fail"
+        carry_struct.record(structure_check(f_n, p).passed)
+        carry_ident.record((f_n + _sum_vars(p, n) - zs[n]).is_zero)
     checks.extend([carry_struct, carry_ident])
 
     res_struct = CheckResult("carry-residue-structure", "pass")
@@ -166,25 +139,14 @@ def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT,
     for n in range(2, n_max + 1):
         g = carry_residue_polynomial(p, n, max_terms)
         digests[f"g_for_level_{n}"] = g.digest()
-        res_struct.trials += 1
-        if structure_check(g, p * p).passed:
-            res_struct.passes += 1
-        else:
-            res_struct.failures += 1
-            res_struct.status = "fail"
-        res_ident.trials += 1
+        res_struct.record(structure_check(g, p * p).passed)
         f_n = carry_polynomial(p, n, max_terms)
         f_prev = carry_polynomial(p, n - 1, max_terms)
         block = SymPoly.zero()
         for i in range(p):
             block = block + SymPoly.var(i, n - 1) ** p
         block = block - zs[n - 1] ** p - (-f_prev) ** p
-        residue = f_n - g - block.scale(Fraction(1, p))
-        if residue.is_zero:
-            res_ident.passes += 1
-        else:
-            res_ident.failures += 1
-            res_ident.status = "fail"
+        res_ident.record((f_n - g - block.scale(Fraction(1, p))).is_zero)
     checks.extend([res_struct, res_ident])
     checks[0].detail["digests"] = digests
     return SuiteRecord("symbolic", f"p={p}", p, 0, 0, n_max, checks)
@@ -228,7 +190,7 @@ def run(config: RunConfig):
         raise ConfigError(f"cannot build extension {config.extension!r}: {exc}")
     precision_guard(ext, config.m)
 
-    report = Report(REPORT_VERSION, config.echo())
+    report = Report(REPORT_VERSION, replace(config, precision=ext.N).echo())
     for name in SUITE_ORDER:
         if name not in config.suites:
             continue
@@ -236,23 +198,17 @@ def run(config: RunConfig):
         try:
             record = _run_suite(name, ext, config)
         except VanishingViolated as exc:
-            record = getattr(exc, "record", None) or SuiteRecord(
-                name, ext.name, ext.p, ext.N, ext.t, config.m,
-                [CheckResult("first-component-coboundary", "fail",
-                             detail={"error": str(exc)})])
-            if exc.witness is not None:
-                record.checks[0].detail.setdefault(
-                    "witness", wittvec_coords(exc.witness))
-        except SamplingExhausted as exc:
-            record = SuiteRecord(
-                name, ext.name, ext.p, ext.N, ext.t, config.m,
-                [CheckResult("sampler", "fail",
-                             detail={"error": str(exc), "level": exc.level})])
-        except (IntegralityError, VerificationError) as exc:
-            record = SuiteRecord(
-                name, ext.name, ext.p, ext.N, ext.t, config.m,
-                [CheckResult("consistency", "fail",
-                             detail={"error": f"{type(exc).__name__}: {exc}"})])
+            record = exc.record
+            record.checks[0].detail.setdefault("witness",
+                                               wittvec_coords(exc.witness))
+        except (SamplingExhausted, IntegralityError, VerificationError) as exc:
+            if isinstance(exc, SamplingExhausted):
+                check = CheckResult("sampler", "fail", detail={
+                    "error": str(exc), "level": exc.level})
+            else:
+                check = CheckResult("consistency", "fail", detail={
+                    "error": f"{type(exc).__name__}: {exc}"})
+            record = SuiteRecord.of(name, ext, config.m, [check])
         record.duration_s = time.perf_counter() - start
         report.suites.append(record)
     exit_code = 1 if report.failed else 0

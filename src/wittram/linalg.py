@@ -158,16 +158,20 @@ def _transpose(matrix_rows) -> list:
     return [list(col) for col in zip(*matrix_rows)]
 
 
+def _syzygies(rows, p: int, N: int) -> HowellBasis:
+    """Howell basis of the coefficient vectors y with sum_i y_i rows_i = 0."""
+    width = len(rows[0]) if rows else 0
+    aug = _augmented_howell(rows, p, N, width)
+    return howell_form([row[width:] for row in aug.rows if not any(row[:width])],
+                       p, N, len(rows))
+
+
 def kernel_columnwise(matrix_rows, p: int, N: int) -> HowellBasis:
     """Howell basis of {x : A x = 0 mod p^N} for A given as a row list.
 
     A acts in the column convention: (A x)_r = sum_c A[r][c] x[c].
     """
-    nrows = len(matrix_rows)
-    transpose = _transpose(matrix_rows)
-    aug = _augmented_howell(transpose, p, N, nrows)
-    kernel_rows = [row[nrows:] for row in aug.rows if not any(row[:nrows])]
-    return howell_form(kernel_rows, p, N, len(transpose))
+    return _syzygies(_transpose(matrix_rows), p, N)
 
 
 def image_columnwise(matrix_rows, p: int, N: int) -> HowellBasis:
@@ -235,7 +239,7 @@ def quotient_invariants(gen_rows, sub_rows, p: int, N: int) -> tuple:
     form of that relation matrix over Z/p^N.  Returned in descending order,
     with trivial factors dropped.
     """
-    relations = list(kernel_columnwise(_transpose(gen_rows), p, N).rows)
+    relations = list(_syzygies(gen_rows, p, N).rows)
     for b in sub_rows:
         combo = solve_in_span(gen_rows, b, p, N)
         if combo is None:

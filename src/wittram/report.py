@@ -1,5 +1,11 @@
 """Run records and their text / JSON / CSV serializations.
 
+Suites tally checks only through ``CheckResult.record(ok, counterexample)``
+(one trial: a pass, or a failure that fails the check and keeps the
+counterexample, when given, under ``detail["counterexamples"]``) and
+``CheckResult.skip()`` (one trial counted as skipped, at the precision
+horizon).  Checks without trials set ``status`` directly.
+
 JSON and CSV renderings are byte-stable for a fixed (config, seed) pair:
 they contain no timestamps and no wall-clock durations, and all dict keys
 are emitted sorted.  Durations are kept on the records for the human
@@ -31,6 +37,22 @@ class CheckResult:
     skipped: int = 0
     detail: dict = field(default_factory=dict)
 
+    def record(self, ok: bool, counterexample: dict = None) -> None:
+        """Count one trial as a pass, or as a failure of the check."""
+        self.trials += 1
+        if ok:
+            self.passes += 1
+            return
+        self.failures += 1
+        self.status = "fail"
+        if counterexample is not None:
+            self.detail.setdefault("counterexamples", []).append(counterexample)
+
+    def skip(self) -> None:
+        """Count one trial as skipped."""
+        self.trials += 1
+        self.skipped += 1
+
 
 @dataclass
 class SuiteRecord:
@@ -44,6 +66,11 @@ class SuiteRecord:
     m: int
     checks: list = field(default_factory=list)
     duration_s: float = 0.0
+
+    @classmethod
+    def of(cls, suite: str, ext, m: int, checks: list) -> "SuiteRecord":
+        """A record whose extension name, p, N and t are read off ``ext``."""
+        return cls(suite, ext.name, ext.p, ext.N, ext.t, m, checks)
 
     @property
     def status(self) -> str:

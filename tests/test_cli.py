@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, formats, golden polynomial output, determinism."""
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 
@@ -8,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wittram import harness
+from wittram import cohomology, harness
 from wittram.cli import main
-from wittram.errors import IntegralityError
+from wittram.errors import IntegralityError, NoSolution
+from wittram.extensions import build_extension
 from wittram.harness import SUITE_ORDER, RunConfig, run
 from wittram.report import emit_report
 
@@ -255,3 +258,115 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, command, defect):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# -- failing suites: statuses, counts, detail keys and exact report bytes
+
+
+def _run_json(**params):
+    report, code = run(RunConfig(extension="quadratic-gaussian", fmt="json",
+                                 **params))
+    text = emit_report(report, "json")
+    return code, json.loads(text), hashlib.sha256(text.encode()).hexdigest()
+
+
+def _checks(doc):
+    return {(s["suite"], c["name"]): c for s in doc["suites"] for c in s["checks"]}
+
+
+def _counts(check):
+    return (check["status"], check["trials"], check["passes"],
+            check["failures"], check["skipped"])
+
+
+def test_vanishing_violation_reports_witness_and_counterexamples(monkeypatch):
+    # claiming t = 3 for the Gaussian extension (t = 1) keeps p^m = 4 > t, so
+    # the proposition runs and its valuation bound must fail
+    ext = dataclasses.replace(build_extension("quadratic-gaussian", precision=48), t=3)
+    monkeypatch.setattr(harness, "resolve_extension", lambda name, precision: ext)
+    code, doc, digest = _run_json(precision=48, m=2, trials=10)
+    assert code == 1
+    assert [(s["suite"], s["status"]) for s in doc["suites"]] == [
+        ("symbolic", "pass"), ("trace-lemmas", "fail"), ("cascade", "fail"),
+        ("proposition", "fail"), ("h1", "pass"), ("negative-control", "info")]
+    checks = _checks(doc)
+    valuation = checks["proposition", "first-component-valuation"]
+    assert _counts(valuation) == ("fail", 10, 4, 6, 0)
+    assert sorted(valuation["detail"]) == ["counterexamples", "witness"]
+    assert [sorted(c) for c in valuation["detail"]["counterexamples"]] == [
+        ["trial", "v_L(a_0)", "vector"]] * 6
+    assert _counts(checks["proposition", "first-component-coboundary"]) == (
+        "pass", 10, 10, 0, 0)
+    assert _counts(checks["trace-lemmas", "trace-valuation-lower-bound"]) == (
+        "fail", 10, 3, 7, 0)
+    assert _counts(checks["cascade", "valuation-cascade"]) == ("fail", 20, 13, 7, 0)
+    assert digest == "3bfc18d1571cea1f3dd03760f5dfc7bcdc0acb6918fc34042abb9551e67cc588"
+
+
+def test_unsolvable_coboundary_fails_the_proposition(monkeypatch):
+    solve = cohomology.solve_linear
+
+    def no_preimage(lin, b):
+        if lin.which == "sigma-minus-one":
+            raise NoSolution("forced")
+        return solve(lin, b)
+
+    monkeypatch.setattr(cohomology, "solve_linear", no_preimage)
+    code, doc, digest = _run_json(precision=40, m=2, trials=10,
+                                  suites=("proposition",))
+    assert code == 1
+    checks = _checks(doc)
+    valuation = checks["proposition", "first-component-valuation"]
+    coboundary = checks["proposition", "first-component-coboundary"]
+    assert _counts(valuation) == ("pass", 10, 10, 0, 0)
+    assert sorted(valuation["detail"]) == ["witness"]
+    assert _counts(coboundary) == ("fail", 10, 0, 10, 0)
+    assert sorted(coboundary["detail"]) == ["counterexamples"]
+    assert [sorted(c) for c in coboundary["detail"]["counterexamples"]] == [
+        ["trial", "vector"]] * 10
+    assert digest == "f67cc9e35da3f74da7fb48c27791ded7777eaacff7d0aa5e9accc4dd64c70d36"
+
+
+def test_exhausted_sampler_fails_with_its_level(monkeypatch):
+    monkeypatch.setattr(cohomology, "member", lambda basis, vec: False)
+    code, doc, digest = _run_json(precision=40, m=2, trials=10,
+                                  suites=("cascade", "proposition"))
+    assert code == 1
+    assert [(s["suite"], s["status"]) for s in doc["suites"]] == [
+        ("cascade", "fail"), ("proposition", "fail")]
+    for suite in doc["suites"]:
+        (check,) = suite["checks"]
+        assert check["name"] == "sampler"
+        assert _counts(check) == ("fail", 0, 0, 0, 0)
+        assert sorted(check["detail"]) == ["error", "level"]
+        assert check["detail"]["level"] == 1
+    assert digest == "355b1dfd4776dbfffb139f770e9246e013d4caa692945cb88cb5162fb3385c26"
+
+
+# -- the precision of a spec file
+
+
+def _gaussian_spec(tmp_path, precision):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "quadratic-gaussian",
+                                "precision": precision}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("flags,expected", [([], 40),
+                                            (["--precision", "48"], 48)])
+def test_spec_file_precision_is_used(tmp_path, capsys, flags, expected):
+    path = _gaussian_spec(tmp_path, 40)
+    assert main(["extension-info", "--spec-file", path] + flags) == 0
+    assert f"precision: {expected}\n" in capsys.readouterr().out
+    assert main(["verify", "--spec-file", path, "--suites", "h1",
+                 "--format", "json"] + flags) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["precision"] == expected
+    assert doc["suites"][0]["params"]["N"] == expected
+
+
+@pytest.mark.parametrize("command", ["verify", "extension-info"])
+def test_spec_file_precision_zero_exits_2(tmp_path, capsys, command):
+    assert main([command, "--spec-file", _gaussian_spec(tmp_path, 0)]) == 2
+    _assert_one_error_line(capsys)

@@ -1,5 +1,7 @@
 """Operator matrices, trace laws, the sampler, and the level-1 quotient."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from wittram import (
     NoSolution,
     Valuation,
     WittVec,
+    build_extension,
     h1_level1,
     linear_map_of,
     negative_control,
@@ -20,9 +23,12 @@ from wittram import (
     verify_trace_valuations,
     witt_trace,
 )
+from wittram import cohomology
 from wittram.cohomology import (
+    cascade_suite,
     coboundary_image,
     derive_seed,
+    h1_suite,
     member,
     random_element,
     trace_image,
@@ -30,6 +36,7 @@ from wittram.cohomology import (
     trace_kernel_raw,
     trace_kernel_saturated,
 )
+from wittram.report import REPORT_VERSION, Report, emit_report
 from wittram.witt import teichmuller, witt_zero
 
 
@@ -314,3 +321,52 @@ def test_proposition_consistency_with_h1(sqrt2):
     record = negative_control(sqrt2, 1)
     assert record.checks[0].detail["witness_found"]
     assert h1_level1(sqrt2).order == 2
+
+
+# -- failure paths ----------------------------------------------------------------------------
+
+
+def _report_digest(*records):
+    text = emit_report(Report(REPORT_VERSION, {}, list(records)), "json")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_suites_report_a_break_that_is_too_large():
+    # the Gaussian extension has t = 1; claiming t = 4 breaks the trace lower
+    # bound and the cascade, and the suites must say so with counterexamples
+    ext = dataclasses.replace(build_extension("quadratic-gaussian", precision=48), t=4)
+    lemmas = verify_trace_valuations(ext, trials=40, seed=0)
+    lower, power = lemmas.checks
+    assert (lemmas.status, lower.status, power.status) == ("fail", "fail", "pass")
+    assert (lower.trials, lower.passes, lower.failures, lower.skipped) == (40, 9, 31, 0)
+    assert (power.trials, power.passes, power.failures) == (40, 40, 0)
+    assert list(lower.detail) == ["counterexamples"]
+    assert len(lower.detail["counterexamples"]) == 31
+    assert lower.detail["counterexamples"][0] == {
+        "trial": 0, "v_L(a)": 5, "p*v_K(tr(a))": 6, "bound": 9}
+    assert power.detail == {}
+    cascade = cascade_suite(ext, 2, trials=10, seed=0)
+    (check,) = cascade.checks
+    assert (cascade.status, check.status) == ("fail", "fail")
+    assert (check.trials, check.passes, check.failures, check.skipped) == (20, 13, 7, 0)
+    assert [sorted(c) for c in check.detail["counterexamples"]] == [
+        ["level", "trial", "vector"]] * 7
+    assert _report_digest(lemmas, cascade) == (
+        "684df6b5a7fd89dc79d1bd1dabc0344949f27c06a7ed19669f3ccc429b51e909")
+
+
+def test_h1_order_mismatch_fails_the_order_check(gaussian, monkeypatch):
+    # a wrong trace index is an order mismatch, not an unstable quotient:
+    # the invariant factors stay reported and the order check fails
+    true_index = trace_index_exponent(gaussian)
+    monkeypatch.setattr(cohomology, "trace_index_exponent",
+                        lambda ext: true_index + 1)
+    record = h1_suite(gaussian)
+    stable, order = record.checks
+    assert record.status == "fail"
+    assert stable.status == "pass"
+    assert stable.detail == {"invariant_factors": [2]}
+    assert order.status == "fail"
+    assert order.detail["order"] == 2
+    assert order.detail["trace_index_exponent"] == true_index + 1
+    assert (order.trials, stable.trials) == (0, 0)
