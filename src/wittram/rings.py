@@ -13,13 +13,17 @@ truncated at p-adic precision N.
 There is one element type.  An OLElement is a flat tuple of D = p*e_K
 scalars in the monomial basis pi_L^i pi_K^j (i < p, j < e_K), coordinate
 i*e_K + j holding the coefficient of pi_L^i pi_K^j.  O_K is the block
-i = 0.  Products run through structure constants: ``Tower._mul_table[a][b]``
-is the coordinate vector of the product of monomials a and b, and the
-table is filled from the (2p-1)(2e_K-1) monomials pi_L^i pi_K^j of the
-unreduced product range, each reached from its neighbour by one shift:
-multiplying by pi_K shifts within every O_K block and reduces by E_K,
-multiplying by pi_L shifts the blocks and folds the overflow block back in
-through E_L.
+i = 0.  A product is a schoolbook product followed by one fold.  The
+unreduced monomials pi_L^i pi_K^j (i < 2p-1, j < 2e_K-1) of a product of
+two elements get one slot each, i*(2e_K-1) + j, so that the slots of two
+monomials add to the slot of their product; ``Tower._slot`` maps each
+basis coordinate to its slot.  The D^2 coefficient products land in the
+grid, and each of the roughly 3D slots outside the basis is folded back
+through the reduced coordinates of its monomial (``Tower._fold``).  Those
+are computed once per tower, each monomial reached from its neighbour by
+one shift: multiplying by pi_K shifts within every O_K block and reduces by
+E_K, multiplying by pi_L shifts the blocks and folds the overflow block
+back in through E_L.
 
 Valuations are L-normalized: v_L(pi_L) = 1, v_L(pi_K) = p, v_L(p) = e_L =
 p*e_K.  The monomials pi_L^i pi_K^j have pairwise distinct valuations
@@ -218,7 +222,7 @@ class Tower:
         self._overflow = [top]
         for _ in range(self.e_K - 1):
             self._overflow.append(self._times_pi_K(self._overflow[-1]))
-        self._mul_table = self._build_mul_table()
+        self._slot, self._fold = self._build_slots()
 
         self.zero_ol = self.element(())
         self.one_ol = self.ol_const(1)
@@ -277,36 +281,44 @@ class Tower:
                 out = [(a + c * b) % pN for a, b in zip(out, self._overflow[k])]
         return out
 
-    def _build_mul_table(self):
+    def _build_slots(self):
+        """The product grid: slot i*(2e_K-1) + j holds the monomial
+        pi_L^i pi_K^j for i < 2p-1, j < 2e_K-1.  Returns the slot of each
+        basis coordinate, and for each slot outside the basis the nonzero
+        coordinates of its reduced monomial, as (basis slot, scalar) pairs."""
         p, e = self.p, self.e_K
-        monomials = {}
+        width = 2 * e - 1
+        slot = tuple(i * width + j for i in range(p) for j in range(e))
+        fold = []
         row = [1] + [0] * (self.dim - 1)
         for i in range(2 * p - 1):
             vec = row
-            for j in range(2 * e - 1):
-                monomials[i, j] = tuple(vec)
+            for j in range(width):
+                if i >= p or j >= e:
+                    fold.append((i * width + j,
+                                 tuple((slot[k], c) for k, c in enumerate(vec) if c)))
                 vec = self._times_pi_K(vec)
             row = self._times_pi_L(row)
-        return tuple(
-            tuple(monomials[i1 + i2, j1 + j2] for i2 in range(p) for j2 in range(e))
-            for i1 in range(p) for j1 in range(e))
+        return slot, tuple(fold)
 
     def flat_mul(self, x, y) -> list:
-        """Product of flat coordinate vectors via the structure constants."""
-        pN = self.pN
-        table = self._mul_table
-        out = [0] * self.dim
-        for a, ca in enumerate(x):
+        """Product of flat coordinate vectors: schoolbook into the product
+        grid (the slots add like the exponents), each slot outside the
+        basis folded into the basis slots, then one reduction mod p^N."""
+        slot = self._slot
+        ys = [(sb, cb) for sb, cb in zip(slot, y) if cb]
+        grid = [0] * (2 * slot[-1] + 1)  # the top slot is twice the top basis slot
+        for sa, ca in zip(slot, x):
             if ca:
-                row = table[a]
-                for b, cb in enumerate(y):
-                    if cb:
-                        c = ca * cb
-                        vec = row[b]
-                        for k in range(self.dim):
-                            if vec[k]:
-                                out[k] += c * vec[k]
-        return [v % pN for v in out]
+                for sb, cb in ys:
+                    grid[sa + sb] += ca * cb
+        for s, vec in self._fold:
+            c = grid[s]
+            if c:
+                for sk, v in vec:
+                    grid[sk] += c * v
+        pN = self.pN
+        return [grid[s] % pN for s in slot]
 
     # -- validation ----------------------------------------------------
 

@@ -260,6 +260,39 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, command, defect):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+_SCALARS = st.one_of(st.integers(-9, 9), st.integers(-9, 9).map(str),
+                    st.booleans(), st.floats(-9, 9), st.just("1.5"))
+_SPEC_LISTS = st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+                       max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=st.fixed_dictionaries(
+    {"kind": st.sampled_from(["custom", "cyclotomic-step", "quadratic-gaussian",
+                              "quadratic-sqrt2", "junk"]),
+     "p": st.sampled_from([-2, 0, 2, 3, 4])},
+    optional={"precision": st.integers(-2, 64), "e_K": _SCALARS,
+              "E_K": _SPEC_LISTS, "E_L": _SPEC_LISTS, "sigma_pi": _SPEC_LISTS}))
+@example(doc={"kind": "custom", "p": 2, "precision": 48, "E_K": [-2],
+              "E_L": [[-2], [0]], "sigma_pi": [[0], [-1]]})
+def test_spec_document_fuzz_exit_codes(tmp_path_factory, doc):
+    # whatever the document holds, both commands end with a documented exit
+    # code and at most one line on stderr, never with an escaping exception
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["extension-info", "--spec-file", str(path)],
+                 ["verify", "--spec-file", str(path), "--trials", "2",
+                  "--suites", "trace-lemmas,h1"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        assert len(lines) <= 1
+        if code == 2:
+            assert lines and lines[0].startswith("error:")
+
+
 # -- failing suites: statuses, counts, detail keys and exact report bytes
 
 

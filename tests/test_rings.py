@@ -19,6 +19,7 @@ from wittram import (
     valuation_L,
 )
 from wittram.cohomology import random_element
+from wittram.extensions import _twin
 from wittram.rings import padic_val
 
 
@@ -57,11 +58,12 @@ def test_rejects_elements_of_foreign_tower(sqrt2, gaussian):
         sqrt2.tower.pi_L * gaussian.tower.pi_L
 
 
-# -- structure constants -----------------------------------------------------
+# -- products ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 0), ("quadratic-sqrt2", 0),
-                                    ("cyclotomic-step", 3), ("cyclotomic-step", 5)])
+                                    ("cyclotomic-step", 3), ("cyclotomic-step", 5),
+                                    ("cyclotomic-step", 7)])
 def test_structure_constants_oracle(kind, p):
     ext = build_extension(ExtensionSpec(kind=kind, p=p))
     t = ext.tower
@@ -81,6 +83,49 @@ def test_structure_constants_oracle(kind, p):
         power = tuple(tuple(sum(x * y for x, y in zip(row, col)) % t.pN
                             for col in zip(*ext.sigma)) for row in power)
     assert power == tuple(tuple(int(r == c) for c in range(t.dim)) for r in range(t.dim))
+
+
+def shift_and_reduce(t, x, y):
+    """x * y as the sum of x_ij * (y * pi_K^j * pi_L^i), built from the
+    one-step shifts alone."""
+    acc = [0] * t.dim
+    row = list(y)  # y * pi_L^i
+    for i in range(t.p):
+        vec = row  # y * pi_L^i * pi_K^j
+        for j in range(t.e_K):
+            c = x[i * t.e_K + j]
+            if c:
+                acc = [(a + c * b) % t.pN for a, b in zip(acc, vec)]
+            vec = t._times_pi_K(vec)
+        row = t._times_pi_L(row)
+    return acc
+
+
+@pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 0), ("quadratic-sqrt2", 0),
+                                    ("cyclotomic-step", 3), ("cyclotomic-step", 5),
+                                    ("cyclotomic-step", 7)])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_flat_mul_matches_shift_and_reduce(kind, p, extra):
+    base = build_extension(ExtensionSpec(kind=kind, p=p))
+    t = _twin(base, base.N + extra).tower if extra else base.tower
+    rng = random.Random(31)
+    dense = [[rng.randrange(t.pN) for _ in range(t.dim)] for _ in range(3)]
+    top = [t.pN - 1] * t.dim
+    zero = [0] * t.dim
+    # sparse inputs: each basis monomial pi_L^i pi_K^j with a random scalar,
+    # and pi_L^k for k < D (sparse below p, reduced into dense vectors above)
+    monomials = [[rng.randrange(1, t.pN) if b == a else 0 for b in range(t.dim)]
+                 for a in range(t.dim)]
+    powers = [list(t.one_ol.coeffs)]
+    for _ in range(t.dim - 1):
+        powers.append(t._times_pi_L(powers[-1]))
+    inputs = dense + [top, zero]
+    pairs = [(x, y) for x in inputs for y in inputs]
+    pairs += [(u, dense[0]) for u in monomials] + [(top, u) for u in monomials]
+    pairs += [(u, dense[1]) for u in powers] + [(top, u) for u in powers]
+    pairs += [(rng.choice(monomials), rng.choice(powers)) for _ in range(10)]
+    for x, y in pairs:
+        assert t.flat_mul(tuple(x), tuple(y)) == shift_and_reduce(t, x, y)
 
 
 # -- valuations ---------------------------------------------------------------
