@@ -107,7 +107,7 @@ def shift_and_reduce(t, x, y):
 @pytest.mark.parametrize("extra", [0, 2])
 def test_flat_mul_matches_shift_and_reduce(kind, p, extra):
     base = build_extension(ExtensionSpec(kind=kind, p=p))
-    t = _twin(base, base.N + extra).tower if extra else base.tower
+    t = _twin(base, base.N + extra).tower
     rng = random.Random(31)
     dense = [[rng.randrange(t.pN) for _ in range(t.dim)] for _ in range(3)]
     top = [t.pN - 1] * t.dim
