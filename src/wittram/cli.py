@@ -19,6 +19,7 @@ from .cohomology import trace_image_exponent
 from .errors import ConfigError, WittramError
 from .harness import SUITE_ORDER, RunConfig, run
 from .report import emit_report
+from .rings import is_prime
 from .universal import (
     carry_polynomial,
     carry_residue_polynomial,
@@ -106,8 +107,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_witt_poly(args) -> int:
     p, n = args.p, args.level
+    if not is_prime(p):
+        raise ConfigError(f"--p must be a prime, got {p}")
+    min_level = 1 if args.which == "g" else 0
+    if n < min_level:
+        raise ConfigError(f"--level must be >= {min_level} for --which "
+                          f"{args.which}, got {n}")
     if args.which == "z":
         arity = args.arity if args.arity is not None else p
+        if arity < 2:
+            raise ConfigError(f"--arity must be >= 2, got {arity}")
         poly = sum_polynomials(p, n, arity)[n]
     else:
         if args.arity is not None and args.arity != p:

@@ -1,17 +1,23 @@
 """Universal polynomials for p-typical Witt vector addition.
 
-Everything here is exact symbolic computation over the rationals in the
-doubly indexed variables X_{i,j} (summand index i, Witt level j).  The
-level-n addition law z_n is obtained by solving the ghost-component
+Everything here is exact symbolic computation with integer coefficients
+in the doubly indexed variables X_{i,j} (summand index i, Witt level j).
+The level-n addition law z_n is obtained by solving the ghost-component
 equations
 
     sum_i W_n(X_{i,0}, ..., X_{i,n}) = W_n(z_0, ..., z_n),
     W_n(X_0, ..., X_n) = sum_k p^k X_k^(p^(n-k)),
 
-for z_n level by level, dividing by p^n at each step.  The classical theory
-guarantees the result has integer coefficients and no constant term; the
-computation certifies both facts and raises IntegralityError otherwise, so
-the certificate doubles as a correctness check on the solve.
+for z_n level by level.  Each solve builds the telescoped ghost difference
+
+    T(n, upto) = sum_{k<upto} p^k (sum_i X_{i,k}^(p^(n-k)) - z_k^(p^(n-k)))
+
+in integers and divides it by p^n exactly once.  The classical theory
+guarantees the quotient has integer coefficients and no constant term; the
+division raises IntegralityError on any remainder and the constant term is
+checked, so the certificate doubles as a correctness check on the solve.
+(Dividing each summand by its own p^(n-k) would not do: at p = 2,
+(X^4 + Y^4 - (X + Y)^4)/4 alone is not integral.)
 
 The numerical Witt arithmetic does not evaluate these polynomials: it
 runs through the ghost map (see ``witt``).  They are the objects of the
@@ -19,13 +25,13 @@ symbolic suite and the ``witt-poly`` command, and the tests evaluate them
 as an independent oracle for the ghost path.  Besides z_n there are two
 derived families:
 
-* the level-n carry f_n = z_n - sum_i X_{i,n}, computed here in telescoped
-  ghost form as sum_{k<n} (1/p^(n-k)) (sum_i X_{i,k}^(p^(n-k)) -
-  z_k^(p^(n-k))); every monomial of f_n has total degree >= p;
+* the level-n carry f_n = z_n - sum_i X_{i,n} = T(n, n)/p^n; every
+  monomial of f_n has total degree >= p;
 
 * the carry residue g returned by ``carry_residue_polynomial(p, n)``, which
-  splits the carry as f_n = g + (1/p)(sum_i X_{i,n-1}^p - z_{n-1}^p -
-  (-f_{n-1})^p); every monomial of g has total degree >= p^2.
+  splits the carry as p f_n = p g + sum_i X_{i,n-1}^p - z_{n-1}^p -
+  (-f_{n-1})^p, so g = (T(n, n-1) + p^(n-1) (-f_{n-1})^p)/p^n; every
+  monomial of g has total degree >= p^2.
 
 Monomials are kept in a canonical sparse form and rendered in graded
 lexicographic order with the variables X_{i,j} ordered by (j, i), so the
@@ -37,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IntegralityError, ResourceLimit
@@ -77,7 +82,7 @@ def _output_key(mono: Monomial):
 
 
 class SymPoly:
-    """Sparse multivariate polynomial with exact rational coefficients.
+    """Sparse multivariate polynomial with integer coefficients.
 
     Instances are immutable by convention: the term dict is created fresh
     by every operation and never mutated afterwards, which makes the cached
@@ -99,20 +104,19 @@ class SymPoly:
         return SymPoly()
 
     @staticmethod
-    def const(c) -> "SymPoly":
-        c = Fraction(c)
+    def const(c: int) -> "SymPoly":
         return SymPoly({(): c} if c else None)
 
     @staticmethod
     def var(i: int, j: int) -> "SymPoly":
-        return SymPoly({(((i, j), 1),): Fraction(1)})
+        return SymPoly({(((i, j), 1),): 1})
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "SymPoly") -> "SymPoly":
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[mono] = out.get(mono, 0) + c
         return SymPoly(out)
 
     def __neg__(self) -> "SymPoly":
@@ -121,7 +125,7 @@ class SymPoly:
     def __sub__(self, other: "SymPoly") -> "SymPoly":
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - c
+            out[mono] = out.get(mono, 0) - c
         return SymPoly(out)
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
@@ -145,21 +149,26 @@ class SymPoly:
             n >>= 1
         return result
 
-    def scale(self, c) -> "SymPoly":
-        c = Fraction(c)
+    def scale(self, c: int) -> "SymPoly":
         if c == 0:
             return SymPoly.zero()
         return SymPoly({m: c * co for m, co in self.terms.items()})
+
+    def exact_div(self, d: int, label: str) -> "SymPoly":
+        """Divide every coefficient by d; raise IntegralityError on a remainder."""
+        out = {}
+        for mono, c in self.terms.items():
+            q, r = divmod(c, d)
+            if r:
+                raise IntegralityError(f"{label} has a non-integer coefficient")
+            out[mono] = q
+        return SymPoly(out)
 
     # -- queries ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
 
     @property
     def has_constant_term(self) -> bool:
@@ -175,13 +184,6 @@ class SymPoly:
     @property
     def num_terms(self) -> int:
         return len(self.terms)
-
-    def variables(self):
-        seen = set()
-        for mono in self.terms:
-            for var, _ in mono:
-                seen.add(var)
-        return sorted(seen, key=_var_key)
 
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
@@ -223,8 +225,7 @@ class SymPoly:
         """One line per term: coefficient, then "i:j^e" pairs in (j,i) order."""
         lines = []
         for mono, coeff in self.iter_terms():
-            c = str(coeff.numerator) if coeff.denominator == 1 else str(coeff)
-            parts = [c] + [f"{i}:{j}^{e}" for (i, j), e in mono]
+            parts = [str(coeff)] + [f"{i}:{j}^{e}" for (i, j), e in mono]
             lines.append(" ".join(parts))
         return lines
 
@@ -246,7 +247,6 @@ def format_polynomial(poly: SymPoly) -> str:
 class StructureReport:
     """Outcome of the structural certification of a universal polynomial."""
 
-    is_integral: bool
     has_no_constant_term: bool
     min_total_degree: object  # int or None for the zero polynomial
     required_min_degree: int
@@ -254,12 +254,11 @@ class StructureReport:
 
 
 def structure_check(poly: SymPoly, required_min_degree: int) -> StructureReport:
-    """Certify integer coefficients, no constant term, and a degree floor."""
-    integral = poly.is_integral
+    """Certify no constant term and a floor on the total degree."""
     no_const = not poly.has_constant_term
     min_deg = poly.min_total_degree
-    passed = integral and no_const and (min_deg is None or min_deg >= required_min_degree)
-    return StructureReport(integral, no_const, min_deg, required_min_degree, passed)
+    passed = no_const and (min_deg is None or min_deg >= required_min_degree)
+    return StructureReport(no_const, min_deg, required_min_degree, passed)
 
 
 def _guard(p: int, n: int, arity: int, max_terms: int):
@@ -287,15 +286,35 @@ def ghost_polynomial(p: int, n: int) -> SymPoly:
     return out
 
 
+def _telescoped(p: int, arity: int, zs, n: int, upto: int) -> SymPoly:
+    """T(n, upto) = sum_{k<upto} p^k (sum_i X_{i,k}^(p^(n-k)) - z_k^(p^(n-k)))."""
+    out = SymPoly.zero()
+    for k in range(upto):
+        q = p ** (n - k)
+        block = SymPoly.zero()
+        for i in range(arity):
+            block = block + SymPoly.var(i, k) ** q
+        out = out + (block - zs[k] ** q).scale(p ** k)
+    return out
+
+
+def _certified(poly: SymPoly, d: int, label: str) -> SymPoly:
+    """poly / d, certified integral (exact division) with no constant term."""
+    out = poly.exact_div(d, label)
+    if out.has_constant_term:
+        raise IntegralityError(f"{label} has a constant term")
+    return out
+
+
 @lru_cache(maxsize=None)
 def sum_polynomials(p: int, n: int, arity: int,
                     max_terms: int = DEFAULT_TERM_LIMIT) -> tuple:
     """The Witt addition laws z_0..z_n for ``arity`` summands.
 
-    Each z_k is certified to have integer coefficients and no constant term.
-    Raises ResourceLimit, before any level is built, when the dense monomial
-    bound of level n exceeds ``max_terms``; the bound grows with the level,
-    so no lower level can exceed it first.
+    z_k = sum_i X_{i,k} + T(k, k)/p^k, certified integral with no constant
+    term.  Raises ResourceLimit, before any level is built, when the dense
+    monomial bound of level n exceeds ``max_terms``; the bound grows with
+    the level, so no lower level can exceed it first.
     """
     if arity < 2:
         raise ValueError("arity must be >= 2")
@@ -304,35 +323,21 @@ def sum_polynomials(p: int, n: int, arity: int,
     _guard(p, n, arity, max_terms)
     zs = []
     for k in range(n + 1):
-        ghost_sum = SymPoly.zero()
+        z_k = _certified(_telescoped(p, arity, zs, k, k), p ** k,
+                         f"z_{k} (p={p}, arity={arity})")
         for i in range(arity):
-            for e in range(k + 1):
-                ghost_sum = ghost_sum + (SymPoly.var(i, e) ** (p ** (k - e))).scale(p ** e)
-        for j in range(k):
-            ghost_sum = ghost_sum - (zs[j] ** (p ** (k - j))).scale(p ** j)
-        z_k = ghost_sum.scale(Fraction(1, p ** k))
-        _certify(z_k, f"z_{k} (p={p}, arity={arity})")
+            z_k = z_k + SymPoly.var(i, k)
         zs.append(z_k)
     return tuple(zs)
-
-
-def _certify(poly: SymPoly, label: str):
-    if not poly.is_integral:
-        raise IntegralityError(f"{label} has a non-integer coefficient")
-    if poly.has_constant_term:
-        raise IntegralityError(f"{label} has a constant term")
 
 
 @lru_cache(maxsize=None)
 def carry_polynomial(p: int, n: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SymPoly:
     """The level-n addition carry for p summands (CLI name: f).
 
-    f_0 = 0, and for n >= 1
-
-        f_n = sum_{k=0}^{n-1} (1/p^(n-k)) (sum_i X_{i,k}^(p^(n-k)) - z_k^(p^(n-k))),
-
-    which equals z_n - sum_i X_{i,n}.  Certified integral with no constant
-    term; every monomial has total degree >= p.
+    f_0 = 0, and f_n = T(n, n)/p^n for n >= 1, which equals
+    z_n - sum_i X_{i,n}.  Certified integral with no constant term; every
+    monomial has total degree >= p.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
@@ -340,16 +345,8 @@ def carry_polynomial(p: int, n: int, max_terms: int = DEFAULT_TERM_LIMIT) -> Sym
         return SymPoly.zero()
     _guard(p, n, p, max_terms)
     zs = sum_polynomials(p, n - 1, p, max_terms)
-    out = SymPoly.zero()
-    for k in range(n):
-        q = p ** (n - k)
-        block = SymPoly.zero()
-        for i in range(p):
-            block = block + SymPoly.var(i, k) ** q
-        block = block - zs[k] ** q
-        out = out + block.scale(Fraction(1, q))
-    _certify(out, f"carry level {n} (p={p})")
-    return out
+    return _certified(_telescoped(p, p, zs, n, n), p ** n,
+                      f"carry level {n} (p={p})")
 
 
 @lru_cache(maxsize=None)
@@ -359,11 +356,11 @@ def carry_residue_polynomial(p: int, n: int,
 
     For n >= 1 this is the polynomial g with
 
-        f_n = g + (1/p)(sum_i X_{i,n-1}^p - z_{n-1}^p - (-f_{n-1})^p),
+        p f_n = p g + sum_i X_{i,n-1}^p - z_{n-1}^p - (-f_{n-1})^p,
 
-    i.e. g = sum_{k<=n-2} (1/p^(n-k))(sum_i X_{i,k}^(p^(n-k)) - z_k^(p^(n-k)))
-    + (1/p)(-f_{n-1})^p.  It vanishes for n = 1, is certified integral with
-    no constant term, and for n >= 2 every monomial has total degree >= p^2.
+    i.e. g = (T(n, n-1) + p^(n-1) (-f_{n-1})^p)/p^n.  It vanishes for n = 1,
+    is certified integral with no constant term, and for n >= 2 every
+    monomial has total degree >= p^2.
     """
     if n < 1:
         raise ValueError("level must be >= 1")
@@ -371,15 +368,6 @@ def carry_residue_polynomial(p: int, n: int,
         return SymPoly.zero()
     _guard(p, n, p, max_terms)
     zs = sum_polynomials(p, n - 2, p, max_terms)
-    out = SymPoly.zero()
-    for k in range(n - 1):
-        q = p ** (n - k)
-        block = SymPoly.zero()
-        for i in range(p):
-            block = block + SymPoly.var(i, k) ** q
-        block = block - zs[k] ** q
-        out = out + block.scale(Fraction(1, q))
     f_prev = carry_polynomial(p, n - 1, max_terms)
-    out = out + ((-f_prev) ** p).scale(Fraction(1, p))
-    _certify(out, f"carry residue for level {n} (p={p})")
-    return out
+    block = _telescoped(p, p, zs, n, n - 1) + ((-f_prev) ** p).scale(p ** (n - 1))
+    return _certified(block, p ** n, f"carry residue for level {n} (p={p})")

@@ -56,7 +56,7 @@ def teichmuller(ext: ExtensionData, x: OLElement, length: int) -> WittVec:
 
 
 def evaluate_poly(poly: SymPoly, assign: dict, ext: ExtensionData) -> OLElement:
-    """Evaluate an integer-certified SymPoly at O_L values.
+    """Evaluate a SymPoly (integer coefficients) at O_L values.
 
     ``assign`` maps variables (i, j) to O_L elements; every variable of the
     polynomial must be assigned.  Runs in flat coordinates with per-variable
@@ -77,10 +77,7 @@ def evaluate_poly(poly: SymPoly, assign: dict, ext: ExtensionData) -> OLElement:
         return table[e]
 
     total = [0] * dim
-    for mono, coeff in poly.terms.items():
-        if coeff.denominator != 1:
-            raise IntegralityError("cannot evaluate a non-integral polynomial in O_L")
-        c = int(coeff)
+    for mono, c in poly.terms.items():
         vec = None
         for var, e in mono:
             pv = power(var, e)

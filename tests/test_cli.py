@@ -50,6 +50,46 @@ def test_witt_poly_resource_limit(capsys):
     assert main(["witt-poly", "--p", "3", "--level", "3", "--which", "z"]) == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--p", "2", "--level", "-1", "--which", "z"], "--level"),
+    (["--p", "2", "--level", "-1", "--which", "f"], "--level"),
+    (["--p", "2", "--level", "0", "--which", "g"], "--level"),
+    (["--p", "2", "--level", "1", "--which", "z", "--arity", "1"], "--arity"),
+    (["--p", "0", "--level", "1", "--which", "z"], "--p"),
+    (["--p", "1", "--level", "1", "--which", "z"], "--p"),
+    (["--p", "-3", "--level", "1", "--which", "z"], "--p"),
+    (["--p", "4", "--level", "1", "--which", "z"], "--p"),
+], ids=["z-level-1", "f-level-1", "g-level0", "arity1", "p0", "p1", "p-3",
+        "p4"])
+def test_witt_poly_bad_arguments_exit_2(argv, flag, capsys):
+    assert main(["witt-poly"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {flag} ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(-3, 8), level=st.integers(-2, 3),
+       arity=st.one_of(st.none(), st.integers(-1, 3)),
+       which=st.sampled_from(["z", "f", "g"]))
+def test_witt_poly_fuzz_exit_codes(p, level, arity, which):
+    # whatever the arguments, witt-poly prints a polynomial or one error line,
+    # never a traceback
+    argv = ["witt-poly", "--p", str(p), "--level", str(level), "--which", which]
+    if arity is not None:
+        argv += ["--arity", str(arity)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1
+    if code == 2:
+        assert lines and lines[0].startswith("error:")
+
+
 def test_extension_info(capsys):
     assert main(["extension-info", "--extension", "quadratic-sqrt2"]) == 0
     out = capsys.readouterr().out

@@ -5,11 +5,10 @@ equations (e.g. for two summands and p = 2: z_1 = (X00^2 + 2 X01 + X10^2 +
 2 X11 - (X00 + X10)^2)/2 = X01 + X11 - X00 X10) and are asserted literally.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from wittram import (
+    IntegralityError,
     ResourceLimit,
     SymPoly,
     carry_polynomial,
@@ -19,6 +18,7 @@ from wittram import (
     structure_check,
     sum_polynomials,
 )
+from wittram.harness import symbolic_suite
 
 X = SymPoly.var
 
@@ -29,7 +29,7 @@ def mono(*pairs):
 
 
 def poly(term_map):
-    return SymPoly({m: Fraction(c) for m, c in term_map.items()})
+    return SymPoly(term_map)
 
 
 # -- ghost polynomials ----------------------------------------------------------
@@ -114,7 +114,7 @@ def test_ghost_compatibility(p, n_max, arity):
 @pytest.mark.parametrize("p,n_max,arity", [(2, 3, 2), (3, 2, 3)])
 def test_addition_laws_integral_without_constant(p, n_max, arity):
     for z in sum_polynomials(p, n_max, arity):
-        assert z.is_integral
+        assert all(type(c) is int for c in z.terms.values())
         assert not z.has_constant_term
 
 
@@ -182,7 +182,7 @@ def test_carry_split_identity_and_structure(p, n_max):
         for i in range(p):
             block = block + X(i, n - 1) ** p
         block = block - zs[n - 1] ** p - (-f_prev) ** p
-        assert (f_n - g - block.scale(Fraction(1, p))).is_zero
+        assert ((f_n - g).scale(p) - block).is_zero
         rep = structure_check(g, p * p)
         assert rep.passed, rep
 
@@ -206,6 +206,24 @@ def test_structure_check_zero_poly_is_vacuous():
     rep = structure_check(SymPoly.zero(), 100)
     assert rep.passed
     assert rep.min_total_degree is None
+
+
+# -- the integrality certificate --------------------------------------------------
+
+
+def test_non_prime_p_fails_the_certificate():
+    # p = 4: (X0^4 + X1^4 - (X0 + X1)^4)/4 has the coefficient -6/4
+    with pytest.raises(IntegralityError):
+        sum_polynomials(4, 1, 2)
+    with pytest.raises(IntegralityError):
+        carry_polynomial(4, 1)
+
+
+def test_exact_division_raises_on_a_remainder():
+    with pytest.raises(IntegralityError):
+        X(0, 0).scale(3).exact_div(2, "3 X00 / 2")
+    even = X(0, 0).scale(-6) + X(1, 0).scale(2)
+    assert even.exact_div(2, "even") == X(0, 0).scale(-3) + X(1, 0)
 
 
 # -- resource guard -------------------------------------------------------------------
@@ -248,3 +266,47 @@ def test_substitution_composes_with_arithmetic():
     f = X(0, 0) * X(1, 0) + X(0, 1)
     table = {(0, 0): X(0, 1), (1, 0): SymPoly.const(2)}
     assert f.substitute(table) == X(0, 1).scale(2) + X(0, 1)
+
+
+# -- pinned polynomial bytes ----------------------------------------------------------
+
+# SHA-256 of the canonical lines of every polynomial the symbolic suite
+# builds, at the default levels; any change to the solve or the format moves
+# them.
+SYMBOLIC_DIGESTS = {
+    2: {
+        "z_0": "5a78b606a30568bc5fef57ad47fd7e06ecfef2abff92af2663d37f68d641c1e9",
+        "z_1": "de168bb78eda84c8a7b98d52e183985ee2b8f3b7cb301f8940b7c56eac291bfb",
+        "z_2": "5e434f9794a5e1e3529c48c07ffbb20318fc260204c7bf4bc6bd54d07db6fd1a",
+        "z_3": "637e7fb67b1b75987194fafa7d9e7d85917217dc9bc1f5ed68317be9bc778a2c",
+        "f_1": "b8940c9fefcfca68ed42abfc1db383f200638574d8f3a7209bf304720c65ca5d",
+        "f_2": "38a266844e7a8f1fb0d313570f56266e2339f182cc0f1f36faec43fcb3662b3f",
+        "f_3": "e8db7f99a1aa2fcbb3fde066165c2547067cc2edba1cd89268a3ee8274006c7c",
+        "g_for_level_2": "2c40e02aa46e68c44cd8b04ffe34ec0baa3ed1d8324e6c3b5d54df986e35069a",
+        "g_for_level_3": "fe0c89ef4f9df4c03809decca3b8cf0b08accbe9ccbfe0ce52cfe8760fc87dec",
+    },
+    3: {
+        "z_0": "fa1fcd21b18a3c19133a2a732ce6cab616ec9267030eee728ca68e39a0d4e926",
+        "z_1": "6d3877059348402becbd4486c0a2ff6f3a77b7cac7b9fab97be96f21a77c7a12",
+        "z_2": "21e483c0558a849ac7a0266d7ba67841a4428592b2d079fdce9b71ff09b3a9b5",
+        "f_1": "63474703259112d1a590d201ba5354942b9ed7ded1ddf3f35706731b4311b8e1",
+        "f_2": "b476710a0d08cf7e01a82bcb2b231dfb4ee65e841db23ba2b58a899ff7d1c656",
+        "g_for_level_2": "24c007bfb00534ca918378cfbb3fadeb6329c963f49e951a3cf469b3ce1841b7",
+    },
+    5: {
+        "z_0": "58dc3e4f153718af559f02592999304b1f535bce0dcfd8ed1be2380719e08a1f",
+        "z_1": "5ecf62ba5a2e15f05875be2d34224b5fc8ab390b501888453f7d596a5d52d4a4",
+        "f_1": "fa1348913154c84f39db564c79d935ff24dbb66e638e658a5594c559648bb25e",
+    },
+    7: {
+        "z_0": "b3dd65deac2c6d42d2d09ac853773d3ef3be5fc382cb4a240bfbfd96c633bb98",
+        "z_1": "8669e78a81800fb8270f4cb072918715fac2300b5fd2a26c1fe81b70da4d9e95",
+        "f_1": "3f53db3cb5d8cf9b1be54cb730df8e448de27bf37ce6fcf7de0898c2e22d19de",
+    },
+}
+
+
+@pytest.mark.parametrize("p", sorted(SYMBOLIC_DIGESTS))
+def test_symbolic_digests(p):
+    record = symbolic_suite(p)
+    assert record.checks[0].detail["digests"] == SYMBOLIC_DIGESTS[p]
