@@ -41,7 +41,6 @@ serialized output is byte-stable and suitable for golden files.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -262,14 +261,24 @@ def structure_check(poly: SymPoly, required_min_degree: int) -> StructureReport:
 
 
 def _guard(p: int, n: int, arity: int, max_terms: int):
-    # dense bound: monomials of total degree <= p^n in arity*(n+1) variables
+    # dense bound: monomials of total degree <= d = p^n in arity*(n+1)
+    # variables, C(d + nvars, nvars).  Both d and the binomial grow with every
+    # factor, so each is built up only until it passes the limit: a huge
+    # level or arity is refused without forming a huge integer.
     nvars = arity * (n + 1)
-    projected = math.comb(p ** n + nvars, nvars)
-    if projected > max_terms:
-        raise ResourceLimit(
-            f"projected dense term count {projected} for (p={p}, n={n}, "
-            f"arity={arity}) exceeds the limit {max_terms}"
-        )
+    degree = 1
+    for _ in range(n):
+        degree *= p
+        if degree > max_terms:
+            break
+    projected = 1
+    for i in range(1, nvars + 1):
+        projected = projected * (degree + i) // i
+        if projected > max_terms:
+            raise ResourceLimit(
+                f"projected dense term count for (p={p}, n={n}, "
+                f"arity={arity}) exceeds the limit {max_terms}"
+            )
 
 
 def ghost_polynomial(p: int, n: int) -> SymPoly:

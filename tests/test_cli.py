@@ -70,6 +70,14 @@ def test_witt_poly_bad_arguments_exit_2(argv, flag, capsys):
     assert lines[0].startswith(f"error: {flag} ")
 
 
+@pytest.mark.parametrize("level", [200, 2000])
+def test_witt_poly_huge_level_hits_the_term_limit(level, capsys):
+    # the dense term bound passes the limit long before p^level is formed
+    assert main(["witt-poly", "--p", "2", "--level", str(level),
+                 "--which", "z"]) == 2
+    _assert_one_error_line(capsys)
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=st.integers(-3, 8), level=st.integers(-2, 3),
        arity=st.one_of(st.none(), st.integers(-1, 3)),
