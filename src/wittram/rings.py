@@ -53,14 +53,39 @@ def padic_val(n: int, p: int) -> int:
     return v
 
 
+#: Miller-Rabin on the primes up to 37 as bases is exact below this bound
+#: (Sorenson and Webster, Math. Comp. 86, 2017), which covers every 64-bit n.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test.
+
+    Raises InvalidExtension for n beyond the bound where the fixed bases are
+    known to be exact, rather than answering with an uncertified guess.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        raise InvalidExtension(f"cannot certify that p = {n} is prime")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -33,9 +33,18 @@ derived families:
   (-f_{n-1})^p, so g = (T(n, n-1) + p^(n-1) (-f_{n-1})^p)/p^n; every
   monomial of g has total degree >= p^2.
 
-Monomials are kept in a canonical sparse form and rendered in graded
-lexicographic order with the variables X_{i,j} ordered by (j, i), so the
-serialized output is byte-stable and suitable for golden files.
+Each monomial is packed into one Python int of fixed-width exponent
+fields (Monagan & Pearce, CASC 2007): field 0 holds the total degree and
+field c(i, j) + 1 the exponent of X_{i,j}, where c(i, j) = (i + j)(i + j +
+1)/2 + j is the Cantor index of the pair, so the layout depends on nothing
+but (i, j).  The constant monomial is 0, and the product of two monomials is
+the sum of their ints.  Every exponent is at most the total degree, so a
+product whose degree fits in a field cannot carry into the next one; a
+product whose degree would not fit raises ResourceLimit instead of wrapping.
+Monomials are decoded back to ((i, j), e) pairs only for output and
+evaluation, and rendered in graded lexicographic order with the variables
+X_{i,j} ordered by (j, i), so the serialized output is byte-stable and
+suitable for golden files.
 """
 
 from __future__ import annotations
@@ -43,58 +52,73 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .errors import IntegralityError, ResourceLimit
 
-# A variable is the pair (summand index i, level j); a monomial is a tuple
-# of ((i, j), exponent) pairs sorted by (j, i) with positive exponents.
-Var = tuple
-Monomial = tuple
-
 DEFAULT_TERM_LIMIT = 10 ** 7
 
+# Bits per exponent field, and the bound on i + j for a variable X_{i,j}: it
+# keeps a packed monomial within (64 * 65 / 2 + 1) fields of 32 bits.
+_WIDTH = 32
+_MASK = (1 << _WIDTH) - 1
+_MAX_DIAGONAL = 64
 
-def _var_key(var: Var):
-    i, j = var
+
+def _cantor_pair(c: int) -> tuple:
+    """The variable (i, j) whose Cantor index is c."""
+    w = (isqrt(8 * c + 1) - 1) // 2
+    j = c - w * (w + 1) // 2
+    return (w - j, j)
+
+
+def _factor_key(factor):
+    (i, j), _ = factor
     return (j, i)
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    merged = dict(m1)
-    for var, e in m2:
-        merged[var] = merged.get(var, 0) + e
-    return tuple(sorted(merged.items(), key=lambda it: _var_key(it[0])))
+def decode_monomial(mono: int) -> tuple:
+    """The ((i, j), e) pairs of a packed monomial, sorted by (j, i).
+
+    Peels the highest nonzero field off at each step, so the cost grows with
+    the number of variables present, not with the width of the layout.
+    """
+    factors = []
+    mono >>= _WIDTH
+    while mono:
+        c = (mono.bit_length() - 1) // _WIDTH
+        e = mono >> (_WIDTH * c)
+        factors.append((_cantor_pair(c), e))
+        mono -= e << (_WIDTH * c)
+    factors.sort(key=_factor_key)
+    return tuple(factors)
 
 
-def _mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
-
-
-def _output_key(mono: Monomial):
+def _output_key(mono: int, factors: tuple):
     # graded lex, descending: higher degree first, then larger exponent on
     # the earliest variable in the (j, i) order
-    return (-_mono_degree(mono), tuple((_var_key(v), -e) for v, e in mono))
+    return (-(mono & _MASK), tuple(((j, i), -e) for (i, j), e in factors))
+
+
+def _max_degree(terms: dict) -> int:
+    return max(m & _MASK for m in terms)
 
 
 class SymPoly:
     """Sparse multivariate polynomial with integer coefficients.
 
-    Instances are immutable by convention: the term dict is created fresh
-    by every operation and never mutated afterwards, which makes the cached
-    polynomial families safe to share.
+    ``terms`` maps packed monomials (see the module docstring) to nonzero
+    ints; every operation drops the coefficients that cancel, so the
+    constructor takes the dict as it is.  Instances are immutable by
+    convention: the term dict is created fresh by every operation and never
+    mutated afterwards, which makes the cached polynomial families safe to
+    share.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms:
-            self.terms = {m: c for m, c in terms.items() if c != 0}
-        else:
-            self.terms = {}
+        self.terms = {} if terms is None else terms
 
     # -- constructors ---------------------------------------------------
 
@@ -104,36 +128,57 @@ class SymPoly:
 
     @staticmethod
     def const(c: int) -> "SymPoly":
-        return SymPoly({(): c} if c else None)
+        return SymPoly({0: c} if c else None)
 
     @staticmethod
     def var(i: int, j: int) -> "SymPoly":
-        return SymPoly({(((i, j), 1),): 1})
+        if i < 0 or j < 0:
+            raise ValueError(f"variable indices must be >= 0, got ({i}, {j})")
+        w = i + j
+        if w >= _MAX_DIAGONAL:
+            raise ResourceLimit(f"variable X_{{{i},{j}}} lies outside the packed "
+                                f"monomial layout (i + j must be < {_MAX_DIAGONAL})")
+        return SymPoly({1 << (_WIDTH * (w * (w + 1) // 2 + j + 1)) | 1: 1})
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "SymPoly") -> "SymPoly":
+    def _plus(self, other: "SymPoly", sign: int) -> "SymPoly":
+        # the copy keeps the stored hashes; only other's monomials are hashed
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) + c
+            c = out.get(mono, 0) + sign * c
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
         return SymPoly(out)
+
+    def __add__(self, other: "SymPoly") -> "SymPoly":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "SymPoly") -> "SymPoly":
+        return self._plus(other, -1)
 
     def __neg__(self) -> "SymPoly":
         return SymPoly({m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) - c
-        return SymPoly(out)
-
     def __mul__(self, other: "SymPoly") -> "SymPoly":
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return SymPoly()
+        degree = _max_degree(a) + _max_degree(b)
+        if degree > _MASK:
+            raise ResourceLimit(f"a product of total degree {degree} does not "
+                                f"fit the {_WIDTH}-bit exponent field")
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = out.get(mono)
-                out[mono] = c1 * c2 if acc is None else acc + c1 * c2
+        get = out.get
+        b = list(b.items())
+        for m1, c1 in a.items():
+            for m2, c2 in b:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        for m in [m for m, c in out.items() if not c]:
+            del out[m]
         return SymPoly(out)
 
     def __pow__(self, n: int) -> "SymPoly":
@@ -171,14 +216,14 @@ class SymPoly:
 
     @property
     def has_constant_term(self) -> bool:
-        return () in self.terms
+        return 0 in self.terms
 
     @property
     def min_total_degree(self):
         """Smallest total degree among monomials, or None for the zero poly."""
         if not self.terms:
             return None
-        return min(_mono_degree(m) for m in self.terms)
+        return min(m & _MASK for m in self.terms)
 
     @property
     def num_terms(self) -> int:
@@ -200,7 +245,7 @@ class SymPoly:
         power_cache = {}
         for mono, coeff in self.terms.items():
             term = SymPoly.const(coeff)
-            for var, e in mono:
+            for var, e in decode_monomial(mono):
                 key = (var, e)
                 got = power_cache.get(key)
                 if got is None:
@@ -215,18 +260,16 @@ class SymPoly:
 
     # -- canonical serialization -----------------------------------------
 
-    def iter_terms(self):
-        """Terms in canonical (graded lex descending) order."""
-        for mono in sorted(self.terms, key=_output_key):
-            yield mono, self.terms[mono]
-
     def canonical_lines(self):
-        """One line per term: coefficient, then "i:j^e" pairs in (j,i) order."""
-        lines = []
-        for mono, coeff in self.iter_terms():
-            parts = [str(coeff)] + [f"{i}:{j}^{e}" for (i, j), e in mono]
-            lines.append(" ".join(parts))
-        return lines
+        """One line per term, in graded lex descending order: coefficient,
+        then "i:j^e" pairs in (j, i) order."""
+        rows = []
+        for mono, coeff in self.terms.items():
+            factors = decode_monomial(mono)
+            rows.append((_output_key(mono, factors), coeff, factors))
+        rows.sort()
+        return [" ".join([str(coeff)] + [f"{i}:{j}^{e}" for (i, j), e in factors])
+                for _, coeff, factors in rows]
 
     def digest(self) -> str:
         return hashlib.sha256("\n".join(self.canonical_lines()).encode()).hexdigest()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import IntegralityError, LengthMismatch
 from .extensions import ExtensionData, _twin
 from .rings import OLElement
-from .universal import SymPoly
+from .universal import SymPoly, decode_monomial
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,10 @@ def evaluate_poly(poly: SymPoly, assign: dict, ext: ExtensionData) -> OLElement:
     """Evaluate a SymPoly (integer coefficients) at O_L values.
 
     ``assign`` maps variables (i, j) to O_L elements; every variable of the
-    polynomial must be assigned.  Runs in flat coordinates with per-variable
-    power tables, which keeps the inner loop free of element allocation.
+    polynomial must be assigned.  Each packed monomial is decoded once into
+    its ((i, j), e) factors, and the product runs in flat coordinates with
+    per-variable power tables, which keeps the inner loop free of element
+    allocation.
     """
     tower = ext.tower
     dim = tower.dim
@@ -79,7 +81,7 @@ def evaluate_poly(poly: SymPoly, assign: dict, ext: ExtensionData) -> OLElement:
     total = [0] * dim
     for mono, c in poly.terms.items():
         vec = None
-        for var, e in mono:
+        for var, e in decode_monomial(mono):
             pv = power(var, e)
             vec = pv if vec is None else flat_mul(vec, pv)
         if vec is None:

@@ -5,11 +5,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wittram
 from wittram import cohomology, harness
 from wittram.cli import main
 from wittram.errors import IntegralityError, NoSolution
@@ -76,6 +80,39 @@ def test_witt_poly_huge_level_hits_the_term_limit(level, capsys):
     assert main(["witt-poly", "--p", "2", "--level", str(level),
                  "--which", "z"]) == 2
     _assert_one_error_line(capsys)
+
+
+def test_witt_poly_large_prime_exits_2_at_once():
+    # 2^61 - 1 is certified prime by Miller-Rabin, then the term guard refuses
+    # it; trial division up to its square root never returned
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(wittram.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "wittram.cli", "witt-poly",
+         "--p", "2305843009213693951", "--level", "1", "--which", "z"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: projected dense term count")
+
+
+def test_witt_poly_uncertifiable_prime_exits_2(capsys):
+    assert main(["witt-poly", "--p", str(2 ** 89 - 1), "--level", "1",
+                 "--which", "z"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot certify")
+
+
+def test_witt_poly_arity_beyond_the_packed_layout_exits_2(capsys):
+    assert main(["witt-poly", "--p", "2", "--level", "0", "--which", "z",
+                 "--arity", "64"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 64
+    assert main(["witt-poly", "--p", "2", "--level", "0", "--which", "z",
+                 "--arity", "65"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "packed monomial layout" in err[0]
 
 
 @settings(max_examples=60, deadline=None)

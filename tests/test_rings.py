@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wittram import (
     ExtensionSpec,
+    InvalidExtension,
     NotAUnit,
     NotEisenstein,
     PrecisionExhausted,
@@ -20,11 +21,34 @@ from wittram import (
 )
 from wittram.cohomology import random_element
 from wittram.extensions import _twin
-from wittram.rings import padic_val
+from wittram.rings import is_prime, padic_val
 
 
 def random_shifted(ext, rng, shift):
     return random_element(ext, rng, shift_cap=0) * ext.tower.pi_L ** shift
+
+
+# -- primality -----------------------------------------------------------------
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert ([n for n in range(-3, 20000) if is_prime(n)]
+            == [n for n in range(-3, 20000) if _trial_division(n)])
+
+
+def test_is_prime_on_large_numbers():
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(2 ** 64 - 59)  # the largest 64-bit prime
+    # strong pseudoprimes to every base up to 31: only the base 37 exposes them
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(2 ** 64 - 1)
+    # beyond the bound where the fixed bases are proved exact, refuse
+    with pytest.raises(InvalidExtension):
+        is_prime(2 ** 89 - 1)
 
 
 # -- tower reduction ---------------------------------------------------------

@@ -6,6 +6,8 @@ equations (e.g. for two summands and p = 2: z_1 = (X00^2 + 2 X01 + X10^2 +
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittram import (
     IntegralityError,
@@ -19,6 +21,7 @@ from wittram import (
     sum_polynomials,
 )
 from wittram.harness import symbolic_suite
+from wittram.universal import _WIDTH
 
 X = SymPoly.var
 
@@ -29,7 +32,13 @@ def mono(*pairs):
 
 
 def poly(term_map):
-    return SymPoly(term_map)
+    out = SymPoly.zero()
+    for pairs, c in term_map.items():
+        term = SymPoly.const(c)
+        for (i, j), e in pairs:
+            term = term * X(i, j) ** e
+        out = out + term
+    return out
 
 
 # -- ghost polynomials ----------------------------------------------------------
@@ -266,6 +275,67 @@ def test_substitution_composes_with_arithmetic():
     f = X(0, 0) * X(1, 0) + X(0, 1)
     table = {(0, 0): X(0, 1), (1, 0): SymPoly.const(2)}
     assert f.substitute(table) == X(0, 1).scale(2) + X(0, 1)
+
+
+# -- packed monomials -------------------------------------------------------------
+
+
+def _reference_product(a, b):
+    """The product of two {monomial tuple: coefficient} maps by tuple merging."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for var, e in m2:
+                exps[var] = exps.get(var, 0) + e
+            m = mono(*exps.items())
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _reference_lines(term_map):
+    """Canonical lines of a tuple-keyed map: graded lex descending, (j, i)."""
+    def key(m):
+        return (-sum(e for _, e in m), tuple(((j, i), -e) for (i, j), e in m))
+    return [" ".join([str(c)] + [f"{i}:{j}^{e}" for (i, j), e in m])
+            for m, c in sorted(term_map.items(), key=lambda t: key(t[0])) if c]
+
+
+_monomials = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(1, 4),
+    max_size=4).map(lambda exps: mono(*exps.items()))
+_term_maps = st.dictionaries(_monomials, st.integers(-5, 5), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_term_maps, b=_term_maps, c=_term_maps)
+def test_packed_product_matches_tuple_merge(a, b, c):
+    pa, pb, pc = poly(a), poly(b), poly(c)
+    assert pa.canonical_lines() == _reference_lines(a)
+    assert (pa * pb).canonical_lines() == _reference_lines(_reference_product(a, b))
+    assert pa * pb == pb * pa
+    assert (pa * pb) * pc == pa * (pb * pc)
+
+
+def test_degree_overflow_raises_instead_of_wrapping():
+    top = 2 ** _WIDTH - 1  # the largest degree an exponent field holds
+    power = X(0, 0) ** top
+    assert power.canonical_lines() == [f"1 0:0^{top}"]
+    with pytest.raises(ResourceLimit):
+        power * X(1, 0)
+    with pytest.raises(ResourceLimit):
+        X(0, 0) ** (top + 1)
+
+
+def test_variable_indices_are_bounded():
+    assert X(63, 0).canonical_lines() == ["1 63:0^1"]
+    assert X(0, 63).canonical_lines() == ["1 0:63^1"]
+    with pytest.raises(ResourceLimit):
+        X(64, 0)
+    with pytest.raises(ResourceLimit):
+        X(30, 34)
+    with pytest.raises(ValueError):
+        X(-1, 0)
 
 
 # -- pinned polynomial bytes ----------------------------------------------------------
