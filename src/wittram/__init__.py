@@ -71,7 +71,6 @@ from .witt import (
 from .linalg import HowellBasis, howell_form, member, smith_invariants
 from .cohomology import (
     LinearMap,
-    QuotientInvariants,
     h1_level1,
     linear_map_of,
     negative_control,

@@ -3,8 +3,10 @@
 The trace and sigma-1 operators are realized as D x D matrices over Z/p^N
 in the flat monomial tower basis (D = p * e_K, column convention), both
 read off the matrix of sigma; an element's coordinate vector is its
-``coeffs`` tuple.  On top of the chain-ring linear algebra this module
-provides:
+``coeffs`` tuple.  Each operator's columns are eliminated once per
+precision (``LinearMap.columns``): the trace image, the coboundaries
+im(sigma-1), the trace kernel and every solve tr(x) = c or (sigma-1)x = a
+are read off that one presentation.  On top of it this module provides:
 
 * a trace-zero Witt vector sampler that builds (a_0, ..., a_m) level by
   level: tr(a_n) cancels level n of the Witt trace of (a_0, ..., a_{n-1}, 0),
@@ -30,7 +32,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import prod
 
 from .errors import (
     NoSolution,
@@ -43,10 +46,9 @@ from .errors import (
 from .extensions import ExtensionData, _twin
 from .linalg import (
     HowellBasis,
-    group_order,
+    Presentation,
+    columns_of,
     howell_form,
-    image_columnwise,
-    kernel_columnwise,
     matvec,
     member,
     quotient_invariants,
@@ -83,6 +85,8 @@ class LinearMap:
     An element's ``coeffs`` are its coordinate vector, so applying the map
     is one matrix-vector product.  ``rows`` is the matrix in column
     convention: column c is the image of the c-th basis monomial.
+    ``columns`` presents those columns once: its span is the image, its
+    syzygies the kernel, and every solve reads its combinations.
     """
 
     ext: ExtensionData
@@ -91,6 +95,10 @@ class LinearMap:
 
     def apply(self, a: OLElement) -> OLElement:
         return OLElement(a.tower, matvec(self.rows, a.coeffs, a.tower.pN))
+
+    @cached_property
+    def columns(self) -> Presentation:
+        return columns_of(self.rows, self.ext.p, self.ext.N)
 
 
 @lru_cache(maxsize=128)
@@ -110,13 +118,7 @@ def linear_map_of(ext: ExtensionData, which: str) -> LinearMap:
 
 def solve_linear(lin: LinearMap, b: OLElement) -> OLElement:
     """Some x with lin(x) = b at precision; NoSolution if b is out of reach."""
-    x = solve_columnwise(lin.rows, b.coeffs, lin.ext.p, lin.ext.N)
-    return OLElement(b.tower, x)
-
-
-@lru_cache(maxsize=64)
-def trace_kernel_raw(ext: ExtensionData) -> HowellBasis:
-    return kernel_columnwise(linear_map_of(ext, "trace").rows, ext.p, ext.N)
+    return OLElement(b.tower, solve_columnwise(lin.columns, b.coeffs))
 
 
 @lru_cache(maxsize=64)
@@ -128,25 +130,23 @@ def trace_kernel_saturated(ext: ExtensionData) -> HowellBasis:
     suffices.
     """
     hi = _twin(ext, ext.N + SATURATION_MARGIN)
-    hi_kernel = trace_kernel_raw(hi)
+    hi_kernel = linear_map_of(hi, "trace").columns.syzygies
     pN = ext.tower.pN
     rows = [tuple(x % pN for x in row) for row in hi_kernel.rows]
     return howell_form(rows, ext.p, ext.N, ext.tower.p * ext.tower.e_K)
 
 
-@lru_cache(maxsize=64)
 def trace_image(ext: ExtensionData) -> HowellBasis:
     """Howell basis of tr(O_L); VerificationError if it leaves the O_K block."""
-    img = image_columnwise(linear_map_of(ext, "trace").rows, ext.p, ext.N)
+    img = linear_map_of(ext, "trace").columns.span
     for row in img.rows:
         if any(row[ext.e_K:]):
             raise VerificationError("trace image leaves the O_K block")
     return img
 
 
-@lru_cache(maxsize=64)
 def coboundary_image(ext: ExtensionData) -> HowellBasis:
-    return image_columnwise(linear_map_of(ext, "sigma-minus-one").rows, ext.p, ext.N)
+    return linear_map_of(ext, "sigma-minus-one").columns.span
 
 
 # -- trace image --------------------------------------------------------------
@@ -175,11 +175,9 @@ def trace_image_exponent(ext: ExtensionData) -> int:
 
 
 def trace_index_exponent(ext: ExtensionData) -> int:
-    """log_p |O_K / tr(O_L)| computed from the image alone."""
-    img = trace_image(ext)
-    restricted = howell_form([row[:ext.e_K] for row in img.rows],
-                             ext.p, ext.N, ext.e_K)
-    return ext.N * ext.e_K - restricted.order_exponent()
+    """log_p |O_K / tr(O_L)| computed from the image alone (which
+    ``trace_image`` keeps inside the O_K block)."""
+    return ext.N * ext.e_K - trace_image(ext).order_exponent()
 
 
 # -- random elements ----------------------------------------------------------
@@ -508,17 +506,6 @@ def negative_control(ext: ExtensionData, m: int) -> SuiteRecord:
 # -- level-1 cohomology -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientInvariants:
-    """Invariant factors p^{k_1} >= p^{k_2} >= ... of a finite abelian p-group."""
-
-    factors: tuple
-
-    @property
-    def order(self) -> int:
-        return group_order(self.factors)
-
-
 def _h1_invariants_at(ext: ExtensionData) -> tuple:
     kernel = trace_kernel_saturated(ext)
     image = coboundary_image(ext)
@@ -529,8 +516,9 @@ def _h1_invariants_at(ext: ExtensionData) -> tuple:
         raise VerificationError(f"coboundaries escape the trace kernel: {exc}")
 
 
-def h1_level1(ext: ExtensionData) -> QuotientInvariants:
-    """Invariant factors of ker(tr)/im(sigma-1) at precision.
+def h1_level1(ext: ExtensionData) -> tuple:
+    """Invariant factors p^{k_1} >= p^{k_2} >= ... of ker(tr)/im(sigma-1)
+    at precision.
 
     Computed twice, at N and N+4, with saturated kernels; the two invariant
     factor lists must agree (UnstableInvariants otherwise).
@@ -542,7 +530,7 @@ def h1_level1(ext: ExtensionData) -> QuotientInvariants:
             f"invariant factors differ between precisions: "
             f"{inv_lo} at N={ext.N}, {inv_hi} at N={ext.N + SATURATION_MARGIN}"
         )
-    return QuotientInvariants(inv_lo)
+    return inv_lo
 
 
 def h1_suite(ext: ExtensionData) -> SuiteRecord:
@@ -554,16 +542,17 @@ def h1_suite(ext: ExtensionData) -> SuiteRecord:
     order = CheckResult("order-matches-trace-index", "pass")
     record = SuiteRecord.of("h1", ext, 0, [stable, order])
     try:
-        inv = h1_level1(ext)
+        factors = h1_level1(ext)
     except UnstableInvariants as exc:
         stable.status = "fail"
         stable.detail["error"] = str(exc)
         order.status = "skip"
         return record
     index_exp = trace_index_exponent(ext)
-    if inv.order != ext.p ** index_exp:
+    h1_order = prod(factors)
+    if h1_order != ext.p ** index_exp:
         order.status = "fail"
-    stable.detail["invariant_factors"] = list(inv.factors)
-    order.detail["order"] = inv.order
+    stable.detail["invariant_factors"] = list(factors)
+    order.detail["order"] = h1_order
     order.detail["trace_index_exponent"] = index_exp
     return record

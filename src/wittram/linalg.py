@@ -1,4 +1,4 @@
-"""Linear algebra over the chain ring Z/p^N: Howell form, kernels, quotients.
+"""Linear algebra over the chain ring Z/p^N: Howell form, presentations, quotients.
 
 Over Z/p^N every submodule of (Z/p^N)^D has a unique Howell canonical
 generating set: rows with strictly increasing pivot columns, each pivot a
@@ -8,12 +8,21 @@ is a combination of the rows with pivot column >= c; this is what the extra
 p^(N-k) * row generators enforce).  Uniqueness makes submodule equality a
 row-list comparison and membership a single reduction sweep.
 
-Kernels and preimages come from the Howell form of an augmented matrix
-[A^T | I]: a row (v | y) records v = A y, so rows with v = 0 generate the
-kernel and reducing (b | 0) against the left block solves A x = b.
+Each generating set G = (g_1, ..., g_n) is eliminated once: a
+``Presentation`` keeps the Howell form H of [G | I_n], whose rows (v | y)
+record v = sum_i y_i g_i.  The rows of H with a nonzero left block, cut to
+it, are the Howell form of span(G), because the Howell property restricts to
+leading columns: a span element supported on columns >= c lifts to an
+element of span(H) supported there too, hence to a combination of rows of H
+with pivot column >= c.  The rows with a zero left block, cut to the right
+block, are the Howell form of the syzygies of G, by the Howell property at
+the first right-block column.  Reducing (b | 0) against the left-block rows
+leaves (0 | -y) exactly when b = sum_i y_i g_i.  For a matrix A in column
+convention the generators are its columns, so span, syzygies and
+combinations are its image, kernel and preimages.
 
 A finite quotient span(G)/span(S) is presented on the generators G: its
-relations are the syzygies of G and the preimages of S.  The invariant
+relations are the syzygies of G and the combinations giving S.  The invariant
 factors come from a Smith form over Z/p^N itself, which takes one
 elimination step per pivot because Z/p^N is a chain ring: an entry of least
 valuation divides every other entry.
@@ -23,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 
 from .errors import NoSolution
 from .rings import padic_val
@@ -118,70 +126,73 @@ def member(basis: HowellBasis, vec) -> bool:
     return not any(reduce_against(basis, vec))
 
 
-def _augmented_howell(rows, p: int, N: int, width: int) -> HowellBasis:
-    aug = []
+@dataclass(frozen=True)
+class Presentation:
+    """Generators g_1..g_n of a submodule of (Z/p^N)^width, eliminated once.
+
+    ``aug`` is the Howell form of [G | I_n]: a row (v | y) records
+    v = sum_i y_i g_i.  Its span, its syzygies and every combination are
+    read off this one form.
+    """
+
+    width: int
+    aug: HowellBasis
+
+    @cached_property
+    def span(self) -> HowellBasis:
+        """Howell form of span(G)."""
+        aug, w = self.aug, self.width
+        return HowellBasis(aug.p, aug.N, w, tuple(r[:w] for r in aug.rows if any(r[:w])))
+
+    @cached_property
+    def syzygies(self) -> HowellBasis:
+        """Howell form of {y : sum_i y_i g_i = 0}."""
+        aug, w = self.aug, self.width
+        return HowellBasis(aug.p, aug.N, aug.width - w,
+                           tuple(r[w:] for r in aug.rows if not any(r[:w])))
+
+    def combination(self, target):
+        """Coefficients y with sum_i y_i g_i = target, or None.
+
+        Quotients use balanced lifts so the particular solution comes out
+        small (e.g. -1 rather than p^N/2 - 1 when solving 2x = -2 over
+        Z/2^N).
+        """
+        width, aug = self.width, self.aug
+        if len(target) != width:
+            raise ValueError(f"target width {len(target)} != {width}")
+        p, pN = aug.p, aug.p ** aug.N
+        r = [x % pN for x in target] + [0] * (aug.width - width)
+        for row, (col, k) in zip(aug.rows, aug.pivots):
+            if col >= width:
+                break
+            x = r[col]
+            if x and padic_val(x, p) >= k:
+                rep = x if 2 * x <= pN else x - pN
+                q = rep // p ** k
+                r = [(a - q * b) % pN for a, b in zip(r, row)]
+        if any(r[:width]):
+            return None
+        return tuple(-x % pN for x in r[width:])
+
+
+def present(rows, p: int, N: int, width: int) -> Presentation:
+    """The one elimination of the generator rows: Howell form of [G | I]."""
     n = len(rows)
-    for idx, row in enumerate(rows):
-        tail = [0] * n
-        tail[idx] = 1
-        aug.append(list(row) + tail)
-    return howell_form(aug, p, N, width + n)
+    aug = [list(row) + [int(i == idx) for i in range(n)] for idx, row in enumerate(rows)]
+    return Presentation(width, howell_form(aug, p, N, width + n))
 
 
-def solve_in_span(rows, target, p: int, N: int):
-    """Coefficients y with sum_i y_i rows_i = target, or None.
-
-    Works for any generating rows (not necessarily Howell); the combination
-    is read off the augmented Howell form.  Quotients use balanced lifts so
-    the particular solution comes out small (e.g. -1 rather than p^N/2 - 1
-    when solving 2x = -2 over Z/2^N).
-    """
-    width = len(target)
-    pN = p ** N
-    aug = _augmented_howell(rows, p, N, width)
-    r = [x % pN for x in target] + [0] * len(rows)
-    for row, (col, k) in zip(aug.rows, aug.pivots):
-        if col >= width:
-            break
-        x = r[col]
-        if x and padic_val(x, p) >= k:
-            rep = x if 2 * x <= pN else x - pN
-            q = rep // p ** k
-            r = [(a - q * b) % pN for a, b in zip(r, row)]
-    if any(r[:width]):
-        return None
-    return tuple(-x % pN for x in r[width:])
+def columns_of(matrix_rows, p: int, N: int) -> Presentation:
+    """The columns of A (column convention), presented: ``span`` is the
+    image {A x}, ``syzygies`` the kernel {x : A x = 0}."""
+    return present([list(col) for col in zip(*matrix_rows)], p, N, len(matrix_rows))
 
 
-def _transpose(matrix_rows) -> list:
-    """The columns of a row-list matrix, as rows."""
-    return [list(col) for col in zip(*matrix_rows)]
-
-
-def _syzygies(rows, p: int, N: int) -> HowellBasis:
-    """Howell basis of the coefficient vectors y with sum_i y_i rows_i = 0."""
-    width = len(rows[0]) if rows else 0
-    aug = _augmented_howell(rows, p, N, width)
-    return howell_form([row[width:] for row in aug.rows if not any(row[:width])],
-                       p, N, len(rows))
-
-
-def kernel_columnwise(matrix_rows, p: int, N: int) -> HowellBasis:
-    """Howell basis of {x : A x = 0 mod p^N} for A given as a row list.
-
-    A acts in the column convention: (A x)_r = sum_c A[r][c] x[c].
-    """
-    return _syzygies(_transpose(matrix_rows), p, N)
-
-
-def image_columnwise(matrix_rows, p: int, N: int) -> HowellBasis:
-    """Howell basis of the column span {A x} of A."""
-    return howell_form(_transpose(matrix_rows), p, N, len(matrix_rows))
-
-
-def solve_columnwise(matrix_rows, b, p: int, N: int) -> tuple:
-    """Some x with A x = b mod p^N; raises NoSolution when b is not reached."""
-    combo = solve_in_span(_transpose(matrix_rows), b, p, N)
+def solve_columnwise(columns: Presentation, b) -> tuple:
+    """Some x with A x = b mod p^N, for A presented by ``columns_of``;
+    raises NoSolution when b is not reached."""
+    combo = columns.combination(b)
     if combo is None:
         raise NoSolution("target vector is not in the image at precision")
     return combo
@@ -189,13 +200,6 @@ def solve_columnwise(matrix_rows, b, p: int, N: int) -> tuple:
 
 def matvec(matrix_rows, x, pN: int) -> tuple:
     return tuple(sum(row[c] * x[c] for c in range(len(x))) % pN for row in matrix_rows)
-
-
-def is_full_module(basis: HowellBasis) -> bool:
-    """True when the span is all of (Z/p^N)^width."""
-    ident = tuple(tuple(1 if i == j else 0 for j in range(basis.width))
-                  for i in range(basis.width))
-    return basis.rows == ident
 
 
 def smith_invariants(rows, p: int, N: int, width: int) -> list:
@@ -239,16 +243,13 @@ def quotient_invariants(gen_rows, sub_rows, p: int, N: int) -> tuple:
     form of that relation matrix over Z/p^N.  Returned in descending order,
     with trivial factors dropped.
     """
-    relations = list(_syzygies(gen_rows, p, N).rows)
+    width = len(gen_rows[0]) if gen_rows else 0
+    pres = present(gen_rows, p, N, width)
+    relations = list(pres.syzygies.rows)
     for b in sub_rows:
-        combo = solve_in_span(gen_rows, b, p, N)
+        combo = pres.combination(b)
         if combo is None:
             raise ValueError("sub_rows do not lie in the span of gen_rows")
         relations.append(combo)
     factors = smith_invariants(relations, p, N, len(gen_rows))
     return tuple(d for d in reversed(factors) if d > 1)
-
-
-def group_order(factors) -> int:
-    """Order of the finite abelian group with the given invariant factors."""
-    return prod(factors)

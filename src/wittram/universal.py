@@ -387,18 +387,16 @@ def sum_polynomials(p: int, n: int, arity: int,
 def carry_polynomial(p: int, n: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SymPoly:
     """The level-n addition carry for p summands (CLI name: f).
 
-    f_0 = 0, and f_n = T(n, n)/p^n for n >= 1, which equals
-    z_n - sum_i X_{i,n}.  Certified integral with no constant term; every
-    monomial has total degree >= p.
+    f_0 = 0, and f_n = z_n - sum_i X_{i,n} = T(n, n)/p^n for n >= 1, read
+    off the certified addition law z_n of ``sum_polynomials(p, n, p)``, which
+    refuses the same inputs.  Every monomial has total degree >= p.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
     if n == 0:
         return SymPoly.zero()
-    _guard(p, n, p, max_terms)
-    zs = sum_polynomials(p, n - 1, p, max_terms)
-    return _certified(_telescoped(p, p, zs, n, n), p ** n,
-                      f"carry level {n} (p={p})")
+    z_n = sum_polynomials(p, n, p, max_terms)[n]
+    return z_n - sum((SymPoly.var(i, n) for i in range(p)), SymPoly.zero())
 
 
 @lru_cache(maxsize=None)

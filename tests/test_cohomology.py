@@ -3,10 +3,12 @@
 import dataclasses
 import hashlib
 import random
+from math import prod
 
 import pytest
 
 from wittram import (
+    ExtensionSpec,
     NoSolution,
     Valuation,
     WittVec,
@@ -23,7 +25,7 @@ from wittram import (
     verify_trace_valuations,
     witt_trace,
 )
-from wittram import cohomology
+from wittram import cohomology, linalg
 from wittram.cohomology import (
     cascade_suite,
     coboundary_image,
@@ -33,9 +35,10 @@ from wittram.cohomology import (
     random_element,
     trace_image,
     trace_index_exponent,
-    trace_kernel_raw,
     trace_kernel_saturated,
 )
+from wittram.extensions import _twin
+from wittram.linalg import howell_form, matvec
 from wittram.report import REPORT_VERSION, Report, emit_report
 from wittram.witt import teichmuller, witt_zero
 
@@ -76,7 +79,7 @@ def test_matrix_matches_ring_computation(all_extensions):
 
 def test_coboundaries_inside_trace_kernel(all_extensions):
     for ext in all_extensions:
-        kernel = trace_kernel_raw(ext)
+        kernel = linear_map_of(ext, "trace").columns.syzygies
         for row in coboundary_image(ext).rows:
             assert member(kernel, row)
 
@@ -103,6 +106,50 @@ def test_solve_zero_accepted(sqrt2):
     assert lm.apply(x).is_zero
 
 
+@pytest.fixture(scope="module")
+def presented_maps(all_extensions):
+    """Every operator of the built-ins and of cyclotomic-step at p = 5 and
+    p = 7, at the working precision N and at N + 4."""
+    exts = list(all_extensions) + [build_extension(ExtensionSpec("cyclotomic-step", p=p))
+                                   for p in (5, 7)]
+    exts += [_twin(ext, ext.N + 4) for ext in exts]
+    return [linear_map_of(ext, which) for ext in exts
+            for which in ("trace", "sigma-minus-one")]
+
+
+def test_presented_columns_give_image_kernel_and_preimages(presented_maps):
+    rng = random.Random(17)
+    for lin in presented_maps:
+        ext, pN = lin.ext, lin.ext.tower.pN
+        cols = [list(col) for col in zip(*lin.rows)]
+        assert lin.columns.span.rows == howell_form(cols, ext.p, ext.N, len(cols)).rows
+        for x in lin.columns.syzygies.rows:
+            assert not any(matvec(lin.rows, x, pN))
+        for _ in range(10):
+            b = lin.apply(random_element(ext, rng))
+            assert lin.apply(solve_linear(lin, b)) == b
+
+
+def test_warm_linear_map_solves_without_eliminating(gaussian, cyclo, monkeypatch):
+    calls = []
+    howell = linalg.howell_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return howell(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "howell_form", counting)
+    rng = random.Random(3)
+    for ext in (gaussian, cyclo):
+        lin = linear_map_of(ext, "sigma-minus-one")
+        solve_linear(lin, ext.tower.zero_ol)
+        calls.clear()
+        for _ in range(10):
+            b = lin.apply(random_element(ext, rng))
+            assert lin.apply(solve_linear(lin, b)) == b
+        assert calls == []
+
+
 # -- trace image -----------------------------------------------------------------------
 
 
@@ -124,7 +171,7 @@ def test_trace_image_sqrt2_is_two_z2(sqrt2):
 def test_saturation_removes_spurious_elements(sqrt2):
     t = sqrt2.tower
     spurious = t.ol_const(2 ** (sqrt2.N - 1))  # trace = 2^N, zero at precision
-    raw = trace_kernel_raw(sqrt2)
+    raw = linear_map_of(sqrt2, "trace").columns.syzygies
     sat = trace_kernel_saturated(sqrt2)
     assert member(raw, spurious.coeffs)
     assert not member(sat, spurious.coeffs)
@@ -293,21 +340,21 @@ def test_negative_control_not_applicable(gaussian):
 
 
 def test_h1_quadratics(gaussian, sqrt2):
-    assert h1_level1(sqrt2).factors == (2,)
-    assert h1_level1(gaussian).factors == (2,)
+    assert h1_level1(sqrt2) == (2,)
+    assert h1_level1(gaussian) == (2,)
 
 
 def test_h1_cyclotomic(cyclo):
     # killed by |G| = 3 and of order 9, so necessarily (3, 3)
     inv = h1_level1(cyclo)
-    assert inv.factors == (3, 3)
-    assert inv.order == 9
+    assert inv == (3, 3)
+    assert prod(inv) == 9
 
 
 def test_h1_order_matches_independent_index(all_extensions):
     for ext in all_extensions:
         inv = h1_level1(ext)
-        assert inv.order == ext.p ** trace_index_exponent(ext)
+        assert prod(inv) == ext.p ** trace_index_exponent(ext)
 
 
 def test_h1_class_representative_is_nontrivial(sqrt2):
@@ -320,7 +367,7 @@ def test_proposition_consistency_with_h1(sqrt2):
     # the sharpness witness represents the nonzero class of h1
     record = negative_control(sqrt2, 1)
     assert record.checks[0].detail["witness_found"]
-    assert h1_level1(sqrt2).order == 2
+    assert prod(h1_level1(sqrt2)) == 2
 
 
 # -- failure paths ----------------------------------------------------------------------------

@@ -2,18 +2,18 @@
 
 import itertools
 import random
+from math import prod
 
 import pytest
 
 from wittram import NoSolution, howell_form, member, smith_invariants
+from wittram import linalg
 from wittram.linalg import (
-    group_order,
-    image_columnwise,
-    kernel_columnwise,
+    columns_of,
     matvec,
+    present,
     quotient_invariants,
     solve_columnwise,
-    solve_in_span,
 )
 
 
@@ -103,42 +103,96 @@ def test_kernel_image_solve_against_enumeration(p, N, dim):
             images.setdefault(y, x)
             if not any(y):
                 kernel.add(x)
-        ker = kernel_columnwise(A, p, N)
+        columns = columns_of(A, p, N)
+        ker = columns.syzygies
         for x in vectors:
             assert member(ker, x) == (x in kernel)
-        img = image_columnwise(A, p, N)
+        img = columns.span
         for y in vectors:
             assert member(img, y) == (y in images)
         # a few solves, both solvable and not
         for y in vectors[:: max(1, len(vectors) // 10)]:
             if y in images:
-                x = solve_columnwise(A, y, p, N)
+                x = solve_columnwise(columns, y)
                 assert matvec(A, x, pN) == tuple(y)
             else:
                 with pytest.raises(NoSolution):
-                    solve_columnwise(A, y, p, N)
+                    solve_columnwise(columns, y)
 
 
 def test_solve_zero_is_accepted():
     A = [(2, 0), (0, 4)]
-    x = solve_columnwise(A, (0, 0), 2, 3)
+    x = solve_columnwise(columns_of(A, 2, 3), (0, 0))
     assert matvec(A, x, 8) == (0, 0)
 
 
-def test_solve_in_span_roundtrip():
+def test_combination_roundtrip():
     rng = random.Random(9)
     rows = [(2, 0, 4), (0, 3, 1)]
     pN = 9
+    pres = present(rows, 3, 2, 3)
     for _ in range(20):
         coeffs = [rng.randrange(pN) for _ in rows]
         target = tuple(sum(c * r[k] for c, r in zip(coeffs, rows)) % pN
                        for k in range(3))
-        combo = solve_in_span(rows, target, 3, 2)
+        combo = pres.combination(target)
         assert combo is not None
         got = tuple(sum(c * r[k] for c, r in zip(combo, rows)) % pN
                     for k in range(3))
         assert got == target
-    assert solve_in_span(rows, (1, 0, 0), 3, 2) is None
+    assert pres.combination((1, 0, 0)) is None
+
+
+# (p, N, most generators) small enough to enumerate every coefficient vector
+PRESENTED_MODULI = [(2, 1, 4), (2, 3, 3), (3, 2, 3), (5, 1, 3), (7, 1, 3)]
+
+
+@pytest.mark.parametrize("p,N,max_gens", PRESENTED_MODULI)
+def test_presentation_against_enumeration(p, N, max_gens):
+    # the cut left block is the Howell form of the span, the tails are the
+    # Howell form of the enumerated syzygies, and combinations reproduce
+    # every span element; the empty generating list is included
+    rng = random.Random(7 * p + N)
+    pN = p ** N
+    for trial in range(30):
+        width = trial % 6
+        n = 0 if trial < 2 else rng.randrange(1, max_gens + 1)
+        rows = [tuple(rng.choice((0, rng.randrange(pN), p * rng.randrange(pN)))
+                      for _ in range(width)) for _ in range(n)]
+        pres = present(rows, p, N, width)
+        assert pres.span.rows == howell_form(rows, p, N, width).rows
+        syzygies = []
+        for y in itertools.product(range(pN), repeat=n):
+            total = tuple(sum(c * r[k] for c, r in zip(y, rows)) % pN
+                          for k in range(width))
+            if not any(total):
+                syzygies.append(y)
+            combo = pres.combination(total)
+            assert tuple(sum(c * r[k] for c, r in zip(combo, rows)) % pN
+                         for k in range(width)) == total
+        assert pres.syzygies.rows == howell_form(syzygies, p, N, n).rows
+        assert pres.syzygies.width == n
+        if width and not member(pres.span, (1,) + (0,) * (width - 1)):
+            assert pres.combination((1,) + (0,) * (width - 1)) is None
+
+
+def test_quotient_eliminates_its_generators_once(monkeypatch):
+    # one Howell form of [G | I] serves the syzygies and every preimage of
+    # S, so the count does not grow with the number of sub-module generators
+    calls = []
+    howell = linalg.howell_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return howell(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "howell_form", counting)
+    gens = [(1, 0, 2), (0, 3, 1), (2, 2, 0)]
+    for k in range(5):
+        calls.clear()
+        subs = [tuple(3 * j * x % 9 for x in gens[j % 3]) for j in range(k)]
+        quotient_invariants(gens, subs, 3, 2)
+        assert len(calls) == 1
 
 
 # -- smith form -----------------------------------------------------------------------
@@ -226,4 +280,4 @@ def test_quotient_order_matches_enumeration():
         sub_rows = [sub_elems[rng.randrange(len(sub_elems))] for _ in range(2)]
         sub_span = brute_span(sub_rows, pN)
         factors = quotient_invariants(gen_rows, sub_rows, p, N)
-        assert group_order(factors) == len(gen_span) // len(sub_span)
+        assert prod(factors) == len(gen_span) // len(sub_span)
