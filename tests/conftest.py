@@ -1,6 +1,6 @@
 import pytest
 
-from wittram import build_extension
+from wittram import build_extension, linalg
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +28,18 @@ def cyclo():
 def all_extensions(gaussian, sqrt2, cyclo):
     return (gaussian, sqrt2, cyclo)
 
+
+
+@pytest.fixture
+def howell_calls(monkeypatch):
+    """The argument tuples of every ``linalg.howell_form`` call made after
+    the fixture is set up."""
+    calls = []
+    howell = linalg.howell_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return howell(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "howell_form", counting)
+    return calls

@@ -174,7 +174,7 @@ def test_sigma_basis_spans(all_extensions):
         for mu in range(ext.p):
             for j in range(ext.e_K):
                 rows.append((basis.elements[mu] * ext.tower.pi_K ** j).coeffs)
-        hb = howell_form(rows, ext.p, ext.N, ext.tower.dim)
+        hb = howell_form(rows, ext.p, ext.N, dim)
         assert hb.rows == identity
 
 
