@@ -23,7 +23,6 @@ from .errors import (
     SigmaNotARoot,
     SigmaWrongOrder,
     UnstableInvariants,
-    VanishingViolated,
     VerificationError,
     WittramError,
 )

@@ -8,13 +8,14 @@ precision (``LinearMap.columns``): the trace image, the coboundaries
 im(sigma-1), the trace kernel and every solve tr(x) = c or (sigma-1)x = a
 are read off that one presentation.  On top of it this module provides:
 
-* a trace-zero Witt vector sampler that builds (a_0, ..., a_m) level by
-  level: tr(a_n) cancels level n of the Witt trace of (a_0, ..., a_{n-1}, 0),
-  drawing kernel elements and backtracking when a prefix cannot be extended;
+* one level step of the trace-zero recursion, tr(a_n) cancelling level n of
+  the Witt trace of (a_0, ..., a_{n-1}, 0): the sampler adds kernel draws
+  and backtracks, the sharpness witness takes its solutions as they are;
 
 * verifiers for the trace valuation bounds, for the level-by-level
   valuation cascade on trace-zero vectors, and for the vanishing of the
-  "first component" restriction map on classes of length m+1 > log_p(t);
+  "first component" restriction map on classes of length m+1 > log_p(t),
+  each returning its record, failing or not;
 
 * the finite quotient ker(tr)/im(sigma-1) with two-precision stabilization
   and an independent order cross-check.
@@ -40,7 +41,6 @@ from .errors import (
     PrecisionExhausted,
     SamplingExhausted,
     UnstableInvariants,
-    VanishingViolated,
     VerificationError,
 )
 from .extensions import ExtensionData, _twin
@@ -278,16 +278,35 @@ def _carry_target(ext: ExtensionData, comps, n: int) -> OLElement:
     return -witt_trace(vec)[n]
 
 
-def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0,
-                      retry_budget: int = RETRY_BUDGET) -> WittVec:
+def _level_step(ext: ExtensionData, image: HowellBasis, tr_map: LinearMap,
+                prefix) -> OLElement | None:
+    """Some a_n with tr(a_n) = -f_n(sigma^i(a_j)) for the trace-zero prefix
+    (a_0, ..., a_{n-1}); None when no a_n exists (target not in ``image``)."""
+    c = _carry_target(ext, prefix, len(prefix))
+    if not c.lies_in_K:
+        raise VerificationError("carry target left O_K")
+    if not member(image, c.coeffs):
+        return None
+    return solve_linear(tr_map, c)
+
+
+def _trace_zero(ext: ExtensionData, comps) -> WittVec:
+    """The Witt vector of ``comps``, certified by its Witt trace."""
+    vec = WittVec(ext, tuple(comps))
+    if not witt_trace(vec).is_zero:
+        raise VerificationError("level recursion produced a nonzero Witt trace")
+    return vec
+
+
+def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
     """A seeded random element of W_{m+1}(O_L)^{tr=0} at precision.
 
     Level 0 is drawn uniformly from the saturated trace kernel; each later
-    level solves tr(a_n) = -f_n(sigma^i(a_j)) and adds a uniform kernel
-    element.  When the carry target leaves the trace image the sampler
-    redraws the previous level, backing off all the way to level 0 as the
-    per-level retry budgets run out (a prefix can be genuinely
-    unextendable: valuation constraints propagate downward).
+    level adds a uniform kernel element to the level step's solution.  When
+    the carry target leaves the trace image the sampler redraws the
+    previous level, backing off all the way to level 0 as the per-level
+    retry budgets run out (a prefix can be genuinely unextendable:
+    valuation constraints propagate downward).
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -296,68 +315,50 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0,
     image = trace_image(ext)
     tr_map = linear_map_of(ext, "trace")
 
-    def draw_kernel():
-        return random_from_basis(ext, kernel, rng)
-
-    comps = [draw_kernel()]
-    particular = [None] * (m + 1)
+    comps = [random_from_basis(ext, kernel, rng)]
+    particular = [ext.tower.zero_ol] + [None] * m
     retries = [0] * (m + 1)
     attempts = 0
     n = 1
     while n <= m:
         attempts += 1
-        if attempts > retry_budget * (m + 1) * 4:
+        if attempts > RETRY_BUDGET * (m + 1) * 4:
             raise SamplingExhausted(
                 f"global retry budget exhausted at level {n}", level=n)
-        c = _carry_target(ext, comps, n)
-        if not c.lies_in_K:
-            raise VerificationError("carry target left O_K")
-        if member(image, c.coeffs):
-            x = solve_linear(tr_map, c)
+        x = _level_step(ext, image, tr_map, comps)
+        if x is not None:
             particular[n] = x
-            comps.append(x + draw_kernel())
+            comps.append(x + random_from_basis(ext, kernel, rng))
             n += 1
             continue
         # backtrack: redraw the deepest level whose budget still allows it
         lvl = n - 1
-        while True:
-            retries[lvl] += 1
-            if retries[lvl] <= retry_budget:
-                break
+        while retries[lvl] == RETRY_BUDGET:
             retries[lvl] = 0
             if lvl == 0:
                 raise SamplingExhausted(
                     f"retry budget exhausted while extending level {n}", level=n)
             lvl -= 1
-        if lvl == 0:
-            comps = [draw_kernel()]
-        else:
-            comps = comps[:lvl] + [particular[lvl] + draw_kernel()]
+        retries[lvl] += 1
+        comps[lvl:] = [particular[lvl] + random_from_basis(ext, kernel, rng)]
         n = lvl + 1
-    vec = WittVec(ext, tuple(comps))
-    if not witt_trace(vec).is_zero:
-        raise VerificationError("sampler produced a vector with nonzero trace")
-    return vec
+    return _trace_zero(ext, comps)
 
 
 # -- cascade verifier ---------------------------------------------------------
 
 
-def verify_cascade(a: WittVec, ext: ExtensionData = None) -> list:
+def verify_cascade(a: WittVec) -> list:
     """Per-level valuation cascade checks for a trace-zero Witt vector.
 
     For 1 <= n <= m verifies p * v_L(a_{n-1}) >= min(v_L(a_n) + t(p-1),
     p*t(p-1)) in exact integers.  Levels whose left side hits the precision
     horizon are reported as skipped.
     """
-    if ext is None:
-        ext = a.ext
-    elif ext is not a.ext:
-        raise ValueError("vector belongs to a different extension")
     if not witt_trace(a).is_zero:
         raise ValueError("cascade verifier requires a trace-zero vector")
-    p, t = ext.p, ext.t
-    horizon = ext.tower.horizon_L
+    p, t = a.ext.p, a.ext.t
+    horizon = a.ext.tower.horizon_L
     out = []
     for n in range(1, len(a)):
         v_prev = valuation_L(a[n - 1])
@@ -414,16 +415,16 @@ def verify_restriction_vanishing(ext: ExtensionData, m: int,
 
     Requires p^m > t (the sharp hypothesis); for each sampled trace-zero
     vector asserts v_L(a_0) > t - 1 and that (sigma-1)x = a_0 is solvable.
-    Any failure raises VanishingViolated: the statement is a theorem, so a
-    counterexample can only mean an implementation bug.  When p^m <= t the
-    suite instead runs the sharpness negative control.
+    A failure does not raise: the record fails and its first check carries
+    the first failing vector as ``witness``.  The statement is a theorem, so
+    a counterexample can only mean an implementation bug.  When p^m <= t
+    the suite instead runs the sharpness negative control.
     """
     if ext.p ** m <= ext.t:
         return negative_control(ext, m)
     sig_map = linear_map_of(ext, "sigma-minus-one")
     val_check = CheckResult("first-component-valuation", "pass")
     cob_check = CheckResult("first-component-coboundary", "pass")
-    witness = None
     for trial in range(trials):
         vec = sample_trace_zero(ext, m, seed=derive_seed(seed, "vanishing", trial))
         a0 = vec[0]
@@ -431,51 +432,40 @@ def verify_restriction_vanishing(ext: ExtensionData, m: int,
         if (not v0.is_exact) or v0.value > ext.t - 1:
             val_check.record(True)
         else:
-            witness = witness or vec
             val_check.record(False, {"trial": trial, "v_L(a_0)": v0.value,
                                      "vector": wittvec_coords(vec)})
+            val_check.detail.setdefault("witness", wittvec_coords(vec))
         try:
             x = solve_linear(sig_map, a0)
         except NoSolution:
-            witness = witness or vec
             cob_check.record(False, {"trial": trial,
                                      "vector": wittvec_coords(vec)})
+            val_check.detail.setdefault("witness", wittvec_coords(vec))
             continue
         if ext.apply_sigma(x) - x != a0:
             raise VerificationError("solver returned a wrong coboundary preimage")
         cob_check.record(True)
-    record = SuiteRecord.of("proposition", ext, m, [val_check, cob_check])
-    if record.status == "fail":
-        exc = VanishingViolated(
-            "a sampled trace-zero vector violated the vanishing statement; "
-            "this indicates an implementation bug", witness=witness)
-        exc.record = record
-        raise exc
-    return record
+    return SuiteRecord.of("proposition", ext, m, [val_check, cob_check])
 
 
 def deterministic_witness(ext: ExtensionData, m: int):
-    """The coordinate recursion started at a_0 = pi_L with zero offsets.
+    """The level step started at a_0 = pi_L with zero offsets.
 
     Returns (vector, note); vector is None when the construction cannot run
     (pi_L not trace-zero, or the carry target leaves the trace image).
     """
-    tower = ext.tower
-    a0 = tower.pi_L
+    a0 = ext.tower.pi_L
     if not ext.trace(a0).is_zero:
         return None, "pi_L is not trace-zero; no deterministic witness"
     image = trace_image(ext)
     tr_map = linear_map_of(ext, "trace")
     comps = [a0]
     for n in range(1, m + 1):
-        c = _carry_target(ext, comps, n)
-        if not member(image, c.coeffs):
+        x = _level_step(ext, image, tr_map, comps)
+        if x is None:
             return None, f"carry target left the trace image at level {n}"
-        comps.append(solve_linear(tr_map, c))
-    vec = WittVec(ext, tuple(comps))
-    if not witt_trace(vec).is_zero:
-        raise VerificationError("witness construction lost the trace-zero property")
-    return vec, None
+        comps.append(x)
+    return _trace_zero(ext, comps), None
 
 
 def negative_control(ext: ExtensionData, m: int) -> SuiteRecord:

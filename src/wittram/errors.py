@@ -53,18 +53,6 @@ class SamplingExhausted(WittramError):
         self.level = level
 
 
-class VanishingViolated(WittramError):
-    """A sampled vector contradicted the verified vanishing statement.
-
-    This cannot happen for mathematically correct code; it signals an
-    implementation bug, never a property of the extension.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class UnstableInvariants(WittramError):
     """Cohomology invariants disagreed between two working precisions."""
 

@@ -132,8 +132,9 @@ class ExtensionData:
 @lru_cache(maxsize=64)
 def _twin(ext: ExtensionData, precision: int) -> ExtensionData:
     """``ext`` rebuilt at ``precision``, built once per pair: the saturated
-    kernels and the ghost lift of Witt arithmetic both work in it."""
-    return ext.with_precision(precision)
+    kernels and the ghost lift of Witt arithmetic both work in it.  At its
+    own precision ``ext`` is its twin."""
+    return ext if precision == ext.N else ext.with_precision(precision)
 
 
 def _ok_linear_matrix(tower: Tower, images) -> tuple:

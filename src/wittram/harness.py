@@ -17,13 +17,11 @@ from .cohomology import (
     negative_control,
     verify_restriction_vanishing,
     verify_trace_valuations,
-    wittvec_coords,
 )
 from .errors import (
     ConfigError,
     IntegralityError,
     SamplingExhausted,
-    VanishingViolated,
     VerificationError,
     WittramError,
 )
@@ -89,19 +87,18 @@ def _sum_vars(p: int, level: int) -> SymPoly:
     return out
 
 
-def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT,
-                   levels: int = None) -> SuiteRecord:
+def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
     """Structural and identity certification of the universal polynomials.
 
-    Per level n <= levels: the addition laws z_n (integral by construction:
-    ``sum_polynomials`` divides exactly) have no constant term and reproduce
-    the ghost sums exactly; the carry f_n satisfies f_n + sum_i X_{i,n} -
-    z_n = 0 with min degree >= p (n >= 1); the carry residue g satisfies the
-    p-th power split p (f_n - g) = sum_i X_{i,n-1}^p - z_{n-1}^p -
-    (-f_{n-1})^p with min degree >= p^2 (n >= 2); f_0 and the n=1 residue
-    vanish exactly.
+    Per level n <= SYMBOLIC_LEVELS[p] (1 for other p): the addition laws
+    z_n (integral by construction: ``sum_polynomials`` divides exactly) have
+    no constant term and reproduce the ghost sums exactly; the carry f_n
+    satisfies f_n + sum_i X_{i,n} - z_n = 0 with min degree >= p (n >= 1);
+    the carry residue g satisfies the p-th power split p (f_n - g) =
+    sum_i X_{i,n-1}^p - z_{n-1}^p - (-f_{n-1})^p with min degree >= p^2
+    (n >= 2); f_0 and the n=1 residue vanish exactly.
     """
-    n_max = levels if levels is not None else SYMBOLIC_LEVELS.get(p, 1)
+    n_max = SYMBOLIC_LEVELS.get(p, 1)
     checks = []
     zs = sum_polynomials(p, n_max, p, max_terms)
     digests = {}
@@ -197,10 +194,6 @@ def run(config: RunConfig):
         start = time.perf_counter()
         try:
             record = _run_suite(name, ext, config)
-        except VanishingViolated as exc:
-            record = exc.record
-            record.checks[0].detail.setdefault("witness",
-                                               wittvec_coords(exc.witness))
         except (SamplingExhausted, IntegralityError, VerificationError) as exc:
             if isinstance(exc, SamplingExhausted):
                 check = CheckResult("sampler", "fail", detail={

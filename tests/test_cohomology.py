@@ -8,9 +8,11 @@ from math import prod
 import pytest
 
 from wittram import (
+    ExtensionData,
     ExtensionSpec,
     NoSolution,
     Valuation,
+    VerificationError,
     WittVec,
     build_extension,
     h1_level1,
@@ -27,6 +29,7 @@ from wittram import (
 )
 from wittram import cohomology
 from wittram.cohomology import (
+    SATURATION_MARGIN,
     cascade_suite,
     coboundary_image,
     derive_seed,
@@ -243,6 +246,34 @@ def test_sampler_at_length_three(sqrt2_hi, cyclo):
         assert witt_trace(v).is_zero
 
 
+def test_length_one_sample_rebuilds_only_the_saturation_twin(monkeypatch):
+    # a length-1 Witt trace works at the extension's own precision, so the
+    # saturated kernel's twin is the one rebuild (a fresh build, so no cache
+    # holds its twins)
+    ext = build_extension("quadratic-sqrt2")
+    rebuild = ExtensionData.with_precision
+    built = []
+
+    def counting(self, precision):
+        built.append(precision)
+        return rebuild(self, precision)
+
+    monkeypatch.setattr(ExtensionData, "with_precision", counting)
+    sample_trace_zero(ext, 0, seed=1)
+    assert built == [ext.N + SATURATION_MARGIN]
+
+
+def test_carry_target_outside_o_k_is_a_consistency_error(sqrt2, monkeypatch):
+    # a carry target is a trace, so it lies in O_K; one outside is an
+    # implementation bug, never a prefix to backtrack from
+    monkeypatch.setattr(cohomology, "_carry_target",
+                        lambda ext, comps, n: ext.tower.pi_L)
+    with pytest.raises(VerificationError, match="carry target left O_K"):
+        sample_trace_zero(sqrt2, 1, seed=0)
+    with pytest.raises(VerificationError, match="carry target left O_K"):
+        cohomology.deterministic_witness(sqrt2, 1)
+
+
 # -- cascade -------------------------------------------------------------------------------
 
 
@@ -304,6 +335,26 @@ def test_vanishing_falls_back_to_control(sqrt2):
     # p^m = 2 <= t = 2: runs the sharpness control instead
     record = verify_restriction_vanishing(sqrt2, 1, trials=10, seed=3)
     assert record.suite == "negative-control"
+
+
+def test_unsolvable_coboundary_returns_the_failing_record(gaussian, monkeypatch):
+    # a counterexample fails the record, which carries the first failing
+    # vector as the witness on its first check; nothing is raised
+    solve = cohomology.solve_linear
+
+    def no_preimage(lin, b):
+        if lin.which == "sigma-minus-one":
+            raise NoSolution("forced")
+        return solve(lin, b)
+
+    monkeypatch.setattr(cohomology, "solve_linear", no_preimage)
+    record = verify_restriction_vanishing(gaussian, 2, trials=10, seed=0)
+    valuation, coboundary = record.checks
+    assert record.status == "fail"
+    assert (valuation.status, coboundary.status) == ("pass", "fail")
+    assert (coboundary.trials, coboundary.failures) == (10, 10)
+    first = coboundary.detail["counterexamples"][0]["vector"]
+    assert valuation.detail == {"witness": first}
 
 
 # -- sharpness control ----------------------------------------------------------------------

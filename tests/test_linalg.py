@@ -17,16 +17,17 @@ from wittram.linalg import (
 
 
 def brute_span(rows, pN):
-    """Every Z/p^N combination of the rows, as a frozenset."""
+    """Every Z/p^N combination of the rows, as a frozenset.
+
+    Grown one generator at a time, span <- {v + c*r : v in span, c < p^N},
+    which still enumerates every coefficient choice."""
     if not rows:
         return frozenset({(0,) * 0})
-    width = len(rows[0])
-    out = set()
-    for coeffs in itertools.product(range(pN), repeat=len(rows)):
-        vec = tuple(sum(c * r[k] for c, r in zip(coeffs, rows)) % pN
-                    for k in range(width))
-        out.add(vec)
-    return frozenset(out)
+    span = {(0,) * len(rows[0])}
+    for row in rows:
+        span = {tuple((x + c * y) % pN for x, y in zip(vec, row))
+                for vec in span for c in range(pN)}
+    return frozenset(span)
 
 
 # -- canonical form ---------------------------------------------------------------
