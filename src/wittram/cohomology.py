@@ -17,15 +17,23 @@ are read off that one presentation.  On top of it this module provides:
   "first component" restriction map on classes of length m+1 > log_p(t),
   each returning its record, failing or not;
 
-* the finite quotient ker(tr)/im(sigma-1) with two-precision stabilization
-  and an independent order cross-check.
+* H^1 = ker(tr)/im(sigma-1), read off the cokernel of sigma-1 alone and
+  compared at two precisions, with an order cross-check against the trace
+  image.  Over Z_p the kernel K of the trace is saturated of rank D - e_K,
+  because O_L/K is isomorphic to tr(O_L) = p_K^d, which is free of rank e_K.
+  So O_L is the direct sum of K and a free C of rank e_K, and im(sigma-1)
+  has finite index in K; hence coker(sigma-1) = Z_p^{e_K} x H^1.  Over
+  Z/p^N the Smith invariants of the columns of sigma-1 are therefore e_K
+  copies of p^N plus the invariant factors of H^1, as long as every factor
+  of H^1 is below p^N; the count of factors p^N certifies that condition.
 
-Spurious kernel elements are a genuine truncation artifact: a with
-tr(a) = 0 mod p^N but tr(a) != 0 exactly (e.g. p^(N-1) when the trace image
-is p_K).  Every kernel used here is therefore "saturated": computed at
-precision N+4 and projected back to N, which removes exactly the spurious
-part because trace preimages of p^(N+4) O_K have valuation at least
-(N+4) e_L - (t+1)(p-1) > N e_L whenever 4 e_K >= d, and d <= e_K always.
+The sampler draws from the trace kernel, where truncation adds spurious
+elements: a with tr(a) = 0 mod p^N but tr(a) != 0 exactly (e.g. p^(N-1)
+when the trace image is p_K).  Its kernel is therefore "saturated":
+computed at precision N+4 and projected back to N, which removes exactly
+the spurious part because trace preimages of p^(N+4) O_K have valuation at
+least (N+4) e_L - (t+1)(p-1) > N e_L whenever 4 e_K >= d, and d <= e_K
+always.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from .linalg import (
     howell_form,
     matvec,
     member,
-    quotient_invariants,
+    smith_invariants,
     solve_columnwise,
 )
 from .report import CheckResult, SuiteRecord
@@ -123,7 +131,8 @@ def solve_linear(lin: LinearMap, b: OLElement) -> OLElement:
 
 @lru_cache(maxsize=64)
 def trace_kernel_saturated(ext: ExtensionData) -> HowellBasis:
-    """ker(tr) mod p^N with truncation-spurious elements removed.
+    """ker(tr) mod p^N with truncation-spurious elements removed, for the
+    sampler.
 
     Computed as the projection to precision N of the kernel at precision
     N + SATURATION_MARGIN; see the module docstring for why the margin
@@ -497,21 +506,31 @@ def negative_control(ext: ExtensionData, m: int) -> SuiteRecord:
 
 
 def _h1_invariants_at(ext: ExtensionData) -> tuple:
-    kernel = trace_kernel_saturated(ext)
-    image = coboundary_image(ext)
-    try:
-        return quotient_invariants(list(kernel.rows), list(image.rows),
-                                   ext.p, ext.N)
-    except ValueError as exc:
-        raise VerificationError(f"coboundaries escape the trace kernel: {exc}")
+    """Invariant factors of H^1 at the precision of ``ext``, descending:
+    the Smith invariants of the columns of sigma-1 strictly between 1 and
+    p^N (see the module docstring).  VerificationError unless every column
+    has zero trace and exactly e_K invariants equal p^N."""
+    pN = ext.tower.pN
+    columns = list(zip(*linear_map_of(ext, "sigma-minus-one").rows))
+    if any(any(matvec(ext.trace_matrix, col, pN)) for col in columns):
+        raise VerificationError(
+            f"coboundaries escape the trace kernel at N={ext.N}")
+    factors = smith_invariants(columns, ext.p, ext.N, ext.tower.dim)
+    free = factors.count(pN)
+    if free != ext.e_K:
+        raise VerificationError(
+            f"coker(sigma-1) has {free} free factors p^N, expected "
+            f"e_K = {ext.e_K}, at N={ext.N}")
+    return tuple(d for d in reversed(factors) if 1 < d < pN)
 
 
 def h1_level1(ext: ExtensionData) -> tuple:
     """Invariant factors p^{k_1} >= p^{k_2} >= ... of ker(tr)/im(sigma-1)
     at precision.
 
-    Computed twice, at N and N+4, with saturated kernels; the two invariant
-    factor lists must agree (UnstableInvariants otherwise).
+    Read off the cokernel of sigma-1 twice, at N and at the N+4 twin the
+    sampler's saturated kernel also uses; the two invariant factor lists
+    must agree (UnstableInvariants otherwise).
     """
     inv_lo = _h1_invariants_at(ext)
     inv_hi = _h1_invariants_at(_twin(ext, ext.N + SATURATION_MARGIN))
@@ -525,8 +544,9 @@ def h1_level1(ext: ExtensionData) -> tuple:
 
 def h1_suite(ext: ExtensionData) -> SuiteRecord:
     """H^1 at level 1: its invariant factors are stable across precisions,
-    and its order equals |O_K / tr(O_L)| read off the trace image alone (the
-    additive Herbrand quotient of O_L is trivial, so the two must coincide).
+    and its order, read off sigma-1, equals |O_K / tr(O_L)| read off the
+    trace image (the additive Herbrand quotient of O_L is trivial, so the
+    two must coincide).
     """
     stable = CheckResult("invariant-factors-stable", "pass")
     order = CheckResult("order-matches-trace-index", "pass")

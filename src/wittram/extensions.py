@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from .errors import (
+    ConfigError,
     InvalidExtension,
     PrecisionExhausted,
     SigmaNotARoot,
@@ -39,6 +40,9 @@ from .rings import OLElement, Tower, is_prime, valuation_L
 
 BUILTIN_NAMES = ("quadratic-gaussian", "quadratic-sqrt2", "cyclotomic-step")
 DEFAULT_PRECISION = 32
+#: at most this many decimal digits in p^N: CPython's default int-to-str
+#: limit, which every coordinate of a JSON report must stay under
+MAX_MODULUS_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,10 @@ def _materialize(spec: ExtensionSpec) -> ExtensionSpec:
         top = [minus_pi_k]
         for k in range(1, p):
             top.append((math.comb(p, k),) + zero_k[1:])
+        # sigma(pi_L) = (pi_L + 1)^(p+1) - 1, expanded by the binomial theorem
+        sigma_pi = tuple((math.comb(p + 1, k) if k else 0,) for k in range(p + 2))
         return replace(spec, p=p, base_coeffs=base, top_coeffs=tuple(top),
-                       sigma_pi=None)  # computed in the tower below
+                       sigma_pi=sigma_pi)
     if kind == "custom":
         if spec.base_coeffs is None or spec.top_coeffs is None or spec.sigma_pi is None:
             raise InvalidExtension(
@@ -191,8 +197,9 @@ def _materialize(spec: ExtensionSpec) -> ExtensionSpec:
 def build_extension(spec, precision: int = None) -> ExtensionData:
     """Build and validate an extension from a spec or a built-in name.
 
-    Checks, in order: both moduli are Eisenstein, sigma_pi is a root of the
-    top modulus, the induced endomorphism has order exactly p, and the
+    Checks, in order: p^N has at most MAX_MODULUS_DIGITS decimal digits
+    (ConfigError otherwise), both moduli are Eisenstein, sigma_pi is a root
+    of the top modulus, the induced endomorphism has order exactly p, and the
     ramification break t = v_L(sigma(pi_L) - pi_L) - 1 resolves exactly
     below the precision horizon with t >= 1 (wild ramification).
     """
@@ -202,15 +209,16 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
         spec = replace(spec, precision=precision)
     name = spec.kind
     spec = _materialize(spec)
+    # p^N has floor(N log10 p) + 1 digits; p^N itself is never formed here
+    if spec.p > 1 and spec.precision * math.log10(spec.p) >= MAX_MODULUS_DIGITS:
+        raise ConfigError(
+            f"precision N = {spec.precision} is too large: p^N = "
+            f"{spec.p}^{spec.precision} has more than {MAX_MODULUS_DIGITS} "
+            f"decimal digits")
 
     tower = Tower(spec.p, spec.precision, spec.base_coeffs, spec.top_coeffs)
     p = tower.p
-
-    if spec.sigma_pi is not None:
-        sigma_pi = tower.from_rows(spec.sigma_pi)
-    else:
-        # cyclotomic-step: sigma(pi_L) = (pi_L + 1)^(1+p) - 1
-        sigma_pi = (tower.pi_L + tower.one_ol) ** (1 + p) - tower.one_ol
+    sigma_pi = tower.from_rows(spec.sigma_pi)
 
     root = tower.one_ol  # E_L(sigma_pi) by Horner; the leading 1 is implicit
     for c in reversed(tower.E_L):

@@ -172,6 +172,8 @@ def _run_suite(name: str, ext: ExtensionData, config: RunConfig) -> SuiteRecord:
 
 def run(config: RunConfig):
     """Execute the configured suites; returns (Report, exit_code)."""
+    if not config.suites:
+        raise ConfigError(f"no suite selected; choose from {SUITE_ORDER}")
     for name in config.suites:
         if name not in SUITE_ORDER:
             raise ConfigError(f"unknown suite {name!r}; choose from {SUITE_ORDER}")

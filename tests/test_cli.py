@@ -14,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wittram
-from wittram import cohomology, harness
+from wittram import cohomology, extensions, harness
 from wittram.cli import main
-from wittram.errors import IntegralityError, NoSolution
+from wittram.errors import ConfigError, IntegralityError, NoSolution
 from wittram.extensions import build_extension
 from wittram.harness import SUITE_ORDER, RunConfig, run
 from wittram.report import emit_report
@@ -174,6 +174,39 @@ def test_precision_zero_exits_2(command, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["verify", "extension-info"])
+@pytest.mark.parametrize("source,precision", [
+    (["--extension", "quadratic-sqrt2"], "14400"),
+    (None, "100000"),  # cyclotomic-step at p = 7
+])
+def test_precision_above_the_ceiling_exits_2(tmp_path, capsys, monkeypatch,
+                                             command, source, precision):
+    # refused before any tower is built: 2^14400 has 4335 decimal digits,
+    # more than a report can print, and the p = 7 tower at N = 100000 alone
+    # takes over a minute to build
+    if source is None:
+        path = tmp_path / "cyclo7.json"
+        path.write_text(json.dumps({"kind": "cyclotomic-step", "p": 7}),
+                        encoding="utf-8")
+        source = ["--spec-file", str(path)]
+
+    def no_tower(*args):
+        raise AssertionError("a tower was built above the precision ceiling")
+
+    monkeypatch.setattr(extensions, "Tower", no_tower)
+    assert main([command] + source + ["--precision", precision]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_precision_ceiling_is_the_int_to_str_limit(capsys):
+    # 2^14284 has 4300 decimal digits, 2^14285 has 4301
+    assert main(["extension-info", "--extension", "quadratic-sqrt2",
+                 "--precision", "14284"]) == 0
+    assert "precision: 14284\n" in capsys.readouterr().out
+    with pytest.raises(ConfigError, match="more than 4300 decimal digits"):
+        build_extension("quadratic-sqrt2", precision=14285)
+
+
 @pytest.mark.parametrize("flag,value", [("--m", "-1"), ("--trials", "0"),
                                         ("--trials", "-3")])
 def test_bad_m_or_trials_exits_2(flag, value, capsys):
@@ -209,6 +242,15 @@ def test_verify_fuzz_exit_codes(extension, m, trials, precision, max_terms,
 def test_unknown_suite_exits_2(capsys):
     assert main(["verify", "--extension", "quadratic-sqrt2",
                  "--suites", "nope"]) == 2
+
+
+@pytest.mark.parametrize("suites", [",", ""])
+def test_empty_suite_selection_exits_2(capsys, suites):
+    assert main(["verify", "--extension", "quadratic-sqrt2",
+                 "--suites", suites]) == 2
+    _assert_one_error_line(capsys)
+    with pytest.raises(ConfigError, match="no suite selected"):
+        run(RunConfig(extension="quadratic-sqrt2", suites=()))
 
 
 def test_proposition_run_passes(capsys):

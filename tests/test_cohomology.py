@@ -30,6 +30,7 @@ from wittram import (
 from wittram import cohomology
 from wittram.cohomology import (
     SATURATION_MARGIN,
+    LinearMap,
     cascade_suite,
     coboundary_image,
     derive_seed,
@@ -41,7 +42,7 @@ from wittram.cohomology import (
     trace_kernel_saturated,
 )
 from wittram.extensions import _twin
-from wittram.linalg import howell_form, matvec
+from wittram.linalg import howell_form, matvec, quotient_invariants
 from wittram.report import REPORT_VERSION, Report, emit_report
 from wittram.witt import teichmuller, witt_zero
 
@@ -398,6 +399,103 @@ def test_h1_order_matches_independent_index(all_extensions):
     for ext in all_extensions:
         inv = h1_level1(ext)
         assert prod(inv) == ext.p ** trace_index_exponent(ext)
+
+
+#: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
+T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
+                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
+
+
+def _spec_id(value):
+    if isinstance(value, ExtensionSpec):
+        return f"{value.kind}{value.p or ''}"
+    return None
+
+
+@pytest.mark.parametrize("spec,precision", [
+    (ExtensionSpec(kind), N) for kind in ("quadratic-gaussian", "quadratic-sqrt2")
+    for N in (8, 48)
+] + [
+    (ExtensionSpec("cyclotomic-step", p=3), 6),
+    (ExtensionSpec("cyclotomic-step", p=3), 32),
+    (ExtensionSpec("cyclotomic-step", p=5), 32),
+] + [(T4_SPEC, N) for N in (5, 32, 48)], ids=_spec_id)
+def test_h1_matches_the_saturated_kernel_quotient(spec, precision):
+    # oracle: H^1 as the quotient of the saturated trace kernel by the
+    # coboundaries, two presented submodules instead of coker(sigma-1)
+    ext = build_extension(spec, precision=precision)
+    kernel = trace_kernel_saturated(ext)
+    expected = quotient_invariants(list(kernel.rows),
+                                   list(coboundary_image(ext).rows), ext.p, ext.N)
+    assert expected
+    assert h1_level1(ext) == expected
+
+
+def test_h1_builds_one_twin_and_eliminates_no_matrix(monkeypatch, howell_calls):
+    ext = build_extension("cyclotomic-step")  # fresh: no cache holds its twins
+    rebuild = ExtensionData.with_precision
+    built = []
+
+    def counting(self, precision):
+        built.append(precision)
+        return rebuild(self, precision)
+
+    monkeypatch.setattr(ExtensionData, "with_precision", counting)
+    assert h1_level1(ext) == (3, 3)
+    assert built == [ext.N + SATURATION_MARGIN]
+    assert howell_calls == []
+
+
+def _mutate_sigma_minus_one(monkeypatch, mutate):
+    """Make ``cohomology.linear_map_of`` hand out sigma-1 with its rows
+    (column convention, as lists) passed through ``mutate(rows, pN)``."""
+    original = cohomology.linear_map_of
+
+    def mutated(ext, which):
+        lin = original(ext, which)
+        if which != "sigma-minus-one":
+            return lin
+        rows = [list(row) for row in lin.rows]
+        mutate(rows, ext.tower.pN)
+        return LinearMap(ext, which, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(cohomology, "linear_map_of", mutated)
+
+
+MUTATED_SPECS = [ExtensionSpec("quadratic-gaussian"),
+                 ExtensionSpec("quadratic-sqrt2"),
+                 ExtensionSpec("cyclotomic-step", p=3),
+                 ExtensionSpec("cyclotomic-step", p=5)]
+
+
+@pytest.mark.parametrize("spec", MUTATED_SPECS, ids=_spec_id)
+def test_h1_count_check_catches_a_dropped_coboundary(monkeypatch, spec):
+    # sigma fixes O_K, so the first e_K columns of sigma-1 are zero already;
+    # dropping any other column leaves one more free factor p^N
+    ext = build_extension(spec)
+    rows = linear_map_of(ext, "sigma-minus-one").rows
+    assert not any(row[c] for row in rows for c in range(ext.e_K))
+    for col in range(ext.e_K, ext.tower.dim):
+        with monkeypatch.context() as patch:
+            def drop(rows, pN, col=col):
+                for row in rows:
+                    row[col] = 0
+            _mutate_sigma_minus_one(patch, drop)
+            with pytest.raises(VerificationError, match="free factors p\\^N"):
+                h1_level1(ext)
+
+
+@pytest.mark.parametrize("spec", MUTATED_SPECS[:3], ids=_spec_id)
+def test_h1_trace_check_catches_a_coboundary_off_the_kernel(monkeypatch, spec):
+    # adding 1 to a column adds tr(1) = p to its trace
+    ext = build_extension(spec)
+    for col in range(ext.tower.dim):
+        with monkeypatch.context() as patch:
+            def bump(rows, pN, col=col):
+                rows[0][col] = (rows[0][col] + 1) % pN
+            _mutate_sigma_minus_one(patch, bump)
+            with pytest.raises(VerificationError, match="escape the trace kernel"):
+                h1_level1(ext)
 
 
 def test_h1_class_representative_is_nontrivial(sqrt2):
