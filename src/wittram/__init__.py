@@ -15,14 +15,12 @@ from .errors import (
     InvalidExtension,
     LengthMismatch,
     NoSolution,
-    NotAUnit,
     NotEisenstein,
     PrecisionExhausted,
     ResourceLimit,
     SamplingExhausted,
     SigmaNotARoot,
     SigmaWrongOrder,
-    UnstableInvariants,
     VerificationError,
     WittramError,
 )
@@ -30,7 +28,6 @@ from .rings import (
     OLElement,
     Tower,
     Valuation,
-    invert,
     valuation_K,
     valuation_L,
 )

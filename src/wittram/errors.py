@@ -5,10 +5,6 @@ class WittramError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotAUnit(WittramError):
-    """Inversion was requested for an element of positive valuation."""
-
-
 class NotEisenstein(WittramError):
     """A tower modulus fails the Eisenstein conditions."""
 
@@ -51,10 +47,6 @@ class SamplingExhausted(WittramError):
     def __init__(self, message, level=None):
         super().__init__(message)
         self.level = level
-
-
-class UnstableInvariants(WittramError):
-    """Cohomology invariants disagreed between two working precisions."""
 
 
 class VerificationError(WittramError):

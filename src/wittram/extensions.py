@@ -34,6 +34,7 @@ from .errors import (
     SigmaNotARoot,
     SigmaWrongOrder,
     VerificationError,
+    WittramError,
 )
 from .linalg import matvec
 from .rings import OLElement, Tower, is_prime, valuation_L
@@ -137,8 +138,16 @@ class ExtensionData:
 def _twin(ext: ExtensionData, precision: int) -> ExtensionData:
     """``ext`` rebuilt at ``precision``, built once per pair: the saturated
     kernels and the ghost lift of Witt arithmetic both work in it.  At its
-    own precision ``ext`` is its twin."""
-    return ext if precision == ext.N else ext.with_precision(precision)
+    own precision ``ext`` is its twin.  A rebuild that fails is a
+    ConfigError naming the requested and the working precision."""
+    if precision == ext.N:
+        return ext
+    try:
+        return ext.with_precision(precision)
+    except WittramError as exc:
+        raise ConfigError(
+            f"precision N = {ext.N} needs working precision {precision}, "
+            f"which fails: {exc}") from exc
 
 
 def _ok_linear_matrix(tower: Tower, images) -> tuple:

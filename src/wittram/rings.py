@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAUnit, NotEisenstein, PrecisionExhausted, InvalidExtension
+from .errors import NotEisenstein, PrecisionExhausted, InvalidExtension
 
 
 def padic_val(n: int, p: int) -> int:
@@ -170,7 +170,7 @@ class OLElement:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("use invert() for negative powers")
+            raise ValueError("negative powers are not supported")
         if n == 0:
             return self.tower.one_ol
         result = self
@@ -179,11 +179,6 @@ class OLElement:
             if bit == "1":
                 result = result * self
         return result
-
-    def scale_int(self, c: int) -> "OLElement":
-        pN = self.tower.pN
-        c %= pN
-        return OLElement(self.tower, tuple((a * c) % pN for a in self.coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -406,28 +401,3 @@ def valuation_K(a: OLElement) -> Valuation:
         raise ValueError("element does not lie in O_K")
     v = valuation_L(a)
     return Valuation(v.kind, v.value // a.tower.p)
-
-
-def invert(u: OLElement) -> OLElement:
-    """Inverse of a unit of O_L at precision.
-
-    Starts from the inverse of the residue (the residue field is F_p, so
-    the residue of u is its constant scalar coordinate mod p) and runs the
-    quadratically convergent iteration x <- x(2 - ux); k steps give
-    v_L(1 - ux) >= 2^k.
-    """
-    tower = u.tower
-    v = valuation_L(u)
-    if not v.is_exact or v.value != 0:
-        raise NotAUnit(f"valuation {v} is not exact(0)")
-    x = tower.ol_const(pow(u.coeffs[0] % tower.p, -1, tower.p))
-    one = tower.one_ol
-    steps = max(1, (tower.horizon_L - 1).bit_length() + 1)
-    for _ in range(steps):
-        err = one - u * x
-        if err.is_zero:
-            break
-        x = x + x * err
-    if u * x != one:
-        raise NotAUnit("inversion did not converge; element is not a unit")
-    return x

@@ -195,11 +195,11 @@ def test_c7_sharpness_negative_control(sqrt2):
 def test_c8_level1_cohomology(gaussian, sqrt2, cyclo):
     ok = True
     for ext, order in ((gaussian, 2), (sqrt2, 2), (cyclo, 9)):
-        inv = h1_level1(ext)  # raises on instability across N and N+4
+        inv = h1_level1(ext)  # raises unless exactly e_K factors are p^N
         ok &= prod(inv) == order
         ok &= prod(inv) == ext.p ** trace_index_exponent(ext)
     report(8, "H^1 orders 2, 2, 9 equal the independent trace-image index; "
-              "invariant factors stable across precisions", ok)
+              "invariant factors certified by e_K free factors p^N", ok)
 
 
 def test_c9_determinism(tmp_path):

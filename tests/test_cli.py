@@ -207,6 +207,59 @@ def test_precision_ceiling_is_the_int_to_str_limit(capsys):
         build_extension("quadratic-sqrt2", precision=14285)
 
 
+#: cyclotomic-step at p = 3 with 3^32 added to sigma(pi_L): the built-in
+#: extension at N <= 32, but sigma(pi_L) is no root of E_L above that
+SHIFTED_CYCLO_DOC = {"kind": "custom", "p": 3, "E_K": [3, 3],
+                     "E_L": [[0, -1], [3, 0], [3, 0]],
+                     "sigma_pi": [[str(3 ** 32)], [4], [6], [4], [1]]}
+
+
+@pytest.fixture
+def sources(tmp_path):
+    """CLI flags of two extensions that are valid at the requested precision
+    and cannot be rebuilt above it."""
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(SHIFTED_CYCLO_DOC), encoding="utf-8")
+    return {"shifted": ["--spec-file", str(path), "--precision", "32"],
+            "sqrt2": ["--extension", "quadratic-sqrt2", "--precision", "14284"]}
+
+
+def test_shifted_cyclotomic_spec_is_the_built_in_at_its_precision(sources, capsys):
+    ext = extensions.resolve_extension(sources["shifted"][1], 32)
+    assert ext.sigma == build_extension("cyclotomic-step", precision=32).sigma
+    assert main(["extension-info"] + sources["shifted"]) == 0
+    assert main(["verify", "--suites", "trace-lemmas"] + sources["shifted"]) == 0
+
+
+@pytest.mark.parametrize("source,factors", [("shifted", [3, 3]), ("sqrt2", [2])])
+def test_h1_runs_at_the_requested_precision(sources, capsys, source, factors):
+    # h1 builds no twin, so neither a twin that is no extension nor one past
+    # the precision ceiling stops it
+    assert main(["verify", "--suites", "h1", "--format", "json"]
+                + sources[source]) == 0
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    assert suite["status"] == "pass"
+    assert suite["checks"][0]["detail"] == {"invariant_factors": factors}
+
+
+@pytest.mark.parametrize("source,suite,requested,working", [
+    # the sampler's saturated kernel works at N + 4
+    ("shifted", "cascade", 32, 36),
+    ("shifted", "proposition", 32, 36),
+    ("sqrt2", "cascade", 14284, 14288),
+    # p^m <= t: the negative control's length-2 Witt trace works at N + 1
+    ("sqrt2", "proposition", 14284, 14285),
+])
+def test_failing_twin_names_both_precisions(sources, capsys, source, suite,
+                                            requested, working):
+    assert main(["verify", "--suites", suite] + sources[source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: precision N = {requested} needs working "
+                           f"precision {working}, which fails: ")
+
+
 @pytest.mark.parametrize("flag,value", [("--m", "-1"), ("--trials", "0"),
                                         ("--trials", "-3")])
 def test_bad_m_or_trials_exits_2(flag, value, capsys):

@@ -93,7 +93,7 @@ def test_coboundaries_inside_trace_kernel(all_extensions):
 
 def test_solve_sigma_minus_one_example(sqrt2):
     lm = linear_map_of(sqrt2, "sigma-minus-one")
-    b = sqrt2.tower.pi_L.scale_int(2)
+    b = 2 * sqrt2.tower.pi_L
     x = solve_linear(lm, b)
     assert sqrt2.apply_sigma(x) - x == b
 
@@ -422,27 +422,37 @@ def _spec_id(value):
 ] + [(T4_SPEC, N) for N in (5, 32, 48)], ids=_spec_id)
 def test_h1_matches_the_saturated_kernel_quotient(spec, precision):
     # oracle: H^1 as the quotient of the saturated trace kernel by the
-    # coboundaries, two presented submodules instead of coker(sigma-1)
+    # coboundaries, two presented submodules instead of coker(sigma-1); and
+    # the factors certified at N are those at N + 4
     ext = build_extension(spec, precision=precision)
     kernel = trace_kernel_saturated(ext)
     expected = quotient_invariants(list(kernel.rows),
                                    list(coboundary_image(ext).rows), ext.p, ext.N)
     assert expected
     assert h1_level1(ext) == expected
+    assert h1_level1(_twin(ext, ext.N + 4)) == expected
 
 
-def test_h1_builds_one_twin_and_eliminates_no_matrix(monkeypatch, howell_calls):
+def test_h1_builds_no_twin_and_eliminates_no_matrix(monkeypatch, howell_calls):
     ext = build_extension("cyclotomic-step")  # fresh: no cache holds its twins
     rebuild = ExtensionData.with_precision
     built = []
+    smith = cohomology.smith_invariants
+    eliminated = []
 
     def counting(self, precision):
         built.append(precision)
         return rebuild(self, precision)
 
+    def counting_smith(*args):
+        eliminated.append(args)
+        return smith(*args)
+
     monkeypatch.setattr(ExtensionData, "with_precision", counting)
+    monkeypatch.setattr(cohomology, "smith_invariants", counting_smith)
     assert h1_level1(ext) == (3, 3)
-    assert built == [ext.N + SATURATION_MARGIN]
+    assert built == []
+    assert len(eliminated) == 1
     assert howell_calls == []
 
 
