@@ -8,9 +8,18 @@ precision (``LinearMap.columns``): the trace image, the coboundaries
 im(sigma-1), the trace kernel and every solve tr(x) = c or (sigma-1)x = a
 are read off that one presentation.  On top of it this module provides:
 
-* one level step of the trace-zero recursion, tr(a_n) cancelling level n of
-  the Witt trace of (a_0, ..., a_{n-1}, 0): the sampler adds kernel draws
-  and backtracks, the sharpness witness takes its solutions as they are;
+* one level step of the trace-zero recursion: tr(a_n) cancels the carry
+  delta_n of the prefix, component n of the Witt trace of
+  (a_0, ..., a_{n-1}, 0).  For a prefix that is trace-zero at precision N,
+  delta_n = -tr(W_n)/p^n mod p^N with W_n = sum_{i<n} p^i a_i^(p^(n-i)),
+  one ghost level: the lower Witt-trace components z_i are divisible by
+  p^N, so each recovery term p^i z_i^(p^(n-i)) has valuation at least
+  i + N p^(n-i) >= N + n and vanishes after the division by p^n.  That
+  holds in any twin at precision >= N+n, so one twin at N+m serves every
+  level, and each component keeps its Frobenius chain a_i, a_i^p, ...
+  there until its level is redrawn.  The sampler adds kernel draws and
+  backtracks, the sharpness witness takes the solutions as they are, and
+  both certify the finished vector with the general Witt trace;
 
 * verifiers for the trace valuation bounds, for the level-by-level
   valuation cascade on trace-zero vectors, and for the vanishing of the
@@ -150,12 +159,9 @@ def trace_kernel_saturated(ext: ExtensionData) -> HowellBasis:
 
 
 def trace_image(ext: ExtensionData) -> HowellBasis:
-    """Howell basis of tr(O_L); VerificationError if it leaves the O_K block."""
-    img = linear_map_of(ext, "trace").columns.span
-    for row in img.rows:
-        if any(row[ext.e_K:]):
-            raise VerificationError("trace image leaves the O_K block")
-    return img
+    """Howell basis of tr(O_L); inside the O_K block, because the trace
+    matrix has no nonzero row outside it (``ExtensionData.trace_matrix``)."""
+    return linear_map_of(ext, "trace").columns.span
 
 
 def coboundary_image(ext: ExtensionData) -> HowellBasis:
@@ -188,8 +194,8 @@ def trace_image_exponent(ext: ExtensionData) -> int:
 
 
 def trace_index_exponent(ext: ExtensionData) -> int:
-    """log_p |O_K / tr(O_L)| computed from the image alone (which
-    ``trace_image`` keeps inside the O_K block)."""
+    """log_p |O_K / tr(O_L)| computed from the image alone (which lies in
+    the O_K block, see ``trace_image``)."""
     return ext.N * ext.e_K - trace_image(ext).order_exponent()
 
 
@@ -284,18 +290,46 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
 # -- trace-zero sampler -------------------------------------------------------
 
 
-def _carry_target(ext: ExtensionData, comps, n: int) -> OLElement:
-    """The required tr(a_n): minus component n of the Witt trace of
-    (a_0, ..., a_{n-1}, 0), which is -f_n at X_{i,j} = sigma^i(a_j)."""
-    vec = WittVec(ext, tuple(comps[:n]) + (ext.tower.zero_ol,))
-    return -witt_trace(vec)[n]
+def _frobenius_chain(hi: ExtensionData, a: OLElement) -> list:
+    """[a] with its coordinates lifted into the twin ``hi``; ``_carry_target``
+    extends it to (a, a^p, a^(p^2), ...) as far as a level needs."""
+    return [OLElement(hi.tower, a.coeffs)]
 
 
-def _level_step(ext: ExtensionData, image: HowellBasis, tr_map: LinearMap,
-                prefix) -> OLElement | None:
+def _carry_target(ext: ExtensionData, hi: ExtensionData, chains,
+                  n: int) -> OLElement:
+    """The required tr(a_n) for a trace-zero prefix (a_0, ..., a_{n-1})
+    whose components have the Frobenius chains ``chains`` in ``hi``, a twin
+    at precision at least N+n: -tr(W_n)/p^n reduced to N, with
+    W_n = sum_{i<n} p^i a_i^(p^(n-i)).
+
+    This is minus component n of the Witt trace of (a_0, ..., a_{n-1}, 0),
+    i.e. -f_n at X_{i,j} = sigma^i(a_j) (see the module docstring).
+    VerificationError when p^n does not divide tr(W_n): the prefix was not
+    trace-zero.
+    """
+    p = ext.p
+    w = [0] * hi.tower.dim
+    for i, chain in enumerate(chains[:n]):
+        while len(chain) <= n - i:
+            chain.append(chain[-1] ** p)
+        weight = p ** i
+        w = [x + weight * y for x, y in zip(w, chain[n - i].coeffs)]
+    tr = hi.trace(hi.tower.element(w)).coeffs
+    pn = p ** n
+    if any(x % pn for x in tr):
+        raise VerificationError(
+            f"carry target at level {n} is not divisible by p^{n}: "
+            f"the prefix is not trace-zero")
+    return -ext.tower.element([x // pn for x in tr])
+
+
+def _level_step(ext: ExtensionData, hi: ExtensionData, image: HowellBasis,
+                tr_map: LinearMap, chains) -> OLElement | None:
     """Some a_n with tr(a_n) = -f_n(sigma^i(a_j)) for the trace-zero prefix
-    (a_0, ..., a_{n-1}); None when no a_n exists (target not in ``image``)."""
-    c = _carry_target(ext, prefix, len(prefix))
+    (a_0, ..., a_{n-1}) given by its Frobenius ``chains`` in ``hi``; None
+    when no a_n exists (target not in ``image``)."""
+    c = _carry_target(ext, hi, chains, len(chains))
     if not c.lies_in_K:
         raise VerificationError("carry target left O_K")
     if not member(image, c.coeffs):
@@ -319,7 +353,8 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
     the carry target leaves the trace image the sampler redraws the
     previous level, backing off all the way to level 0 as the per-level
     retry budgets run out (a prefix can be genuinely unextendable:
-    valuation constraints propagate downward).
+    valuation constraints propagate downward).  Every component keeps its
+    Frobenius chain in the one twin at N+m until its level is redrawn.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -327,8 +362,10 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
     kernel = trace_kernel_saturated(ext)
     image = trace_image(ext)
     tr_map = linear_map_of(ext, "trace")
+    hi = _twin(ext, ext.N + m)
 
     comps = [random_from_basis(ext, kernel, rng)]
+    chains = [_frobenius_chain(hi, comps[0])]
     particular = [ext.tower.zero_ol] + [None] * m
     retries = [0] * (m + 1)
     attempts = 0
@@ -338,10 +375,11 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
         if attempts > RETRY_BUDGET * (m + 1) * 4:
             raise SamplingExhausted(
                 f"global retry budget exhausted at level {n}", level=n)
-        x = _level_step(ext, image, tr_map, comps)
+        x = _level_step(ext, hi, image, tr_map, chains)
         if x is not None:
             particular[n] = x
             comps.append(x + random_from_basis(ext, kernel, rng))
+            chains.append(_frobenius_chain(hi, comps[n]))
             n += 1
             continue
         # backtrack: redraw the deepest level whose budget still allows it
@@ -354,6 +392,7 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
             lvl -= 1
         retries[lvl] += 1
         comps[lvl:] = [particular[lvl] + random_from_basis(ext, kernel, rng)]
+        chains[lvl:] = [_frobenius_chain(hi, comps[lvl])]
         n = lvl + 1
     return _trace_zero(ext, comps)
 
@@ -472,12 +511,15 @@ def deterministic_witness(ext: ExtensionData, m: int):
         return None, "pi_L is not trace-zero; no deterministic witness"
     image = trace_image(ext)
     tr_map = linear_map_of(ext, "trace")
+    hi = _twin(ext, ext.N + m)
     comps = [a0]
+    chains = [_frobenius_chain(hi, a0)]
     for n in range(1, m + 1):
-        x = _level_step(ext, image, tr_map, comps)
+        x = _level_step(ext, hi, image, tr_map, chains)
         if x is None:
             return None, f"carry target left the trace image at level {n}"
         comps.append(x)
+        chains.append(_frobenius_chain(hi, x))
     return _trace_zero(ext, comps), None
 
 
@@ -521,7 +563,8 @@ def h1_level1(ext: ExtensionData) -> tuple:
     """
     pN = ext.tower.pN
     columns = list(zip(*linear_map_of(ext, "sigma-minus-one").rows))
-    if any(any(matvec(ext.trace_matrix, col, pN)) for col in columns):
+    trace_rows = ext.trace_matrix[:ext.e_K]  # the other rows are zero
+    if any(any(matvec(trace_rows, col, pN)) for col in columns):
         raise VerificationError(
             f"coboundaries escape the trace kernel at N={ext.N}")
     factors = smith_invariants(columns, ext.p, ext.N, ext.tower.dim)

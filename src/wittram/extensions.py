@@ -104,10 +104,16 @@ class ExtensionData:
         """tr_{L/K} = 1 + sigma + ... + sigma^{p-1} as a matrix like ``sigma``.
 
         The trace is O_K-linear, so only tr(pi_L^i), i < p, needs conjugates.
+        Its values lie in O_K, so rows e_K ... D-1 are zero; VerificationError
+        otherwise (sigma is then no automorphism of L/K).
         """
         pi = self.tower.pi_L
-        return _ok_linear_matrix(self.tower, [sum(self.conjugates(pi ** i))
+        rows = _ok_linear_matrix(self.tower, [sum(self.conjugates(pi ** i))
                                               for i in range(self.p)])
+        if any(any(row) for row in rows[self.e_K:]):
+            raise VerificationError(
+                f"the trace leaves O_K at N={self.N}: sigma is not a Galois action")
+        return rows
 
     def apply_sigma(self, a: OLElement, power: int = 1) -> OLElement:
         """sigma^power applied to an element of O_L."""
@@ -123,8 +129,11 @@ class ExtensionData:
         return tuple(out)
 
     def trace(self, a: OLElement) -> OLElement:
-        """tr_{L/K}(a) = a + sigma(a) + ... + sigma^{p-1}(a)."""
-        return OLElement(self.tower, matvec(self.trace_matrix, a.coeffs, self.tower.pN))
+        """tr_{L/K}(a) = a + sigma(a) + ... + sigma^{p-1}(a), from the O_K
+        rows of the trace matrix (the others are zero)."""
+        tower, e = self.tower, self.e_K
+        return OLElement(tower, matvec(self.trace_matrix[:e], a.coeffs, tower.pN)
+                         + (0,) * (tower.dim - e))
 
     def with_precision(self, precision: int) -> "ExtensionData":
         return build_extension(replace(self.spec, precision=precision))

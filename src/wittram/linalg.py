@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import NoSolution
 from .rings import padic_val
@@ -199,7 +200,7 @@ def solve_columnwise(columns: Presentation, b) -> tuple:
 
 
 def matvec(matrix_rows, x, pN: int) -> tuple:
-    return tuple(sum(row[c] * x[c] for c in range(len(x))) % pN for row in matrix_rows)
+    return tuple(sum(map(mul, row, x)) % pN for row in matrix_rows)
 
 
 def smith_invariants(rows, p: int, N: int, width: int) -> list:

@@ -117,13 +117,16 @@ def _ghost(hi: ExtensionData, comps) -> list:
 
 def _from_ghost(ext: ExtensionData, hi: ExtensionData, ghosts) -> WittVec:
     """The Witt vector over ``ext`` whose ghost components in ``hi`` are
-    ``ghosts``; raises IntegralityError where p^k fails to divide."""
+    ``ghosts``; raises IntegralityError where p^k fails to divide.  A zero
+    z_i has a zero power chain, which is skipped."""
     p = ext.p
     powers = []
     comps = []
     for k, w in enumerate(ghosts):
         w = w.coeffs
         for i in range(k):
+            if powers[i].is_zero:
+                continue
             powers[i] = powers[i] ** p  # z_i^(p^(k-i))
             w = [x - p ** i * y for x, y in zip(w, powers[i].coeffs)]
         pk = p ** k

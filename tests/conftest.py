@@ -1,6 +1,6 @@
 import pytest
 
-from wittram import build_extension, linalg
+from wittram import ExtensionData, build_extension, linalg
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,21 @@ def cyclo():
 def all_extensions(gaussian, sqrt2, cyclo):
     return (gaussian, sqrt2, cyclo)
 
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """The precisions of every extension rebuilt (``_twin``) after the
+    fixture is set up; build the extension under test fresh, so that no
+    cache holds its twins."""
+    built = []
+    rebuild = ExtensionData.with_precision
+
+    def counting(self, precision):
+        built.append(precision)
+        return rebuild(self, precision)
+
+    monkeypatch.setattr(ExtensionData, "with_precision", counting)
+    return built
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ from math import prod
 import pytest
 
 from wittram import (
-    ExtensionData,
     ExtensionSpec,
     NoSolution,
     Valuation,
@@ -247,28 +246,27 @@ def test_sampler_at_length_three(sqrt2_hi, cyclo):
         assert witt_trace(v).is_zero
 
 
-def test_length_one_sample_rebuilds_only_the_saturation_twin(monkeypatch):
+def test_length_one_sample_rebuilds_only_the_saturation_twin(rebuilds):
     # a length-1 Witt trace works at the extension's own precision, so the
-    # saturated kernel's twin is the one rebuild (a fresh build, so no cache
-    # holds its twins)
+    # saturated kernel's twin is the one rebuild
     ext = build_extension("quadratic-sqrt2")
-    rebuild = ExtensionData.with_precision
-    built = []
-
-    def counting(self, precision):
-        built.append(precision)
-        return rebuild(self, precision)
-
-    monkeypatch.setattr(ExtensionData, "with_precision", counting)
     sample_trace_zero(ext, 0, seed=1)
-    assert built == [ext.N + SATURATION_MARGIN]
+    assert rebuilds == [ext.N + SATURATION_MARGIN]
+
+
+def test_length_five_sample_rebuilds_only_the_twin_at_n_plus_4(rebuilds):
+    # every carry target and the final Witt trace work in the one twin at
+    # N+m, which at m = 4 is also the saturated kernel's twin
+    ext = build_extension("quadratic-gaussian")
+    assert witt_trace(sample_trace_zero(ext, 4, seed=0)).is_zero
+    assert rebuilds == [ext.N + 4]
 
 
 def test_carry_target_outside_o_k_is_a_consistency_error(sqrt2, monkeypatch):
     # a carry target is a trace, so it lies in O_K; one outside is an
     # implementation bug, never a prefix to backtrack from
     monkeypatch.setattr(cohomology, "_carry_target",
-                        lambda ext, comps, n: ext.tower.pi_L)
+                        lambda ext, hi, chains, n: ext.tower.pi_L)
     with pytest.raises(VerificationError, match="carry target left O_K"):
         sample_trace_zero(sqrt2, 1, seed=0)
     with pytest.raises(VerificationError, match="carry target left O_K"):
@@ -433,25 +431,19 @@ def test_h1_matches_the_saturated_kernel_quotient(spec, precision):
     assert h1_level1(_twin(ext, ext.N + 4)) == expected
 
 
-def test_h1_builds_no_twin_and_eliminates_no_matrix(monkeypatch, howell_calls):
-    ext = build_extension("cyclotomic-step")  # fresh: no cache holds its twins
-    rebuild = ExtensionData.with_precision
-    built = []
+def test_h1_builds_no_twin_and_eliminates_no_matrix(monkeypatch, howell_calls,
+                                                     rebuilds):
+    ext = build_extension("cyclotomic-step")
     smith = cohomology.smith_invariants
     eliminated = []
-
-    def counting(self, precision):
-        built.append(precision)
-        return rebuild(self, precision)
 
     def counting_smith(*args):
         eliminated.append(args)
         return smith(*args)
 
-    monkeypatch.setattr(ExtensionData, "with_precision", counting)
     monkeypatch.setattr(cohomology, "smith_invariants", counting_smith)
     assert h1_level1(ext) == (3, 3)
-    assert built == []
+    assert rebuilds == []
     assert len(eliminated) == 1
     assert howell_calls == []
 

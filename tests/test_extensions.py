@@ -1,5 +1,6 @@
 """Extension construction, ramification breaks, and the conjugate-product basis."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from wittram import (
     SigmaNotARoot,
     SigmaWrongOrder,
     Valuation,
+    VerificationError,
     build_extension,
     load_spec_file,
     ramification_break,
@@ -35,6 +37,15 @@ def test_sqrt2_break(sqrt2):
     diff = sqrt2.sigma_pi - sqrt2.tower.pi_L
     assert valuation_L(diff) == Valuation.exact(3)
     assert sqrt2.t == 2
+
+
+def test_trace_matrix_refuses_a_trace_outside_o_k(sqrt2):
+    # with sigma corrupted to the identity, tr(pi_L) = 2 pi_L leaves O_K
+    dim = sqrt2.tower.dim
+    identity = tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
+    corrupted = dataclasses.replace(sqrt2, sigma=identity)
+    with pytest.raises(VerificationError, match="the trace leaves O_K"):
+        corrupted.trace_matrix
 
 
 def test_cyclotomic_invariants(cyclo):

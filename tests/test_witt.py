@@ -5,14 +5,18 @@ import random
 import pytest
 
 from wittram import (
+    ExtensionSpec,
     IntegralityError,
     LengthMismatch,
     Valuation,
+    VerificationError,
     WittVec,
     apply_sigma,
+    build_extension,
     carry_polynomial,
     ghost_map,
     restrict,
+    sample_trace_zero,
     sum_polynomials,
     teichmuller,
     valuation_L,
@@ -22,8 +26,11 @@ from wittram import (
     witt_trace,
     witt_zero,
 )
+from wittram.cohomology import _carry_target, _frobenius_chain, random_element
+from wittram.extensions import _twin
 from wittram.witt import _from_ghost, evaluate_poly
-from wittram.cohomology import _carry_target, random_element
+
+from test_cohomology import T4_SPEC
 
 
 def rand_vec(ext, rng, length, shift=0):
@@ -192,9 +199,11 @@ def test_trace_invariant_under_sigma(all_extensions):
 
 
 def test_trace_carry_identity(all_extensions):
-    # -f_n at X_{i,j} = sigma^i(a_j) equals sum_i sigma^i(a_n) minus the
-    # level-n component of the Witt sum of the conjugates; the direct
-    # evaluation of the carry polynomial is the independent oracle
+    # on any vector, minus component n of the Witt trace of
+    # (a_0, ..., a_{n-1}, 0) equals sum_i sigma^i(a_n) minus the level-n
+    # component of the Witt sum of the conjugates, and -f_n at
+    # X_{i,j} = sigma^i(a_j); the direct evaluation of the carry polynomial
+    # is the independent oracle
     rng = random.Random(14)
     for ext in all_extensions:
         for _ in range(8):
@@ -202,14 +211,48 @@ def test_trace_carry_identity(all_extensions):
             total = witt_trace(a)
             conj = [ext.conjugates(c) for c in a.components]
             for n in range(1, 3):
-                target = _carry_target(ext, a.components, n)
-                plain_sum = ext.tower.zero_ol
-                for i in range(ext.p):
-                    plain_sum = plain_sum + conj[n][i]
-                assert target == plain_sum - total[n]
+                prefix = WittVec(ext, a.components[:n] + (ext.tower.zero_ol,))
+                target = -witt_trace(prefix)[n]
+                assert target == sum(conj[n]) - total[n]
                 assign = {(i, j): conj[j][i] for i in range(ext.p) for j in range(n)}
                 f_n = carry_polynomial(ext.p, n)
                 assert target == -evaluate_poly(f_n, assign, ext)
+
+
+@pytest.mark.parametrize("spec,levels", [
+    (ExtensionSpec("quadratic-gaussian"), 3),
+    (ExtensionSpec("quadratic-sqrt2"), 3),
+    (ExtensionSpec("cyclotomic-step", p=3), 2),
+    (ExtensionSpec("cyclotomic-step", p=5), 1),
+    (T4_SPEC, 3),
+], ids=lambda v: f"{v.kind}{v.p or ''}" if isinstance(v, ExtensionSpec) else None)
+def test_carry_target_on_trace_zero_prefixes(spec, levels):
+    # for a trace-zero prefix the carry target read off the one ghost level
+    # W_n equals both oracles of the identity above, in the least twin at
+    # N+n and in the sampler's twin at N+levels
+    ext = build_extension(spec)
+    for n in range(1, levels + 1):
+        f_n = carry_polynomial(ext.p, n)
+        for seed in range(3):
+            prefix = sample_trace_zero(ext, n - 1, seed=seed).components
+            full = WittVec(ext, prefix + (ext.tower.zero_ol,))
+            conj = [ext.conjugates(c) for c in prefix]
+            assign = {(i, j): conj[j][i] for i in range(ext.p) for j in range(n)}
+            expected = -witt_trace(full)[n]
+            assert expected == -evaluate_poly(f_n, assign, ext)
+            for hi in (_twin(ext, ext.N + n), _twin(ext, ext.N + levels)):
+                chains = [_frobenius_chain(hi, c) for c in prefix]
+                assert _carry_target(ext, hi, chains, n) == expected
+
+
+def test_carry_target_refuses_a_prefix_that_is_not_trace_zero(gaussian):
+    # tr(1) = 2 != 0, and W_2 of (1, 0) is 1, whose trace 2 is not
+    # divisible by p^2 = 4
+    hi = _twin(gaussian, gaussian.N + 2)
+    t = gaussian.tower
+    chains = [_frobenius_chain(hi, t.one_ol), _frobenius_chain(hi, t.zero_ol)]
+    with pytest.raises(VerificationError, match="level 2 is not divisible by p"):
+        _carry_target(gaussian, hi, chains, 2)
 
 
 # -- ghost map -----------------------------------------------------------------------
