@@ -214,7 +214,7 @@ def random_element(ext: ExtensionData, rng: random.Random,
     cap = 2 * ext.e_L if shift_cap is None else shift_cap
     k = rng.randrange(cap) if cap > 0 else 0
     if k:
-        a = a * tower.pi_L ** k
+        a = a * tower.pi_L_power(k)
     return a
 
 

@@ -18,12 +18,16 @@ unreduced monomials pi_L^i pi_K^j (i < 2p-1, j < 2e_K-1) of a product of
 two elements get one slot each, i*(2e_K-1) + j, so that the slots of two
 monomials add to the slot of their product; ``Tower._slot`` maps each
 basis coordinate to its slot.  The D^2 coefficient products land in the
-grid, and each of the roughly 3D slots outside the basis is folded back
-through the reduced coordinates of its monomial (``Tower._fold``).  Those
-are computed once per tower, each monomial reached from its neighbour by
-one shift: multiplying by pi_K shifts within every O_K block and reduces by
-E_K, multiplying by pi_L shifts the blocks and folds the overflow block
-back in through E_L.
+grid, and the slots outside the basis are folded back in stages
+(``Tower._fold``), rows from the top down: within each row the columns
+j >= e_K fold through the reduced pi_K^j, one integer scalar per target
+column, and in the rows i >= p each remaining column folds through E_L into
+the rows i-p .. i-1, one scalar per nonzero O_K coordinate of E_L.  A target
+that lands outside the basis is folded again when its row comes.  The
+one-step shifts build the fold and the powers of pi_L (``Tower.pi_L_power``):
+multiplying by pi_K shifts within every O_K block and reduces by E_K,
+multiplying by pi_L shifts the blocks and folds the overflow block back in
+through E_L.
 
 Valuations are L-normalized: v_L(pi_L) = 1, v_L(pi_K) = p, v_L(p) = e_L =
 p*e_K.  The monomials pi_L^i pi_K^j have pairwise distinct valuations
@@ -248,6 +252,7 @@ class Tower:
         self.one_ol = self.ol_const(1)
         self.pi_K = self.from_rows([[0, 1]])
         self.pi_L = self.from_rows([[0], [1]])
+        self._pi_L_powers = [self.one_ol]
 
     # -- constructors -------------------------------------------------
 
@@ -270,6 +275,13 @@ class Tower:
             acc = self._times_pi_L(acc)
             acc[:e] = [(a + b) % self.pN for a, b in zip(acc[:e], self._ok_block(row))]
         return OLElement(self, tuple(acc))
+
+    def pi_L_power(self, k: int) -> OLElement:
+        """pi_L^k, from a table extended by one pi_L shift per power."""
+        powers = self._pi_L_powers
+        while len(powers) <= k:
+            powers.append(OLElement(self, tuple(self._times_pi_L(powers[-1].coeffs))))
+        return powers[k]
 
     # -- reduction and multiplication ----------------------------------
 
@@ -304,21 +316,40 @@ class Tower:
     def _build_slots(self):
         """The product grid: slot i*(2e_K-1) + j holds the monomial
         pi_L^i pi_K^j for i < 2p-1, j < 2e_K-1.  Returns the slot of each
-        basis coordinate, and for each slot outside the basis the nonzero
-        coordinates of its reduced monomial, as (basis slot, scalar) pairs."""
+        basis coordinate, and the staged fold: for each slot outside the
+        basis, in the order ``flat_mul`` folds them, the (target slot,
+        scalar) pairs it is folded into.
+
+        Rows are folded from the top down.  In every row the columns j >= e_K
+        fold into the same row's columns below e_K through the reduced pi_K^j
+        (E_K has integer coefficients, so each target takes one scalar).  In
+        a row i >= p each column l < e_K then folds into rows i-p+k at
+        columns l+l', one pair per nonzero O_K coordinate l' of -E_L[k].
+        Every target lies in a lower row, or left of the columns being
+        folded, so it is folded in turn if it lies outside the basis."""
         p, e = self.p, self.e_K
         width = 2 * e - 1
         slot = tuple(i * width + j for i in range(p) for j in range(e))
+        # the reduced pi_K^j for e_K <= j < 2e_K-1, as (column, scalar) pairs
+        ok_powers = []
+        vec = [0] * (e - 1) + [1]
+        for _ in range(e, width):
+            vec = self._times_pi_K(vec)
+            ok_powers.append(tuple((l, c) for l, c in enumerate(vec) if c))
+        # pi_L^p = -E_L, as (slot offset, scalar) pairs from row i to i-p+k
+        drops = []
+        for n, c in enumerate(self._overflow[0]):
+            if c:
+                k, l = divmod(n, e)
+                drops.append(((k - p) * width + l, c))
         fold = []
-        row = [1] + [0] * (self.dim - 1)
-        for i in range(2 * p - 1):
-            vec = row
-            for j in range(width):
-                if i >= p or j >= e:
-                    fold.append((i * width + j,
-                                 tuple((slot[k], c) for k, c in enumerate(vec) if c)))
-                vec = self._times_pi_K(vec)
-            row = self._times_pi_L(row)
+        for i in reversed(range(2 * p - 1)):
+            base = i * width
+            for j, vec in enumerate(ok_powers, e):
+                fold.append((base + j, tuple((base + l, c) for l, c in vec)))
+            if i >= p:
+                for l in range(e):
+                    fold.append((base + l, tuple((base + l + d, c) for d, c in drops)))
         return slot, tuple(fold)
 
     def flat_mul(self, x, y) -> list:

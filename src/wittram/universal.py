@@ -94,10 +94,16 @@ def decode_monomial(mono: int) -> tuple:
     return tuple(factors)
 
 
-def _output_key(mono: int, factors: tuple):
+@lru_cache(maxsize=None)
+def _rendered(mono: int) -> tuple:
+    """The output sort key of a packed monomial and its text, " i:j^e" per
+    factor in (j, i) order (empty for the constant monomial); decoded once
+    per monomial, since the polynomial families share most of theirs."""
+    factors = decode_monomial(mono)
     # graded lex, descending: higher degree first, then larger exponent on
     # the earliest variable in the (j, i) order
-    return (-(mono & _MASK), tuple(((j, i), -e) for (i, j), e in factors))
+    key = (-(mono & _MASK), tuple(((j, i), -e) for (i, j), e in factors))
+    return key, "".join(f" {i}:{j}^{e}" for (i, j), e in factors)
 
 
 def _max_degree(terms: dict) -> int:
@@ -265,11 +271,10 @@ class SymPoly:
         then "i:j^e" pairs in (j, i) order."""
         rows = []
         for mono, coeff in self.terms.items():
-            factors = decode_monomial(mono)
-            rows.append((_output_key(mono, factors), coeff, factors))
+            key, text = _rendered(mono)
+            rows.append((key, str(coeff) + text))
         rows.sort()
-        return [" ".join([str(coeff)] + [f"{i}:{j}^{e}" for (i, j), e in factors])
-                for _, coeff, factors in rows]
+        return [line for _, line in rows]
 
     def digest(self) -> str:
         return hashlib.sha256("\n".join(self.canonical_lines()).encode()).hexdigest()

@@ -10,6 +10,7 @@ import pytest
 from wittram import (
     ExtensionSpec,
     NoSolution,
+    Tower,
     Valuation,
     VerificationError,
     WittVec,
@@ -212,6 +213,24 @@ def test_trace_valuation_suite(all_extensions):
         for check in record.checks:
             assert check.failures == 0
             assert check.skipped <= check.trials // 20
+
+
+def test_trace_valuation_suite_product_count_at_p7(monkeypatch):
+    # per trial: a^7 and tr(a)^7 by square-and-multiply (4 products each)
+    # and one product with pi_L^k from the shift table.  The trace's
+    # conjugates are built first.
+    ext = build_extension(ExtensionSpec("cyclotomic-step", p=7))
+    ext.trace(ext.tower.pi_L)
+    calls = []
+    flat_mul = Tower.flat_mul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return flat_mul(self, x, y)
+
+    monkeypatch.setattr(Tower, "flat_mul", counting)
+    assert verify_trace_valuations(ext, trials=30, seed=0).status == "pass"
+    assert len(calls) <= 270
 
 
 # -- sampler ------------------------------------------------------------------------------

@@ -129,7 +129,10 @@ def shift_and_reduce(t, x, y):
 @pytest.mark.parametrize("extra", [0, 2])
 def test_flat_mul_matches_shift_and_reduce(kind, p, extra):
     base = build_extension(ExtensionSpec(kind=kind, p=p))
-    t = _twin(base, base.N + extra).tower
+    _assert_flat_mul_matches_oracle(_twin(base, base.N + extra).tower)
+
+
+def _assert_flat_mul_matches_oracle(t):
     rng = random.Random(31)
     dense = [[rng.randrange(t.pN) for _ in range(t.dim)] for _ in range(3)]
     top = [t.pN - 1] * t.dim
@@ -138,9 +141,7 @@ def test_flat_mul_matches_shift_and_reduce(kind, p, extra):
     # and pi_L^k for k < D (sparse below p, reduced into dense vectors above)
     monomials = [[rng.randrange(1, t.pN) if b == a else 0 for b in range(t.dim)]
                  for a in range(t.dim)]
-    powers = [list(t.one_ol.coeffs)]
-    for _ in range(t.dim - 1):
-        powers.append(t._times_pi_L(powers[-1]))
+    powers = [list(t.pi_L_power(k).coeffs) for k in range(t.dim)]
     inputs = dense + [top, zero]
     pairs = [(x, y) for x in inputs for y in inputs]
     pairs += [(u, dense[0]) for u in monomials] + [(top, u) for u in monomials]
@@ -148,6 +149,76 @@ def test_flat_mul_matches_shift_and_reduce(kind, p, extra):
     pairs += [(rng.choice(monomials), rng.choice(powers)) for _ in range(10)]
     for x, y in pairs:
         assert t.flat_mul(tuple(x), tuple(y)) == shift_and_reduce(t, x, y)
+
+
+def _unit(rng, p, pN):
+    return rng.randrange(pN // p) * p + rng.randrange(1, p)
+
+
+def dense_tower(p, e_K, zero_ks, seed, N=10):
+    """A tower with random Eisenstein moduli: every E_L[k] but those in
+    ``zero_ks`` has all e_K of its O_K coordinates nonzero, so pi_L^p
+    reaches several columns from each one."""
+    rng = random.Random(seed)
+    pN = p ** N
+    base = [p * rng.randrange(1, pN // p) for _ in range(e_K)]
+    base[0] = p * _unit(rng, p, pN // p)
+    top = [[p * rng.randrange(1, pN // p)] + [rng.randrange(1, pN) for _ in range(e_K - 1)]
+           for _ in range(p)]
+    for k in zero_ks:
+        top[k] = [0] * e_K
+    # the constant term needs v_K = 1: a unit on pi_K, or p times a unit
+    if e_K == 1:
+        top[0] = [p * _unit(rng, p, pN // p)]
+    else:
+        top[0][1] = _unit(rng, p, pN)
+    return Tower(p, N, base, top)
+
+
+# t = 4: K = Q_2(sqrt 2), L = K(sqrt pi_K); E_L = x^2 - pi_K folds pi_L^2 into
+# the pi_K column, so rows fold into the overflow columns of lower rows
+T4_SPEC = ExtensionSpec(kind="custom", p=2, base_coeffs=(-2, 0),
+                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
+
+
+@pytest.mark.parametrize("p,e_K,zero_ks", [(2, 1, ()), (2, 3, (1,)), (2, 4, ()),
+                                           (3, 2, (2,)), (3, 4, (1,)), (5, 1, (2, 3)),
+                                           (5, 3, (1, 4)), (5, 4, ())])
+def test_staged_fold_matches_shift_and_reduce_on_dense_towers(p, e_K, zero_ks):
+    t = dense_tower(p, e_K, zero_ks, seed=100 * p + e_K)
+    # every slot outside the basis is folded exactly once
+    width = 2 * e_K - 1
+    outside = set(range((2 * p - 1) * width)) - set(t._slot)
+    assert sorted(s for s, _ in t._fold) == sorted(outside)
+    _assert_flat_mul_matches_oracle(t)
+
+
+@pytest.mark.parametrize("N", [32, 48])
+def test_staged_fold_matches_shift_and_reduce_on_t4_spec(N):
+    ext = build_extension(T4_SPEC, precision=N)
+    assert ext.t == 4
+    _assert_flat_mul_matches_oracle(ext.tower)
+
+
+@pytest.mark.parametrize("kind,p,entries", [("quadratic-gaussian", 0, 2),
+                                            ("quadratic-sqrt2", 0, 1),
+                                            ("cyclotomic-step", 3, 22),
+                                            ("cyclotomic-step", 5, 188),
+                                            ("cyclotomic-step", 7, 642)])
+def test_staged_fold_entry_counts(kind, p, entries):
+    # the fold's cost per product, pinned without timing
+    t = build_extension(ExtensionSpec(kind=kind, p=p)).tower
+    assert sum(len(targets) for _, targets in t._fold) == entries
+
+
+@pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 0), ("quadratic-sqrt2", 0),
+                                    ("cyclotomic-step", 3), ("cyclotomic-step", 5),
+                                    ("cyclotomic-step", 7)])
+def test_pi_L_power_table_matches_repeated_squaring(kind, p):
+    t = build_extension(ExtensionSpec(kind=kind, p=p)).tower
+    # every shift random_element draws, from a table built by pi_L shifts
+    for k in range(2 * t.e_L):
+        assert t.pi_L_power(k) == t.pi_L ** k
 
 
 # -- valuations ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from wittram import (
     sum_polynomials,
 )
 from wittram.harness import symbolic_suite
-from wittram.universal import _WIDTH
+from wittram.universal import _WIDTH, _rendered, decode_monomial
 
 X = SymPoly.var
 
@@ -380,3 +380,20 @@ SYMBOLIC_DIGESTS = {
 def test_symbolic_digests(p):
     record = symbolic_suite(p)
     assert record.checks[0].detail["digests"] == SYMBOLIC_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_cached_monomial_text_is_coefficient_free(p):
+    # z_1 = f_1 + sum_i X_{i,1} shares every monomial of f_1, and -3 f_1
+    # shares them with other coefficients and signs; only the sort key and
+    # the "i:j^e" text are cached, never a coefficient
+    f1 = carry_polynomial(p, 1)
+    polys = (sum_polynomials(p, 1, p)[1], f1, f1.scale(-3))
+    expected = [_reference_lines({decode_monomial(m): c for m, c in q.terms.items()})
+                for q in polys]
+    _rendered.cache_clear()
+    warm = [q.canonical_lines() for q in polys]
+    assert _rendered.cache_info().misses == polys[0].num_terms
+    _rendered.cache_clear()
+    cold = [q.canonical_lines() for q in reversed(polys)][::-1]
+    assert warm == cold == expected
