@@ -7,6 +7,10 @@ p-typical Witt addition polynomials exactly with integer coefficients, and
 mechanically verifies the valuation laws that force the restriction map on
 level-1 cohomology of W_{m+1}(O_L) to vanish whenever p^m exceeds the
 ramification break.
+
+The universal polynomials (``wittram.universal``) are not re-exported here:
+only the symbolic suite and the ``witt-poly`` command need them, and they
+import that module when they run.
 """
 
 from .errors import (
@@ -30,16 +34,6 @@ from .rings import (
     Valuation,
     valuation_K,
     valuation_L,
-)
-from .universal import (
-    StructureReport,
-    SymPoly,
-    carry_polynomial,
-    carry_residue_polynomial,
-    format_polynomial,
-    ghost_polynomial,
-    structure_check,
-    sum_polynomials,
 )
 from .extensions import (
     BUILTIN_NAMES,

@@ -20,12 +20,6 @@ from .errors import ConfigError, WittramError
 from .harness import SUITE_ORDER, RunConfig, run
 from .report import emit_report
 from .rings import is_prime
-from .universal import (
-    carry_polynomial,
-    carry_residue_polynomial,
-    format_polynomial,
-    sum_polynomials,
-)
 from .extensions import resolve_extension
 
 
@@ -106,6 +100,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_witt_poly(args) -> int:
+    from .universal import (
+        carry_polynomial,
+        carry_residue_polynomial,
+        format_polynomial,
+        sum_polynomials,
+    )
+
     p, n = args.p, args.level
     if not is_prime(p):
         raise ConfigError(f"--p must be a prime, got {p}")

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
 
@@ -99,7 +98,6 @@ def derive_rng(*parts) -> random.Random:
 # -- coordinates and operator matrices ---------------------------------------
 
 
-@dataclass(frozen=True)
 class LinearMap:
     """A Z/p^N-linear endomorphism of O_L in the flat monomial basis.
 
@@ -107,12 +105,14 @@ class LinearMap:
     is one matrix-vector product.  ``rows`` is the matrix in column
     convention: column c is the image of the c-th basis monomial.
     ``columns`` presents those columns once: its span is the image, its
-    syzygies the kernel, and every solve reads its combinations.
+    syzygies the kernel, and every solve reads its combinations.  Maps
+    compare by identity.
     """
 
-    ext: ExtensionData
-    which: str
-    rows: tuple
+    def __init__(self, ext: ExtensionData, which: str, rows: tuple):
+        self.ext = ext
+        self.which = which
+        self.rows = rows
 
     def apply(self, a: OLElement) -> OLElement:
         return OLElement(a.tower, matvec(self.rows, a.coeffs, a.tower.pN))

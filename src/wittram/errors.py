@@ -25,6 +25,11 @@ class PrecisionExhausted(WittramError):
     """A quantity could not be resolved below the precision horizon."""
 
 
+#: the default term budget of the symbolic computations; every report
+#: echoes the budget it ran with
+DEFAULT_TERM_LIMIT = 10 ** 7
+
+
 class ResourceLimit(WittramError):
     """A symbolic computation would exceed the configured term budget."""
 

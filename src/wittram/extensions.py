@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -46,7 +45,6 @@ DEFAULT_PRECISION = 32
 MAX_MODULUS_DIGITS = 4300
 
 
-@dataclass(frozen=True)
 class ExtensionSpec:
     """Exact integer description of an extension, rebuildable at any precision.
 
@@ -57,15 +55,24 @@ class ExtensionSpec:
     pi_L) of the Galois image of pi_L.
     """
 
-    kind: str
-    p: int = 0
-    precision: int = DEFAULT_PRECISION
-    base_coeffs: tuple = None
-    top_coeffs: tuple = None
-    sigma_pi: tuple = None
+    __slots__ = ("kind", "p", "precision", "base_coeffs", "top_coeffs", "sigma_pi")
+
+    def __init__(self, kind: str, p: int = 0, precision: int = DEFAULT_PRECISION,
+                 base_coeffs: tuple = None, top_coeffs: tuple = None,
+                 sigma_pi: tuple = None):
+        self.kind = kind
+        self.p = p
+        self.precision = precision
+        self.base_coeffs = base_coeffs
+        self.top_coeffs = top_coeffs
+        self.sigma_pi = sigma_pi
+
+    def at_precision(self, precision: int) -> "ExtensionSpec":
+        """The same extension at another precision."""
+        return ExtensionSpec(self.kind, self.p, precision, self.base_coeffs,
+                             self.top_coeffs, self.sigma_pi)
 
 
-@dataclass(frozen=True)
 class ExtensionData:
     """A validated extension: tower, Galois action, and ramification break.
 
@@ -74,14 +81,20 @@ class ExtensionData:
     is sigma applied to monomial c.  sigma fixes O_K, so the column of
     pi_L^i pi_K^j is sigma(pi_L)^i pi_K^j.  Applying sigma, listing
     conjugates and taking traces are all matrix-vector products.
+
+    Extensions compare and hash by identity, so the caches keyed on them
+    (``_twin`` and the operator matrices of ``cohomology``) cost one
+    pointer hash per lookup, and every build gets its own entries.
     """
 
-    spec: ExtensionSpec
-    name: str
-    tower: Tower
-    sigma_pi: OLElement
-    sigma: tuple
-    t: int
+    def __init__(self, spec: ExtensionSpec, name: str, tower: Tower,
+                 sigma_pi: OLElement, sigma: tuple, t: int):
+        self.spec = spec
+        self.name = name
+        self.tower = tower
+        self.sigma_pi = sigma_pi
+        self.sigma = sigma
+        self.t = t
 
     @property
     def p(self) -> int:
@@ -136,7 +149,7 @@ class ExtensionData:
                          + (0,) * (tower.dim - e))
 
     def with_precision(self, precision: int) -> "ExtensionData":
-        return build_extension(replace(self.spec, precision=precision))
+        return build_extension(self.spec.at_precision(precision))
 
     def __repr__(self):
         return (f"ExtensionData({self.name}, p={self.p}, N={self.N}, "
@@ -180,11 +193,11 @@ def _materialize(spec: ExtensionSpec) -> ExtensionSpec:
     """Fill in the exact integer data for the built-in kinds."""
     kind = spec.kind
     if kind == "quadratic-gaussian":
-        return replace(spec, p=2, base_coeffs=(-2,),
-                       top_coeffs=((2,), (-2,)), sigma_pi=((2,), (-1,)))
+        return ExtensionSpec(kind, 2, spec.precision, (-2,), ((2,), (-2,)),
+                             ((2,), (-1,)))
     if kind == "quadratic-sqrt2":
-        return replace(spec, p=2, base_coeffs=(-2,),
-                       top_coeffs=((-2,), (0,)), sigma_pi=((0,), (-1,)))
+        return ExtensionSpec(kind, 2, spec.precision, (-2,), ((-2,), (0,)),
+                             ((0,), (-1,)))
     if kind == "cyclotomic-step":
         p = spec.p or 3
         if p == 2 or not is_prime(p):
@@ -199,8 +212,7 @@ def _materialize(spec: ExtensionSpec) -> ExtensionSpec:
             top.append((math.comb(p, k),) + zero_k[1:])
         # sigma(pi_L) = (pi_L + 1)^(p+1) - 1, expanded by the binomial theorem
         sigma_pi = tuple((math.comb(p + 1, k) if k else 0,) for k in range(p + 2))
-        return replace(spec, p=p, base_coeffs=base, top_coeffs=tuple(top),
-                       sigma_pi=sigma_pi)
+        return ExtensionSpec(kind, p, spec.precision, base, tuple(top), sigma_pi)
     if kind == "custom":
         if spec.base_coeffs is None or spec.top_coeffs is None or spec.sigma_pi is None:
             raise InvalidExtension(
@@ -224,7 +236,7 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     if isinstance(spec, str):
         spec = ExtensionSpec(kind=spec)
     if precision is not None:
-        spec = replace(spec, precision=precision)
+        spec = spec.at_precision(precision)
     name = spec.kind
     spec = _materialize(spec)
     # p^N has floor(N log10 p) + 1 digits; p^N itself is never formed here
@@ -281,7 +293,6 @@ def ramification_break(ext: ExtensionData, generator_power: int = 1) -> int:
     return v.value - 1
 
 
-@dataclass(frozen=True)
 class SigmaBasis:
     """The conjugate-product basis x_mu = prod_{i<mu} sigma^i(pi_L).
 
@@ -290,7 +301,10 @@ class SigmaBasis:
     family an O_K-basis of O_L.
     """
 
-    elements: tuple
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: tuple):
+        self.elements = elements
 
 
 def sigma_basis(ext: ExtensionData) -> SigmaBasis:

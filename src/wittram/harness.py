@@ -9,7 +9,6 @@ bounds involved are linear in t and e_L while the guard grows with both).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 
 from .cohomology import (
     cascade_suite,
@@ -19,6 +18,7 @@ from .cohomology import (
     verify_trace_valuations,
 )
 from .errors import (
+    DEFAULT_TERM_LIMIT,
     ConfigError,
     IntegralityError,
     SamplingExhausted,
@@ -27,15 +27,6 @@ from .errors import (
 )
 from .extensions import ExtensionData, resolve_extension
 from .report import REPORT_VERSION, CheckResult, Report, SuiteRecord
-from .universal import (
-    DEFAULT_TERM_LIMIT,
-    SymPoly,
-    carry_polynomial,
-    carry_residue_polynomial,
-    ghost_polynomial,
-    structure_check,
-    sum_polynomials,
-)
 
 SUITE_ORDER = ("symbolic", "trace-lemmas", "cascade", "proposition", "h1",
                "negative-control")
@@ -44,22 +35,31 @@ SUITE_ORDER = ("symbolic", "trace-lemmas", "cascade", "proposition", "h1",
 SYMBOLIC_LEVELS = {2: 3, 3: 2}
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    extension: str = "quadratic-gaussian"
-    precision: int = None  # None: the spec file's or the built-in default
-    m: int = 1
-    trials: int = 200
-    seed: int = 0
-    suites: tuple = SUITE_ORDER
-    fmt: str = "text"
-    out: str = None
-    max_terms: int = DEFAULT_TERM_LIMIT
+    """One ``verify`` invocation: the extension, the suites and their knobs."""
 
-    def echo(self) -> dict:
+    __slots__ = ("extension", "precision", "m", "trials", "seed", "suites",
+                 "fmt", "out", "max_terms")
+
+    def __init__(self, extension: str = "quadratic-gaussian",
+                 precision: int = None, m: int = 1, trials: int = 200,
+                 seed: int = 0, suites: tuple = SUITE_ORDER, fmt: str = "text",
+                 out: str = None, max_terms: int = DEFAULT_TERM_LIMIT):
+        self.extension = extension
+        self.precision = precision  # None: the spec file's or the built-in default
+        self.m = m
+        self.trials = trials
+        self.seed = seed
+        self.suites = suites
+        self.fmt = fmt
+        self.out = out
+        self.max_terms = max_terms
+
+    def echo(self, precision: int) -> dict:
+        """The report's config block, at the precision the run resolved."""
         return {
             "extension": self.extension,
-            "precision": self.precision,
+            "precision": precision,
             "m": self.m,
             "trials": self.trials,
             "seed": self.seed,
@@ -80,13 +80,6 @@ def precision_guard(ext: ExtensionData, m: int):
         )
 
 
-def _sum_vars(p: int, level: int) -> SymPoly:
-    out = SymPoly.zero()
-    for i in range(p):
-        out = out + SymPoly.var(i, level)
-    return out
-
-
 def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
     """Structural and identity certification of the universal polynomials.
 
@@ -97,7 +90,26 @@ def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
     the carry residue g satisfies the p-th power split p (f_n - g) =
     sum_i X_{i,n-1}^p - z_{n-1}^p - (-f_{n-1})^p with min degree >= p^2
     (n >= 2); f_0 and the n=1 residue vanish exactly.
+
+    The symbolic layer is imported here, not with the module, so that runs
+    without this suite never load it; the names are read off ``universal``
+    at each call.
     """
+    from .universal import (
+        SymPoly,
+        carry_polynomial,
+        carry_residue_polynomial,
+        ghost_polynomial,
+        structure_check,
+        sum_polynomials,
+    )
+
+    def sum_vars(level: int) -> SymPoly:
+        out = SymPoly.zero()
+        for i in range(p):
+            out = out + SymPoly.var(i, level)
+        return out
+
     n_max = SYMBOLIC_LEVELS.get(p, 1)
     checks = []
     zs = sum_polynomials(p, n_max, p, max_terms)
@@ -128,7 +140,7 @@ def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
         f_n = carry_polynomial(p, n, max_terms)
         digests[f"f_{n}"] = f_n.digest()
         carry_struct.record(structure_check(f_n, p).passed)
-        carry_ident.record((f_n + _sum_vars(p, n) - zs[n]).is_zero)
+        carry_ident.record((f_n + sum_vars(n) - zs[n]).is_zero)
     checks.extend([carry_struct, carry_ident])
 
     res_struct = CheckResult("carry-residue-structure", "pass")
@@ -189,7 +201,7 @@ def run(config: RunConfig):
         raise ConfigError(f"cannot build extension {config.extension!r}: {exc}")
     precision_guard(ext, config.m)
 
-    report = Report(REPORT_VERSION, replace(config, precision=ext.N).echo())
+    report = Report(REPORT_VERSION, config.echo(ext.N))
     for name in SUITE_ORDER:
         if name not in config.suites:
             continue

@@ -30,7 +30,6 @@ valuation divides every other entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
@@ -38,14 +37,14 @@ from .errors import NoSolution
 from .rings import padic_val
 
 
-@dataclass(frozen=True)
 class HowellBasis:
     """Canonical generating rows of a submodule of (Z/p^N)^width."""
 
-    p: int
-    N: int
-    width: int
-    rows: tuple
+    def __init__(self, p: int, N: int, width: int, rows: tuple):
+        self.p = p
+        self.N = N
+        self.width = width
+        self.rows = rows
 
     @cached_property
     def pivots(self) -> tuple:
@@ -127,17 +126,17 @@ def member(basis: HowellBasis, vec) -> bool:
     return not any(reduce_against(basis, vec))
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Generators g_1..g_n of a submodule of (Z/p^N)^width, eliminated once.
 
     ``aug`` is the Howell form of [G | I_n]: a row (v | y) records
     v = sum_i y_i g_i.  Its span, its syzygies and every combination are
-    read off this one form.
+    read off this one form.  Presentations compare by identity.
     """
 
-    width: int
-    aug: HowellBasis
+    def __init__(self, width: int, aug: HowellBasis):
+        self.width = width
+        self.aug = aug
 
     @cached_property
     def span(self) -> HowellBasis:

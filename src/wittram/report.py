@@ -14,10 +14,8 @@ readable text format only.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, field
 
 REPORT_VERSION = "1"
 
@@ -25,17 +23,22 @@ CSV_COLUMNS = ("suite", "extension", "check", "p", "N", "t", "m",
                "status", "trials", "passes", "failures", "skipped", "detail")
 
 
-@dataclass
 class CheckResult:
     """Outcome of one named check inside a suite."""
 
-    name: str
-    status: str  # "pass" | "fail" | "skip" | "info"
-    trials: int = 0
-    passes: int = 0
-    failures: int = 0
-    skipped: int = 0
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("name", "status", "trials", "passes", "failures", "skipped",
+                 "detail")
+
+    def __init__(self, name: str, status: str, trials: int = 0,
+                 passes: int = 0, failures: int = 0, skipped: int = 0,
+                 detail: dict = None):
+        self.name = name
+        self.status = status  # "pass" | "fail" | "skip" | "info"
+        self.trials = trials
+        self.passes = passes
+        self.failures = failures
+        self.skipped = skipped
+        self.detail = {} if detail is None else detail
 
     def record(self, ok: bool, counterexample: dict = None) -> None:
         """Count one trial as a pass, or as a failure of the check."""
@@ -54,18 +57,22 @@ class CheckResult:
         self.skipped += 1
 
 
-@dataclass
 class SuiteRecord:
     """All checks of one suite run against one extension."""
 
-    suite: str
-    extension: str
-    p: int
-    N: int
-    t: int
-    m: int
-    checks: list = field(default_factory=list)
-    duration_s: float = 0.0
+    __slots__ = ("suite", "extension", "p", "N", "t", "m", "checks",
+                 "duration_s")
+
+    def __init__(self, suite: str, extension: str, p: int, N: int, t: int,
+                 m: int, checks: list):
+        self.suite = suite
+        self.extension = extension
+        self.p = p
+        self.N = N
+        self.t = t
+        self.m = m
+        self.checks = checks
+        self.duration_s = 0.0
 
     @classmethod
     def of(cls, suite: str, ext, m: int, checks: list) -> "SuiteRecord":
@@ -81,11 +88,15 @@ class SuiteRecord:
         return "info"
 
 
-@dataclass
 class Report:
-    version: str
-    config: dict
-    suites: list = field(default_factory=list)
+    """A versioned run: the echoed config and one record per suite."""
+
+    __slots__ = ("version", "config", "suites")
+
+    def __init__(self, version: str, config: dict, suites: list = None):
+        self.version = version
+        self.config = config
+        self.suites = [] if suites is None else suites
 
     @property
     def failed(self) -> bool:
@@ -124,6 +135,8 @@ def to_json(report: Report) -> str:
 
 
 def to_csv(report: Report) -> str:
+    import csv  # only this format needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

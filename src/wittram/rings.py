@@ -41,8 +41,6 @@ horizon" (N*e_L, or N*e_K for v_K) rather than infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotEisenstein, PrecisionExhausted, InvalidExtension
 
 
@@ -93,20 +91,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Valuation:
     """Either an exact valuation or a lower bound hit at the precision horizon.
 
     ``exact(v)`` is only ever produced with v strictly below the horizon;
     ``at_least(h)`` marks an element indistinguishable from zero at
     precision, where h is the horizon itself (N*e_L for O_L, N*e_K for O_K).
+    Valuations compare and hash by (kind, value).
     """
 
-    kind: str
-    value: int
+    __slots__ = ("kind", "value")
 
     EXACT = "exact"
     AT_LEAST = "at-least"
+
+    def __init__(self, kind: str, value: int):
+        self.kind = kind
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not Valuation:
+            return NotImplemented
+        return self.kind == other.kind and self.value == other.value
+
+    def __hash__(self):
+        return hash((self.kind, self.value))
 
     @classmethod
     def exact(cls, value: int) -> "Valuation":

@@ -50,13 +50,10 @@ suitable for golden files.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import IntegralityError, ResourceLimit
-
-DEFAULT_TERM_LIMIT = 10 ** 7
+from .errors import DEFAULT_TERM_LIMIT, IntegralityError, ResourceLimit
 
 # Bits per exponent field, and the bound on i + j for a variable X_{i,j}: it
 # keeps a packed monomial within (64 * 65 / 2 + 1) fields of 32 bits.
@@ -290,14 +287,18 @@ def format_polynomial(poly: SymPoly) -> str:
     return "\n".join(poly.canonical_lines())
 
 
-@dataclass(frozen=True)
 class StructureReport:
     """Outcome of the structural certification of a universal polynomial."""
 
-    has_no_constant_term: bool
-    min_total_degree: object  # int or None for the zero polynomial
-    required_min_degree: int
-    passed: bool
+    __slots__ = ("has_no_constant_term", "min_total_degree",
+                 "required_min_degree", "passed")
+
+    def __init__(self, has_no_constant_term: bool, min_total_degree,
+                 required_min_degree: int, passed: bool):
+        self.has_no_constant_term = has_no_constant_term
+        self.min_total_degree = min_total_degree  # int, or None for zero
+        self.required_min_degree = required_min_degree
+        self.passed = passed
 
 
 def structure_check(poly: SymPoly, required_min_degree: int) -> StructureReport:

@@ -12,25 +12,25 @@ of the universal polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import IntegralityError, LengthMismatch
 from .extensions import ExtensionData, _twin
 from .rings import OLElement
-from .universal import SymPoly, decode_monomial
 
 
-@dataclass(frozen=True)
 class WittVec:
-    """A point of W_{m+1}(O_L) at precision; components share one extension."""
+    """A point of W_{m+1}(O_L) at precision; components share one extension.
 
-    ext: ExtensionData
-    components: tuple
+    Witt vectors compare by identity; compare ``components`` for values.
+    """
 
-    def __post_init__(self):
-        for c in self.components:
-            if not isinstance(c, OLElement) or c.tower is not self.ext.tower:
+    __slots__ = ("ext", "components")
+
+    def __init__(self, ext: ExtensionData, components: tuple):
+        for c in components:
+            if not isinstance(c, OLElement) or c.tower is not ext.tower:
                 raise ValueError("components must be O_L elements of the extension")
+        self.ext = ext
+        self.components = components
 
     def __len__(self) -> int:
         return len(self.components)
@@ -55,15 +55,18 @@ def teichmuller(ext: ExtensionData, x: OLElement, length: int) -> WittVec:
     return WittVec(ext, (x,) + (ext.tower.zero_ol,) * (length - 1))
 
 
-def evaluate_poly(poly: SymPoly, assign: dict, ext: ExtensionData) -> OLElement:
-    """Evaluate a SymPoly (integer coefficients) at O_L values.
+def evaluate_poly(poly, assign: dict, ext: ExtensionData) -> OLElement:
+    """Evaluate a ``universal.SymPoly`` (integer coefficients) at O_L values.
 
     ``assign`` maps variables (i, j) to O_L elements; every variable of the
     polynomial must be assigned.  Each packed monomial is decoded once into
     its ((i, j), e) factors, and the product runs in flat coordinates with
     per-variable power tables, which keeps the inner loop free of element
-    allocation.
+    allocation.  The symbolic layer is imported here, not with the module,
+    so that runs without symbolic work never load it.
     """
+    from .universal import decode_monomial
+
     tower = ext.tower
     dim = tower.dim
     flat_mul = tower.flat_mul

@@ -11,16 +11,11 @@ from math import prod
 import pytest
 
 from wittram import (
-    SymPoly,
     WittVec,
     build_extension,
-    carry_polynomial,
-    carry_residue_polynomial,
     ghost_map,
     ramification_break,
     sigma_basis,
-    structure_check,
-    sum_polynomials,
     valuation_L,
     verify_cascade,
     verify_restriction_vanishing,
@@ -39,7 +34,14 @@ from wittram.cohomology import (
 from wittram.harness import RunConfig, run
 from wittram.report import to_json
 from wittram.rings import Valuation
-from wittram.universal import ghost_polynomial
+from wittram.universal import (
+    SymPoly,
+    carry_polynomial,
+    carry_residue_polynomial,
+    ghost_polynomial,
+    structure_check,
+    sum_polynomials,
+)
 from wittram.witt import evaluate_poly
 
 

@@ -1,7 +1,6 @@
 """CLI behavior: exit codes, formats, golden polynomial output, determinism."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -14,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wittram
-from wittram import cohomology, extensions, harness
+from wittram import cohomology, extensions, harness, universal
 from wittram.cli import main
 from wittram.errors import ConfigError, IntegralityError, NoSolution
-from wittram.extensions import build_extension
+from wittram.extensions import ExtensionData, build_extension
 from wittram.harness import SUITE_ORDER, RunConfig, run
 from wittram.report import emit_report
 
@@ -336,7 +335,7 @@ def test_integrality_failure_inside_a_suite_exits_1(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise IntegralityError("z_1 has a non-integer coefficient")
 
-    monkeypatch.setattr(harness, "sum_polynomials", broken)
+    monkeypatch.setattr(universal, "sum_polynomials", broken)
     code = main(["verify", "--extension", "quadratic-sqrt2", "--trials", "5",
                  "--suites", "symbolic,h1", "--format", "json"])
     assert code == 1
@@ -495,7 +494,8 @@ def _counts(check):
 def test_vanishing_violation_reports_witness_and_counterexamples(monkeypatch):
     # claiming t = 3 for the Gaussian extension (t = 1) keeps p^m = 4 > t, so
     # the proposition runs and its valuation bound must fail
-    ext = dataclasses.replace(build_extension("quadratic-gaussian", precision=48), t=3)
+    ext = build_extension("quadratic-gaussian", precision=48)
+    ext = ExtensionData(ext.spec, ext.name, ext.tower, ext.sigma_pi, ext.sigma, t=3)
     monkeypatch.setattr(harness, "resolve_extension", lambda name, precision: ext)
     code, doc, digest = _run_json(precision=48, m=2, trials=10)
     assert code == 1

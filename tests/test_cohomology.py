@@ -1,6 +1,5 @@
 """Operator matrices, trace laws, the sampler, and the level-1 quotient."""
 
-import dataclasses
 import hashlib
 import random
 from math import prod
@@ -41,7 +40,7 @@ from wittram.cohomology import (
     trace_index_exponent,
     trace_kernel_saturated,
 )
-from wittram.extensions import _twin
+from wittram.extensions import ExtensionData, _twin
 from wittram.linalg import howell_form, matvec, quotient_invariants
 from wittram.report import REPORT_VERSION, Report, emit_report
 from wittram.witt import teichmuller, witt_zero
@@ -279,6 +278,28 @@ def test_length_five_sample_rebuilds_only_the_twin_at_n_plus_4(rebuilds):
     ext = build_extension("quadratic-gaussian")
     assert witt_trace(sample_trace_zero(ext, 4, seed=0)).is_zero
     assert rebuilds == [ext.N + 4]
+
+
+def test_caches_key_extensions_and_maps_by_identity(rebuilds):
+    # an extension is its own cache key: its twin and its operator matrices
+    # are built once, and a fresh build of the same spec gets its own
+    ext = build_extension("quadratic-gaussian")
+    twin = _twin(ext, ext.N + 4)
+    assert _twin(ext, ext.N + 4) is twin
+    trace = linear_map_of(ext, "trace")
+    assert linear_map_of(ext, "trace") is trace
+    assert trace.columns is trace.columns
+    assert rebuilds == [ext.N + 4]
+
+    fresh = build_extension("quadratic-gaussian")
+    assert fresh != ext
+    assert _twin(fresh, fresh.N + 4) is not twin
+    assert rebuilds == [ext.N + 4, ext.N + 4]
+    fresh_trace = linear_map_of(fresh, "trace")
+    assert fresh_trace is not trace
+    assert fresh_trace.rows == trace.rows
+    assert fresh_trace != trace
+    assert fresh_trace.columns != trace.columns
 
 
 def test_carry_target_outside_o_k_is_a_consistency_error(sqrt2, monkeypatch):
@@ -543,7 +564,8 @@ def _report_digest(*records):
 def test_suites_report_a_break_that_is_too_large():
     # the Gaussian extension has t = 1; claiming t = 4 breaks the trace lower
     # bound and the cascade, and the suites must say so with counterexamples
-    ext = dataclasses.replace(build_extension("quadratic-gaussian", precision=48), t=4)
+    ext = build_extension("quadratic-gaussian", precision=48)
+    ext = ExtensionData(ext.spec, ext.name, ext.tower, ext.sigma_pi, ext.sigma, t=4)
     lemmas = verify_trace_valuations(ext, trials=40, seed=0)
     lower, power = lemmas.checks
     assert (lemmas.status, lower.status, power.status) == ("fail", "fail", "pass")

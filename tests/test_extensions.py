@@ -1,11 +1,11 @@
 """Extension construction, ramification breaks, and the conjugate-product basis."""
 
-import dataclasses
 import json
 
 import pytest
 
 from wittram import (
+    ExtensionData,
     ExtensionSpec,
     NotEisenstein,
     PrecisionExhausted,
@@ -43,7 +43,8 @@ def test_trace_matrix_refuses_a_trace_outside_o_k(sqrt2):
     # with sigma corrupted to the identity, tr(pi_L) = 2 pi_L leaves O_K
     dim = sqrt2.tower.dim
     identity = tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
-    corrupted = dataclasses.replace(sqrt2, sigma=identity)
+    corrupted = ExtensionData(sqrt2.spec, sqrt2.name, sqrt2.tower, sqrt2.sigma_pi,
+                              identity, sqrt2.t)
     with pytest.raises(VerificationError, match="the trace leaves O_K"):
         corrupted.trace_matrix
 

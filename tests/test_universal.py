@@ -9,19 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittram import (
-    IntegralityError,
-    ResourceLimit,
+from wittram import IntegralityError, ResourceLimit
+from wittram.harness import symbolic_suite
+from wittram.universal import (
+    _WIDTH,
     SymPoly,
+    _rendered,
     carry_polynomial,
     carry_residue_polynomial,
+    decode_monomial,
     format_polynomial,
     ghost_polynomial,
     structure_check,
     sum_polynomials,
 )
-from wittram.harness import symbolic_suite
-from wittram.universal import _WIDTH, _rendered, decode_monomial
 
 X = SymPoly.var
 

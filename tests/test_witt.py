@@ -13,11 +13,9 @@ from wittram import (
     WittVec,
     apply_sigma,
     build_extension,
-    carry_polynomial,
     ghost_map,
     restrict,
     sample_trace_zero,
-    sum_polynomials,
     teichmuller,
     valuation_L,
     verschiebung,
@@ -28,6 +26,7 @@ from wittram import (
 )
 from wittram.cohomology import _carry_target, _frobenius_chain, random_element
 from wittram.extensions import _twin
+from wittram.universal import carry_polynomial, sum_polynomials
 from wittram.witt import _from_ghost, evaluate_poly
 
 from test_cohomology import T4_SPEC
