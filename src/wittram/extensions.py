@@ -22,7 +22,6 @@ close for naive root-finding to separate them reliably).
 
 from __future__ import annotations
 
-import json
 import math
 from functools import cached_property, lru_cache
 
@@ -35,8 +34,7 @@ from .errors import (
     VerificationError,
     WittramError,
 )
-from .linalg import matvec
-from .rings import OLElement, Tower, is_prime, valuation_L
+from .rings import OLElement, Tower, is_prime, matvec, valuation_L
 
 BUILTIN_NAMES = ("quadratic-gaussian", "quadratic-sqrt2", "cyclotomic-step")
 DEFAULT_PRECISION = 32
@@ -359,6 +357,8 @@ def load_spec_file(path) -> ExtensionSpec:
     as decimal strings.  A document that is not JSON, or lacks a field, or
     holds a value of the wrong shape raises InvalidExtension.
     """
+    import json  # only spec files need it
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return _spec_from_document(json.load(fh), path)

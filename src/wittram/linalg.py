@@ -31,7 +31,6 @@ valuation divides every other entry.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
 
 from .errors import NoSolution
 from .rings import padic_val
@@ -196,10 +195,6 @@ def solve_columnwise(columns: Presentation, b) -> tuple:
     if combo is None:
         raise NoSolution("target vector is not in the image at precision")
     return combo
-
-
-def matvec(matrix_rows, x, pN: int) -> tuple:
-    return tuple(sum(map(mul, row, x)) % pN for row in matrix_rows)
 
 
 def smith_invariants(rows, p: int, N: int, width: int) -> list:

@@ -41,6 +41,8 @@ horizon" (N*e_L, or N*e_K for v_K) rather than infinity.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import NotEisenstein, PrecisionExhausted, InvalidExtension
 
 
@@ -412,6 +414,11 @@ class Tower:
                 raise NotEisenstein(f"coefficient {i} of E_L is a unit")
             if i == 0 and v.value != 1:
                 raise NotEisenstein(f"constant term of E_L has valuation {v.value} != 1")
+
+
+def matvec(matrix_rows, x, pN: int) -> tuple:
+    """The matrix (a tuple of rows) times the coordinate vector x, mod pN."""
+    return tuple(sum(map(mul, row, x)) % pN for row in matrix_rows)
 
 
 # -- valuations ----------------------------------------------------------

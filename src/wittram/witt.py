@@ -120,15 +120,25 @@ def _ghost(hi: ExtensionData, comps) -> list:
 
 def _from_ghost(ext: ExtensionData, hi: ExtensionData, ghosts) -> WittVec:
     """The Witt vector over ``ext`` whose ghost components in ``hi`` are
-    ``ghosts``; raises IntegralityError where p^k fails to divide.  A zero
-    z_i has a zero power chain, which is skipped."""
+    ``ghosts``; raises IntegralityError where p^k fails to divide.
+
+    The power chain of a component z_i that vanishes mod p^N is skipped,
+    which leaves every component mod p^N and every divisibility test
+    unchanged.  If z_i = p^N u, then p^i z_i^(p^(k-i)) has valuation at
+    least i + N p^(k-i) >= N + k, so it adds nothing to z_k mod p^N.  The
+    lift of z_k then moves by a multiple of p^N, and a^q = b^q mod
+    p^(N+j) when a = b mod p^N and q = p^j, so the term it feeds into
+    level l > k moves by valuation at least k + N + (l-k) = N + l, again
+    nothing mod p^N after the division by p^l.  Each skipped term is a
+    multiple of p^(N+k), so p^k still divides w exactly when it did.
+    """
     p = ext.p
     powers = []
     comps = []
     for k, w in enumerate(ghosts):
         w = w.coeffs
         for i in range(k):
-            if powers[i].is_zero:
+            if comps[i].is_zero:
                 continue
             powers[i] = powers[i] ** p  # z_i^(p^(k-i))
             w = [x - p ** i * y for x, y in zip(w, powers[i].coeffs)]

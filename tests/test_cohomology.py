@@ -41,8 +41,9 @@ from wittram.cohomology import (
     trace_kernel_saturated,
 )
 from wittram.extensions import ExtensionData, _twin
-from wittram.linalg import howell_form, matvec, quotient_invariants
+from wittram.linalg import howell_form, quotient_invariants
 from wittram.report import REPORT_VERSION, Report, emit_report
+from wittram.rings import matvec
 from wittram.witt import teichmuller, witt_zero
 
 

@@ -3,8 +3,10 @@
 ``import wittram.cli`` loads neither ``dataclasses`` (which pulls in
 ``inspect``, ``ast`` and ``dis``), nor ``csv``, nor the symbolic layer
 ``wittram.universal``: the symbolic suite, ``witt-poly`` and ``--format
-csv`` import what they need when they run.  Each case starts a fresh
-interpreter, because the test process has loaded all of them already.
+csv`` import what they need when they run.  The package namespace is lazy:
+``import wittram`` loads no submodule, and building an extension loads
+only the three modules it runs.  Each case starts a fresh interpreter,
+because the test process has loaded all of them already.
 """
 
 import hashlib
@@ -17,6 +19,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("dataclasses", "inspect", "csv", "wittram.universal")
+
+#: every name the package re-exports, by home module
+EXPORTS = {
+    "errors": ("ConfigError", "IntegralityError", "InvalidExtension",
+               "LengthMismatch", "NoSolution", "NotEisenstein",
+               "PrecisionExhausted", "ResourceLimit", "SamplingExhausted",
+               "SigmaNotARoot", "SigmaWrongOrder", "VerificationError",
+               "WittramError"),
+    "rings": ("OLElement", "Tower", "Valuation", "valuation_K", "valuation_L"),
+    "extensions": ("BUILTIN_NAMES", "ExtensionData", "ExtensionSpec",
+                   "SigmaBasis", "build_extension", "load_spec_file",
+                   "ramification_break", "resolve_extension", "sigma_basis"),
+    "witt": ("WittVec", "apply_sigma", "ghost_map", "restrict", "teichmuller",
+             "verschiebung", "witt_add", "witt_neg", "witt_trace", "witt_zero"),
+    "linalg": ("HowellBasis", "howell_form", "member", "smith_invariants"),
+    "cohomology": ("LinearMap", "h1_level1", "linear_map_of", "negative_control",
+                   "sample_trace_zero", "solve_linear", "trace_image_exponent",
+                   "verify_cascade", "verify_restriction_vanishing",
+                   "verify_trace_valuations"),
+    "harness": ("RunConfig", "run", "symbolic_suite"),
+    "report": ("Report", "emit_report"),
+}
 
 #: SHA-256 of the stdout of runs that load the symbolic layer on demand,
 #: recorded while it was still imported with the package
@@ -32,6 +56,51 @@ OUTPUT_DIGESTS = {
 def _python(args):
     return subprocess.run([sys.executable] + args, cwd=ROOT, capture_output=True,
                           timeout=60, env=dict(os.environ, PYTHONPATH="src"))
+
+
+def _run(code):
+    """stdout of ``code`` in a fresh interpreter, split into words."""
+    done = _python(["-c", code])
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode().split()
+
+
+def test_bare_import_loads_no_submodule():
+    assert _run("import sys, wittram\n"
+                "print(*(m for m in sys.modules if m.startswith('wittram.')))") == []
+
+
+def test_building_an_extension_loads_three_modules():
+    new = _run("import sys\n"
+               "before = set(sys.modules)\n"
+               "from wittram import resolve_extension\n"
+               "resolve_extension('quadratic-gaussian', 48)\n"
+               "print(*sorted(set(sys.modules) - before))")
+    assert [m for m in new if m.startswith("wittram")] == [
+        "wittram", "wittram.errors", "wittram.extensions", "wittram.rings"]
+    assert "hashlib" not in new and "json" not in new
+
+
+def test_re_exported_names_are_their_home_objects():
+    # the package is asked first, so each name goes through the lazy path
+    assert _run("import importlib, wittram\n"
+                f"exports = {EXPORTS!r}\n"
+                "got = {n: getattr(wittram, n) for ns in exports.values() for n in ns}\n"
+                "for home, names in exports.items():\n"
+                "    mod = importlib.import_module('wittram.' + home)\n"
+                "    for n in names:\n"
+                "        if got[n] is not getattr(mod, n) or n not in dir(wittram):\n"
+                "            print(n)\n"
+                "from wittram import linalg\n"
+                "print(linalg.__name__)") == ["wittram.linalg"]
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert _run("import wittram\n"
+                "try:\n"
+                "    wittram.nope\n"
+                "except AttributeError as exc:\n"
+                "    print(type(exc).__name__)") == ["AttributeError"]
 
 
 def test_cli_import_loads_no_heavy_module():

@@ -9,11 +9,11 @@ import pytest
 from wittram import NoSolution, howell_form, member, smith_invariants
 from wittram.linalg import (
     columns_of,
-    matvec,
     present,
     quotient_invariants,
     solve_columnwise,
 )
+from wittram.rings import matvec
 
 
 def brute_span(rows, pN):

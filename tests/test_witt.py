@@ -329,6 +329,44 @@ def test_ghost_recovery_rejects_non_ghost_vectors(all_extensions):
             _from_ghost(ext, ext, [t.zero_ol, t.one_ol])
 
 
+# -- components that vanish mod p^N ----------------------------------------------------
+
+
+def test_components_that_vanish_mod_pN_match_the_oracle(all_extensions):
+    # each result has a component that is zero mod p^N but whose lift into
+    # the twin need not be, so ``_from_ghost`` skips its power chain; the
+    # universal polynomials are the oracle
+    rng = random.Random(22)
+    for ext in all_extensions:
+        p = ext.p
+        sums, traces = sum_polynomials(p, 2, 2), sum_polynomials(p, 2, p)
+
+        def direct(vecs, polys):
+            assign = {(i, j): v[j] for i, v in enumerate(vecs) for j in range(3)}
+            return tuple(evaluate_poly(z, assign, ext) for z in polys)
+
+        for _ in range(6):
+            a = rand_vec(ext, rng, 3)
+            b = rand_vec(ext, rng, 3)
+            # b_0 = -a_0 zeroes component 0 of the sum; component 1 is
+            # b_1 plus terms in lower components, so b_1 can zero it too
+            b = WittVec(ext, (-a[0],) + b.components[1:])
+            b = WittVec(ext, (b[0], b[1] - witt_add(a, b)[1], b[2]))
+            s = witt_add(a, b)
+            assert s[0].is_zero and s[1].is_zero
+            assert s.components == direct((a, b), sums)
+            # component 1 of the negative is -a_1 plus terms in a_0
+            c = WittVec(ext, (a[0], a[1] + witt_neg(a)[1], a[2]))
+            n = witt_neg(c)
+            assert n[1].is_zero
+            assert all(z.is_zero for z in direct((c, n), sums))
+            # sigma(x) - x has trace zero
+            d = WittVec(ext, (ext.apply_sigma(a[0]) - a[0],) + a.components[1:])
+            tr = witt_trace(d)
+            assert tr[0].is_zero
+            assert tr.components == direct([apply_sigma(d, i) for i in range(p)], traces)
+
+
 # -- p-ary consistency -----------------------------------------------------------------
 
 
