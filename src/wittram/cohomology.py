@@ -21,6 +21,37 @@ are read off that one presentation.  On top of it this module provides:
   backtracks, the sharpness witness takes the solutions as they are, and
   both certify the finished vector with the general Witt trace;
 
+* the sampler's rejections decided by linearity (Serre, *Local Fields*,
+  ch. VIII: the connecting map of 0 -> W_n -> W_{n+1} -> O_L -> 0).  Write
+  delta_n(v) for the carry target of a trace-zero v of length n.  For
+  trace-zero v, w, (v, 0) + (w, 0) = (v + w, c) in W_{n+1}(O_L) for some c,
+  and (s, c) = (s, 0) + V^n(c) without carries, so the Witt traces give
+  delta_n(v + w) = delta_n(v) + delta_n(w) + tr(c): delta_n is additive
+  modulo tr(O_L).  (The lower trace components are divisible by p^N, and
+  the carry of their Witt sum into component n has no constant term, so it
+  vanishes mod p^N.)  Let P be a trace-zero prefix, x the level step's
+  solution for it and k a kernel element.  Then (P, x + k) = (P, x) +
+  V^(n-1)(k) exactly, because a Witt sum with (0, ..., 0, k) carries
+  nothing into the first n components, and V commutes with the Witt trace,
+  so delta_n(V^(n-1)(k)) = delta_1(k).  With k = sum_i c_i k_i over the
+  Howell rows k_i of the saturated kernel,
+
+      delta_n(P, x + k) = delta_n(P, x) + sum_i c_i delta_1(k_i)
+                          mod tr(O_L).
+
+  So one table t_i = delta_1(k_i) (``_kernel_targets``) and one base per
+  level and prefix decide whether a draw's target lies in the trace image:
+  the test is ``member(image, base + sum_i c_i t_i)``, e_K * r
+  multiply-adds and one reduction.  At level 1 the prefix is empty and the
+  base is 0; at a higher level it is the first draw's exact target minus
+  its sum, and it is dropped when a lower level is redrawn.  The exact
+  steps are the table, the first draw at each level n >= 2 for each
+  prefix, every draw the test keeps (its element, Frobenius chain, carry
+  target, O_K check and ``solve_linear``, whose NoSolution is the
+  membership test) and the final Witt trace.  A kept draw whose exact
+  target is not in the image is a VerificationError, so a wrong prediction
+  cannot pass silently;
+
 * verifiers for the trace valuation bounds, for the level-by-level
   valuation cascade on trace-zero vectors, and for the vanishing of the
   "first component" restriction map on classes of length m+1 > log_p(t),
@@ -218,13 +249,18 @@ def random_element(ext: ExtensionData, rng: random.Random,
 
 
 def random_from_basis(ext: ExtensionData, basis: HowellBasis,
-                      rng: random.Random) -> OLElement:
-    """Uniform element of the spanned submodule (uniform coefficients),
-    reduced once by ``Tower.element``."""
+                      rng: random.Random) -> list:
+    """Uniform coefficients of an element of the spanned submodule: one
+    ``randrange(p^N)`` per Howell row, in row order."""
     pN = ext.tower.pN
+    return [rng.randrange(pN) for _ in basis.rows]
+
+
+def from_basis(ext: ExtensionData, basis: HowellBasis, coeffs) -> OLElement:
+    """sum_i coeffs[i] * (row i of ``basis``), reduced once by
+    ``Tower.element``."""
     vec = [0] * basis.width
-    for row in basis.rows:
-        c = rng.randrange(pN)
+    for c, row in zip(coeffs, basis.rows):
         vec = [a + c * b for a, b in zip(vec, row)]
     return ext.tower.element(vec)
 
@@ -324,17 +360,43 @@ def _carry_target(ext: ExtensionData, hi: ExtensionData, chains,
     return -ext.tower.element([x // pn for x in tr])
 
 
-def _level_step(ext: ExtensionData, hi: ExtensionData, image: HowellBasis,
-                tr_map: LinearMap, chains) -> OLElement | None:
-    """Some a_n with tr(a_n) = -f_n(sigma^i(a_j)) for the trace-zero prefix
-    (a_0, ..., a_{n-1}) given by its Frobenius ``chains`` in ``hi``; None
-    when no a_n exists (target not in ``image``)."""
-    c = _carry_target(ext, hi, chains, len(chains))
+def _checked_target(ext: ExtensionData, hi: ExtensionData, chains,
+                    n: int) -> OLElement:
+    """``_carry_target``, refused as a VerificationError when it leaves
+    O_K (a trace cannot)."""
+    c = _carry_target(ext, hi, chains, n)
     if not c.lies_in_K:
         raise VerificationError("carry target left O_K")
-    if not member(image, c.coeffs):
-        return None
-    return solve_linear(tr_map, c)
+    return c
+
+
+def _level_step(ext: ExtensionData, hi: ExtensionData, tr_map: LinearMap,
+                chains) -> tuple:
+    """(c, a_n): the carry target c = -f_n(sigma^i(a_j)) of the trace-zero
+    prefix (a_0, ..., a_{n-1}) given by its Frobenius ``chains`` in ``hi``,
+    and some a_n with tr(a_n) = c, or None when no a_n exists (c is not in
+    the trace image; the solver's NoSolution is the membership test)."""
+    c = _checked_target(ext, hi, chains, len(chains))
+    try:
+        return c, solve_linear(tr_map, c)
+    except NoSolution:
+        return c, None
+
+
+@lru_cache(maxsize=64)
+def _kernel_targets(ext: ExtensionData, hi: ExtensionData) -> tuple:
+    """The level-1 carry targets t_i of the Howell rows k_i of the
+    saturated trace kernel, in the O_K block, as an e_K x r matrix in
+    column convention (column i is t_i), computed in the twin ``hi``.
+
+    By additivity (module docstring) a kernel draw sum_i c_i k_i shifts
+    every level's carry target by this matrix times c, modulo tr(O_L).
+    """
+    targets = []
+    for row in trace_kernel_saturated(ext).rows:
+        chain = _frobenius_chain(hi, OLElement(ext.tower, row))
+        targets.append(_checked_target(ext, hi, [chain], 1).coeffs[:ext.e_K])
+    return tuple(zip(*targets))
 
 
 def _trace_zero(ext: ExtensionData, comps) -> WittVec:
@@ -353,20 +415,28 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
     the carry target leaves the trace image the sampler redraws the
     previous level, backing off all the way to level 0 as the per-level
     retry budgets run out (a prefix can be genuinely unextendable:
-    valuation constraints propagate downward).  Every component keeps its
-    Frobenius chain in the one twin at N+m until its level is redrawn.
+    valuation constraints propagate downward).  Each draw is tested by
+    linearity (module docstring); only the draws that the test keeps, and
+    the first draw per level and prefix, get an element, a Frobenius chain
+    in the one twin at N+m and an exact carry target.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     rng = derive_rng(seed, "sample-trace-zero", ext.name, m)
     kernel = trace_kernel_saturated(ext)
-    image = trace_image(ext)
     tr_map = linear_map_of(ext, "trace")
     hi = _twin(ext, ext.N + m)
+    targets = _kernel_targets(ext, hi) if m else ()
+    pN, e = ext.tower.pN, ext.e_K
+    # the trace image lies in the O_K block, so its Howell rows cut to that
+    # block are its Howell form there: the predictions are reduced in O_K
+    image = trace_image(ext)
+    image = HowellBasis(image.p, image.N, e, tuple(row[:e] for row in image.rows))
 
-    comps = [random_from_basis(ext, kernel, rng)]
-    chains = [_frobenius_chain(hi, comps[0])]
+    draw = random_from_basis(ext, kernel, rng)
+    comps, chains = [], []  # the prefix (a_0, ..., a_{n-2}) of the draw
     particular = [ext.tower.zero_ol] + [None] * m
+    bases = [None, (0,) * e]  # bases[n]: level-n target at a zero draw
     retries = [0] * (m + 1)
     attempts = 0
     n = 1
@@ -375,13 +445,25 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
         if attempts > RETRY_BUDGET * (m + 1) * 4:
             raise SamplingExhausted(
                 f"global retry budget exhausted at level {n}", level=n)
-        x = _level_step(ext, hi, image, tr_map, chains)
-        if x is not None:
-            particular[n] = x
-            comps.append(x + random_from_basis(ext, kernel, rng))
-            chains.append(_frobenius_chain(hi, comps[n]))
-            n += 1
-            continue
+        shift = matvec(targets, draw, pN)
+        predicted = n < len(bases)
+        if not predicted or member(image, [b + s for b, s in zip(bases[n], shift)]):
+            a = particular[n - 1] + from_basis(ext, kernel, draw)
+            comps.append(a)
+            chains.append(_frobenius_chain(hi, a))
+            c, x = _level_step(ext, hi, tr_map, chains)
+            if not predicted:
+                bases.append(tuple((b - s) % pN for b, s in zip(c.coeffs, shift)))
+            elif x is None:
+                raise VerificationError(
+                    f"carry target at level {n} left the trace image "
+                    f"against its linear prediction")
+            if x is not None:
+                particular[n] = x
+                draw = random_from_basis(ext, kernel, rng)
+                n += 1
+                continue
+            del comps[-1], chains[-1]
         # backtrack: redraw the deepest level whose budget still allows it
         lvl = n - 1
         while retries[lvl] == RETRY_BUDGET:
@@ -391,9 +473,10 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
                     f"retry budget exhausted while extending level {n}", level=n)
             lvl -= 1
         retries[lvl] += 1
-        comps[lvl:] = [particular[lvl] + random_from_basis(ext, kernel, rng)]
-        chains[lvl:] = [_frobenius_chain(hi, comps[lvl])]
+        del comps[lvl:], chains[lvl:], bases[lvl + 2:]
+        draw = random_from_basis(ext, kernel, rng)
         n = lvl + 1
+    comps.append(particular[m] + from_basis(ext, kernel, draw))
     return _trace_zero(ext, comps)
 
 
@@ -516,13 +599,12 @@ def deterministic_witness(ext: ExtensionData, m: int):
     a0 = ext.tower.pi_L
     if not ext.trace(a0).is_zero:
         return None, "pi_L is not trace-zero; no deterministic witness"
-    image = trace_image(ext)
     tr_map = linear_map_of(ext, "trace")
     hi = _twin(ext, ext.N + m)
     comps = [a0]
     chains = [_frobenius_chain(hi, a0)]
     for n in range(1, m + 1):
-        x = _level_step(ext, hi, image, tr_map, chains)
+        _, x = _level_step(ext, hi, tr_map, chains)
         if x is None:
             return None, f"carry target left the trace image at level {n}"
         comps.append(x)

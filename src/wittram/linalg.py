@@ -200,20 +200,25 @@ def solve_columnwise(columns: Presentation, b) -> tuple:
 def smith_invariants(rows, p: int, N: int, width: int) -> list:
     """Invariant factors of (Z/p^N)^width / span(rows), ascending.
 
-    One factor per column: each step takes an entry of least valuation k,
-    which divides every remaining entry, clears its column in the other rows
-    with the unit inverse of the pivot, records p^k and drops that row and
-    column.  A column left without a pivot is free and contributes p^N.
-    Since the remaining entries keep valuation >= k, the pivots come out in
-    ascending order.
+    One factor per column: each step takes an entry of least valuation k
+    (the first unit in row-major order when there is one, found without
+    computing any valuation), which divides every remaining entry, clears
+    its column in the other rows with the unit inverse of the pivot,
+    records p^k and drops that row and column.  A column left without a
+    pivot is free and contributes p^N.  Since the remaining entries keep
+    valuation >= k, the pivots come out in ascending order.
     """
     pN = p ** N
     A = [[x % pN for x in row] for row in rows]
     cols = list(range(width))
     out = []
     while True:
-        best = min(((padic_val(row[j], p), i, j) for i, row in enumerate(A)
-                    for j in cols if row[j]), default=None)
+        # the first unit in row-major order is the least (k, i, j) with k = 0
+        best = next(((0, i, j) for i, row in enumerate(A)
+                     for j in cols if row[j] % p), None)
+        if best is None:
+            best = min(((padic_val(row[j], p), i, j) for i, row in enumerate(A)
+                        for j in cols if row[j]), default=None)
         if best is None:
             return out + [pN] * len(cols)
         k, i, j = best

@@ -23,7 +23,12 @@ grid, and the slots outside the basis are folded back in stages
 j >= e_K fold through the reduced pi_K^j, one integer scalar per target
 column, and in the rows i >= p each remaining column folds through E_L into
 the rows i-p .. i-1, one scalar per nonzero O_K coordinate of E_L.  A target
-that lands outside the basis is folded again when its row comes.  The
+that lands outside the basis is folded again when its row comes.  The fold
+scalars are stored as signed least residues, so that a scalar such as -7
+stays a small int instead of p^N - 7; the grid values may go negative, and
+the final reduction mod p^N makes them canonical.  A square visits each
+unordered pair of coordinates once and doubles the off-diagonal terms, so
+it makes about half the coefficient products of a general product.  The
 one-step shifts build the fold and the powers of pi_L (``Tower.pi_L_power``):
 multiplying by pi_K shifts within every O_K block and reduces by E_K,
 multiplying by pi_L shifts the blocks and folds the overflow block back in
@@ -353,6 +358,11 @@ class Tower:
             if c:
                 k, l = divmod(n, e)
                 drops.append(((k - p) * width + l, c))
+        # signed least residues (see the module docstring)
+        half = self.pN // 2
+        ok_powers = [tuple((l, c - self.pN if c > half else c) for l, c in vec)
+                     for vec in ok_powers]
+        drops = [(d, c - self.pN if c > half else c) for d, c in drops]
         fold = []
         for i in reversed(range(2 * p - 1)):
             base = i * width
@@ -366,14 +376,23 @@ class Tower:
     def flat_mul(self, x, y) -> list:
         """Product of flat coordinate vectors: schoolbook into the product
         grid (the slots add like the exponents), each slot outside the
-        basis folded into the basis slots, then one reduction mod p^N."""
+        basis folded into the basis slots, then one reduction mod p^N.
+        A square (``x is y``) visits each unordered pair of coordinates
+        once and doubles the off-diagonal terms."""
         slot = self._slot
         ys = [(sb, cb) for sb, cb in zip(slot, y) if cb]
         grid = [0] * (2 * slot[-1] + 1)  # the top slot is twice the top basis slot
-        for sa, ca in zip(slot, x):
-            if ca:
-                for sb, cb in ys:
+        if x is y:
+            for k, (sa, ca) in enumerate(ys):
+                grid[sa + sa] += ca * ca
+                ca += ca
+                for sb, cb in ys[k + 1:]:
                     grid[sa + sb] += ca * cb
+        else:
+            for sa, ca in zip(slot, x):
+                if ca:
+                    for sb, cb in ys:
+                        grid[sa + sb] += ca * cb
         for s, vec in self._fold:
             c = grid[s]
             if c:

@@ -52,6 +52,7 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 from math import isqrt
+from struct import pack
 
 from .errors import DEFAULT_TERM_LIMIT, IntegralityError, ResourceLimit
 
@@ -98,8 +99,13 @@ def _rendered(mono: int) -> tuple:
     per monomial, since the polynomial families share most of theirs."""
     factors = decode_monomial(mono)
     # graded lex, descending: higher degree first, then larger exponent on
-    # the earliest variable in the (j, i) order
-    key = (-(mono & _MASK), tuple(((j, i), -e) for (i, j), e in factors))
+    # the earliest variable in the (j, i) order.  The key is bytes of 32-bit
+    # big-endian fields (_MASK - degree), then j, i, (_MASK - e) per factor,
+    # which compare like the tuple (-degree, ((j, i), -e), ...).
+    fields = [_MASK - (mono & _MASK)]
+    for (i, j), e in factors:
+        fields += (j, i, _MASK - e)
+    key = pack(f">{len(fields)}I", *fields)
     return key, "".join(f" {i}:{j}^{e}" for (i, j), e in factors)
 
 

@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from wittram import ExtensionData, build_extension, linalg
+from wittram.extensions import load_spec_file
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +27,12 @@ def sqrt2_hi():
 @pytest.fixture(scope="session")
 def cyclo():
     return build_extension("cyclotomic-step")
+
+
+@pytest.fixture(scope="session")
+def cyclo7():
+    # the benchmark's rank-42 extension (cyclotomic-step at p = 7)
+    return build_extension(load_spec_file(str(ROOT / "wittbench" / "cyclo7.json")))
 
 
 @pytest.fixture(scope="session")

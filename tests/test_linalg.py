@@ -6,14 +6,22 @@ from math import prod
 
 import pytest
 
-from wittram import NoSolution, howell_form, member, smith_invariants
+from wittram import (
+    ExtensionSpec,
+    NoSolution,
+    build_extension,
+    howell_form,
+    linear_map_of,
+    member,
+    smith_invariants,
+)
 from wittram.linalg import (
     columns_of,
     present,
     quotient_invariants,
     solve_columnwise,
 )
-from wittram.rings import matvec
+from wittram.rings import matvec, padic_val
 
 
 def brute_span(rows, pN):
@@ -233,6 +241,60 @@ def test_smith_matches_enumeration(p, N, width):
             for d in diag:
                 expected *= min(d, p ** j)
             assert count == expected
+
+
+def _smith_min_reference(rows, p, N, width):
+    """Smith invariants with the pivot chosen as the least (valuation, row,
+    column) on every step, computing every valuation."""
+    pN = p ** N
+    A = [[x % pN for x in row] for row in rows]
+    cols = list(range(width))
+    out = []
+    while True:
+        best = min(((padic_val(row[j], p), i, j) for i, row in enumerate(A)
+                    for j in cols if row[j]), default=None)
+        if best is None:
+            return out + [pN] * len(cols)
+        k, i, j = best
+        piv = A.pop(i)
+        unit_inv = pow(piv[j] // p ** k, -1, pN)
+        for row in A:
+            q = (row[j] // p ** k) * unit_inv % pN
+            if q:
+                for c in cols:
+                    row[c] = (row[c] - q * piv[c]) % pN
+        cols.remove(j)
+        out.append(p ** k)
+
+
+#: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
+T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
+                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
+
+
+@pytest.mark.parametrize("spec", [
+    ExtensionSpec("quadratic-gaussian"), ExtensionSpec("quadratic-sqrt2"),
+    ExtensionSpec("cyclotomic-step", p=3), ExtensionSpec("cyclotomic-step", p=5),
+    ExtensionSpec("cyclotomic-step", p=7), T4_SPEC,
+], ids=["gaussian", "sqrt2", "cyclo3", "cyclo5", "cyclo7", "t4"])
+def test_unit_first_smith_matches_the_least_valuation_pivot(spec):
+    ext = build_extension(spec)
+    columns = list(zip(*linear_map_of(ext, "sigma-minus-one").rows))
+    assert smith_invariants(columns, ext.p, ext.N, ext.tower.dim) == \
+        _smith_min_reference(columns, ext.p, ext.N, ext.tower.dim)
+
+
+def test_unit_first_smith_matches_the_reference_on_random_matrices():
+    rng = random.Random(77)
+    for p, N in [(2, 6), (3, 4), (5, 3)]:
+        pN = p ** N
+        for _ in range(40):
+            width = rng.randrange(1, 6)
+            # entries of mixed valuation, so that some steps have no unit
+            rows = [[rng.randrange(pN) * p ** rng.choice((0, 0, 1, 2))
+                     for _ in range(width)] for _ in range(rng.randrange(0, 6))]
+            assert smith_invariants(rows, p, N, width) == \
+                _smith_min_reference(rows, p, N, width)
 
 
 # -- quotients -------------------------------------------------------------------------

@@ -364,3 +364,63 @@ def test_vk_of_embedded_matches_vl(sqrt2):
     assert valuation_K(t.zero_ol) == Valuation.at_least(sqrt2.N * sqrt2.e_K)
     with pytest.raises(ValueError):
         valuation_K(t.pi_L)
+
+
+# -- squares and signed fold scalars -------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["gaussian", "cyclo", "cyclo7"])
+def test_square_equals_the_general_product(request, which):
+    # D = 2, 6 and 42: a square (the same tuple twice) takes the pair-once
+    # path, two equal but distinct tuples the general one
+    t = request.getfixturevalue(which).tower
+    rng = random.Random(7)
+    inputs = [tuple(rng.randrange(t.pN) for _ in range(t.dim)) for _ in range(4)]
+    inputs += [(t.pN - 1,) * t.dim, (0,) * t.dim, t.pi_L.coeffs,
+               t.pi_L_power(t.dim - 1).coeffs,
+               tuple(rng.randrange(t.pN) if k % 3 else 0 for k in range(t.dim))]
+    for x in inputs:
+        copy = tuple(list(x))
+        assert copy is not x
+        assert t.flat_mul(x, x) == t.flat_mul(x, copy) == shift_and_reduce(t, x, x)
+
+
+def _unsigned_fold(t):
+    """The staged fold with every scalar in [0, p^N): the fold as
+    ``Tower._build_slots`` stored it before the scalars were signed."""
+    p, e = t.p, t.e_K
+    width = 2 * e - 1
+    ok_powers = []
+    vec = [0] * (e - 1) + [1]
+    for _ in range(e, width):
+        vec = t._times_pi_K(vec)
+        ok_powers.append(tuple((l, c) for l, c in enumerate(vec) if c))
+    drops = [((n // e - p) * width + n % e, c)
+             for n, c in enumerate(t._overflow[0]) if c]
+    fold = []
+    for i in reversed(range(2 * p - 1)):
+        base = i * width
+        for j, powers in enumerate(ok_powers, e):
+            fold.append((base + j, tuple((base + l, c) for l, c in powers)))
+        if i >= p:
+            for l in range(e):
+                fold.append((base + l, tuple((base + l + d, c) for d, c in drops)))
+    return fold
+
+
+@pytest.mark.parametrize("which", ["gaussian", "sqrt2", "cyclo", "cyclo7", "t4",
+                                   "dense"])
+def test_fold_scalars_are_signed_least_residues(request, which):
+    if which == "t4":
+        t = build_extension(T4_SPEC, precision=48).tower
+    elif which == "dense":
+        t = dense_tower(5, 3, (1, 4), seed=503)
+    else:
+        t = request.getfixturevalue(which).tower
+    old = _unsigned_fold(t)
+    assert [(s, [sk for sk, _ in vec]) for s, vec in t._fold] == \
+        [(s, [sk for sk, _ in vec]) for s, vec in old]
+    for (_, vec), (_, old_vec) in zip(t._fold, old):
+        for (_, v), (_, u) in zip(vec, old_vec):
+            assert (v - u) % t.pN == 0
+            assert 2 * abs(v) <= t.pN

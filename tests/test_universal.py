@@ -398,3 +398,19 @@ def test_cached_monomial_text_is_coefficient_free(p):
     _rendered.cache_clear()
     cold = [q.canonical_lines() for q in reversed(polys)][::-1]
     assert warm == cold == expected
+
+
+def _tuple_key(mono):
+    """The output sort key as a tuple: (-degree, ((j, i), -e) per factor)."""
+    return (-(mono & ((1 << _WIDTH) - 1)),
+            tuple(((j, i), -e) for (i, j), e in decode_monomial(mono)))
+
+
+@pytest.mark.parametrize("p,levels", [(2, 3), (3, 2), (7, 1)])
+def test_bytes_sort_key_orders_like_the_tuple_key(p, levels):
+    zs = sum_polynomials(p, levels, p)
+    for n in range(1, levels + 1):
+        for q in (zs[n], carry_polynomial(p, n)):
+            monos = list(q.terms)
+            assert sorted(monos, key=lambda m: _rendered(m)[0]) == \
+                sorted(monos, key=_tuple_key)
