@@ -8,6 +8,10 @@ Subcommands:
 Exit codes: 0 all pass/fail-bearing suites passed, 1 at least one suite
 failed, 2 configuration error (unknown extension, precision guard, bad
 flags).
+
+Each command imports the layers it runs when it runs, so ``witt-poly``
+loads the symbolic layer and not the verify stack (``cohomology``,
+``harness``, ``report``).
 """
 
 from __future__ import annotations
@@ -15,10 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cohomology import trace_image_exponent
-from .errors import ConfigError, WittramError
-from .harness import SUITE_ORDER, RunConfig, run
-from .report import emit_report
+from .errors import SUITE_ORDER, ConfigError, WittramError
 from .rings import is_prime
 from .extensions import resolve_extension
 
@@ -75,6 +76,9 @@ def _pick_extension(args) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import RunConfig, run
+    from .report import emit_report
+
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     kwargs = dict(
         extension=_pick_extension(args),
@@ -133,6 +137,8 @@ def _cmd_witt_poly(args) -> int:
 
 
 def _cmd_extension_info(args) -> int:
+    from .cohomology import trace_image_exponent
+
     ext = resolve_extension(_pick_extension(args), args.precision)
     d = trace_image_exponent(ext)
     sys.stdout.write(

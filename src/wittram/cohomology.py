@@ -1,10 +1,11 @@
 """Level-1 cohomology of the cyclic action on O_L, verified at precision.
 
 The trace and sigma-1 operators are realized as D x D matrices over Z/p^N
-in the flat monomial tower basis (D = p * e_K, column convention), both
-read off the matrix of sigma; an element's coordinate vector is its
-``coeffs`` tuple.  Each operator's columns are eliminated once per
-precision (``LinearMap.columns``): the trace image, the coboundaries
+in the flat monomial tower basis (D = p * e_K, column convention), the
+trace from the power sums of the roots of E_L and sigma-1 off the matrix
+of sigma; an element's coordinate vector is its ``coeffs`` tuple.  Each
+operator's columns are eliminated once per precision
+(``LinearMap.columns``): the trace image, the coboundaries
 im(sigma-1), the trace kernel and every solve tr(x) = c or (sigma-1)x = a
 are read off that one presentation.  On top of it this module provides:
 
@@ -47,10 +48,10 @@ are read off that one presentation.  On top of it this module provides:
   its sum, and it is dropped when a lower level is redrawn.  The exact
   steps are the table, the first draw at each level n >= 2 for each
   prefix, every draw the test keeps (its element, Frobenius chain, carry
-  target, O_K check and ``solve_linear``, whose NoSolution is the
-  membership test) and the final Witt trace.  A kept draw whose exact
-  target is not in the image is a VerificationError, so a wrong prediction
-  cannot pass silently;
+  target and ``solve_linear``, whose NoSolution is the membership test)
+  and the final Witt trace.  A kept draw whose exact target is not in the
+  image is a VerificationError, so a wrong prediction cannot pass
+  silently;
 
 * verifiers for the trace valuation bounds, for the level-by-level
   valuation cascade on trace-zero vectors, and for the vanishing of the
@@ -59,7 +60,7 @@ are read off that one presentation.  On top of it this module provides:
 
 * H^1 = ker(tr)/im(sigma-1), read off the cokernel of sigma-1 at the
   extension's own precision, with an order cross-check against the trace
-  image.  Over Z_p the kernel K of the trace is saturated of rank D - e_K,
+  index |O_K / tr(O_L)|.  Over Z_p the kernel K of the trace is saturated of rank D - e_K,
   because O_L/K is isomorphic to tr(O_L) = p_K^d, which is free of rank e_K.
   So O_L is the direct sum of K and a free C of rank e_K, and im(sigma-1)
   has finite index in K; hence coker(sigma-1) = Z_p^{e_K} x H^1.  Over
@@ -105,7 +106,7 @@ from .linalg import (
     solve_columnwise,
 )
 from .report import CheckResult, SuiteRecord
-from .rings import OLElement, matvec, valuation_K, valuation_L
+from .rings import OLElement, matvec, padic_val, valuation_K, valuation_L
 from .witt import WittVec, witt_trace
 
 RETRY_BUDGET = 64
@@ -154,8 +155,8 @@ class LinearMap:
 
 @lru_cache(maxsize=128)
 def linear_map_of(ext: ExtensionData, which: str) -> LinearMap:
-    """Matrix of the trace or of sigma-1 ("trace" | "sigma-minus-one"),
-    both read off the matrix of sigma."""
+    """Matrix of the trace or of sigma-1 ("trace" | "sigma-minus-one"):
+    ``ExtensionData.trace_matrix``, or sigma minus the identity."""
     if which == "trace":
         rows = ext.trace_matrix
     elif which == "sigma-minus-one":
@@ -224,9 +225,12 @@ def trace_image_exponent(ext: ExtensionData) -> int:
 
 
 def trace_index_exponent(ext: ExtensionData) -> int:
-    """log_p |O_K / tr(O_L)| computed from the image alone (which lies in
-    the O_K block, see ``trace_image``)."""
-    return ext.N * ext.e_K - trace_image(ext).order_exponent()
+    """log_p |O_K / tr(O_L)|: the sum of v_p(d) over the Smith invariants d
+    of the trace's columns in the O_K block (the other rows are zero, see
+    ``ExtensionData.trace_matrix``)."""
+    columns = list(zip(*ext.trace_matrix[:ext.e_K]))
+    return sum(padic_val(d, ext.p)
+               for d in smith_invariants(columns, ext.p, ext.N, ext.e_K))
 
 
 # -- random elements ----------------------------------------------------------
@@ -340,7 +344,8 @@ def _carry_target(ext: ExtensionData, hi: ExtensionData, chains,
     W_n = sum_{i<n} p^i a_i^(p^(n-i)).
 
     This is minus component n of the Witt trace of (a_0, ..., a_{n-1}, 0),
-    i.e. -f_n at X_{i,j} = sigma^i(a_j) (see the module docstring).
+    i.e. -f_n at X_{i,j} = sigma^i(a_j) (see the module docstring).  It
+    lies in O_K, because ``hi.trace`` is zero outside the O_K block.
     VerificationError when p^n does not divide tr(W_n): the prefix was not
     trace-zero.
     """
@@ -360,23 +365,13 @@ def _carry_target(ext: ExtensionData, hi: ExtensionData, chains,
     return -ext.tower.element([x // pn for x in tr])
 
 
-def _checked_target(ext: ExtensionData, hi: ExtensionData, chains,
-                    n: int) -> OLElement:
-    """``_carry_target``, refused as a VerificationError when it leaves
-    O_K (a trace cannot)."""
-    c = _carry_target(ext, hi, chains, n)
-    if not c.lies_in_K:
-        raise VerificationError("carry target left O_K")
-    return c
-
-
 def _level_step(ext: ExtensionData, hi: ExtensionData, tr_map: LinearMap,
                 chains) -> tuple:
     """(c, a_n): the carry target c = -f_n(sigma^i(a_j)) of the trace-zero
     prefix (a_0, ..., a_{n-1}) given by its Frobenius ``chains`` in ``hi``,
     and some a_n with tr(a_n) = c, or None when no a_n exists (c is not in
     the trace image; the solver's NoSolution is the membership test)."""
-    c = _checked_target(ext, hi, chains, len(chains))
+    c = _carry_target(ext, hi, chains, len(chains))
     try:
         return c, solve_linear(tr_map, c)
     except NoSolution:
@@ -395,7 +390,7 @@ def _kernel_targets(ext: ExtensionData, hi: ExtensionData) -> tuple:
     targets = []
     for row in trace_kernel_saturated(ext).rows:
         chain = _frobenius_chain(hi, OLElement(ext.tower, row))
-        targets.append(_checked_target(ext, hi, [chain], 1).coeffs[:ext.e_K])
+        targets.append(_carry_target(ext, hi, [chain], 1).coeffs[:ext.e_K])
     return tuple(zip(*targets))
 
 
@@ -667,8 +662,9 @@ def h1_level1(ext: ExtensionData) -> tuple:
 
 def h1_suite(ext: ExtensionData) -> SuiteRecord:
     """H^1 at level 1: its invariant factors, and a check that its order,
-    read off sigma-1, equals |O_K / tr(O_L)| read off the trace image (the
-    additive Herbrand quotient of O_L is trivial, so the two must coincide).
+    read off sigma-1, equals |O_K / tr(O_L)| read off the trace
+    (``trace_index_exponent``; the additive Herbrand quotient of O_L is
+    trivial, so the two must coincide).
 
     ``invariant-factors-stable`` reports the factors.  Its evidence is the
     count certificate of ``h1_level1``, which makes them the factors at

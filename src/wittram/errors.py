@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all wittram modules."""
+"""Exception hierarchy and the constants shared by all wittram modules."""
 
 
 class WittramError(Exception):
@@ -28,6 +28,11 @@ class PrecisionExhausted(WittramError):
 #: the default term budget of the symbolic computations; every report
 #: echoes the budget it ran with
 DEFAULT_TERM_LIMIT = 10 ** 7
+
+#: the suites of ``verify``, in run order; kept here so that the command
+#: line parser can list them without loading the verify stack
+SUITE_ORDER = ("symbolic", "trace-lemmas", "cascade", "proposition", "h1",
+               "negative-control")
 
 
 class ResourceLimit(WittramError):

@@ -78,7 +78,8 @@ class ExtensionData:
     stored as a tuple of D rows (D = p*e_K) in column convention: column c
     is sigma applied to monomial c.  sigma fixes O_K, so the column of
     pi_L^i pi_K^j is sigma(pi_L)^i pi_K^j.  Applying sigma, listing
-    conjugates and taking traces are all matrix-vector products.
+    conjugates and taking traces are all matrix-vector products; the trace
+    matrix itself comes from E_L (``trace_matrix``).
 
     Extensions compare and hash by identity, so the caches keyed on them
     (``_twin`` and the operator matrices of ``cohomology``) cost one
@@ -114,17 +115,27 @@ class ExtensionData:
     def trace_matrix(self) -> tuple:
         """tr_{L/K} = 1 + sigma + ... + sigma^{p-1} as a matrix like ``sigma``.
 
-        The trace is O_K-linear, so only tr(pi_L^i), i < p, needs conjugates.
-        Its values lie in O_K, so rows e_K ... D-1 are zero; VerificationError
-        otherwise (sigma is then no automorphism of L/K).
+        The trace is O_K-linear, so only s_i = tr(pi_L^i), i < p, is needed.
+        The conjugates of pi_L are the roots of E_L = x^p + c_{p-1} x^{p-1} +
+        ... + c_0, so by Newton's identities s_i is their i-th power sum:
+        s_0 = p and s_i = -i c_{p-i} - sum_{0<j<i} c_{p-j} s_{i-j}, products
+        in O_K.  The values lie in O_K, so rows e_K ... D-1 are zero
+        whatever sigma is; sigma is cross-checked instead: the sum of the
+        sigma^i(pi_L), i < p, must be s_1, else VerificationError (sigma is
+        then no automorphism of L/K).
         """
-        pi = self.tower.pi_L
-        rows = _ok_linear_matrix(self.tower, [sum(self.conjugates(pi ** i))
-                                              for i in range(self.p)])
-        if any(any(row) for row in rows[self.e_K:]):
+        tower, p = self.tower, self.p
+        c = tower.E_L
+        sums = [tower.ol_const(p)]
+        for i in range(1, p):
+            s_i = c[p - i] * -i
+            for j in range(1, i):
+                s_i -= c[p - j] * sums[i - j]
+            sums.append(s_i)
+        if sum(self.conjugates(tower.pi_L)) != sums[1]:
             raise VerificationError(
                 f"the trace leaves O_K at N={self.N}: sigma is not a Galois action")
-        return rows
+        return _ok_linear_matrix(tower, sums)
 
     def apply_sigma(self, a: OLElement, power: int = 1) -> OLElement:
         """sigma^power applied to an element of O_L."""
@@ -208,8 +219,8 @@ def _materialize(spec: ExtensionSpec) -> ExtensionSpec:
         top = [minus_pi_k]
         for k in range(1, p):
             top.append((math.comb(p, k),) + zero_k[1:])
-        # sigma(pi_L) = (pi_L + 1)^(p+1) - 1, expanded by the binomial theorem
-        sigma_pi = tuple((math.comb(p + 1, k) if k else 0,) for k in range(p + 2))
+        # sigma(pi_L) = zeta_p (pi_L + 1) - 1 = pi_K + (1 + pi_K) pi_L
+        sigma_pi = ((0, 1), (1, 1))
         return ExtensionSpec(kind, p, spec.precision, base, tuple(top), sigma_pi)
     if kind == "custom":
         if spec.base_coeffs is None or spec.top_coeffs is None or spec.sigma_pi is None:

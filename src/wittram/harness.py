@@ -19,6 +19,7 @@ from .cohomology import (
 )
 from .errors import (
     DEFAULT_TERM_LIMIT,
+    SUITE_ORDER,
     ConfigError,
     IntegralityError,
     SamplingExhausted,
@@ -27,9 +28,6 @@ from .errors import (
 )
 from .extensions import ExtensionData, resolve_extension
 from .report import REPORT_VERSION, CheckResult, Report, SuiteRecord
-
-SUITE_ORDER = ("symbolic", "trace-lemmas", "cascade", "proposition", "h1",
-               "negative-control")
 
 #: symbolic levels known to stay comfortably inside the term budget
 SYMBOLIC_LEVELS = {2: 3, 3: 2}

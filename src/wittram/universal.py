@@ -93,20 +93,37 @@ def decode_monomial(mono: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _rendered_factor(c: int, e: int) -> tuple:
+    """The sort key bytes and the text " i:j^e" of the factor X_{i,j}^e in
+    field c + 1, rendered once per (field, exponent)."""
+    i, j = _cantor_pair(c)
+    return pack(">3I", j, i, _MASK - e), f" {i}:{j}^{e}"
+
+
+@lru_cache(maxsize=None)
 def _rendered(mono: int) -> tuple:
     """The output sort key of a packed monomial and its text, " i:j^e" per
-    factor in (j, i) order (empty for the constant monomial); decoded once
-    per monomial, since the polynomial families share most of theirs."""
-    factors = decode_monomial(mono)
-    # graded lex, descending: higher degree first, then larger exponent on
-    # the earliest variable in the (j, i) order.  The key is bytes of 32-bit
-    # big-endian fields (_MASK - degree), then j, i, (_MASK - e) per factor,
-    # which compare like the tuple (-degree, ((j, i), -e), ...).
-    fields = [_MASK - (mono & _MASK)]
-    for (i, j), e in factors:
-        fields += (j, i, _MASK - e)
-    key = pack(f">{len(fields)}I", *fields)
-    return key, "".join(f" {i}:{j}^{e}" for (i, j), e in factors)
+    factor in (j, i) order (empty for the constant monomial); built once
+    per monomial, since the polynomial families share most of theirs, from
+    the rendered factors.
+
+    Graded lex, descending: higher degree first, then larger exponent on
+    the earliest variable in the (j, i) order.  The key is bytes of 32-bit
+    big-endian fields (_MASK - degree), then j, i, (_MASK - e) per factor,
+    which compare like the tuple (-degree, ((j, i), -e), ...); the factor
+    keys themselves sort the factors, since no two share (j, i).  The
+    fields are peeled as in ``decode_monomial``, without decoding them.
+    """
+    factors = []
+    rest = mono >> _WIDTH
+    while rest:
+        c = (rest.bit_length() - 1) // _WIDTH
+        e = rest >> (_WIDTH * c)
+        factors.append(_rendered_factor(c, e))
+        rest -= e << (_WIDTH * c)
+    factors.sort()
+    return (pack(">I", _MASK - (mono & _MASK)) + b"".join([k for k, _ in factors]),
+            "".join([text for _, text in factors]))
 
 
 def _max_degree(terms: dict) -> int:
@@ -120,11 +137,11 @@ class SymPoly:
     ints; every operation drops the coefficients that cancel, so the
     constructor takes the dict as it is.  Instances are immutable by
     convention: the term dict is created fresh by every operation and never
-    mutated afterwards, which makes the cached polynomial families safe to
-    share.
+    mutated afterwards, which makes the cached polynomial families and the
+    memoized powers (``__pow__``) safe to share.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_powers")
 
     def __init__(self, terms=None):
         self.terms = {} if terms is None else terms
@@ -191,16 +208,42 @@ class SymPoly:
         return SymPoly(out)
 
     def __pow__(self, n: int) -> "SymPoly":
+        """self^n, memoized on the instance.
+
+        A one-term base takes its power in closed form (monomial times n,
+        coefficient to the n).  A longer one is built by repeated
+        multiplication from the largest power memoized so far, and every
+        power on the way is kept: dense multivariate powers are cheaper
+        that way than by repeated squaring (Fateman, Stud. Appl. Math.
+        1974), and the universal polynomials take the same power of the
+        same z_k more than once.  The degree is checked before any product:
+        a power whose total degree would not fit the exponent field raises
+        ResourceLimit at once.
+        """
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = SymPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n < 2:
+            return SymPoly.const(1) if n == 0 else self
+        powers = getattr(self, "_powers", None)  # powers[k - 2] is self^k
+        if powers is not None and n - 2 < len(powers):
+            return powers[n - 2]
+        terms = self.terms
+        if not terms:
+            return self
+        degree = _max_degree(terms) * n
+        if degree > _MASK:
+            raise ResourceLimit(f"a power of total degree {degree} does not "
+                                f"fit the {_WIDTH}-bit exponent field")
+        if len(terms) == 1:
+            [(mono, c)] = terms.items()
+            return SymPoly({mono * n: c ** n})
+        if powers is None:
+            powers = self._powers = []
+        power = powers[-1] if powers else self
+        while len(powers) < n - 1:
+            power = power * self
+            powers.append(power)
+        return power
 
     def scale(self, c: int) -> "SymPoly":
         if c == 0:
@@ -249,22 +292,21 @@ class SymPoly:
     # -- substitution -----------------------------------------------------
 
     def substitute(self, table: dict) -> "SymPoly":
-        """Replace each variable found in ``table`` by the given SymPoly."""
+        """Replace each variable found in ``table`` by the given SymPoly.
+
+        Each term is the product of its factor powers, scaled by its
+        coefficient; the powers of a table entry are memoized on it.
+        """
         out = SymPoly.zero()
-        power_cache = {}
         for mono, coeff in self.terms.items():
-            term = SymPoly.const(coeff)
+            term = None
             for var, e in decode_monomial(mono):
-                key = (var, e)
-                got = power_cache.get(key)
-                if got is None:
-                    base = table.get(var)
-                    if base is None:
-                        base = SymPoly.var(*var)
-                    got = base ** e
-                    power_cache[key] = got
-                term = term * got
-            out = out + term
+                base = table.get(var)
+                if base is None:
+                    base = SymPoly.var(*var)
+                got = base ** e
+                term = got if term is None else term * got
+            out = out + (SymPoly.const(coeff) if term is None else term.scale(coeff))
         return out
 
     # -- canonical serialization -----------------------------------------

@@ -303,17 +303,6 @@ def test_caches_key_extensions_and_maps_by_identity(rebuilds):
     assert fresh_trace.columns != trace.columns
 
 
-def test_carry_target_outside_o_k_is_a_consistency_error(sqrt2, monkeypatch):
-    # a carry target is a trace, so it lies in O_K; one outside is an
-    # implementation bug, never a prefix to backtrack from
-    monkeypatch.setattr(cohomology, "_carry_target",
-                        lambda ext, hi, chains, n: ext.tower.pi_L)
-    with pytest.raises(VerificationError, match="carry target left O_K"):
-        sample_trace_zero(sqrt2, 1, seed=0)
-    with pytest.raises(VerificationError, match="carry target left O_K"):
-        cohomology.deterministic_witness(sqrt2, 1)
-
-
 # -- cascade -------------------------------------------------------------------------------
 
 
@@ -470,6 +459,26 @@ def test_h1_matches_the_saturated_kernel_quotient(spec, precision):
     assert expected
     assert h1_level1(ext) == expected
     assert h1_level1(_twin(ext, ext.N + 4)) == expected
+
+
+@pytest.mark.parametrize("spec,precision", [
+    (ExtensionSpec(kind), N) for kind in ("quadratic-gaussian", "quadratic-sqrt2")
+    for N in (32, 36)
+] + [
+    (ExtensionSpec("cyclotomic-step", p=p), N) for p in (3, 5, 7) for N in (32, 36)
+] + [(T4_SPEC, N) for N in (48, 52)], ids=_spec_id)
+def test_trace_index_is_read_off_one_smith_form(spec, precision):
+    # oracle: the order of the Howell basis of the trace image
+    ext = build_extension(spec, precision=precision)
+    expected = ext.N * ext.e_K - trace_image(ext).order_exponent()
+    assert trace_index_exponent(ext) == expected
+
+
+def test_h1_suite_eliminates_no_matrix(howell_calls):
+    ext = build_extension("cyclotomic-step")
+    record = h1_suite(ext)
+    assert [c.status for c in record.checks] == ["pass", "pass"]
+    assert howell_calls == []
 
 
 def test_h1_builds_no_twin_and_eliminates_no_matrix(monkeypatch, howell_calls,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wittram import (
+    BUILTIN_NAMES,
     ExtensionData,
     ExtensionSpec,
     NotEisenstein,
@@ -47,6 +48,40 @@ def test_trace_matrix_refuses_a_trace_outside_o_k(sqrt2):
                               identity, sqrt2.t)
     with pytest.raises(VerificationError, match="the trace leaves O_K"):
         corrupted.trace_matrix
+
+
+#: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
+T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
+                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
+
+NEWTON_CASES = [(ExtensionSpec(kind), 32) for kind in BUILTIN_NAMES] + [
+    (ExtensionSpec("cyclotomic-step", p=5), 32),
+    (ExtensionSpec("cyclotomic-step", p=7), 32),
+    (T4_SPEC, 48),
+]
+
+
+@pytest.mark.parametrize("spec,precision,margin", [
+    (spec, N, margin) for spec, N in NEWTON_CASES for margin in (0, 4)],
+    ids=lambda v: f"{v.kind}{v.p or ''}" if isinstance(v, ExtensionSpec) else None)
+def test_newton_trace_matrix_is_the_sum_of_the_conjugates(spec, precision, margin):
+    # oracle: column c is sum_i sigma^i of the c-th basis monomial, by
+    # matrix-vector products with sigma
+    ext = build_extension(spec, precision=precision + margin)
+    tower = ext.tower
+    columns = []
+    for c in range(tower.dim):
+        unit = tower.element((0,) * c + (1,))
+        columns.append(sum(ext.conjugates(unit)).coeffs)
+    assert ext.trace_matrix == tuple(zip(*columns))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cyclotomic_sigma_is_the_binomial_power(p):
+    # sigma(zeta_{p^2}) = zeta_{p^2}^(p+1), with zeta_{p^2} = pi_L + 1
+    ext = build_extension(ExtensionSpec("cyclotomic-step", p=p))
+    one = ext.tower.one_ol
+    assert ext.sigma_pi == (ext.tower.pi_L + one) ** (p + 1) - one
 
 
 def test_cyclotomic_invariants(cyclo):

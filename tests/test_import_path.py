@@ -3,7 +3,8 @@
 ``import wittram.cli`` loads neither ``dataclasses`` (which pulls in
 ``inspect``, ``ast`` and ``dis``), nor ``csv``, nor the symbolic layer
 ``wittram.universal``: the symbolic suite, ``witt-poly`` and ``--format
-csv`` import what they need when they run.  The package namespace is lazy:
+csv`` import what they need when they run, and ``witt-poly`` never loads
+the verify stack.  The package namespace is lazy:
 ``import wittram`` loads no submodule, and building an extension loads
 only the three modules it runs.  Each case starts a fresh interpreter,
 because the test process has loaded all of them already.
@@ -110,6 +111,17 @@ def test_cli_import_loads_no_heavy_module():
                           "        print(name)\n"])
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout.decode().split() == []
+
+
+def test_witt_poly_loads_no_verify_stack():
+    assert _run("import contextlib, io, sys\n"
+                "from wittram.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                "    code = main(['witt-poly', '--p', '3', '--level', '2', '--which', 'f'])\n"
+                "print(code, len(out.getvalue().splitlines()) > 0)\n"
+                "for name in ('cohomology', 'harness', 'report'):\n"
+                "    print(name, 'wittram.' + name in sys.modules)") == [
+        "0", "True", "cohomology", "False", "harness", "False", "report", "False"]
 
 
 @pytest.mark.parametrize("argv", sorted(OUTPUT_DIGESTS), ids=lambda a: a[0])

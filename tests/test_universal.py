@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittram import IntegralityError, ResourceLimit
-from wittram.harness import symbolic_suite
+from wittram.harness import SYMBOLIC_LEVELS, symbolic_suite
 from wittram.universal import (
     _WIDTH,
     SymPoly,
     _rendered,
+    _rendered_factor,
     carry_polynomial,
     carry_residue_polynomial,
     decode_monomial,
@@ -328,6 +329,60 @@ def test_degree_overflow_raises_instead_of_wrapping():
         X(0, 0) ** (top + 1)
 
 
+def _square_and_multiply(base, n):
+    result, square = SymPoly.const(1), base
+    while n:
+        if n & 1:
+            result = result * square
+        square = square * square
+        n >>= 1
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_term_maps, order=st.permutations(range(10)))
+def test_memoized_powers_match_square_and_multiply(a, order):
+    # one instance asked for n = 0..9 in any order: each answer comes from
+    # the memo, the closed form of a one-term base, or products on top of
+    # the largest memoized power
+    base = poly(a)
+    for n in order:
+        assert base ** n == _square_and_multiply(base, n)
+
+
+def test_overflowing_power_raises_before_any_product(monkeypatch):
+    # squaring first would build 2^k + 1 terms per step before the degree
+    # overflowed, so a product here fails the test at once instead
+    def refuse(self, other):
+        raise AssertionError("a product ran before the degree check")
+
+    base = X(0, 0) * X(1, 0) + X(0, 1)
+    monkeypatch.setattr(SymPoly, "__mul__", refuse)
+    with pytest.raises(ResourceLimit):
+        base ** 2 ** (_WIDTH - 1)
+    with pytest.raises(ResourceLimit):
+        (X(0, 0) + X(1, 0)) ** 2 ** _WIDTH
+
+
+def test_symbolic_suite_builds_each_power_of_z0_once(monkeypatch):
+    # z_0^7 = (sum_i X_{i,0})^7 enters z_1 and the ghost check of z_1
+    z0_power = sum((X(i, 0) for i in range(7)), SymPoly.zero()) ** 7
+    for family in (sum_polynomials, carry_polynomial, carry_residue_polynomial):
+        family.cache_clear()
+    built = []
+    mul = SymPoly.__mul__
+
+    def counting(self, other):
+        out = mul(self, other)
+        if out == z0_power:
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(SymPoly, "__mul__", counting)
+    assert all(c.status == "pass" for c in symbolic_suite(7).checks)
+    assert len(built) == 1
+
+
 def test_variable_indices_are_bounded():
     assert X(63, 0).canonical_lines() == ["1 63:0^1"]
     assert X(0, 63).canonical_lines() == ["1 0:63^1"]
@@ -414,3 +469,18 @@ def test_bytes_sort_key_orders_like_the_tuple_key(p, levels):
             monos = list(q.terms)
             assert sorted(monos, key=lambda m: _rendered(m)[0]) == \
                 sorted(monos, key=_tuple_key)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_rendered_factors_give_the_reference_lines(p):
+    # every polynomial the symbolic suite digests, rendered from cold caches
+    levels = SYMBOLIC_LEVELS.get(p, 1)
+    zs = sum_polynomials(p, levels, p)
+    polys = list(zs)
+    polys += [carry_polynomial(p, n) for n in range(1, levels + 1)]
+    polys += [carry_residue_polynomial(p, n) for n in range(2, levels + 1)]
+    _rendered.cache_clear()
+    _rendered_factor.cache_clear()
+    for q in polys:
+        expected = _reference_lines({decode_monomial(m): c for m, c in q.terms.items()})
+        assert q.canonical_lines() == expected
