@@ -84,7 +84,6 @@ always.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from functools import cached_property, lru_cache
 from math import prod
@@ -94,6 +93,7 @@ from .errors import (
     PrecisionExhausted,
     SamplingExhausted,
     VerificationError,
+    sha256,
 )
 from .extensions import ExtensionData, _twin
 from .linalg import (
@@ -119,7 +119,7 @@ SATURATION_MARGIN = 4
 def derive_seed(*parts) -> int:
     """Stable 64-bit child seed from arbitrary labeled parts."""
     text = ":".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    return int.from_bytes(sha256(text.encode()).digest()[:8], "big")
 
 
 def derive_rng(*parts) -> random.Random:
@@ -478,22 +478,10 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
 # -- cascade verifier ---------------------------------------------------------
 
 
-def verify_cascade(a: WittVec) -> list:
-    """Per-level valuation cascade checks for a trace-zero Witt vector.
-
-    For 1 <= n <= m verifies p * v_L(a_{n-1}) >= min(v_L(a_n) + t(p-1),
-    p*t(p-1)) in exact integers.  Levels whose left side hits the precision
-    horizon are reported as skipped.  ValueError when the Witt trace of
-    ``a`` is not zero.
-    """
-    if not witt_trace(a).is_zero:
-        raise ValueError("cascade verifier requires a trace-zero vector")
-    return _cascade_levels(a)
-
-
 def _cascade_levels(a: WittVec) -> list:
-    """The level checks of ``verify_cascade``, for a vector already
-    certified trace-zero."""
+    """The cascade check p v_L(a_{n-1}) >= min(v_L(a_n) + t(p-1), p t(p-1))
+    at each level 1 <= n <= m, exact, for ``a`` already certified trace-zero;
+    a level whose left side hits the precision horizon is skipped."""
     p, t = a.ext.p, a.ext.t
     horizon = a.ext.tower.horizon_L
     out = []

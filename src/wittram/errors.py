@@ -1,5 +1,10 @@
 """Exception hierarchy and the constants shared by all wittram modules."""
 
+try:  # the builtin module: hashlib would load OpenSSL as well
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 
 class WittramError(Exception):
     """Base class for all errors raised by this package."""

@@ -188,14 +188,11 @@ def _ok_linear_matrix(tower: Tower, images) -> tuple:
     """
     cols = []
     for x in images:
+        col = x.coeffs
         for _ in range(tower.e_K):
-            cols.append(x.coeffs)
-            x = x * tower.pi_K
+            cols.append(col)
+            col = tower._times_pi_K(col)
     return tuple(zip(*cols))
-
-
-def _binomials(p: int, k_from: int, k_to: int):
-    return [math.comb(p, k) for k in range(k_from, k_to)]
 
 
 def _materialize(spec: ExtensionSpec) -> ExtensionSpec:
@@ -212,7 +209,7 @@ def _materialize(spec: ExtensionSpec) -> ExtensionSpec:
         if p == 2 or not is_prime(p):
             raise InvalidExtension(f"cyclotomic-step requires an odd prime, got {p}")
         # E_K = ((y+1)^p - 1)/y, degree p-1; pi_K = zeta_p - 1
-        base = tuple(_binomials(p, 1, p))
+        base = tuple(math.comb(p, k) for k in range(1, p))
         # E_L = (x+1)^p - (1 + pi_K): constant term -pi_K, then binomials
         zero_k = (0,) * (p - 1)
         minus_pi_k = (0, -1) + (0,) * (p - 3)
@@ -289,55 +286,6 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
 
     return ExtensionData(spec=spec, name=name, tower=tower, sigma_pi=sigma_pi,
                          sigma=sigma, t=t)
-
-
-def ramification_break(ext: ExtensionData, generator_power: int = 1) -> int:
-    """Re-derive t from any generator sigma^g (1 <= g < p); all agree."""
-    if not 1 <= generator_power < ext.p:
-        raise ValueError("generator power must lie in [1, p)")
-    diff = ext.apply_sigma(ext.tower.pi_L, generator_power) - ext.tower.pi_L
-    v = valuation_L(diff)
-    if not v.is_exact:
-        raise PrecisionExhausted("ramification break not resolvable at precision")
-    return v.value - 1
-
-
-class SigmaBasis:
-    """The conjugate-product basis x_mu = prod_{i<mu} sigma^i(pi_L).
-
-    v_L(x_mu) = mu, and v_L((sigma - 1) x_mu) = t + mu for 1 <= mu <= p-1;
-    the valuations are pairwise distinct mod p, which is what makes the
-    family an O_K-basis of O_L.
-    """
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: tuple):
-        self.elements = elements
-
-
-def sigma_basis(ext: ExtensionData) -> SigmaBasis:
-    """Build x_0..x_{p-1} and verify their valuation pattern exactly."""
-    tower = ext.tower
-    xs = [tower.one_ol]
-    for mu in range(1, ext.p):
-        xs.append(xs[-1] * ext.apply_sigma(tower.pi_L, mu - 1))
-    for mu, x in enumerate(xs):
-        v = valuation_L(x)
-        if not v.is_exact:
-            raise PrecisionExhausted(f"v_L(x_{mu}) hit the precision horizon")
-        if v.value != mu:
-            raise VerificationError(f"v_L(x_{mu}) = {v.value}, expected {mu}")
-    for mu in range(1, ext.p):
-        d = ext.apply_sigma(xs[mu]) - xs[mu]
-        v = valuation_L(d)
-        if not v.is_exact:
-            raise PrecisionExhausted(f"v_L((sigma-1)x_{mu}) hit the horizon")
-        if v.value != ext.t + mu:
-            raise VerificationError(
-                f"v_L((sigma-1)x_{mu}) = {v.value}, expected t + mu = {ext.t + mu}"
-            )
-    return SigmaBasis(tuple(xs))
 
 
 # -- extension spec files ---------------------------------------------------

@@ -49,12 +49,11 @@ suitable for golden files.
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 from math import isqrt
 from struct import pack
 
-from .errors import DEFAULT_TERM_LIMIT, IntegralityError, ResourceLimit
+from .errors import DEFAULT_TERM_LIMIT, IntegralityError, ResourceLimit, sha256
 
 # Bits per exponent field, and the bound on i + j for a variable X_{i,j}: it
 # keeps a packed monomial within (64 * 65 / 2 + 1) fields of 32 bits.
@@ -322,7 +321,7 @@ class SymPoly:
         return [line for _, line in rows]
 
     def digest(self) -> str:
-        return hashlib.sha256("\n".join(self.canonical_lines()).encode()).hexdigest()
+        return sha256("\n".join(self.canonical_lines()).encode()).hexdigest()
 
     def __repr__(self):
         if self.is_zero:

@@ -1,13 +1,14 @@
 """Truncated p-typical Witt vectors over the ring of integers of L.
 
-A WittVec of length m+1 is a tuple of O_L elements.  Sums, negatives and
-traces run through the ghost map at precision N+m: the coordinates in
-[0, p^N) lift the components, their ghost components W_k are added, negated
-or traced, and z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) / p^k is projected
+A WittVec of length m+1 is a tuple of O_L elements.  Traces (the verify
+path) and sums run through the ghost map at precision N+m: the coordinates
+in [0, p^N) lift the components, their ghost components W_k are traced or
+added, and z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) / p^k is projected
 back to precision N.  O_L is free over Z_p, so p^k divides an element iff it
 divides every coordinate, which is checked (IntegralityError); z_k is exact
 modulo p^(N+m-k) >= p^N.  The tests compare this path with ``evaluate_poly``
-of the universal polynomials.
+of the universal polynomials.  ``verify`` calls neither ``witt_add`` nor
+``evaluate_poly``; they stay here because the benchmark tracer wraps them.
 """
 
 from __future__ import annotations
@@ -44,15 +45,6 @@ class WittVec:
 
     def __repr__(self):
         return f"WittVec({self.ext.name}, {self.components})"
-
-
-def witt_zero(ext: ExtensionData, length: int) -> WittVec:
-    return WittVec(ext, (ext.tower.zero_ol,) * length)
-
-
-def teichmuller(ext: ExtensionData, x: OLElement, length: int) -> WittVec:
-    """The multiplicative lift (x, 0, ..., 0)."""
-    return WittVec(ext, (x,) + (ext.tower.zero_ol,) * (length - 1))
 
 
 def evaluate_poly(poly, assign: dict, ext: ExtensionData) -> OLElement:
@@ -159,31 +151,6 @@ def witt_add(a: WittVec, b: WittVec) -> WittVec:
     return _from_ghost(a.ext, hi, ghosts)
 
 
-def witt_neg(a: WittVec) -> WittVec:
-    """The additive inverse: the ghost components negate."""
-    hi = _twin(a.ext, a.ext.N + len(a) - 1)
-    return _from_ghost(a.ext, hi, [-w for w in _ghost(hi, a.components)])
-
-
-def verschiebung(a: WittVec) -> WittVec:
-    """The additive shift (a_0, ..., a_m) -> (0, a_0, ..., a_{m-1})."""
-    return WittVec(a.ext, (a.ext.tower.zero_ol,) + a.components[:-1])
-
-
-def restrict(a: WittVec, length: int) -> WittVec:
-    """Truncation to the first ``length`` components."""
-    if not 1 <= length <= len(a):
-        raise LengthMismatch(f"cannot restrict length {len(a)} to {length}")
-    return WittVec(a.ext, a.components[:length])
-
-
-def apply_sigma(a: WittVec, power: int = 1) -> WittVec:
-    """Componentwise Galois action; preserves component valuations."""
-    if not 0 <= power < a.ext.p:
-        raise ValueError("sigma power must lie in [0, p)")
-    return WittVec(a.ext, tuple(a.ext.apply_sigma(c, power) for c in a.components))
-
-
 def witt_trace(a: WittVec) -> WittVec:
     """The Witt sum of all Galois conjugates of ``a``.
 
@@ -193,8 +160,3 @@ def witt_trace(a: WittVec) -> WittVec:
     """
     hi = _twin(a.ext, a.ext.N + len(a) - 1)
     return _from_ghost(a.ext, hi, [hi.trace(w) for w in _ghost(hi, a.components)])
-
-
-def ghost_map(a: WittVec) -> tuple:
-    """Ghost coordinates (W_0(a), ..., W_m(a)) evaluated in O_L at precision."""
-    return tuple(_ghost(a.ext, a.components))

@@ -2,8 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from wittram import ExtensionData, build_extension, linalg
-from wittram.extensions import load_spec_file
+from wittram import linalg
+from wittram.extensions import ExtensionData, build_extension, load_spec_file
 
 ROOT = Path(__file__).resolve().parent.parent
 

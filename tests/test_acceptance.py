@@ -8,20 +8,6 @@ comparison at the stated precision).
 import random
 from math import prod
 
-import pytest
-
-from wittram import (
-    WittVec,
-    build_extension,
-    ghost_map,
-    ramification_break,
-    sigma_basis,
-    valuation_L,
-    verify_cascade,
-    verify_restriction_vanishing,
-    verify_trace_valuations,
-    witt_add,
-)
 from wittram.cohomology import (
     cascade_suite,
     coboundary_image,
@@ -30,10 +16,12 @@ from wittram.cohomology import (
     negative_control,
     random_element,
     trace_index_exponent,
+    verify_restriction_vanishing,
+    verify_trace_valuations,
 )
 from wittram.harness import RunConfig, run
 from wittram.report import to_json
-from wittram.rings import Valuation
+from wittram.rings import Valuation, valuation_L
 from wittram.universal import (
     SymPoly,
     carry_polynomial,
@@ -42,8 +30,9 @@ from wittram.universal import (
     structure_check,
     sum_polynomials,
 )
-from wittram.witt import evaluate_poly
+from wittram.witt import WittVec, evaluate_poly, witt_add
 
+from oracles import ghost_map, ramification_break, sigma_basis, verify_cascade
 
 
 def report(num, desc, ok):

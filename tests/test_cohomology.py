@@ -6,26 +6,6 @@ from math import prod
 
 import pytest
 
-from wittram import (
-    ExtensionSpec,
-    NoSolution,
-    Tower,
-    Valuation,
-    VerificationError,
-    WittVec,
-    build_extension,
-    h1_level1,
-    linear_map_of,
-    negative_control,
-    sample_trace_zero,
-    solve_linear,
-    trace_image_exponent,
-    valuation_L,
-    verify_cascade,
-    verify_restriction_vanishing,
-    verify_trace_valuations,
-    witt_trace,
-)
 from wittram import cohomology
 from wittram.cohomology import (
     SATURATION_MARGIN,
@@ -33,18 +13,40 @@ from wittram.cohomology import (
     cascade_suite,
     coboundary_image,
     derive_seed,
+    h1_level1,
     h1_suite,
+    linear_map_of,
     member,
+    negative_control,
     random_element,
+    sample_trace_zero,
+    solve_linear,
     trace_image,
+    trace_image_exponent,
     trace_index_exponent,
     trace_kernel_saturated,
+    verify_restriction_vanishing,
+    verify_trace_valuations,
 )
-from wittram.extensions import ExtensionData, _twin
+from wittram.errors import NoSolution, VerificationError
+from wittram.extensions import (
+    ExtensionData,
+    ExtensionSpec,
+    _twin,
+    build_extension,
+)
 from wittram.linalg import howell_form, quotient_invariants
 from wittram.report import REPORT_VERSION, Report, emit_report
-from wittram.rings import matvec
-from wittram.witt import teichmuller, witt_zero
+from wittram.rings import Tower, matvec
+from wittram.witt import WittVec, witt_add, witt_trace
+
+from oracles import (
+    apply_sigma,
+    teichmuller,
+    verify_cascade,
+    witt_neg,
+    witt_zero,
+)
 
 
 # -- operator matrices ------------------------------------------------------------
@@ -320,7 +322,6 @@ def test_cascade_zero_vector_skips(sqrt2):
 
 
 def test_cascade_on_coboundary(sqrt2):
-    from wittram.witt import apply_sigma, witt_add, witt_neg
     b = teichmuller(sqrt2, sqrt2.tower.pi_L, 2)
     v = witt_add(apply_sigma(b, 1), witt_neg(b))
     for rec in verify_cascade(v):

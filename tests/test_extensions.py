@@ -4,24 +4,25 @@ import json
 
 import pytest
 
-from wittram import (
-    BUILTIN_NAMES,
-    ExtensionData,
-    ExtensionSpec,
+from wittram.errors import (
+    InvalidExtension,
     NotEisenstein,
     PrecisionExhausted,
     SigmaNotARoot,
     SigmaWrongOrder,
-    Valuation,
     VerificationError,
+)
+from wittram.extensions import (
+    BUILTIN_NAMES,
+    ExtensionData,
+    ExtensionSpec,
     build_extension,
     load_spec_file,
-    ramification_break,
     resolve_extension,
-    sigma_basis,
-    valuation_L,
 )
-from wittram.errors import InvalidExtension
+from wittram.rings import Valuation, valuation_L
+
+from oracles import ramification_break, sigma_basis
 
 
 # -- built-ins -------------------------------------------------------------------

@@ -6,19 +6,16 @@ from math import prod
 
 import pytest
 
-from wittram import (
-    ExtensionSpec,
-    NoSolution,
-    build_extension,
-    howell_form,
-    linear_map_of,
-    member,
-    smith_invariants,
-)
+from wittram.cohomology import linear_map_of
+from wittram.errors import NoSolution
+from wittram.extensions import ExtensionSpec, build_extension
 from wittram.linalg import (
     columns_of,
+    howell_form,
+    member,
     present,
     quotient_invariants,
+    smith_invariants,
     solve_columnwise,
 )
 from wittram.rings import matvec, padic_val

@@ -6,20 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittram import (
-    ExtensionSpec,
-    InvalidExtension,
-    NotEisenstein,
-    PrecisionExhausted,
+from wittram.cohomology import random_element
+from wittram.errors import InvalidExtension, NotEisenstein, PrecisionExhausted
+from wittram.extensions import ExtensionSpec, _twin, build_extension
+from wittram.rings import (
     Tower,
     Valuation,
-    build_extension,
+    is_prime,
+    padic_val,
     valuation_K,
     valuation_L,
 )
-from wittram.cohomology import random_element
-from wittram.extensions import _twin
-from wittram.rings import is_prime, padic_val
 
 
 def random_shifted(ext, rng, shift):

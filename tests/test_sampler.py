@@ -5,17 +5,6 @@ import random
 
 import pytest
 
-from wittram import (
-    ExtensionSpec,
-    SamplingExhausted,
-    VerificationError,
-    WittVec,
-    build_extension,
-    linear_map_of,
-    sample_trace_zero,
-    solve_linear,
-    witt_trace,
-)
 from wittram import cohomology
 from wittram.cohomology import (
     RETRY_BUDGET,
@@ -26,13 +15,18 @@ from wittram.cohomology import (
     derive_rng,
     derive_seed,
     from_basis,
+    linear_map_of,
     member,
     random_from_basis,
+    sample_trace_zero,
+    solve_linear,
     trace_image,
     trace_kernel_saturated,
 )
-from wittram.extensions import _twin
+from wittram.errors import SamplingExhausted, VerificationError
+from wittram.extensions import ExtensionSpec, _twin, build_extension
 from wittram.rings import matvec
+from wittram.witt import WittVec, witt_trace
 
 #: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
 T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),

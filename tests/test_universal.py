@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittram import IntegralityError, ResourceLimit
+from wittram.errors import IntegralityError, ResourceLimit
 from wittram.harness import SYMBOLIC_LEVELS, symbolic_suite
 from wittram.universal import (
     _WIDTH,

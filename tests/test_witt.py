@@ -4,31 +4,33 @@ import random
 
 import pytest
 
-from wittram import (
-    ExtensionSpec,
-    IntegralityError,
-    LengthMismatch,
-    Valuation,
-    VerificationError,
+from wittram.cohomology import (
+    _carry_target,
+    _frobenius_chain,
+    random_element,
+    sample_trace_zero,
+)
+from wittram.errors import IntegralityError, LengthMismatch, VerificationError
+from wittram.extensions import ExtensionSpec, _twin, build_extension
+from wittram.rings import Valuation, valuation_L
+from wittram.universal import carry_polynomial, sum_polynomials
+from wittram.witt import (
     WittVec,
+    _from_ghost,
+    evaluate_poly,
+    witt_add,
+    witt_trace,
+)
+
+from oracles import (
     apply_sigma,
-    build_extension,
     ghost_map,
     restrict,
-    sample_trace_zero,
     teichmuller,
-    valuation_L,
     verschiebung,
-    witt_add,
     witt_neg,
-    witt_trace,
     witt_zero,
 )
-from wittram.cohomology import _carry_target, _frobenius_chain, random_element
-from wittram.extensions import _twin
-from wittram.universal import carry_polynomial, sum_polynomials
-from wittram.witt import _from_ghost, evaluate_poly
-
 from test_cohomology import T4_SPEC
 
 
