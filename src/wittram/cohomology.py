@@ -11,12 +11,9 @@ are read off that one presentation.  On top of it this module provides:
 
 * one level step of the trace-zero recursion: tr(a_n) cancels the carry
   delta_n of the prefix, component n of the Witt trace of
-  (a_0, ..., a_{n-1}, 0).  For a prefix that is trace-zero at precision N,
-  delta_n = -tr(W_n)/p^n mod p^N with W_n = sum_{i<n} p^i a_i^(p^(n-i)),
-  one ghost level: the lower Witt-trace components z_i are divisible by
-  p^N, so each recovery term p^i z_i^(p^(n-i)) has valuation at least
-  i + N p^(n-i) >= N + n and vanishes after the division by p^n.  That
-  holds in any twin at precision >= N+n, so one twin at N+m serves every
+  (a_0, ..., a_{n-1}, 0).  For a prefix that is trace-zero at precision N
+  that is -tr(W_n)/p^n mod p^N, one ghost level in any twin at precision
+  >= N+n (``witt.ghost_level`` says why), so one twin at N+m serves every
   level, and each component keeps its Frobenius chain a_i, a_i^p, ...
   there until its level is redrawn.  The sampler adds kernel draws and
   backtracks, the sharpness witness takes the solutions as they are, and
@@ -107,7 +104,7 @@ from .linalg import (
 )
 from .report import CheckResult, SuiteRecord
 from .rings import OLElement, matvec, padic_val, valuation_K, valuation_L
-from .witt import WittVec, witt_trace
+from .witt import WittVec, frobenius_chain, ghost_level, witt_trace
 
 RETRY_BUDGET = 64
 SATURATION_MARGIN = 4
@@ -144,9 +141,6 @@ class LinearMap:
         self.ext = ext
         self.which = which
         self.rows = rows
-
-    def apply(self, a: OLElement) -> OLElement:
-        return OLElement(a.tower, matvec(self.rows, a.coeffs, a.tower.pN))
 
     @cached_property
     def columns(self) -> Presentation:
@@ -203,21 +197,19 @@ def coboundary_image(ext: ExtensionData) -> HowellBasis:
 
 
 def trace_image_exponent(ext: ExtensionData) -> int:
-    """The d with tr(O_L) = p_K^d, asserted against the computed image.
+    """The d with tr(O_L) = p_K^d, d = floor((t+1)(p-1)/p), asserted
+    against the computed trace index.
 
-    d = floor((t+1)(p-1)/p); the assertion compares Howell bases of the
-    computed trace image and of the module generated by pi_K^(d+j).
+    The trace image is an ideal of O_K/p^N, and the ideals of that chain
+    ring are the p_K^j, of index p^j, so the image is p_K^d exactly when
+    ``trace_index_exponent`` is d; VerificationError otherwise.
     """
     d = ((ext.t + 1) * (ext.p - 1)) // ext.p
     if d >= ext.N * ext.e_K:
         raise PrecisionExhausted(
             f"trace image exponent {d} is beyond the O_K horizon {ext.N * ext.e_K}"
         )
-    img = trace_image(ext)
-    tower = ext.tower
-    gens = [(tower.pi_K ** (d + j)).coeffs for j in range(ext.e_K)]
-    expected = howell_form(gens, ext.p, ext.N, tower.p * tower.e_K)
-    if expected.rows != img.rows:
+    if trace_index_exponent(ext) != d:
         raise VerificationError(
             f"trace image differs from p_K^{d} at precision N={ext.N}"
         )
@@ -330,12 +322,6 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
 # -- trace-zero sampler -------------------------------------------------------
 
 
-def _frobenius_chain(hi: ExtensionData, a: OLElement) -> list:
-    """[a] with its coordinates lifted into the twin ``hi``; ``_carry_target``
-    extends it to (a, a^p, a^(p^2), ...) as far as a level needs."""
-    return [OLElement(hi.tower, a.coeffs)]
-
-
 def _carry_target(ext: ExtensionData, hi: ExtensionData, chains,
                   n: int) -> OLElement:
     """The required tr(a_n) for a trace-zero prefix (a_0, ..., a_{n-1})
@@ -344,20 +330,13 @@ def _carry_target(ext: ExtensionData, hi: ExtensionData, chains,
     W_n = sum_{i<n} p^i a_i^(p^(n-i)).
 
     This is minus component n of the Witt trace of (a_0, ..., a_{n-1}, 0),
-    i.e. -f_n at X_{i,j} = sigma^i(a_j) (see the module docstring).  It
-    lies in O_K, because ``hi.trace`` is zero outside the O_K block.
+    i.e. -f_n at X_{i,j} = sigma^i(a_j), with W_n from ``ghost_level``.
+    It lies in O_K, because ``hi.trace`` is zero outside the O_K block.
     VerificationError when p^n does not divide tr(W_n): the prefix was not
     trace-zero.
     """
-    p = ext.p
-    w = [0] * hi.tower.dim
-    for i, chain in enumerate(chains[:n]):
-        while len(chain) <= n - i:
-            chain.append(chain[-1] ** p)
-        weight = p ** i
-        w = [x + weight * y for x, y in zip(w, chain[n - i].coeffs)]
-    tr = hi.trace(hi.tower.element(w)).coeffs
-    pn = p ** n
+    tr = hi.trace(hi.tower.element(ghost_level(hi, chains, n))).coeffs
+    pn = ext.p ** n
     if any(x % pn for x in tr):
         raise VerificationError(
             f"carry target at level {n} is not divisible by p^{n}: "
@@ -389,7 +368,7 @@ def _kernel_targets(ext: ExtensionData, hi: ExtensionData) -> tuple:
     """
     targets = []
     for row in trace_kernel_saturated(ext).rows:
-        chain = _frobenius_chain(hi, OLElement(ext.tower, row))
+        chain = frobenius_chain(hi, OLElement(ext.tower, row))
         targets.append(_carry_target(ext, hi, [chain], 1).coeffs[:ext.e_K])
     return tuple(zip(*targets))
 
@@ -445,7 +424,7 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
         if not predicted or member(image, [b + s for b, s in zip(bases[n], shift)]):
             a = particular[n - 1] + from_basis(ext, kernel, draw)
             comps.append(a)
-            chains.append(_frobenius_chain(hi, a))
+            chains.append(frobenius_chain(hi, a))
             c, x = _level_step(ext, hi, tr_map, chains)
             if not predicted:
                 bases.append(tuple((b - s) % pN for b, s in zip(c.coeffs, shift)))
@@ -585,13 +564,13 @@ def deterministic_witness(ext: ExtensionData, m: int):
     tr_map = linear_map_of(ext, "trace")
     hi = _twin(ext, ext.N + m)
     comps = [a0]
-    chains = [_frobenius_chain(hi, a0)]
+    chains = [frobenius_chain(hi, a0)]
     for n in range(1, m + 1):
         _, x = _level_step(ext, hi, tr_map, chains)
         if x is None:
             return None, f"carry target left the trace image at level {n}"
         comps.append(x)
-        chains.append(_frobenius_chain(hi, x))
+        chains.append(frobenius_chain(hi, x))
     return _trace_zero(ext, comps), None
 
 

@@ -137,12 +137,9 @@ class ExtensionData:
                 f"the trace leaves O_K at N={self.N}: sigma is not a Galois action")
         return _ok_linear_matrix(tower, sums)
 
-    def apply_sigma(self, a: OLElement, power: int = 1) -> OLElement:
-        """sigma^power applied to an element of O_L."""
-        coeffs = a.coeffs
-        for _ in range(power % self.p):
-            coeffs = matvec(self.sigma, coeffs, self.tower.pN)
-        return OLElement(self.tower, coeffs)
+    def apply_sigma(self, a: OLElement) -> OLElement:
+        """sigma applied to an element of O_L."""
+        return OLElement(self.tower, matvec(self.sigma, a.coeffs, self.tower.pN))
 
     def conjugates(self, a: OLElement) -> tuple:
         out = [a]

@@ -137,7 +137,7 @@ def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
     for n in range(1, n_max + 1):
         f_n = carry_polynomial(p, n, max_terms)
         digests[f"f_{n}"] = f_n.digest()
-        carry_struct.record(structure_check(f_n, p).passed)
+        carry_struct.record(structure_check(f_n, p))
         carry_ident.record((f_n + sum_vars(n) - zs[n]).is_zero)
     checks.extend([carry_struct, carry_ident])
 
@@ -146,7 +146,7 @@ def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
     for n in range(2, n_max + 1):
         g = carry_residue_polynomial(p, n, max_terms)
         digests[f"g_for_level_{n}"] = g.digest()
-        res_struct.record(structure_check(g, p * p).passed)
+        res_struct.record(structure_check(g, p * p))
         f_n = carry_polynomial(p, n, max_terms)
         f_prev = carry_polynomial(p, n - 1, max_terms)
         block = SymPoly.zero()

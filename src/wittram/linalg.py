@@ -54,10 +54,6 @@ class HowellBasis:
             out.append((col, padic_val(row[col], self.p)))
         return tuple(out)
 
-    def order_exponent(self) -> int:
-        """log_p of the number of elements in the span."""
-        return sum(self.N - k for _, k in self.pivots)
-
     def __len__(self):
         return len(self.rows)
 
@@ -108,8 +104,11 @@ def howell_form(rows, p: int, N: int, width: int) -> HowellBasis:
     return HowellBasis(p, N, width, tuple(tuple(r) for r in basis))
 
 
-def reduce_against(basis: HowellBasis, vec) -> tuple:
-    """Residual of a vector after reduction by the Howell rows."""
+def member(basis: HowellBasis, vec) -> bool:
+    """Decide membership of a vector in the spanned submodule: it reduces
+    to zero against the Howell rows.  ValueError on a wrong width."""
+    if len(vec) != basis.width:
+        raise ValueError(f"vector width {len(vec)} != {basis.width}")
     p, pN = basis.p, basis.p ** basis.N
     r = [x % pN for x in vec]
     for row, (col, k) in zip(basis.rows, basis.pivots):
@@ -117,12 +116,7 @@ def reduce_against(basis: HowellBasis, vec) -> tuple:
         if x and padic_val(x, p) >= k:
             q = x // p ** k
             r = [(a - q * b) % pN for a, b in zip(r, row)]
-    return tuple(r)
-
-
-def member(basis: HowellBasis, vec) -> bool:
-    """Decide membership of a vector in the spanned submodule."""
-    return not any(reduce_against(basis, vec))
+    return not any(r)
 
 
 class Presentation:

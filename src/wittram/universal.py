@@ -334,26 +334,11 @@ def format_polynomial(poly: SymPoly) -> str:
     return "\n".join(poly.canonical_lines())
 
 
-class StructureReport:
-    """Outcome of the structural certification of a universal polynomial."""
-
-    __slots__ = ("has_no_constant_term", "min_total_degree",
-                 "required_min_degree", "passed")
-
-    def __init__(self, has_no_constant_term: bool, min_total_degree,
-                 required_min_degree: int, passed: bool):
-        self.has_no_constant_term = has_no_constant_term
-        self.min_total_degree = min_total_degree  # int, or None for zero
-        self.required_min_degree = required_min_degree
-        self.passed = passed
-
-
-def structure_check(poly: SymPoly, required_min_degree: int) -> StructureReport:
+def structure_check(poly: SymPoly, required_min_degree: int) -> bool:
     """Certify no constant term and a floor on the total degree."""
-    no_const = not poly.has_constant_term
     min_deg = poly.min_total_degree
-    passed = no_const and (min_deg is None or min_deg >= required_min_degree)
-    return StructureReport(no_const, min_deg, required_min_degree, passed)
+    return not poly.has_constant_term and (
+        min_deg is None or min_deg >= required_min_degree)
 
 
 def _guard(p: int, n: int, arity: int, max_terms: int):

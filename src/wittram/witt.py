@@ -95,51 +95,71 @@ def _check_compatible(a: WittVec, b: WittVec):
         raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
 
 
+def frobenius_chain(hi: ExtensionData, a: OLElement) -> list:
+    """[a] with its coordinates lifted into the twin ``hi``; ``ghost_level``
+    extends it to (a, a^p, a^(p^2), ...) as far as a level needs."""
+    return [OLElement(hi.tower, a.coeffs)]
+
+
+def ghost_level(hi: ExtensionData, chains, n: int) -> list:
+    """The coordinates of W_n = sum_{i<=n} p^i a_i^(p^(n-i)) in ``hi``, not
+    reduced, where ``chains`` are the Frobenius chains of a_0, a_1, ...;
+    chains past level n are ignored.  Each chain is extended only as far
+    as level n needs, and a chain whose head is zero is skipped.
+
+    This is the one place where a ghost component is summed.  Two
+    truncations bound the work done with it, for a twin ``hi`` at precision
+    at least N+n:
+
+    * a chain may start from any lift of its component mod p^N, so a
+      component that is zero mod p^N can be skipped.  If a = b mod p^N,
+      then a^q = b^q mod p^(N+j) for q = p^j, so the term
+      p^i a_i^(p^(n-i)) moves by a multiple of p^(N+n).  That changes
+      neither whether p^n divides W_n minus the lower terms nor the
+      quotient mod p^N, which is all that ``_from_ghost`` recovers;
+    * one ghost level is enough for a trace-zero prefix.  Component n of
+      the Witt trace of (a_0, ..., a_{n-1}, 0) is
+      (tr(W_n) - sum_{i<n} p^i z_i^(p^(n-i))) / p^n, where z_i are the
+      lower components of that trace.  For a prefix that is trace-zero at
+      precision N they are divisible by p^N, so each recovery term has
+      valuation at least i + N p^(n-i) >= N + n and vanishes after the
+      division by p^n: the component is tr(W_n)/p^n mod p^N, in any twin
+      at precision >= N+n.
+    """
+    p = hi.p
+    w = [0] * hi.tower.dim
+    for i, chain in enumerate(chains[:n + 1]):
+        if chain[0].is_zero:
+            continue
+        while len(chain) <= n - i:
+            chain.append(chain[-1] ** p)
+        weight = p ** i
+        w = [x + weight * y for x, y in zip(w, chain[n - i].coeffs)]
+    return w
+
+
 def _ghost(hi: ExtensionData, comps) -> list:
     """Ghost components W_0..W_m of ``comps``, their coordinates lifted
     unchanged into ``hi`` (the twin at precision N+m, or ``ext`` itself)."""
-    p = hi.p
-    powers = [OLElement(hi.tower, c.coeffs) for c in comps]
-    ghosts = []
-    for k in range(len(powers)):
-        w = [p ** k * x for x in powers[k].coeffs]
-        for i in range(k):
-            powers[i] = powers[i] ** p  # a_i^(p^(k-i))
-            w = [x + p ** i * y for x, y in zip(w, powers[i].coeffs)]
-        ghosts.append(hi.tower.element(w))
-    return ghosts
+    chains = [frobenius_chain(hi, c) for c in comps]
+    return [hi.tower.element(ghost_level(hi, chains, k)) for k in range(len(chains))]
 
 
 def _from_ghost(ext: ExtensionData, hi: ExtensionData, ghosts) -> WittVec:
     """The Witt vector over ``ext`` whose ghost components in ``hi`` are
-    ``ghosts``; raises IntegralityError where p^k fails to divide.
-
-    The power chain of a component z_i that vanishes mod p^N is skipped,
-    which leaves every component mod p^N and every divisibility test
-    unchanged.  If z_i = p^N u, then p^i z_i^(p^(k-i)) has valuation at
-    least i + N p^(k-i) >= N + k, so it adds nothing to z_k mod p^N.  The
-    lift of z_k then moves by a multiple of p^N, and a^q = b^q mod
-    p^(N+j) when a = b mod p^N and q = p^j, so the term it feeds into
-    level l > k moves by valuation at least k + N + (l-k) = N + l, again
-    nothing mod p^N after the division by p^l.  Each skipped term is a
-    multiple of p^(N+k), so p^k still divides w exactly when it did.
-    """
+    ``ghosts``: z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) / p^k mod p^N,
+    each z_i's chain starting from its value mod p^N (``ghost_level``);
+    raises IntegralityError where p^k fails to divide."""
     p = ext.p
-    powers = []
-    comps = []
+    comps, chains = [], []
     for k, w in enumerate(ghosts):
-        w = w.coeffs
-        for i in range(k):
-            if comps[i].is_zero:
-                continue
-            powers[i] = powers[i] ** p  # z_i^(p^(k-i))
-            w = [x - p ** i * y for x, y in zip(w, powers[i].coeffs)]
+        w = [x - y for x, y in zip(w.coeffs, ghost_level(hi, chains, k))]
         pk = p ** k
         if any(x % pk for x in w):
             raise IntegralityError(f"ghost level {k} is not divisible by p^{k}")
-        z = [x // pk for x in w]
-        powers.append(hi.tower.element(z))
-        comps.append(ext.tower.element(z))
+        z = ext.tower.element([x // pk for x in w])
+        comps.append(z)
+        chains.append(frobenius_chain(hi, z))
     return WittVec(ext, tuple(comps))
 
 

@@ -3,15 +3,17 @@
 Each one re-derives a quantity the program computes another way, or builds
 and takes apart Witt vectors for the arithmetic tests: the ramification
 break from any generator, the conjugate-product basis with its valuation
-pattern, the Witt vector constructors and maps, and the cascade checks on
-a vector that is first certified trace-zero.  Every check raises as it did
+pattern, an operator matrix applied to an element, the order of a Howell
+span, the Witt vector constructors and maps, and the cascade checks on a
+vector that is first certified trace-zero.  Every check raises as it did
 in the package.
 """
 
-from wittram.cohomology import _cascade_levels
+from wittram.cohomology import LinearMap, _cascade_levels
 from wittram.errors import LengthMismatch, PrecisionExhausted, VerificationError
 from wittram.extensions import ExtensionData, _twin
-from wittram.rings import OLElement, valuation_L
+from wittram.linalg import HowellBasis
+from wittram.rings import OLElement, matvec, valuation_L
 from wittram.witt import WittVec, _from_ghost, _ghost, witt_trace
 
 # -- extensions ---------------------------------------------------------------
@@ -21,7 +23,7 @@ def ramification_break(ext: ExtensionData, generator_power: int = 1) -> int:
     """Re-derive t from any generator sigma^g (1 <= g < p); all agree."""
     if not 1 <= generator_power < ext.p:
         raise ValueError("generator power must lie in [1, p)")
-    diff = ext.apply_sigma(ext.tower.pi_L, generator_power) - ext.tower.pi_L
+    diff = ext.conjugates(ext.tower.pi_L)[generator_power] - ext.tower.pi_L
     v = valuation_L(diff)
     if not v.is_exact:
         raise PrecisionExhausted("ramification break not resolvable at precision")
@@ -45,9 +47,10 @@ class SigmaBasis:
 def sigma_basis(ext: ExtensionData) -> SigmaBasis:
     """Build x_0..x_{p-1} and verify their valuation pattern exactly."""
     tower = ext.tower
+    conj = ext.conjugates(tower.pi_L)
     xs = [tower.one_ol]
     for mu in range(1, ext.p):
-        xs.append(xs[-1] * ext.apply_sigma(tower.pi_L, mu - 1))
+        xs.append(xs[-1] * conj[mu - 1])
     for mu, x in enumerate(xs):
         v = valuation_L(x)
         if not v.is_exact:
@@ -64,6 +67,19 @@ def sigma_basis(ext: ExtensionData) -> SigmaBasis:
                 f"v_L((sigma-1)x_{mu}) = {v.value}, expected t + mu = {ext.t + mu}"
             )
     return SigmaBasis(tuple(xs))
+
+
+# -- linear algebra -------------------------------------------------------------
+
+
+def apply_map(lin: LinearMap, a: OLElement) -> OLElement:
+    """The operator ``lin`` applied to ``a``: one matrix-vector product."""
+    return OLElement(a.tower, matvec(lin.rows, a.coeffs, a.tower.pN))
+
+
+def order_exponent(basis: HowellBasis) -> int:
+    """log_p of the number of elements in the span of ``basis``."""
+    return sum(basis.N - k for _, k in basis.pivots)
 
 
 # -- Witt vectors -------------------------------------------------------------
@@ -100,7 +116,10 @@ def apply_sigma(a: WittVec, power: int = 1) -> WittVec:
     """Componentwise Galois action; preserves component valuations."""
     if not 0 <= power < a.ext.p:
         raise ValueError("sigma power must lie in [0, p)")
-    return WittVec(a.ext, tuple(a.ext.apply_sigma(c, power) for c in a.components))
+    comps = a.components
+    for _ in range(power):
+        comps = tuple(a.ext.apply_sigma(c) for c in comps)
+    return WittVec(a.ext, comps)
 
 
 def ghost_map(a: WittVec) -> tuple:

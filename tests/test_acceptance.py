@@ -65,14 +65,14 @@ def test_c1_symbolic_certification():
             ok &= (lhs - rhs).is_zero
         for n in range(1, n_max + 1):
             f_n = carry_polynomial(p, n)
-            ok &= structure_check(f_n, p).passed
+            ok &= structure_check(f_n, p)
             ident = f_n - zs[n]
             for i in range(p):
                 ident = ident + SymPoly.var(i, n)
             ok &= ident.is_zero
         for n in range(2, n_max + 1):
             g = carry_residue_polynomial(p, n)
-            ok &= structure_check(g, p * p).passed
+            ok &= structure_check(g, p * p)
             f_n = carry_polynomial(p, n)
             f_prev = carry_polynomial(p, n - 1)
             block = SymPoly.zero()

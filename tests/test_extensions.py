@@ -208,7 +208,7 @@ def test_sigma_basis_twist_relation(all_extensions):
         pi = ext.tower.pi_L
         for mu in range(1, ext.p):
             x = basis.elements[mu]
-            assert pi * ext.apply_sigma(x) == x * ext.apply_sigma(pi, mu)
+            assert pi * ext.apply_sigma(x) == x * ext.conjugates(pi)[mu]
 
 
 def test_sigma_basis_spans(all_extensions):

@@ -20,6 +20,8 @@ from wittram.linalg import (
 )
 from wittram.rings import matvec, padic_val
 
+from oracles import order_exponent
+
 
 def brute_span(rows, pN):
     """Every Z/p^N combination of the rows, as a frozenset.
@@ -60,6 +62,15 @@ def test_empty_input():
     assert not member(hb, (1, 0))
 
 
+def test_member_refuses_a_vector_of_the_wrong_width():
+    # zipping (1, 0, 5) against width-2 rows would drop the 5 and answer True
+    hb = howell_form([(1, 0)], 2, 4, 2)
+    assert member(hb, (1, 0))
+    for vec in ((1, 0, 5), (1,)):
+        with pytest.raises(ValueError, match="width"):
+            member(hb, vec)
+
+
 @pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (2, 4)])
 def test_canonical_on_equal_spans(p, N):
     # two random generating sets with the same brute-force span must produce
@@ -88,7 +99,7 @@ def test_order_exponent_matches_enumeration():
         rows = [tuple(rng.randrange(9) for _ in range(2))
                 for _ in range(rng.randrange(1, 3))]
         hb = howell_form(rows, 3, 2, 2)
-        assert 3 ** hb.order_exponent() == len(brute_span(rows, 9))
+        assert 3 ** order_exponent(hb) == len(brute_span(rows, 9))
 
 
 # -- kernel / image / solve ----------------------------------------------------------

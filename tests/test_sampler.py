@@ -9,7 +9,6 @@ from wittram import cohomology
 from wittram.cohomology import (
     RETRY_BUDGET,
     _carry_target,
-    _frobenius_chain,
     _kernel_targets,
     _level_step,
     derive_rng,
@@ -26,7 +25,7 @@ from wittram.cohomology import (
 from wittram.errors import SamplingExhausted, VerificationError
 from wittram.extensions import ExtensionSpec, _twin, build_extension
 from wittram.rings import matvec
-from wittram.witt import WittVec, witt_trace
+from wittram.witt import WittVec, frobenius_chain, witt_trace
 
 #: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
 T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
@@ -79,7 +78,7 @@ def oracle_sample(ext, m, seed=0):
         return solve_linear(tr_map, c)
 
     comps = [draw()]
-    chains = [_frobenius_chain(hi, comps[0])]
+    chains = [frobenius_chain(hi, comps[0])]
     particular = [ext.tower.zero_ol] + [None] * m
     retries = [0] * (m + 1)
     attempts = 0
@@ -93,7 +92,7 @@ def oracle_sample(ext, m, seed=0):
         if x is not None:
             particular[n] = x
             comps.append(x + draw())
-            chains.append(_frobenius_chain(hi, comps[n]))
+            chains.append(frobenius_chain(hi, comps[n]))
             n += 1
             continue
         lvl = n - 1
@@ -105,7 +104,7 @@ def oracle_sample(ext, m, seed=0):
             lvl -= 1
         retries[lvl] += 1
         comps[lvl:] = [particular[lvl] + draw()]
-        chains[lvl:] = [_frobenius_chain(hi, comps[lvl])]
+        chains[lvl:] = [frobenius_chain(hi, comps[lvl])]
         n = lvl + 1
     vec = WittVec(ext, tuple(comps))
     assert witt_trace(vec).is_zero
@@ -136,7 +135,7 @@ def _prefix_and_solution(ext, hi, tr_map, n, rng):
         return [], ext.tower.zero_ol
     while True:
         prefix = sample_trace_zero(ext, n - 2, seed=rng.randrange(2 ** 32))
-        chains = [_frobenius_chain(hi, a) for a in prefix.components]
+        chains = [frobenius_chain(hi, a) for a in prefix.components]
         _, x = _level_step(ext, hi, tr_map, chains)
         if x is not None:
             return chains, x
@@ -159,11 +158,11 @@ def test_predicted_membership_equals_exact_membership(extensions, name):
     seen = set()
     for n in range(1, m + 1):
         chains, x = _prefix_and_solution(ext, hi, tr_map, n, rng)
-        base = _carry_target(ext, hi, chains + [_frobenius_chain(hi, x)], n)
+        base = _carry_target(ext, hi, chains + [frobenius_chain(hi, x)], n)
         for _ in range(40):
             coeffs = random_from_basis(ext, kernel, rng)
             a = x + from_basis(ext, kernel, coeffs)
-            exact = _carry_target(ext, hi, chains + [_frobenius_chain(hi, a)], n)
+            exact = _carry_target(ext, hi, chains + [frobenius_chain(hi, a)], n)
             assert exact.lies_in_K
             shift = matvec(targets, coeffs, pN)
             predicted = tuple((b + s) % pN for b, s in zip(base.coeffs, shift))

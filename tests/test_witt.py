@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from wittram.cohomology import (
-    _carry_target,
-    _frobenius_chain,
-    random_element,
-    sample_trace_zero,
-)
+from wittram.cohomology import _carry_target, random_element, sample_trace_zero
 from wittram.errors import IntegralityError, LengthMismatch, VerificationError
 from wittram.extensions import ExtensionSpec, _twin, build_extension
 from wittram.rings import Valuation, valuation_L
@@ -18,6 +13,8 @@ from wittram.witt import (
     WittVec,
     _from_ghost,
     evaluate_poly,
+    frobenius_chain,
+    ghost_level,
     witt_add,
     witt_trace,
 )
@@ -242,7 +239,7 @@ def test_carry_target_on_trace_zero_prefixes(spec, levels):
             expected = -witt_trace(full)[n]
             assert expected == -evaluate_poly(f_n, assign, ext)
             for hi in (_twin(ext, ext.N + n), _twin(ext, ext.N + levels)):
-                chains = [_frobenius_chain(hi, c) for c in prefix]
+                chains = [frobenius_chain(hi, c) for c in prefix]
                 assert _carry_target(ext, hi, chains, n) == expected
 
 
@@ -251,7 +248,7 @@ def test_carry_target_refuses_a_prefix_that_is_not_trace_zero(gaussian):
     # divisible by p^2 = 4
     hi = _twin(gaussian, gaussian.N + 2)
     t = gaussian.tower
-    chains = [_frobenius_chain(hi, t.one_ol), _frobenius_chain(hi, t.zero_ol)]
+    chains = [frobenius_chain(hi, t.one_ol), frobenius_chain(hi, t.zero_ol)]
     with pytest.raises(VerificationError, match="level 2 is not divisible by p"):
         _carry_target(gaussian, hi, chains, 2)
 
@@ -282,6 +279,20 @@ def test_ghost_additivity(all_extensions):
             gs = ghost_map(witt_add(a, b))
             ga, gb = ghost_map(a), ghost_map(b)
             assert all(s == x + y for s, x, y in zip(gs, ga, gb))
+
+
+def test_ghost_level_extends_each_chain_only_as_far_as_needed(cyclo):
+    # W_2 = a_0^(p^2) + p a_1^p + p^2 a_2 needs a_0's chain to length 3 and
+    # a_1's to length 2; the zero a_1 is skipped, and a_3 is past level 2
+    rng = random.Random(18)
+    t, p = cyclo.tower, cyclo.p
+    a = [random_element(cyclo, rng, shift_cap=0) for _ in range(4)]
+    for a1, lengths in ((a[1], [3, 2, 1, 1]), (t.zero_ol, [3, 1, 1, 1])):
+        comps = (a[0], a1, a[2], a[3])
+        chains = [frobenius_chain(cyclo, c) for c in comps]
+        w = t.element(ghost_level(cyclo, chains, 2))
+        assert [len(chain) for chain in chains] == lengths
+        assert w == a[0] ** (p * p) + p * a1 ** p + p * p * a[2]
 
 
 def ghost_recover(ext, ghost_values):
