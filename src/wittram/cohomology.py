@@ -75,8 +75,9 @@ elements: a with tr(a) = 0 mod p^N but tr(a) != 0 exactly (e.g. p^(N-1)
 when the trace image is p_K).  Its kernel is therefore "saturated":
 computed at precision N+4 and projected back to N, which removes exactly
 the spurious part because trace preimages of p^(N+4) O_K have valuation at
-least (N+4) e_L - (t+1)(p-1) > N e_L whenever 4 e_K >= d, and d <= e_K
-always.
+least (N+4) e_L - (t+1)(p-1), which exceeds N e_L exactly when
+4 e_L > (t+1)(p-1), that is when 4 e_K > d.  Since d <= e_K, that always
+holds.
 """
 
 from __future__ import annotations
@@ -205,9 +206,9 @@ def trace_image_exponent(ext: ExtensionData) -> int:
     ``trace_index_exponent`` is d; VerificationError otherwise.
     """
     d = ((ext.t + 1) * (ext.p - 1)) // ext.p
-    if d >= ext.N * ext.e_K:
+    if d >= ext.tower.horizon_K:
         raise PrecisionExhausted(
-            f"trace image exponent {d} is beyond the O_K horizon {ext.N * ext.e_K}"
+            f"trace image exponent {d} is beyond the O_K horizon {ext.tower.horizon_K}"
         )
     if trace_index_exponent(ext) != d:
         raise VerificationError(
@@ -283,6 +284,7 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
     valuations hit the precision horizon are skipped and counted.
     """
     t, p = ext.t, ext.p
+    horizon, horizon_K = ext.tower.horizon_L, ext.tower.horizon_K
     lower = CheckResult("trace-valuation-lower-bound", "pass")
     power = CheckResult("power-trace-valuation-equality", "pass")
     for trial in range(trials):
@@ -290,30 +292,29 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
         a = random_element(ext, rng)
         va = valuation_L(a)
         tr_a = ext.trace(a)
-        if not va.is_exact:
+        if va == horizon:
             lower.skip()
             power.skip()
             continue
         # (i) lower bound, in v_L units on both sides; a trace at the horizon
-        # gives the horizon as lhs, which satisfies any bound below it
-        bound = va.value + t * (p - 1)
-        v_tr = valuation_K(tr_a)
-        lhs = p * v_tr.value
+        # gives p*horizon_K = horizon as lhs, which satisfies any bound below it
+        bound = va + t * (p - 1)
+        lhs = p * valuation_K(tr_a)
         lower.record(lhs >= bound, {
-            "trial": trial, "v_L(a)": va.value,
-            "p*v_K(tr(a))": lhs if v_tr.is_exact else f">={lhs}",
+            "trial": trial, "v_L(a)": va,
+            "p*v_K(tr(a))": lhs if lhs < horizon else f">={lhs}",
             "bound": bound,
         })
         # (ii) exact equality
         diff = ext.trace(a ** p) - tr_a ** p
         v_diff = valuation_K(diff)
-        rhs = ext.e_K + va.value  # v_K(p) + v_L(a), mixed units by design
-        if not v_diff.is_exact and rhs >= ext.N * ext.e_K:
+        rhs = ext.e_K + va  # v_K(p) + v_L(a), mixed units by design
+        if v_diff == horizon_K <= rhs:
             power.skip()
             continue
-        power.record(v_diff.is_exact and v_diff.value == rhs, {
-            "trial": trial, "v_L(a)": va.value,
-            "v_K(diff)": v_diff.value if v_diff.is_exact else f">={v_diff.value}",
+        power.record(v_diff == rhs, {
+            "trial": trial, "v_L(a)": va,
+            "v_K(diff)": v_diff if v_diff < horizon_K else f">={v_diff}",
             "expected": rhs,
         })
     return SuiteRecord.of("trace-lemmas", ext, 0, [lower, power])
@@ -459,34 +460,31 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
 
 def _cascade_levels(a: WittVec) -> list:
     """The cascade check p v_L(a_{n-1}) >= min(v_L(a_n) + t(p-1), p t(p-1))
-    at each level 1 <= n <= m, exact, for ``a`` already certified trace-zero;
-    a level whose left side hits the precision horizon is skipped."""
+    at each level 1 <= n <= m, exact, for ``a`` already certified trace-zero.
+
+    A level whose left side hits the precision horizon is skipped.  When a_n
+    vanishes at precision, v_L(a_n) is only a lower bound, so a right side
+    below the cap is unresolved: the level passes against the cap when the
+    left side reaches it, and is skipped otherwise."""
     p, t = a.ext.p, a.ext.t
     horizon = a.ext.tower.horizon_L
+    cap = p * t * (p - 1)
     out = []
     for n in range(1, len(a)):
         v_prev = valuation_L(a[n - 1])
-        v_n = valuation_L(a[n])
-        cap = p * t * (p - 1)
-        if v_n.is_exact:
-            rhs = min(v_n.value + t * (p - 1), cap)
-        elif horizon + t * (p - 1) >= cap:
-            rhs = cap
-        else:
-            rhs = None  # cannot pin the bound below the horizon
-        if not v_prev.is_exact:
+        if v_prev == horizon:
             out.append({"level": n, "status": "skip",
                         "reason": "v_L(a_{n-1}) at precision horizon"})
             continue
-        lhs = p * v_prev.value
-        if rhs is None:
-            if lhs >= cap:
-                out.append({"level": n, "status": "pass", "lhs": lhs,
-                            "rhs": cap, "margin": lhs - cap})
-            else:
+        v_n = valuation_L(a[n])
+        lhs = p * v_prev
+        rhs = min(v_n + t * (p - 1), cap)
+        if v_n == horizon and rhs < cap:
+            if lhs < cap:
                 out.append({"level": n, "status": "skip",
                             "reason": "bound unresolved at horizon"})
-            continue
+                continue
+            rhs = cap
         status = "pass" if lhs >= rhs else "fail"
         out.append({"level": n, "status": status, "lhs": lhs, "rhs": rhs,
                     "margin": lhs - rhs})
@@ -532,11 +530,12 @@ def verify_restriction_vanishing(ext: ExtensionData, m: int,
     for trial in range(trials):
         vec = sample_trace_zero(ext, m, seed=derive_seed(seed, "vanishing", trial))
         a0 = vec[0]
+        # a_0 at the horizon passes: the horizon exceeds the exact t + 1
         v0 = valuation_L(a0)
-        if (not v0.is_exact) or v0.value > ext.t - 1:
+        if v0 > ext.t - 1:
             val_check.record(True)
         else:
-            val_check.record(False, {"trial": trial, "v_L(a_0)": v0.value,
+            val_check.record(False, {"trial": trial, "v_L(a_0)": v0,
                                      "vector": wittvec_coords(vec)})
             val_check.detail.setdefault("witness", wittvec_coords(vec))
         try:

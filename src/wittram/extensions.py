@@ -28,7 +28,6 @@ from functools import cached_property, lru_cache
 from .errors import (
     ConfigError,
     InvalidExtension,
-    PrecisionExhausted,
     SigmaNotARoot,
     SigmaWrongOrder,
     VerificationError,
@@ -233,8 +232,9 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     Checks, in order: p^N has at most MAX_MODULUS_DIGITS decimal digits
     (ConfigError otherwise), both moduli are Eisenstein, sigma_pi is a root
     of the top modulus, the induced endomorphism has order exactly p, and the
-    ramification break t = v_L(sigma(pi_L) - pi_L) - 1 resolves exactly
-    below the precision horizon with t >= 1 (wild ramification).
+    ramification break t = v_L(sigma(pi_L) - pi_L) - 1 is at least 1 (wild
+    ramification).  It is exact: sigma does not fix pi_L, so the difference
+    is nonzero at precision.
     """
     if isinstance(spec, str):
         spec = ExtensionSpec(kind=spec)
@@ -271,13 +271,7 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     if orbit[p] != orbit[0]:
         raise SigmaWrongOrder("sigma^p does not fix pi_L at precision")
 
-    diff = sigma_pi - tower.pi_L
-    v = valuation_L(diff)
-    if not v.is_exact:
-        raise PrecisionExhausted(
-            "v_L(sigma(pi_L) - pi_L) is not resolvable below the horizon"
-        )
-    t = v.value - 1
+    t = valuation_L(sigma_pi - tower.pi_L) - 1
     if t < 1:
         raise InvalidExtension(f"ramification break t = {t} violates t >= 1")
 

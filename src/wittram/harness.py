@@ -70,7 +70,7 @@ class RunConfig:
 def precision_guard(ext: ExtensionData, m: int):
     """Refuse configurations whose truncation horizon is too close."""
     need = 4 * (ext.t + ext.e_L) * (m + 2)
-    have = ext.N * ext.e_L
+    have = ext.tower.horizon_L
     if not have > need:
         raise ConfigError(
             f"precision guard violated: N*e_L = {have} must exceed "
@@ -78,8 +78,10 @@ def precision_guard(ext: ExtensionData, m: int):
         )
 
 
-def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
-    """Structural and identity certification of the universal polynomials.
+def symbolic_suite(ext: ExtensionData,
+                   max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
+    """Structural and identity certification of the universal polynomials
+    at the extension's prime p.
 
     Per level n <= SYMBOLIC_LEVELS[p] (1 for other p): the addition laws
     z_n (integral by construction: ``sum_polynomials`` divides exactly) have
@@ -101,6 +103,8 @@ def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
         structure_check,
         sum_polynomials,
     )
+
+    p = ext.p
 
     def sum_vars(level: int) -> SymPoly:
         out = SymPoly.zero()
@@ -156,16 +160,12 @@ def symbolic_suite(p: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
         res_ident.record(((f_n - g).scale(p) - block).is_zero)
     checks.extend([res_struct, res_ident])
     checks[0].detail["digests"] = digests
-    return SuiteRecord("symbolic", f"p={p}", p, 0, 0, n_max, checks)
+    return SuiteRecord.of("symbolic", ext, n_max, checks)
 
 
 def _run_suite(name: str, ext: ExtensionData, config: RunConfig) -> SuiteRecord:
     if name == "symbolic":
-        record = symbolic_suite(ext.p, config.max_terms)
-        record.extension = ext.name
-        record.N = ext.N
-        record.t = ext.t
-        return record
+        return symbolic_suite(ext, config.max_terms)
     if name == "trace-lemmas":
         return verify_trace_valuations(ext, config.trials, config.seed)
     if name == "cascade":

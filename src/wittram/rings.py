@@ -39,9 +39,15 @@ p*e_K.  The monomials pi_L^i pi_K^j have pairwise distinct valuations
 p*j + i modulo e_L, and a scalar coordinate c contributes e_L * v_p(c); by
 the non-archimedean property the valuation of a nonzero element is
 therefore the minimum of e_L*v_p(c_ij) + p*j + i over its nonzero
-coordinates.  On O_K the K-normalized valuation is v_L / p.  An element
-whose residue vanishes at precision gets the marker value "at least the
-horizon" (N*e_L, or N*e_K for v_K) rather than infinity.
+coordinates.  On O_K the K-normalized valuation is v_L / p.
+
+Valuations are plain ints.  A nonzero coordinate c < p^N has v_p(c) <= N-1,
+so a nonzero element has v_L <= (N-1)*e_L + p*(e_K-1) + (p-1) = N*e_L - 1:
+every exact valuation lies below the horizon ``Tower.horizon_L`` = N*e_L.
+An element that vanishes at precision gets the horizon itself, which reads
+"at least the horizon", never infinity; v_K maps it to ``Tower.horizon_K``
+= N*e_K.  So ``v < horizon`` says the valuation is exact, and a bound below
+the horizon is decided by one comparison either way.
 """
 
 from __future__ import annotations
@@ -96,48 +102,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class Valuation:
-    """Either an exact valuation or a lower bound hit at the precision horizon.
-
-    ``exact(v)`` is only ever produced with v strictly below the horizon;
-    ``at_least(h)`` marks an element indistinguishable from zero at
-    precision, where h is the horizon itself (N*e_L for O_L, N*e_K for O_K).
-    Valuations compare and hash by (kind, value).
-    """
-
-    __slots__ = ("kind", "value")
-
-    EXACT = "exact"
-    AT_LEAST = "at-least"
-
-    def __init__(self, kind: str, value: int):
-        self.kind = kind
-        self.value = value
-
-    def __eq__(self, other):
-        if other.__class__ is not Valuation:
-            return NotImplemented
-        return self.kind == other.kind and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.kind, self.value))
-
-    @classmethod
-    def exact(cls, value: int) -> "Valuation":
-        return cls(cls.EXACT, value)
-
-    @classmethod
-    def at_least(cls, value: int) -> "Valuation":
-        return cls(cls.AT_LEAST, value)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == self.EXACT
-
-    def __repr__(self) -> str:
-        return f"{self.kind}({self.value})"
 
 
 class OLElement:
@@ -228,9 +192,9 @@ class Tower:
     ``base_coeffs`` are the non-leading integer coefficients of E_K (length
     e_K) and ``top_coeffs`` the non-leading coefficients of E_L (length p),
     each given as a coordinate list over O_K.  Both moduli are validated to
-    be Eisenstein; the constant-term valuations must resolve exactly at the
-    working precision.  ``E_K`` keeps the integer coefficients and ``E_L``
-    the coefficients as elements of O_K.
+    be Eisenstein; only at N = 1, where the constant term of E_K vanishes,
+    is that undecidable (PrecisionExhausted).  ``E_K`` keeps the integer
+    coefficients and ``E_L`` the coefficients as elements of O_K.
     """
 
     def __init__(self, p: int, N: int, base_coeffs, top_coeffs):
@@ -251,6 +215,7 @@ class Tower:
         self.e_L = p * self.e_K
         self.dim = p * self.e_K
         self.horizon_L = N * self.e_L
+        self.horizon_K = N * self.e_K
 
         self.E_K = tuple(c % self.pN for c in base_coeffs)
         self.E_L = tuple(self.element(self._ok_block(c)) for c in top_coeffs)
@@ -420,19 +385,16 @@ class Tower:
                 raise NotEisenstein(f"coefficient {i} of E_K is a unit")
             if i == 0 and v != 1:
                 raise NotEisenstein(f"constant term of E_K has valuation {v} != 1")
+        # E_K passed, so N >= 2 and a c_0 at the horizon N*e_K >= 2 is not
+        # Eisenstein either; a higher coefficient there has valuation >= 1
         for i, c in enumerate(self.E_L):
             v = valuation_K(c)
-            if not v.is_exact:
-                if i == 0:
-                    raise PrecisionExhausted(
-                        "constant term of E_L vanishes at precision; "
-                        "cannot certify Eisenstein"
-                    )
-                continue  # at-least(horizon) >= 1
-            if v.value < 1:
+            if v < 1:
                 raise NotEisenstein(f"coefficient {i} of E_L is a unit")
-            if i == 0 and v.value != 1:
-                raise NotEisenstein(f"constant term of E_L has valuation {v.value} != 1")
+            if i == 0 and v != 1:
+                at_least = "at least " if v == self.horizon_K else ""
+                raise NotEisenstein(
+                    f"constant term of E_L has valuation {at_least}{v} != 1")
 
 
 def matvec(matrix_rows, x, pN: int) -> tuple:
@@ -443,27 +405,23 @@ def matvec(matrix_rows, x, pN: int) -> tuple:
 # -- valuations ----------------------------------------------------------
 
 
-def valuation_L(a: OLElement) -> Valuation:
-    """L-normalized valuation: v_L(pi_L) = 1, v_L(pi_K) = p, v_L(p) = e_L."""
+def valuation_L(a: OLElement) -> int:
+    """L-normalized valuation: v_L(pi_L) = 1, v_L(pi_K) = p, v_L(p) = e_L;
+    ``horizon_L`` when ``a`` vanishes at precision."""
     tower = a.tower
-    best = None
+    best = tower.horizon_L
     for idx, c in enumerate(a.coeffs):
         if c:
             i, j = divmod(idx, tower.e_K)
             v = tower.e_L * padic_val(c, tower.p) + tower.p * j + i
-            if best is None or v < best:
+            if v < best:
                 best = v
-    if best is None:
-        return Valuation.at_least(tower.horizon_L)
-    return Valuation.exact(best)
+    return best
 
 
-def valuation_K(a: OLElement) -> Valuation:
-    """K-normalized valuation v_K = v_L / p of an element of O_K.
-
-    The horizon maps the same way: N*e_L / p = N*e_K.
-    """
+def valuation_K(a: OLElement) -> int:
+    """K-normalized valuation v_K = v_L / p of an element of O_K;
+    ``horizon_K`` = horizon_L / p when ``a`` vanishes at precision."""
     if not a.lies_in_K:
         raise ValueError("element does not lie in O_K")
-    v = valuation_L(a)
-    return Valuation(v.kind, v.value // a.tower.p)
+    return valuation_L(a) // a.tower.p

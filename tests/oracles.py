@@ -25,9 +25,9 @@ def ramification_break(ext: ExtensionData, generator_power: int = 1) -> int:
         raise ValueError("generator power must lie in [1, p)")
     diff = ext.conjugates(ext.tower.pi_L)[generator_power] - ext.tower.pi_L
     v = valuation_L(diff)
-    if not v.is_exact:
+    if v == ext.tower.horizon_L:
         raise PrecisionExhausted("ramification break not resolvable at precision")
-    return v.value - 1
+    return v - 1
 
 
 class SigmaBasis:
@@ -53,18 +53,18 @@ def sigma_basis(ext: ExtensionData) -> SigmaBasis:
         xs.append(xs[-1] * conj[mu - 1])
     for mu, x in enumerate(xs):
         v = valuation_L(x)
-        if not v.is_exact:
+        if v == tower.horizon_L:
             raise PrecisionExhausted(f"v_L(x_{mu}) hit the precision horizon")
-        if v.value != mu:
-            raise VerificationError(f"v_L(x_{mu}) = {v.value}, expected {mu}")
+        if v != mu:
+            raise VerificationError(f"v_L(x_{mu}) = {v}, expected {mu}")
     for mu in range(1, ext.p):
         d = ext.apply_sigma(xs[mu]) - xs[mu]
         v = valuation_L(d)
-        if not v.is_exact:
+        if v == tower.horizon_L:
             raise PrecisionExhausted(f"v_L((sigma-1)x_{mu}) hit the horizon")
-        if v.value != ext.t + mu:
+        if v != ext.t + mu:
             raise VerificationError(
-                f"v_L((sigma-1)x_{mu}) = {v.value}, expected t + mu = {ext.t + mu}"
+                f"v_L((sigma-1)x_{mu}) = {v}, expected t + mu = {ext.t + mu}"
             )
     return SigmaBasis(tuple(xs))
 

@@ -583,3 +583,17 @@ def test_spec_file_precision_is_used(tmp_path, capsys, flags, expected):
 def test_spec_file_precision_zero_exits_2(tmp_path, capsys, command):
     assert main([command, "--spec-file", _gaussian_spec(tmp_path, 0)]) == 2
     _assert_one_error_line(capsys)
+
+
+def test_vanishing_el_constant_term_exits_2_as_not_eisenstein(tmp_path, capsys):
+    # E_L = x^2: its constant term vanishes at precision, and N >= 2 after
+    # E_K passed, so v_K(c_0) >= N e_K >= 2 proves it is not Eisenstein
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "custom", "p": 2, "E_K": [-2],
+                                "E_L": [[0], [0]], "sigma_pi": [[0], [-1]]}),
+                    encoding="utf-8")
+    assert main(["extension-info", "--spec-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: constant term of E_L has valuation "
+                            "at least 32 != 1\n")

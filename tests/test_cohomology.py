@@ -354,6 +354,45 @@ def test_cascade_rejects_non_trace_zero(sqrt2):
         verify_cascade(v)
 
 
+def test_cascade_levels_at_the_precision_horizon():
+    # built without the harness guard, so that the horizon is reached: at
+    # cyclotomic-step p = 5, N = 3 the horizon N e_L = 60 lies below the
+    # cap p t (p-1) = 80, at gaussian N = 3 (horizon 6) above the cap 2
+    cyclo5 = build_extension(ExtensionSpec("cyclotomic-step", p=5), precision=3)
+    t = cyclo5.tower
+    assert (t.horizon_L, cyclo5.p * cyclo5.t * (cyclo5.p - 1)) == (60, 80)
+
+    def levels(ext, a0, a1):
+        return cohomology._cascade_levels(WittVec(ext, (a0, a1)))
+
+    unresolved = {"level": 1, "status": "skip",
+                  "reason": "bound unresolved at horizon"}
+    assert levels(cyclo5, t.pi_L_power(15), t.zero_ol) == [unresolved]
+    assert levels(cyclo5, t.pi_L_power(16), t.zero_ol) == [
+        {"level": 1, "status": "pass", "lhs": 80, "rhs": 80, "margin": 0}]
+    assert levels(cyclo5, t.pi_L_power(59), t.zero_ol) == [
+        {"level": 1, "status": "pass", "lhs": 295, "rhs": 80, "margin": 215}]
+    assert levels(cyclo5, t.zero_ol, t.pi_L) == [
+        {"level": 1, "status": "skip",
+         "reason": "v_L(a_{n-1}) at precision horizon"}]
+    gauss3 = build_extension("quadratic-gaussian", precision=3)
+    g = gauss3.tower
+    assert levels(gauss3, g.pi_L, g.zero_ol) == [
+        {"level": 1, "status": "pass", "lhs": 2, "rhs": 2, "margin": 0}]
+
+
+def test_trace_valuation_skips_at_the_precision_horizon():
+    # (trials, skipped) of the lower bound and of the power law at N = 3
+    expected = {("cyclotomic-step", 5): [(60, 0), (60, 46)],
+                ("quadratic-gaussian", 0): [(60, 1), (60, 36)]}
+    for (kind, p), counts in expected.items():
+        ext = build_extension(ExtensionSpec(kind, p=p), precision=3)
+        record = verify_trace_valuations(ext, trials=60, seed=0)
+        assert record.status == "pass"
+        assert [(c.trials, c.skipped) for c in record.checks] == counts
+        assert all(c.failures == 0 for c in record.checks)
+
+
 def test_cascade_on_sampled_vectors(all_extensions):
     for ext in all_extensions:
         for s in range(5):

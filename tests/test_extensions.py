@@ -20,7 +20,7 @@ from wittram.extensions import (
     load_spec_file,
     resolve_extension,
 )
-from wittram.rings import Valuation, valuation_L
+from wittram.rings import valuation_L
 
 from oracles import ramification_break, sigma_basis
 
@@ -31,13 +31,13 @@ from oracles import ramification_break, sigma_basis
 def test_gaussian_break(gaussian):
     # sigma(pi) - pi = 2 - 2*pi has valuation 2
     diff = gaussian.sigma_pi - gaussian.tower.pi_L
-    assert valuation_L(diff) == Valuation.exact(2)
+    assert valuation_L(diff) == 2
     assert gaussian.t == 1
 
 
 def test_sqrt2_break(sqrt2):
     diff = sqrt2.sigma_pi - sqrt2.tower.pi_L
-    assert valuation_L(diff) == Valuation.exact(3)
+    assert valuation_L(diff) == 3
     assert sqrt2.t == 2
 
 
@@ -92,7 +92,7 @@ def test_cyclotomic_invariants(cyclo):
     t = cyclo.tower
     zeta9 = t.pi_L + t.one_ol
     assert diff == zeta9 * t.pi_K
-    assert valuation_L(diff) == Valuation.exact(3)
+    assert valuation_L(diff) == 3
 
 
 def test_generator_independence(cyclo, sqrt2, gaussian):
@@ -179,8 +179,8 @@ def test_sigma_basis_start(sqrt2):
     t = sqrt2.tower
     assert basis.elements[0] == t.one_ol
     assert basis.elements[1] == t.pi_L
-    assert valuation_L(basis.elements[0]) == Valuation.exact(0)
-    assert valuation_L(basis.elements[1]) == Valuation.exact(1)
+    assert valuation_L(basis.elements[0]) == 0
+    assert valuation_L(basis.elements[1]) == 1
 
 
 def test_sigma_basis_difference_valuation_sqrt2(sqrt2):
@@ -188,17 +188,17 @@ def test_sigma_basis_difference_valuation_sqrt2(sqrt2):
     x1 = basis.elements[1]
     d = sqrt2.apply_sigma(x1) - x1
     assert d == -2 * sqrt2.tower.pi_L
-    assert valuation_L(d) == Valuation.exact(sqrt2.t + 1)
+    assert valuation_L(d) == sqrt2.t + 1
 
 
 def test_sigma_basis_valuation_pattern(all_extensions):
     for ext in all_extensions:
         basis = sigma_basis(ext)
         for mu, x in enumerate(basis.elements):
-            assert valuation_L(x) == Valuation.exact(mu)
+            assert valuation_L(x) == mu
         for mu in range(1, ext.p):
             d = ext.apply_sigma(basis.elements[mu]) - basis.elements[mu]
-            assert valuation_L(d) == Valuation.exact(ext.t + mu)
+            assert valuation_L(d) == ext.t + mu
 
 
 def test_sigma_basis_twist_relation(all_extensions):

@@ -11,7 +11,6 @@ from wittram.errors import InvalidExtension, NotEisenstein, PrecisionExhausted
 from wittram.extensions import ExtensionSpec, _twin, build_extension
 from wittram.rings import (
     Tower,
-    Valuation,
     is_prime,
     padic_val,
     valuation_K,
@@ -222,16 +221,16 @@ def test_pi_L_power_table_matches_repeated_squaring(kind, p):
 
 
 def test_valuation_of_uniformizer(sqrt2):
-    assert valuation_L(sqrt2.tower.pi_L) == Valuation.exact(1)
+    assert valuation_L(sqrt2.tower.pi_L) == 1
 
 
 def test_valuation_of_p(sqrt2):
-    assert valuation_L(sqrt2.tower.ol_const(2)) == Valuation.exact(2)
+    assert valuation_L(sqrt2.tower.ol_const(2)) == 2
 
 
 def test_valuation_of_zero_at_precision():
     ext = build_extension("quadratic-sqrt2", precision=8)
-    assert valuation_L(ext.tower.zero_ol) == Valuation.at_least(16)
+    assert valuation_L(ext.tower.zero_ol) == ext.tower.horizon_L == 16
 
 
 def test_valuation_of_pi_k_in_cyclotomic_tower(cyclo):
@@ -239,7 +238,7 @@ def test_valuation_of_pi_k_in_cyclotomic_tower(cyclo):
     t = cyclo.tower
     oracle = (t.pi_L + t.one_ol) ** 3 - t.one_ol
     assert oracle == t.pi_K
-    assert valuation_L(oracle) == Valuation.exact(3)
+    assert valuation_L(oracle) == 3
 
 
 def test_embedded_ok_valuation_divisible_by_p(cyclo):
@@ -248,12 +247,12 @@ def test_embedded_ok_valuation_divisible_by_p(cyclo):
     for _ in range(50):
         a = t.element([rng.randrange(t.pN) for _ in range(t.e_K)])
         v = valuation_L(a)
-        if v.is_exact:
-            assert v.value % cyclo.p == 0
+        if v < t.horizon_L:
+            assert v % cyclo.p == 0
             # independent oracle: K-normalized, read off the O_K coordinates
             direct = min(t.e_K * padic_val(c, t.p) + j
                          for j, c in enumerate(a.coeffs) if c)
-            assert valuation_K(a).value == v.value // cyclo.p == direct
+            assert valuation_K(a) == v // cyclo.p == direct
 
 
 def test_valuation_multiplicative(all_extensions):
@@ -263,8 +262,8 @@ def test_valuation_multiplicative(all_extensions):
             a = random_shifted(ext, rng, rng.randrange(3))
             b = random_shifted(ext, rng, rng.randrange(3))
             va, vb, vab = valuation_L(a), valuation_L(b), valuation_L(a * b)
-            if va.is_exact and vb.is_exact and va.value + vb.value < ext.tower.horizon_L:
-                assert vab == Valuation.exact(va.value + vb.value)
+            if va + vb < ext.tower.horizon_L:
+                assert vab == va + vb
 
 
 def test_valuation_ultrametric(all_extensions):
@@ -274,11 +273,11 @@ def test_valuation_ultrametric(all_extensions):
             a = random_shifted(ext, rng, rng.randrange(4))
             b = random_shifted(ext, rng, rng.randrange(4))
             va, vb, vs = valuation_L(a), valuation_L(b), valuation_L(a + b)
-            if not (va.is_exact and vb.is_exact):
+            if max(va, vb) == ext.tower.horizon_L:
                 continue
-            assert vs.value >= min(va.value, vb.value)
-            if va.value != vb.value:
-                assert vs.is_exact and vs.value == min(va.value, vb.value)
+            assert vs >= min(va, vb)
+            if va != vb:
+                assert vs == min(va, vb)
 
 
 # -- ring axioms (property-based) ---------------------------------------------
@@ -350,15 +349,50 @@ def test_precision_one_cannot_certify():
         Tower(2, 1, (-2,), ((-2,), (0,)))
 
 
+@pytest.mark.parametrize("N", [2, 16])
+def test_vanishing_el_constant_term_is_not_eisenstein(N):
+    # E_K passed, so N >= 2, and v_K(c_0) >= N e_K >= 2 decides the case
+    with pytest.raises(NotEisenstein, match=f"valuation at least {N} != 1"):
+        Tower(2, N, (-2,), ((0,), (0,)))  # x^2
+
+
 # -- mixed-unit valuation bridge -----------------------------------------------
+
+
+SMALL_PRECISION = [("quadratic-gaussian", 0, 2), ("quadratic-sqrt2", 0, 3),
+                   ("cyclotomic-step", 3, 2), ("cyclotomic-step", 5, 2)]
+
+
+@pytest.mark.parametrize("kind,p,N", SMALL_PRECISION)
+def test_valuations_below_the_horizon_are_exactly_the_nonzero_elements(kind, p, N):
+    # the int encoding rests on this: v_L < horizon_L iff the element is
+    # nonzero at precision, and v_K = v_L // p on O_K, horizon_K at zero
+    ext = build_extension(ExtensionSpec(kind=kind, p=p), precision=N)
+    t = ext.tower
+    rng = random.Random(17)
+    top = ext.p ** (N - 1)  # the least nonzero power of p at precision
+    samples = [t.zero_ol, t.ol_const(top)]
+    samples += [t.pi_L_power(k) for k in range(t.horizon_L - 3, t.horizon_L + 2)]
+    samples += [t.pi_K ** j for j in range(t.horizon_K - 2, t.horizon_K + 2)]
+    for _ in range(40):
+        a = random_element(ext, rng, shift_cap=t.horizon_L + 1)
+        samples += [a, a * top, t.element(a.coeffs[:t.e_K]) * top]
+    for a in samples:
+        v = valuation_L(a)
+        assert (v < t.horizon_L) == (not a.is_zero)
+        assert v <= t.horizon_L
+        if a.lies_in_K:
+            assert valuation_K(a) == v // ext.p
+            assert (valuation_K(a) == t.horizon_K) == a.is_zero
+    assert valuation_L(t.pi_L_power(t.horizon_L - 1)) == t.horizon_L - 1
 
 
 def test_vk_of_embedded_matches_vl(sqrt2):
     t = sqrt2.tower
     two = t.ol_const(2)
-    assert valuation_K(two) == Valuation.exact(1)
-    assert valuation_L(two) == Valuation.exact(2)
-    assert valuation_K(t.zero_ol) == Valuation.at_least(sqrt2.N * sqrt2.e_K)
+    assert valuation_K(two) == 1
+    assert valuation_L(two) == 2
+    assert valuation_K(t.zero_ol) == t.horizon_K == sqrt2.N * sqrt2.e_K
     with pytest.raises(ValueError):
         valuation_K(t.pi_L)
 
