@@ -80,23 +80,15 @@ def _cmd_verify(args) -> int:
     from .report import emit_report
 
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    kwargs = dict(
-        extension=_pick_extension(args),
-        precision=args.precision,
-        m=args.m,
-        trials=args.trials,
-        seed=args.seed,
-        suites=suites,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    config = RunConfig(extension=_pick_extension(args), precision=args.precision,
+                       m=args.m, trials=args.trials, seed=args.seed,
+                       suites=suites, fmt=args.fmt)
     if args.max_terms is not None:
-        kwargs["max_terms"] = args.max_terms
-    config = RunConfig(**kwargs)
+        config.max_terms = args.max_terms
     report, code = run(config)
-    text = emit_report(report, config.fmt)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    text = emit_report(report, args.fmt)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

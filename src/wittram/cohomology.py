@@ -70,14 +70,12 @@ are read off that one presentation.  On top of it this module provides:
   equal p^N', none lies in [p^N, p^N'), and both lists of H^1 factors are
   the d below p^N.
 
-The sampler draws from the trace kernel, where truncation adds spurious
-elements: a with tr(a) = 0 mod p^N but tr(a) != 0 exactly (e.g. p^(N-1)
-when the trace image is p_K).  Its kernel is therefore "saturated":
-computed at precision N+4 and projected back to N, which removes exactly
-the spurious part because trace preimages of p^(N+4) O_K have valuation at
-least (N+4) e_L - (t+1)(p-1), which exceeds N e_L exactly when
-4 e_L > (t+1)(p-1), that is when 4 e_K > d.  Since d <= e_K, that always
-holds.
+The sampler draws from the exact trace kernel K.  Truncation adds spurious
+elements, so its kernel is "saturated": computed in a twin at any N' > N
+and projected back to N.  The trace is O_K-linear and tr(1) = p, so if
+tr(y) = p^(N+1) w, then y - p^N w is an exact kernel element congruent to
+y mod p^N: the projection is K mod p^N.  The same identity one digit
+lower gives ker(tr mod p^N) = K + p^(N-1) O_K, the spurious part.
 """
 
 from __future__ import annotations
@@ -108,7 +106,6 @@ from .rings import OLElement, matvec, padic_val, valuation_K, valuation_L
 from .witt import WittVec, frobenius_chain, ghost_level, witt_trace
 
 RETRY_BUDGET = 64
-SATURATION_MARGIN = 4
 
 
 # -- deterministic randomness -------------------------------------------------
@@ -169,15 +166,12 @@ def solve_linear(lin: LinearMap, b: OLElement) -> OLElement:
 
 
 @lru_cache(maxsize=64)
-def trace_kernel_saturated(ext: ExtensionData) -> HowellBasis:
-    """ker(tr) mod p^N with truncation-spurious elements removed, for the
-    sampler.
-
-    Computed as the projection to precision N of the kernel at precision
-    N + SATURATION_MARGIN; see the module docstring for why the margin
-    suffices.
-    """
-    hi = _twin(ext, ext.N + SATURATION_MARGIN)
+def trace_kernel_saturated(ext: ExtensionData, hi: ExtensionData) -> HowellBasis:
+    """ker(tr) mod p^N without truncation-spurious elements: the kernel in
+    ``hi``, a twin of ``ext`` above N (ValueError otherwise), projected to
+    precision N; the module docstring says why one extra digit suffices."""
+    if hi.N <= ext.N:
+        raise ValueError(f"saturation needs a twin above N = {ext.N}, got {hi.N}")
     hi_kernel = linear_map_of(hi, "trace").columns.syzygies
     pN = ext.tower.pN
     rows = [tuple(x % pN for x in row) for row in hi_kernel.rows]
@@ -229,17 +223,15 @@ def trace_index_exponent(ext: ExtensionData) -> int:
 # -- random elements ----------------------------------------------------------
 
 
-def random_element(ext: ExtensionData, rng: random.Random,
-                   shift_cap: int = None) -> OLElement:
+def random_element(ext: ExtensionData, rng: random.Random) -> OLElement:
     """Uniform element of O_L, then shifted by a random power of pi_L.
 
-    The shift spreads the sampled valuations over [0, shift_cap) so the
+    The shift spreads the sampled valuations over [0, 2 e_L) so the
     valuation identities are exercised away from the generic unit case.
     """
     tower = ext.tower
     a = tower.element([rng.randrange(tower.pN) for _ in range(tower.dim)])
-    cap = 2 * ext.e_L if shift_cap is None else shift_cap
-    k = rng.randrange(cap) if cap > 0 else 0
+    k = rng.randrange(2 * ext.e_L)
     if k:
         a = a * tower.pi_L_power(k)
     return a
@@ -360,15 +352,15 @@ def _level_step(ext: ExtensionData, hi: ExtensionData, tr_map: LinearMap,
 
 @lru_cache(maxsize=64)
 def _kernel_targets(ext: ExtensionData, hi: ExtensionData) -> tuple:
-    """The level-1 carry targets t_i of the Howell rows k_i of the
-    saturated trace kernel, in the O_K block, as an e_K x r matrix in
-    column convention (column i is t_i), computed in the twin ``hi``.
+    """The level-1 carry targets t_i of the Howell rows k_i of the trace
+    kernel saturated in the twin ``hi``, in the O_K block, as an e_K x r
+    matrix in column convention (column i is t_i), computed in ``hi``.
 
     By additivity (module docstring) a kernel draw sum_i c_i k_i shifts
     every level's carry target by this matrix times c, modulo tr(O_L).
     """
     targets = []
-    for row in trace_kernel_saturated(ext).rows:
+    for row in trace_kernel_saturated(ext, hi).rows:
         chain = frobenius_chain(hi, OLElement(ext.tower, row))
         targets.append(_carry_target(ext, hi, [chain], 1).coeffs[:ext.e_K])
     return tuple(zip(*targets))
@@ -393,14 +385,15 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
     valuation constraints propagate downward).  Each draw is tested by
     linearity (module docstring); only the draws that the test keeps, and
     the first draw per level and prefix, get an element, a Frobenius chain
-    in the one twin at N+m and an exact carry target.
+    and an exact carry target, all in the one twin at N + max(m, 1), which
+    also saturates the kernel and, for m >= 1, holds the final Witt trace.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     rng = derive_rng(seed, "sample-trace-zero", ext.name, m)
-    kernel = trace_kernel_saturated(ext)
+    hi = _twin(ext, ext.N + max(m, 1))
+    kernel = trace_kernel_saturated(ext, hi)
     tr_map = linear_map_of(ext, "trace")
-    hi = _twin(ext, ext.N + m)
     targets = _kernel_targets(ext, hi) if m else ()
     pN, e = ext.tower.pN, ext.e_K
     # the trace image lies in the O_K block, so its Howell rows cut to that

@@ -165,12 +165,15 @@ class ExtensionData:
 def _twin(ext: ExtensionData, precision: int) -> ExtensionData:
     """``ext`` rebuilt at ``precision``, built once per pair: the saturated
     kernels and the ghost lift of Witt arithmetic both work in it.  At its
-    own precision ``ext`` is its twin.  A rebuild that fails is a
+    own precision ``ext`` is its twin.  A rebuild that fails, its trace
+    check included (data valid to N can pass the others at N+1), is a
     ConfigError naming the requested and the working precision."""
     if precision == ext.N:
         return ext
     try:
-        return ext.with_precision(precision)
+        twin = ext.with_precision(precision)
+        twin.trace_matrix  # forced here, so that its check fails as a rebuild
+        return twin
     except WittramError as exc:
         raise ConfigError(
             f"precision N = {ext.N} needs working precision {precision}, "
@@ -304,8 +307,9 @@ def load_spec_file(path) -> ExtensionSpec:
     ``kind="custom"``: ``e_K``, ``E_K`` (list of integers, low to high,
     without the leading 1), ``E_L`` (list of O_K coordinate lists) and
     ``sigma_pi`` (list of O_K coordinate lists).  Integers may be written
-    as decimal strings.  A document that is not JSON, or lacks a field, or
-    holds a value of the wrong shape raises InvalidExtension.
+    as decimal strings.  A document that is not JSON, lacks a field or holds
+    one its kind does not read, a ``p`` below 2 (not 2 for the quadratic
+    kinds) or a value of the wrong shape raises InvalidExtension.
     """
     import json  # only spec files need it
 
@@ -321,7 +325,15 @@ def _spec_from_document(doc, path) -> ExtensionSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidExtension(f"spec file {path} lacks a 'kind' field")
     kind = doc["kind"]
+    fields = {"kind", "p", "precision"} | (
+        {"e_K", "E_K", "E_L", "sigma_pi"} if kind == "custom" else set())
+    if set(doc) - fields:
+        raise InvalidExtension(f"spec file {path}: kind {kind!r} reads no "
+                               f"field {', '.join(sorted(set(doc) - fields))}")
     p = _parse_int(doc.get("p", 0))
+    quadratic = kind in ("quadratic-gaussian", "quadratic-sqrt2")
+    if "p" in doc and (p < 2 or quadratic and p != 2):
+        raise InvalidExtension(f"spec file {path}: kind {kind!r} has no p = {p}")
     precision = _parse_int(doc.get("precision", DEFAULT_PRECISION))
     if kind != "custom":
         return ExtensionSpec(kind=kind, p=p, precision=precision)

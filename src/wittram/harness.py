@@ -37,12 +37,12 @@ class RunConfig:
     """One ``verify`` invocation: the extension, the suites and their knobs."""
 
     __slots__ = ("extension", "precision", "m", "trials", "seed", "suites",
-                 "fmt", "out", "max_terms")
+                 "fmt", "max_terms")
 
     def __init__(self, extension: str = "quadratic-gaussian",
                  precision: int = None, m: int = 1, trials: int = 200,
                  seed: int = 0, suites: tuple = SUITE_ORDER, fmt: str = "text",
-                 out: str = None, max_terms: int = DEFAULT_TERM_LIMIT):
+                 max_terms: int = DEFAULT_TERM_LIMIT):
         self.extension = extension
         self.precision = precision  # None: the spec file's or the built-in default
         self.m = m
@@ -50,7 +50,6 @@ class RunConfig:
         self.seed = seed
         self.suites = suites
         self.fmt = fmt
-        self.out = out
         self.max_terms = max_terms
 
     def echo(self, precision: int) -> dict:

@@ -3,7 +3,7 @@
 Each one re-derives a quantity the program computes another way, or builds
 and takes apart Witt vectors for the arithmetic tests: the ramification
 break from any generator, the conjugate-product basis with its valuation
-pattern, an operator matrix applied to an element, the order of a Howell
+pattern, uniform elements of O_L, an operator matrix applied to an element, the order of a Howell
 span, the Witt vector constructors and maps, and the cascade checks on a
 vector that is first certified trace-zero.  Every check raises as it did
 in the package.
@@ -67,6 +67,12 @@ def sigma_basis(ext: ExtensionData) -> SigmaBasis:
                 f"v_L((sigma-1)x_{mu}) = {v}, expected t + mu = {ext.t + mu}"
             )
     return SigmaBasis(tuple(xs))
+
+
+def uniform_element(ext: ExtensionData, rng) -> OLElement:
+    """A uniform element of O_L: one ``randrange(p^N)`` per coordinate."""
+    tower = ext.tower
+    return tower.element([rng.randrange(tower.pN) for _ in range(tower.dim)])
 
 
 # -- linear algebra -------------------------------------------------------------

@@ -14,7 +14,6 @@ from wittram.cohomology import (
     h1_level1,
     member,
     negative_control,
-    random_element,
     trace_index_exponent,
     verify_restriction_vanishing,
     verify_trace_valuations,
@@ -32,7 +31,13 @@ from wittram.universal import (
 )
 from wittram.witt import WittVec, evaluate_poly, witt_add
 
-from oracles import ghost_map, ramification_break, sigma_basis, verify_cascade
+from oracles import (
+    ghost_map,
+    ramification_break,
+    sigma_basis,
+    uniform_element,
+    verify_cascade,
+)
 
 
 def report(num, desc, ok):
@@ -41,7 +46,7 @@ def report(num, desc, ok):
 
 
 def rand_vec(ext, rng, length):
-    return WittVec(ext, tuple(random_element(ext, rng, shift_cap=0) for _ in range(length)))
+    return WittVec(ext, tuple(uniform_element(ext, rng) for _ in range(length)))
 
 
 SYMBOLIC_CASES = ((2, 3), (3, 2))

@@ -242,10 +242,10 @@ def test_h1_runs_at_the_requested_precision(sources, capsys, source, factors):
 
 
 @pytest.mark.parametrize("source,suite,requested,working", [
-    # the sampler's saturated kernel works at N + 4
-    ("shifted", "cascade", 32, 36),
-    ("shifted", "proposition", 32, 36),
-    ("sqrt2", "cascade", 14284, 14288),
+    # the sampler saturates its kernel in its one twin, at N + m = N + 1
+    ("shifted", "cascade", 32, 33),
+    ("shifted", "proposition", 32, 33),
+    ("sqrt2", "cascade", 14284, 14285),
     # p^m <= t: the negative control's length-2 Witt trace works at N + 1
     ("sqrt2", "proposition", 14284, 14285),
 ])
@@ -425,6 +425,17 @@ BAD_SPECS = {
     "bad-json": "{\"kind\": \"custom\",",
     "precision-not-an-int": json.dumps(dict(SQRT2_DOC, precision="x")),
     "E_L-not-a-list": json.dumps(dict(SQRT2_DOC, E_L=5)),
+    # documents that would build another extension than they say, or carry
+    # a field their kind does not read
+    "gaussian-at-p5": json.dumps({"kind": "quadratic-gaussian", "p": 5}),
+    "sqrt2-at-p3": json.dumps({"kind": "quadratic-sqrt2", "p": 3}),
+    "cyclotomic-at-p0": json.dumps({"kind": "cyclotomic-step", "p": 0}),
+    "cyclotomic-at-p1": json.dumps({"kind": "cyclotomic-step", "p": 1}),
+    "sqrt2-with-E_K": json.dumps({"kind": "quadratic-sqrt2", "E_K": [3]}),
+    "cyclotomic-with-custom-fields": json.dumps(
+        {"kind": "cyclotomic-step", "p": 5, "sigma_pi": [[1]], "e_K": 9}),
+    "custom-with-bogus": json.dumps(dict(SQRT2_DOC, bogus=1)),
+    "custom-at-p0": json.dumps(dict(SQRT2_DOC, p=0)),
 }
 
 
@@ -583,6 +594,20 @@ def test_spec_file_precision_is_used(tmp_path, capsys, flags, expected):
 def test_spec_file_precision_zero_exits_2(tmp_path, capsys, command):
     assert main([command, "--spec-file", _gaussian_spec(tmp_path, 0)]) == 2
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("doc,p", [
+    ({"kind": "quadratic-gaussian", "p": 2}, 2),
+    ({"kind": "quadratic-sqrt2", "p": "2", "precision": 40}, 2),
+    ({"kind": "cyclotomic-step"}, 3),
+    ({"kind": "cyclotomic-step", "p": 5}, 5),
+    (SQRT2_DOC, 2),
+])
+def test_spec_file_fields_the_kind_reads_are_accepted(tmp_path, capsys, doc, p):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["extension-info", "--spec-file", str(path)]) == 0
+    assert f"p: {p}\n" in capsys.readouterr().out
 
 
 def test_vanishing_el_constant_term_exits_2_as_not_eisenstein(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from wittram import cohomology
 from wittram.cohomology import (
-    SATURATION_MARGIN,
     LinearMap,
     cascade_suite,
     coboundary_image,
@@ -45,6 +44,7 @@ from oracles import (
     apply_sigma,
     order_exponent,
     teichmuller,
+    uniform_element,
     verify_cascade,
     witt_neg,
     witt_zero,
@@ -80,7 +80,7 @@ def test_matrix_matches_ring_computation(all_extensions):
         tr = linear_map_of(ext, "trace")
         sm = linear_map_of(ext, "sigma-minus-one")
         for _ in range(34):
-            a = random_element(ext, rng, shift_cap=0)
+            a = uniform_element(ext, rng)
             assert apply_map(tr, a) == ext.trace(a)
             assert apply_map(sm, a) == ext.apply_sigma(a) - a
 
@@ -186,11 +186,22 @@ def test_trace_image_sqrt2_is_two_z2(sqrt2):
 # -- saturated kernel --------------------------------------------------------------------
 
 
+#: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
+T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
+                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
+
+
+def _spec_id(value):
+    if isinstance(value, ExtensionSpec):
+        return f"{value.kind}{value.p or ''}"
+    return None
+
+
 def test_saturation_removes_spurious_elements(sqrt2):
     t = sqrt2.tower
     spurious = t.ol_const(2 ** (sqrt2.N - 1))  # trace = 2^N, zero at precision
     raw = linear_map_of(sqrt2, "trace").columns.syzygies
-    sat = trace_kernel_saturated(sqrt2)
+    sat = trace_kernel_saturated(sqrt2, _twin(sqrt2, sqrt2.N + 1))
     assert member(raw, spurious.coeffs)
     assert not member(sat, spurious.coeffs)
     assert member(sat, t.pi_L.coeffs)  # tr(pi) = 0 exactly
@@ -199,10 +210,34 @@ def test_saturation_removes_spurious_elements(sqrt2):
 def test_saturated_kernel_is_exact_kernel_gaussian(gaussian):
     # exact trace-zero elements are the Z/p^N multiples of 1 - pi
     t = gaussian.tower
-    sat = trace_kernel_saturated(gaussian)
+    sat = trace_kernel_saturated(gaussian, _twin(gaussian, gaussian.N + 1))
     gen = t.one_ol - t.pi_L
     assert member(sat, gen.coeffs)
     assert order_exponent(sat) == gaussian.N
+
+
+@pytest.mark.parametrize("spec,precision", [
+    (ExtensionSpec("quadratic-gaussian"), 48),
+    (ExtensionSpec("quadratic-gaussian"), 6),
+    (ExtensionSpec("quadratic-sqrt2"), 32),
+] + [(ExtensionSpec("cyclotomic-step", p=p), 32) for p in (3, 5, 7)]
+  + [(T4_SPEC, 48), (T4_SPEC, 12)], ids=_spec_id)
+def test_one_extra_digit_saturates_the_trace_kernel(spec, precision):
+    # tr(1) = p: the kernel mod p^(N+1) projects onto the exact kernel K mod
+    # p^N, so every twin above N gives the same rows, and the spurious part
+    # is p^(N-1) O_K: ker(tr mod p^N) = K + p^(N-1) O_K
+    ext = build_extension(spec, precision=precision)
+    sat = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
+    for k in (2, 4):
+        assert trace_kernel_saturated(ext, _twin(ext, ext.N + k)).rows == sat.rows
+    raw = linear_map_of(ext, "trace").columns.syzygies
+    assert all(member(raw, row) for row in sat.rows)
+    assert order_exponent(sat) < order_exponent(raw)
+    dim, top = ext.tower.dim, ext.p ** (ext.N - 1)
+    spurious = [tuple(top * (c == j) for c in range(dim)) for j in range(ext.e_K)]
+    assert howell_form(list(sat.rows) + spurious, ext.p, ext.N, dim).rows == raw.rows
+    with pytest.raises(ValueError, match="twin above N"):
+        trace_kernel_saturated(ext, ext)
 
 
 # -- trace valuation laws ----------------------------------------------------------------
@@ -262,8 +297,8 @@ def test_sample_length_one_lies_in_kernel(all_extensions):
     for ext in all_extensions:
         v = sample_trace_zero(ext, 0, seed=1)
         assert len(v) == 1
-        assert ext.trace(v[0]).is_zero or member(trace_kernel_saturated(ext),
-                                                 v[0].coeffs)
+        kernel = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
+        assert ext.trace(v[0]).is_zero or member(kernel, v[0].coeffs)
 
 
 def test_sampled_vectors_are_trace_zero(all_extensions):
@@ -289,15 +324,22 @@ def test_sampler_at_length_three(sqrt2_hi, cyclo):
 
 def test_length_one_sample_rebuilds_only_the_saturation_twin(rebuilds):
     # a length-1 Witt trace works at the extension's own precision, so the
-    # saturated kernel's twin is the one rebuild
+    # saturated kernel's twin, one digit above N, is the one rebuild
     ext = build_extension("quadratic-sqrt2")
     sample_trace_zero(ext, 0, seed=1)
-    assert rebuilds == [ext.N + SATURATION_MARGIN]
+    assert rebuilds == [ext.N + 1]
+
+
+def test_length_three_sample_rebuilds_only_the_twin_at_n_plus_2(rebuilds):
+    # the saturated kernel, every carry target and the final Witt trace
+    # work in the one twin at N+m
+    ext = build_extension("cyclotomic-step")
+    assert witt_trace(sample_trace_zero(ext, 2, seed=0)).is_zero
+    assert rebuilds == [ext.N + 2]
 
 
 def test_length_five_sample_rebuilds_only_the_twin_at_n_plus_4(rebuilds):
-    # every carry target and the final Witt trace work in the one twin at
-    # N+m, which at m = 4 is also the saturated kernel's twin
+    # at m = 4 the one twin is at N+4
     ext = build_extension("quadratic-gaussian")
     assert witt_trace(sample_trace_zero(ext, 4, seed=0)).is_zero
     assert rebuilds == [ext.N + 4]
@@ -489,17 +531,6 @@ def test_h1_order_matches_independent_index(all_extensions):
         assert prod(inv) == ext.p ** trace_index_exponent(ext)
 
 
-#: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
-T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
-                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
-
-
-def _spec_id(value):
-    if isinstance(value, ExtensionSpec):
-        return f"{value.kind}{value.p or ''}"
-    return None
-
-
 @pytest.mark.parametrize("spec,precision", [
     (ExtensionSpec(kind), N) for kind in ("quadratic-gaussian", "quadratic-sqrt2")
     for N in (8, 48)
@@ -513,7 +544,7 @@ def test_h1_matches_the_saturated_kernel_quotient(spec, precision):
     # coboundaries, two presented submodules instead of coker(sigma-1); and
     # the factors certified at N are those at N + 4
     ext = build_extension(spec, precision=precision)
-    kernel = trace_kernel_saturated(ext)
+    kernel = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
     expected = quotient_invariants(list(kernel.rows),
                                    list(coboundary_image(ext).rows), ext.p, ext.N)
     assert expected
@@ -612,7 +643,8 @@ def test_h1_trace_check_catches_a_coboundary_off_the_kernel(monkeypatch, spec):
 
 def test_h1_class_representative_is_nontrivial(sqrt2):
     # pi generates the quotient: trace-zero but not a coboundary
-    assert member(trace_kernel_saturated(sqrt2), sqrt2.tower.pi_L.coeffs)
+    kernel = trace_kernel_saturated(sqrt2, _twin(sqrt2, sqrt2.N + 1))
+    assert member(kernel, sqrt2.tower.pi_L.coeffs)
     assert not member(coboundary_image(sqrt2), sqrt2.tower.pi_L.coeffs)
 
 

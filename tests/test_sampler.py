@@ -56,7 +56,7 @@ def oracle_sample(ext, m, seed=0):
     element, its Frobenius chain and an exact carry target, which
     ``member`` on the trace image accepts or rejects."""
     rng = derive_rng(seed, "sample-trace-zero", ext.name, m)
-    kernel = trace_kernel_saturated(ext)
+    kernel = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
     image = trace_image(ext)
     tr_map = linear_map_of(ext, "trace")
     hi = _twin(ext, ext.N + m)
@@ -148,7 +148,7 @@ def test_predicted_membership_equals_exact_membership(extensions, name):
     ext = extensions[name]
     m = EXTENSIONS[name][2]
     hi = _twin(ext, ext.N + m)
-    kernel = trace_kernel_saturated(ext)
+    kernel = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
     image = trace_image(ext)
     tr_map = linear_map_of(ext, "trace")
     targets = _kernel_targets(ext, hi)

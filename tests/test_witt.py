@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wittram.cohomology import _carry_target, random_element, sample_trace_zero
+from wittram.cohomology import _carry_target, sample_trace_zero
 from wittram.errors import IntegralityError, LengthMismatch, VerificationError
 from wittram.extensions import ExtensionSpec, _twin, build_extension
 from wittram.rings import valuation_L
@@ -24,6 +24,7 @@ from oracles import (
     ghost_map,
     restrict,
     teichmuller,
+    uniform_element,
     verschiebung,
     witt_neg,
     witt_zero,
@@ -33,7 +34,7 @@ from test_cohomology import T4_SPEC
 
 def rand_vec(ext, rng, length, shift=0):
     pi_shift = ext.tower.pi_L ** shift
-    return WittVec(ext, tuple(random_element(ext, rng, shift_cap=0) * pi_shift
+    return WittVec(ext, tuple(uniform_element(ext, rng) * pi_shift
                               for _ in range(length)))
 
 
@@ -44,8 +45,8 @@ def test_disjoint_support_addition(sqrt2):
     rng = random.Random(1)
     t = sqrt2.tower
     for _ in range(20):
-        a0 = random_element(sqrt2, rng, shift_cap=0)
-        b1 = random_element(sqrt2, rng, shift_cap=0)
+        a0 = uniform_element(sqrt2, rng)
+        b1 = uniform_element(sqrt2, rng)
         a = WittVec(sqrt2, (a0, t.zero_ol))
         b = WittVec(sqrt2, (t.zero_ol, b1))
         assert witt_add(a, b).components == (a0, b1)
@@ -105,7 +106,7 @@ def test_teichmuller_zero(sqrt2):
 def test_teichmuller_ghost_levels(all_extensions):
     rng = random.Random(6)
     for ext in all_extensions:
-        x = random_element(ext, rng, shift_cap=0)
+        x = uniform_element(ext, rng)
         g = ghost_map(teichmuller(ext, x, 3))
         for k in range(3):
             assert g[k] == x ** (ext.p ** k)
@@ -263,8 +264,8 @@ def test_ghost_of_zero(sqrt2):
 def test_ghost_closed_form_length_two(all_extensions):
     rng = random.Random(15)
     for ext in all_extensions:
-        x = random_element(ext, rng, shift_cap=0)
-        y = random_element(ext, rng, shift_cap=0)
+        x = uniform_element(ext, rng)
+        y = uniform_element(ext, rng)
         g = ghost_map(WittVec(ext, (x, y)))
         assert g[0] == x
         assert g[1] == x ** ext.p + ext.p * y
@@ -286,7 +287,7 @@ def test_ghost_level_extends_each_chain_only_as_far_as_needed(cyclo):
     # a_1's to length 2; the zero a_1 is skipped, and a_3 is past level 2
     rng = random.Random(18)
     t, p = cyclo.tower, cyclo.p
-    a = [random_element(cyclo, rng, shift_cap=0) for _ in range(4)]
+    a = [uniform_element(cyclo, rng) for _ in range(4)]
     for a1, lengths in ((a[1], [3, 2, 1, 1]), (t.zero_ol, [3, 1, 1, 1])):
         comps = (a[0], a1, a[2], a[3])
         chains = [frobenius_chain(cyclo, c) for c in comps]
