@@ -1,9 +1,12 @@
 """Exception hierarchy and the constants shared by all wittram modules."""
 
-try:  # the builtin module: hashlib would load OpenSSL as well
-    from _sha256 import sha256
+try:  # builtin modules (_sha2 from 3.12 on): hashlib would load OpenSSL
+    from _sha2 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class WittramError(Exception):

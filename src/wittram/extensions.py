@@ -45,7 +45,9 @@ MAX_MODULUS_DIGITS = 4300
 class ExtensionSpec:
     """Exact integer description of an extension, rebuildable at any precision.
 
-    For ``kind="custom"`` the three coefficient fields are required:
+    ``p = None`` means the kind's default (2 for the quadratic kinds, 3 for
+    ``cyclotomic-step``; ``custom`` has none).  For ``kind="custom"`` the
+    three coefficient fields are required and the built-ins take none:
     ``base_coeffs`` are the non-leading integer coefficients of E_K,
     ``top_coeffs`` the non-leading coefficients of E_L as O_K coordinate
     tuples, and ``sigma_pi`` the O_L coordinates (one O_K tuple per power of
@@ -54,7 +56,7 @@ class ExtensionSpec:
 
     __slots__ = ("kind", "p", "precision", "base_coeffs", "top_coeffs", "sigma_pi")
 
-    def __init__(self, kind: str, p: int = 0, precision: int = DEFAULT_PRECISION,
+    def __init__(self, kind: str, p: int = None, precision: int = DEFAULT_PRECISION,
                  base_coeffs: tuple = None, top_coeffs: tuple = None,
                  sigma_pi: tuple = None):
         self.kind = kind
@@ -80,19 +82,23 @@ class ExtensionData:
     conjugates and taking traces are all matrix-vector products; the trace
     matrix itself comes from E_L (``trace_matrix``).
 
-    Extensions compare and hash by identity, so the caches keyed on them
-    (``_twin`` and the operator matrices of ``cohomology``) cost one
-    pointer hash per lookup, and every build gets its own entries.
+    ``spec`` is the spec as given, at the built precision.  Extensions
+    compare and hash by identity, so the caches keyed on them (``_twin`` and
+    the operator matrices of ``cohomology``) cost one pointer hash per
+    lookup, and every build gets its own entries.
     """
 
-    def __init__(self, spec: ExtensionSpec, name: str, tower: Tower,
-                 sigma_pi: OLElement, sigma: tuple, t: int):
+    def __init__(self, spec: ExtensionSpec, tower: Tower, sigma_pi: OLElement,
+                 sigma: tuple, t: int):
         self.spec = spec
-        self.name = name
         self.tower = tower
         self.sigma_pi = sigma_pi
         self.sigma = sigma
         self.t = t
+
+    @property
+    def name(self) -> str:
+        return self.spec.kind
 
     @property
     def p(self) -> int:
@@ -153,9 +159,6 @@ class ExtensionData:
         return OLElement(tower, matvec(self.trace_matrix[:e], a.coeffs, tower.pN)
                          + (0,) * (tower.dim - e))
 
-    def with_precision(self, precision: int) -> "ExtensionData":
-        return build_extension(self.spec.at_precision(precision))
-
     def __repr__(self):
         return (f"ExtensionData({self.name}, p={self.p}, N={self.N}, "
                 f"e_K={self.e_K}, t={self.t})")
@@ -171,7 +174,7 @@ def _twin(ext: ExtensionData, precision: int) -> ExtensionData:
     if precision == ext.N:
         return ext
     try:
-        twin = ext.with_precision(precision)
+        twin = build_extension(ext.spec, precision)
         twin.trace_matrix  # forced here, so that its check fails as a rebuild
         return twin
     except WittramError as exc:
@@ -194,45 +197,45 @@ def _ok_linear_matrix(tower: Tower, images) -> tuple:
     return tuple(zip(*cols))
 
 
-def _materialize(spec: ExtensionSpec) -> ExtensionSpec:
-    """Fill in the exact integer data for the built-in kinds."""
-    kind = spec.kind
-    if kind == "quadratic-gaussian":
-        return ExtensionSpec(kind, 2, spec.precision, (-2,), ((2,), (-2,)),
-                             ((2,), (-1,)))
-    if kind == "quadratic-sqrt2":
-        return ExtensionSpec(kind, 2, spec.precision, (-2,), ((-2,), (0,)),
-                             ((0,), (-1,)))
-    if kind == "cyclotomic-step":
-        p = spec.p or 3
-        if p == 2 or not is_prime(p):
-            raise InvalidExtension(f"cyclotomic-step requires an odd prime, got {p}")
-        # E_K = ((y+1)^p - 1)/y, degree p-1; pi_K = zeta_p - 1
-        base = tuple(math.comb(p, k) for k in range(1, p))
-        # E_L = (x+1)^p - (1 + pi_K): constant term -pi_K, then binomials
-        zero_k = (0,) * (p - 1)
-        minus_pi_k = (0, -1) + (0,) * (p - 3)
-        top = [minus_pi_k]
-        for k in range(1, p):
-            top.append((math.comb(p, k),) + zero_k[1:])
-        # sigma(pi_L) = zeta_p (pi_L + 1) - 1 = pi_K + (1 + pi_K) pi_L
-        sigma_pi = ((0, 1), (1, 1))
-        return ExtensionSpec(kind, p, spec.precision, base, tuple(top), sigma_pi)
+def _materialize(spec: ExtensionSpec) -> tuple:
+    """(p, base_coeffs, top_coeffs, sigma_pi) of ``spec``: the one place that
+    knows which fields each kind reads and which p it allows."""
+    kind, p = spec.kind, spec.p
+    given = (spec.base_coeffs, spec.top_coeffs, spec.sigma_pi)
     if kind == "custom":
-        if spec.base_coeffs is None or spec.top_coeffs is None or spec.sigma_pi is None:
-            raise InvalidExtension(
-                "custom extension needs base_coeffs, top_coeffs and sigma_pi"
-            )
-        if not spec.p:
-            raise InvalidExtension("custom extension needs the prime p")
-        return spec
-    raise InvalidExtension(f"unknown extension kind {kind!r}")
+        if p is None or None in given:
+            raise InvalidExtension("custom extension needs p and the "
+                                   "coefficients of E_K, E_L and sigma_pi")
+        if p < 2:
+            raise InvalidExtension(f"kind 'custom' has no p = {p}")
+        return (p,) + given
+    if kind not in BUILTIN_NAMES:
+        raise InvalidExtension(f"unknown extension kind {kind!r}")
+    if given != (None, None, None):
+        raise InvalidExtension(f"kind {kind!r} reads no coefficient field")
+    if kind == "quadratic-gaussian" and p in (None, 2):
+        return 2, (-2,), ((2,), (-2,)), ((2,), (-1,))
+    if kind == "quadratic-sqrt2" and p in (None, 2):
+        return 2, (-2,), ((-2,), (0,)), ((0,), (-1,))
+    if kind != "cyclotomic-step":
+        raise InvalidExtension(f"kind {kind!r} has no p = {p}")
+    p = 3 if p is None else p
+    if p == 2 or not is_prime(p):
+        raise InvalidExtension(f"cyclotomic-step requires an odd prime, got {p}")
+    # E_K = ((y+1)^p - 1)/y, degree p-1; pi_K = zeta_p - 1
+    base = tuple(math.comb(p, k) for k in range(1, p))
+    # E_L = (x+1)^p - (1 + pi_K): constant term -pi_K, then binomials
+    top = ((0, -1) + (0,) * (p - 3),) + tuple(
+        (math.comb(p, k),) + (0,) * (p - 2) for k in range(1, p))
+    # sigma(pi_L) = zeta_p (pi_L + 1) - 1 = pi_K + (1 + pi_K) pi_L
+    return p, base, top, ((0, 1), (1, 1))
 
 
 def build_extension(spec, precision: int = None) -> ExtensionData:
     """Build and validate an extension from a spec or a built-in name.
 
-    Checks, in order: p^N has at most MAX_MODULUS_DIGITS decimal digits
+    Checks, in order: the kind takes the spec's fields and p
+    (``_materialize``), p^N has at most MAX_MODULUS_DIGITS decimal digits
     (ConfigError otherwise), both moduli are Eisenstein, sigma_pi is a root
     of the top modulus, the induced endomorphism has order exactly p, and the
     ramification break t = v_L(sigma(pi_L) - pi_L) - 1 is at least 1 (wild
@@ -243,18 +246,16 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
         spec = ExtensionSpec(kind=spec)
     if precision is not None:
         spec = spec.at_precision(precision)
-    name = spec.kind
-    spec = _materialize(spec)
+    p, base_coeffs, top_coeffs, sigma_rows = _materialize(spec)
+    N = spec.precision
     # p^N has floor(N log10 p) + 1 digits; p^N itself is never formed here
-    if spec.p > 1 and spec.precision * math.log10(spec.p) >= MAX_MODULUS_DIGITS:
+    if N * math.log10(p) >= MAX_MODULUS_DIGITS:
         raise ConfigError(
-            f"precision N = {spec.precision} is too large: p^N = "
-            f"{spec.p}^{spec.precision} has more than {MAX_MODULUS_DIGITS} "
-            f"decimal digits")
+            f"precision N = {N} is too large: p^N = {p}^{N} has more than "
+            f"{MAX_MODULUS_DIGITS} decimal digits")
 
-    tower = Tower(spec.p, spec.precision, spec.base_coeffs, spec.top_coeffs)
-    p = tower.p
-    sigma_pi = tower.from_rows(spec.sigma_pi)
+    tower = Tower(p, N, base_coeffs, top_coeffs)
+    sigma_pi = tower.from_rows(sigma_rows)
 
     root = tower.one_ol  # E_L(sigma_pi) by Horner; the leading 1 is implicit
     for c in reversed(tower.E_L):
@@ -278,8 +279,8 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     if t < 1:
         raise InvalidExtension(f"ramification break t = {t} violates t >= 1")
 
-    return ExtensionData(spec=spec, name=name, tower=tower, sigma_pi=sigma_pi,
-                         sigma=sigma, t=t)
+    return ExtensionData(spec=spec, tower=tower, sigma_pi=sigma_pi, sigma=sigma,
+                         t=t)
 
 
 # -- extension spec files ---------------------------------------------------
@@ -307,9 +308,10 @@ def load_spec_file(path) -> ExtensionSpec:
     ``kind="custom"``: ``e_K``, ``E_K`` (list of integers, low to high,
     without the leading 1), ``E_L`` (list of O_K coordinate lists) and
     ``sigma_pi`` (list of O_K coordinate lists).  Integers may be written
-    as decimal strings.  A document that is not JSON, lacks a field or holds
-    one its kind does not read, a ``p`` below 2 (not 2 for the quadratic
-    kinds) or a value of the wrong shape raises InvalidExtension.
+    as decimal strings.  A document that is not JSON, holds a field outside
+    these seven, an ``e_K`` other than the length of ``E_K`` or a value of
+    the wrong shape raises InvalidExtension here; a field or ``p`` its kind
+    does not take raises it when the spec is built.
     """
     import json  # only spec files need it
 
@@ -324,26 +326,18 @@ def load_spec_file(path) -> ExtensionSpec:
 def _spec_from_document(doc, path) -> ExtensionSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidExtension(f"spec file {path} lacks a 'kind' field")
-    kind = doc["kind"]
-    fields = {"kind", "p", "precision"} | (
-        {"e_K", "E_K", "E_L", "sigma_pi"} if kind == "custom" else set())
-    if set(doc) - fields:
-        raise InvalidExtension(f"spec file {path}: kind {kind!r} reads no "
-                               f"field {', '.join(sorted(set(doc) - fields))}")
-    p = _parse_int(doc.get("p", 0))
-    quadratic = kind in ("quadratic-gaussian", "quadratic-sqrt2")
-    if "p" in doc and (p < 2 or quadratic and p != 2):
-        raise InvalidExtension(f"spec file {path}: kind {kind!r} has no p = {p}")
-    precision = _parse_int(doc.get("precision", DEFAULT_PRECISION))
-    if kind != "custom":
-        return ExtensionSpec(kind=kind, p=p, precision=precision)
-    base = _parse_int_list(doc["E_K"])
-    if "e_K" in doc and _parse_int(doc["e_K"]) != len(base):
-        raise InvalidExtension("e_K does not match the length of E_K")
-    top = tuple(_parse_int_list(row) for row in doc["E_L"])
-    sigma = tuple(_parse_int_list(row) for row in doc["sigma_pi"])
-    return ExtensionSpec(kind="custom", p=p, precision=precision,
-                         base_coeffs=base, top_coeffs=top, sigma_pi=sigma)
+    unknown = set(doc) - {"kind", "p", "precision", "e_K", "E_K", "E_L", "sigma_pi"}
+    if unknown:
+        raise InvalidExtension(
+            f"spec file {path}: no spec reads field {', '.join(sorted(unknown))}")
+    base = _parse_int_list(doc["E_K"]) if "E_K" in doc else None
+    if "e_K" in doc and (base is None or _parse_int(doc["e_K"]) != len(base)):
+        raise InvalidExtension(f"spec file {path}: e_K is not the length of E_K")
+    top, sigma = (tuple(_parse_int_list(row) for row in doc[k]) if k in doc else None
+                  for k in ("E_L", "sigma_pi"))
+    return ExtensionSpec(doc["kind"], _parse_int(doc["p"]) if "p" in doc else None,
+                         _parse_int(doc.get("precision", DEFAULT_PRECISION)),
+                         base, top, sigma)
 
 
 def resolve_extension(name_or_path: str, precision: int = None) -> ExtensionData:

@@ -2,8 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from wittram import linalg
-from wittram.extensions import ExtensionData, build_extension, load_spec_file
+from wittram import extensions, linalg
+from wittram.extensions import build_extension, load_spec_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,16 +43,18 @@ def all_extensions(gaussian, sqrt2, cyclo):
 @pytest.fixture
 def rebuilds(monkeypatch):
     """The precisions of every extension rebuilt (``_twin``) after the
-    fixture is set up; build the extension under test fresh, so that no
-    cache holds its twins."""
+    fixture is set up, counted where ``_twin`` calls
+    ``extensions.build_extension`` (a test's own imported ``build_extension``
+    is not counted); build the extension under test fresh, so that no cache
+    holds its twins."""
     built = []
-    rebuild = ExtensionData.with_precision
+    build = extensions.build_extension
 
-    def counting(self, precision):
+    def counting(spec, precision=None):
         built.append(precision)
-        return rebuild(self, precision)
+        return build(spec, precision)
 
-    monkeypatch.setattr(ExtensionData, "with_precision", counting)
+    monkeypatch.setattr(extensions, "build_extension", counting)
     return built
 
 

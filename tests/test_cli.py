@@ -506,7 +506,7 @@ def test_vanishing_violation_reports_witness_and_counterexamples(monkeypatch):
     # claiming t = 3 for the Gaussian extension (t = 1) keeps p^m = 4 > t, so
     # the proposition runs and its valuation bound must fail
     ext = build_extension("quadratic-gaussian", precision=48)
-    ext = ExtensionData(ext.spec, ext.name, ext.tower, ext.sigma_pi, ext.sigma, t=3)
+    ext = ExtensionData(ext.spec, ext.tower, ext.sigma_pi, ext.sigma, t=3)
     monkeypatch.setattr(harness, "resolve_extension", lambda name, precision: ext)
     code, doc, digest = _run_json(precision=48, m=2, trials=10)
     assert code == 1

@@ -166,8 +166,8 @@ def test_trace_image_exponent_refuses_a_break_off_by_one(all_extensions):
     for ext in all_extensions:
         for t in (ext.t - 1, ext.t + 1):
             d = ((t + 1) * (ext.p - 1)) // ext.p
-            wrong = ExtensionData(ext.spec, ext.name, ext.tower, ext.sigma_pi,
-                                  ext.sigma, t=t)
+            wrong = ExtensionData(ext.spec, ext.tower, ext.sigma_pi, ext.sigma,
+                                  t=t)
             if d == trace_image_exponent(ext):
                 assert trace_image_exponent(wrong) == d
                 continue
@@ -426,7 +426,7 @@ def test_cascade_levels_at_the_precision_horizon():
 def test_trace_valuation_skips_at_the_precision_horizon():
     # (trials, skipped) of the lower bound and of the power law at N = 3
     expected = {("cyclotomic-step", 5): [(60, 0), (60, 46)],
-                ("quadratic-gaussian", 0): [(60, 1), (60, 36)]}
+                ("quadratic-gaussian", 2): [(60, 1), (60, 36)]}
     for (kind, p), counts in expected.items():
         ext = build_extension(ExtensionSpec(kind, p=p), precision=3)
         record = verify_trace_valuations(ext, trials=60, seed=0)
@@ -667,7 +667,7 @@ def test_suites_report_a_break_that_is_too_large():
     # the Gaussian extension has t = 1; claiming t = 4 breaks the trace lower
     # bound and the cascade, and the suites must say so with counterexamples
     ext = build_extension("quadratic-gaussian", precision=48)
-    ext = ExtensionData(ext.spec, ext.name, ext.tower, ext.sigma_pi, ext.sigma, t=4)
+    ext = ExtensionData(ext.spec, ext.tower, ext.sigma_pi, ext.sigma, t=4)
     lemmas = verify_trace_valuations(ext, trials=40, seed=0)
     lower, power = lemmas.checks
     assert (lemmas.status, lower.status, power.status) == ("fail", "fail", "pass")

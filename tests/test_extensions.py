@@ -16,6 +16,7 @@ from wittram.extensions import (
     BUILTIN_NAMES,
     ExtensionData,
     ExtensionSpec,
+    _twin,
     build_extension,
     load_spec_file,
     resolve_extension,
@@ -45,8 +46,8 @@ def test_trace_matrix_refuses_a_trace_outside_o_k(sqrt2):
     # with sigma corrupted to the identity, tr(pi_L) = 2 pi_L leaves O_K
     dim = sqrt2.tower.dim
     identity = tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
-    corrupted = ExtensionData(sqrt2.spec, sqrt2.name, sqrt2.tower, sqrt2.sigma_pi,
-                              identity, sqrt2.t)
+    corrupted = ExtensionData(sqrt2.spec, sqrt2.tower, sqrt2.sigma_pi, identity,
+                              sqrt2.t)
     with pytest.raises(VerificationError, match="the trace leaves O_K"):
         corrupted.trace_matrix
 
@@ -165,10 +166,63 @@ def test_precision_too_small():
 
 
 def test_rebuild_at_higher_precision(sqrt2):
-    hi = sqrt2.with_precision(40)
+    hi = _twin(sqrt2, 40)
     assert hi.t == sqrt2.t
     assert hi.N == 40
     assert hi.tower.pN == 2 ** 40
+
+
+# -- one rule site: a spec made in code is checked as a spec file is ---------------
+
+SQRT2_DATA = dict(base_coeffs=(-2,), top_coeffs=((-2,), (0,)), sigma_pi=((0,), (-1,)))
+
+#: specs that ask for another extension than their kind builds, among them
+#: the per-kind documents of ``tests/test_cli.py::BAD_SPECS`` made in code
+REFUSED_SPECS = {
+    "gaussian-at-p5": (ExtensionSpec("quadratic-gaussian", p=5), "has no p = 5"),
+    "cyclotomic-at-p0": (ExtensionSpec("cyclotomic-step", p=0), "odd prime, got 0"),
+    "cyclotomic-with-base_coeffs": (
+        ExtensionSpec("cyclotomic-step", p=3, base_coeffs=(1,)), "reads no coefficient"),
+    "sqrt2-with-sigma_pi": (
+        ExtensionSpec("quadratic-sqrt2", sigma_pi=((1,), (1,))), "reads no coefficient"),
+    "sqrt2-at-p3": (ExtensionSpec("quadratic-sqrt2", p=3), "has no p = 3"),
+    "cyclotomic-at-p1": (ExtensionSpec("cyclotomic-step", p=1), "odd prime, got 1"),
+    "sqrt2-with-E_K": (
+        ExtensionSpec("quadratic-sqrt2", base_coeffs=(3,)), "reads no coefficient"),
+    "custom-at-p0": (ExtensionSpec("custom", p=0, **SQRT2_DATA), "has no p = 0"),
+    "custom-without-p": (ExtensionSpec("custom", **SQRT2_DATA), "needs p"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_SPECS))
+def test_spec_made_in_code_is_refused_like_its_document(case):
+    spec, message = REFUSED_SPECS[case]
+    with pytest.raises(InvalidExtension, match=message):
+        build_extension(spec)
+
+
+@pytest.mark.parametrize("spec", [ExtensionSpec("quadratic-gaussian", p=2),
+                                  ExtensionSpec("cyclotomic-step"),
+                                  ExtensionSpec("custom", p=2, **SQRT2_DATA)],
+                         ids=lambda spec: spec.kind)
+def test_an_omitted_or_allowed_p_builds_what_the_spec_names(spec):
+    ext = build_extension(spec)
+    assert ext.name == spec.kind
+    assert ext.p == (3 if spec.kind == "cyclotomic-step" else 2)
+    assert ext.spec.p == spec.p and ext.spec.base_coeffs == spec.base_coeffs
+
+
+@pytest.mark.parametrize("spec", [T4_SPEC, ExtensionSpec("cyclotomic-step", p=5),
+                                  ExtensionSpec("quadratic-sqrt2")],
+                         ids=lambda spec: spec.kind)
+def test_twin_of_a_spec_made_in_code_is_a_fresh_build(spec):
+    ext = build_extension(spec, precision=32)
+    twin = _twin(ext, 34)
+    fresh = build_extension(spec, precision=34)
+    assert (twin.name, twin.spec.precision, twin.N) == (spec.kind, 34, 34)
+    assert twin.sigma == fresh.sigma
+    assert twin.trace_matrix == fresh.trace_matrix
+    assert twin.t == fresh.t == ext.t
 
 
 # -- conjugate-product basis ---------------------------------------------------------

@@ -82,8 +82,9 @@ def test_witt_poly_loads_no_verify_stack():
         "0", "True", "cohomology", "False", "harness", "False", "report", "False"]
 
 
-@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
-                    reason="this Python has no builtin _sha256 module")
+@pytest.mark.skipif(importlib.util.find_spec("_sha2") is None
+                    and importlib.util.find_spec("_sha256") is None,
+                    reason="this Python has no builtin _sha2 or _sha256 module")
 def test_verify_loads_no_openssl():
     # every suite runs, so both hashes are taken: run seeds and symbolic digests
     assert _run("import contextlib, io, sys\n"

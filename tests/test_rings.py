@@ -81,7 +81,7 @@ def test_rejects_elements_of_foreign_tower(sqrt2, gaussian):
 # -- products ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 0), ("quadratic-sqrt2", 0),
+@pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 2), ("quadratic-sqrt2", 2),
                                     ("cyclotomic-step", 3), ("cyclotomic-step", 5),
                                     ("cyclotomic-step", 7)])
 def test_structure_constants_oracle(kind, p):
@@ -121,7 +121,7 @@ def shift_and_reduce(t, x, y):
     return acc
 
 
-@pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 0), ("quadratic-sqrt2", 0),
+@pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 2), ("quadratic-sqrt2", 2),
                                     ("cyclotomic-step", 3), ("cyclotomic-step", 5),
                                     ("cyclotomic-step", 7)])
 @pytest.mark.parametrize("extra", [0, 2])
@@ -198,8 +198,8 @@ def test_staged_fold_matches_shift_and_reduce_on_t4_spec(N):
     _assert_flat_mul_matches_oracle(ext.tower)
 
 
-@pytest.mark.parametrize("kind,p,entries", [("quadratic-gaussian", 0, 2),
-                                            ("quadratic-sqrt2", 0, 1),
+@pytest.mark.parametrize("kind,p,entries", [("quadratic-gaussian", 2, 2),
+                                            ("quadratic-sqrt2", 2, 1),
                                             ("cyclotomic-step", 3, 22),
                                             ("cyclotomic-step", 5, 188),
                                             ("cyclotomic-step", 7, 642)])
@@ -209,7 +209,7 @@ def test_staged_fold_entry_counts(kind, p, entries):
     assert sum(len(targets) for _, targets in t._fold) == entries
 
 
-@pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 0), ("quadratic-sqrt2", 0),
+@pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 2), ("quadratic-sqrt2", 2),
                                     ("cyclotomic-step", 3), ("cyclotomic-step", 5),
                                     ("cyclotomic-step", 7)])
 def test_pi_L_power_table_matches_repeated_squaring(kind, p):
@@ -361,7 +361,7 @@ def test_vanishing_el_constant_term_is_not_eisenstein(N):
 # -- mixed-unit valuation bridge -----------------------------------------------
 
 
-SMALL_PRECISION = [("quadratic-gaussian", 0, 2), ("quadratic-sqrt2", 0, 3),
+SMALL_PRECISION = [("quadratic-gaussian", 2, 2), ("quadratic-sqrt2", 2, 3),
                    ("cyclotomic-step", 3, 2), ("cyclotomic-step", 5, 2)]
 
 
