@@ -7,7 +7,7 @@ Subcommands:
 
 Exit codes: 0 all pass/fail-bearing suites passed, 1 at least one suite
 failed, 2 configuration error (unknown extension, precision guard, bad
-flags).
+flags) or memory exhausted.
 
 Each command imports the layers it runs when it runs, so ``witt-poly``
 loads the symbolic layer and not the verify stack (``cohomology``,
@@ -153,6 +153,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except (WittramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,13 +1,14 @@
 """Level-1 cohomology of the cyclic action on O_L, verified at precision.
 
-The trace and sigma-1 operators are realized as D x D matrices over Z/p^N
-in the flat monomial tower basis (D = p * e_K, column convention), the
-trace from the power sums of the roots of E_L and sigma-1 off the matrix
-of sigma; an element's coordinate vector is its ``coeffs`` tuple.  Each
-operator's columns are eliminated once per precision
-(``LinearMap.columns``): the trace image, the coboundaries
-im(sigma-1), the trace kernel and every solve tr(x) = c or (sigma-1)x = a
-are read off that one presentation.  On top of it this module provides:
+The two operators are ``linalg.LinearMap``s over Z/p^N in the flat
+monomial tower basis (D = p * e_K, column convention), where an element's
+coordinate vector is its ``coeffs`` tuple: the trace O_L -> O_K as the
+e_K x D matrix ``ExtensionData.trace_matrix``, whose targets are O_K
+coordinates, and sigma-1 on O_L as a D x D matrix off the matrix of sigma.
+Each is eliminated once per precision (``linear_map_of``): the trace image
+tr(O_L), the coboundaries im(sigma-1), the trace kernel and every solve
+tr(x) = c or (sigma-1)x = a are read off that one Howell form.  On top of
+it this module provides:
 
 * one level step of the trace-zero recursion: tr(a_n) cancels the carry
   delta_n of the prefix, component n of the Witt trace of
@@ -39,11 +40,11 @@ are read off that one presentation.  On top of it this module provides:
 
   So one table t_i = delta_1(k_i) (``_kernel_targets``) and one base per
   level and prefix decide whether a draw's target lies in the trace image:
-  the test is ``member(image, base + sum_i c_i t_i)``, e_K * r
-  multiply-adds and one reduction.  At level 1 the prefix is empty and the
-  base is 0; at a higher level it is the first draw's exact target minus
-  its sum, and it is dropped when a lower level is redrawn.  The exact
-  steps are the table, the first draw at each level n >= 2 for each
+  the test is ``member(image, base + sum_i c_i t_i)`` in O_K coordinates,
+  e_K * r multiply-adds and one reduction.  At level 1 the prefix is empty
+  and the base is 0; at a higher level it is the first draw's exact target
+  minus its sum, and it is dropped when a lower level is redrawn.  The
+  exact steps are the table, the first draw at each level n >= 2 for each
   prefix, every draw the test keeps (its element, Frobenius chain, carry
   target and ``solve_linear``, whose NoSolution is the membership test)
   and the final Witt trace.  A kept draw whose exact target is not in the
@@ -81,7 +82,7 @@ lower gives ker(tr mod p^N) = K + p^(N-1) O_K, the spurious part.
 from __future__ import annotations
 
 import random
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 
 from .errors import (
@@ -94,8 +95,7 @@ from .errors import (
 from .extensions import ExtensionData, _twin
 from .linalg import (
     HowellBasis,
-    Presentation,
-    columns_of,
+    LinearMap,
     howell_form,
     member,
     smith_invariants,
@@ -124,31 +124,11 @@ def derive_rng(*parts) -> random.Random:
 # -- coordinates and operator matrices ---------------------------------------
 
 
-class LinearMap:
-    """A Z/p^N-linear endomorphism of O_L in the flat monomial basis.
-
-    An element's ``coeffs`` are its coordinate vector, so applying the map
-    is one matrix-vector product.  ``rows`` is the matrix in column
-    convention: column c is the image of the c-th basis monomial.
-    ``columns`` presents those columns once: its span is the image, its
-    syzygies the kernel, and every solve reads its combinations.  Maps
-    compare by identity.
-    """
-
-    def __init__(self, ext: ExtensionData, which: str, rows: tuple):
-        self.ext = ext
-        self.which = which
-        self.rows = rows
-
-    @cached_property
-    def columns(self) -> Presentation:
-        return columns_of(self.rows, self.ext.p, self.ext.N)
-
-
 @lru_cache(maxsize=128)
 def linear_map_of(ext: ExtensionData, which: str) -> LinearMap:
-    """Matrix of the trace or of sigma-1 ("trace" | "sigma-minus-one"):
-    ``ExtensionData.trace_matrix``, or sigma minus the identity."""
+    """The trace O_L -> O_K (``ExtensionData.trace_matrix``) or sigma-1 on
+    O_L ("trace" | "sigma-minus-one"), built and eliminated once per
+    extension."""
     if which == "trace":
         rows = ext.trace_matrix
     elif which == "sigma-minus-one":
@@ -157,12 +137,14 @@ def linear_map_of(ext: ExtensionData, which: str) -> LinearMap:
                      for r, row in enumerate(ext.sigma))
     else:
         raise ValueError(f"unknown operator {which!r}")
-    return LinearMap(ext, which, rows)
+    return LinearMap(rows, ext.p, ext.N, ext.tower.dim)
 
 
-def solve_linear(lin: LinearMap, b: OLElement) -> OLElement:
-    """Some x with lin(x) = b at precision; NoSolution if b is out of reach."""
-    return OLElement(b.tower, solve_columnwise(lin.columns, b.coeffs))
+def solve_linear(ext: ExtensionData, which: str, b) -> OLElement:
+    """Some x in O_L with ``which``(x) = b, for b given by its coordinates
+    in the operator's target (O_K for the trace); NoSolution if b is out
+    of reach at precision."""
+    return OLElement(ext.tower, solve_columnwise(linear_map_of(ext, which), b))
 
 
 @lru_cache(maxsize=64)
@@ -172,20 +154,8 @@ def trace_kernel_saturated(ext: ExtensionData, hi: ExtensionData) -> HowellBasis
     precision N; the module docstring says why one extra digit suffices."""
     if hi.N <= ext.N:
         raise ValueError(f"saturation needs a twin above N = {ext.N}, got {hi.N}")
-    hi_kernel = linear_map_of(hi, "trace").columns.syzygies
-    pN = ext.tower.pN
-    rows = [tuple(x % pN for x in row) for row in hi_kernel.rows]
-    return howell_form(rows, ext.p, ext.N, ext.tower.p * ext.tower.e_K)
-
-
-def trace_image(ext: ExtensionData) -> HowellBasis:
-    """Howell basis of tr(O_L); inside the O_K block, because the trace
-    matrix has no nonzero row outside it (``ExtensionData.trace_matrix``)."""
-    return linear_map_of(ext, "trace").columns.span
-
-
-def coboundary_image(ext: ExtensionData) -> HowellBasis:
-    return linear_map_of(ext, "sigma-minus-one").columns.span
+    hi_kernel = linear_map_of(hi, "trace").kernel
+    return howell_form(hi_kernel.rows, ext.p, ext.N, ext.tower.dim)
 
 
 # -- trace image --------------------------------------------------------------
@@ -213,9 +183,8 @@ def trace_image_exponent(ext: ExtensionData) -> int:
 
 def trace_index_exponent(ext: ExtensionData) -> int:
     """log_p |O_K / tr(O_L)|: the sum of v_p(d) over the Smith invariants d
-    of the trace's columns in the O_K block (the other rows are zero, see
-    ``ExtensionData.trace_matrix``)."""
-    columns = list(zip(*ext.trace_matrix[:ext.e_K]))
+    of the trace's columns."""
+    columns = list(zip(*ext.trace_matrix))
     return sum(padic_val(d, ext.p)
                for d in smith_invariants(columns, ext.p, ext.N, ext.e_K))
 
@@ -316,36 +285,34 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
 
 
 def _carry_target(ext: ExtensionData, hi: ExtensionData, chains,
-                  n: int) -> OLElement:
-    """The required tr(a_n) for a trace-zero prefix (a_0, ..., a_{n-1})
-    whose components have the Frobenius chains ``chains`` in ``hi``, a twin
-    at precision at least N+n: -tr(W_n)/p^n reduced to N, with
-    W_n = sum_{i<n} p^i a_i^(p^(n-i)).
+                  n: int) -> tuple:
+    """The O_K coordinates of the required tr(a_n) for a trace-zero prefix
+    (a_0, ..., a_{n-1}) whose components have the Frobenius chains
+    ``chains`` in ``hi``, a twin at precision at least N+n: -tr(W_n)/p^n
+    reduced to N, with W_n = sum_{i<n} p^i a_i^(p^(n-i)).
 
     This is minus component n of the Witt trace of (a_0, ..., a_{n-1}, 0),
     i.e. -f_n at X_{i,j} = sigma^i(a_j), with W_n from ``ghost_level``.
-    It lies in O_K, because ``hi.trace`` is zero outside the O_K block.
     VerificationError when p^n does not divide tr(W_n): the prefix was not
     trace-zero.
     """
-    tr = hi.trace(hi.tower.element(ghost_level(hi, chains, n))).coeffs
-    pn = ext.p ** n
+    tr = matvec(hi.trace_matrix, ghost_level(hi, chains, n), hi.tower.pN)
+    pn, pN = ext.p ** n, ext.tower.pN
     if any(x % pn for x in tr):
         raise VerificationError(
             f"carry target at level {n} is not divisible by p^{n}: "
             f"the prefix is not trace-zero")
-    return -ext.tower.element([x // pn for x in tr])
+    return tuple(-(x // pn) % pN for x in tr)
 
 
-def _level_step(ext: ExtensionData, hi: ExtensionData, tr_map: LinearMap,
-                chains) -> tuple:
+def _level_step(ext: ExtensionData, hi: ExtensionData, chains) -> tuple:
     """(c, a_n): the carry target c = -f_n(sigma^i(a_j)) of the trace-zero
     prefix (a_0, ..., a_{n-1}) given by its Frobenius ``chains`` in ``hi``,
     and some a_n with tr(a_n) = c, or None when no a_n exists (c is not in
     the trace image; the solver's NoSolution is the membership test)."""
     c = _carry_target(ext, hi, chains, len(chains))
     try:
-        return c, solve_linear(tr_map, c)
+        return c, solve_linear(ext, "trace", c)
     except NoSolution:
         return c, None
 
@@ -353,8 +320,8 @@ def _level_step(ext: ExtensionData, hi: ExtensionData, tr_map: LinearMap,
 @lru_cache(maxsize=64)
 def _kernel_targets(ext: ExtensionData, hi: ExtensionData) -> tuple:
     """The level-1 carry targets t_i of the Howell rows k_i of the trace
-    kernel saturated in the twin ``hi``, in the O_K block, as an e_K x r
-    matrix in column convention (column i is t_i), computed in ``hi``.
+    kernel saturated in the twin ``hi``, as an e_K x r matrix in column
+    convention (column i is t_i), computed in ``hi``.
 
     By additivity (module docstring) a kernel draw sum_i c_i k_i shifts
     every level's carry target by this matrix times c, modulo tr(O_L).
@@ -362,7 +329,7 @@ def _kernel_targets(ext: ExtensionData, hi: ExtensionData) -> tuple:
     targets = []
     for row in trace_kernel_saturated(ext, hi).rows:
         chain = frobenius_chain(hi, OLElement(ext.tower, row))
-        targets.append(_carry_target(ext, hi, [chain], 1).coeffs[:ext.e_K])
+        targets.append(_carry_target(ext, hi, [chain], 1))
     return tuple(zip(*targets))
 
 
@@ -393,18 +360,14 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
     rng = derive_rng(seed, "sample-trace-zero", ext.name, m)
     hi = _twin(ext, ext.N + max(m, 1))
     kernel = trace_kernel_saturated(ext, hi)
-    tr_map = linear_map_of(ext, "trace")
     targets = _kernel_targets(ext, hi) if m else ()
-    pN, e = ext.tower.pN, ext.e_K
-    # the trace image lies in the O_K block, so its Howell rows cut to that
-    # block are its Howell form there: the predictions are reduced in O_K
-    image = trace_image(ext)
-    image = HowellBasis(image.p, image.N, e, tuple(row[:e] for row in image.rows))
+    pN = ext.tower.pN
+    image = linear_map_of(ext, "trace").image
 
     draw = random_from_basis(ext, kernel, rng)
     comps, chains = [], []  # the prefix (a_0, ..., a_{n-2}) of the draw
     particular = [ext.tower.zero_ol] + [None] * m
-    bases = [None, (0,) * e]  # bases[n]: level-n target at a zero draw
+    bases = [None, (0,) * ext.e_K]  # bases[n]: level-n target at a zero draw
     retries = [0] * (m + 1)
     attempts = 0
     n = 1
@@ -419,9 +382,9 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
             a = particular[n - 1] + from_basis(ext, kernel, draw)
             comps.append(a)
             chains.append(frobenius_chain(hi, a))
-            c, x = _level_step(ext, hi, tr_map, chains)
+            c, x = _level_step(ext, hi, chains)
             if not predicted:
-                bases.append(tuple((b - s) % pN for b, s in zip(c.coeffs, shift)))
+                bases.append(tuple((b - s) % pN for b, s in zip(c, shift)))
             elif x is None:
                 raise VerificationError(
                     f"carry target at level {n} left the trace image "
@@ -517,7 +480,6 @@ def verify_restriction_vanishing(ext: ExtensionData, m: int,
     """
     if ext.p ** m <= ext.t:
         return negative_control(ext, m)
-    sig_map = linear_map_of(ext, "sigma-minus-one")
     val_check = CheckResult("first-component-valuation", "pass")
     cob_check = CheckResult("first-component-coboundary", "pass")
     for trial in range(trials):
@@ -532,7 +494,7 @@ def verify_restriction_vanishing(ext: ExtensionData, m: int,
                                      "vector": wittvec_coords(vec)})
             val_check.detail.setdefault("witness", wittvec_coords(vec))
         try:
-            x = solve_linear(sig_map, a0)
+            x = solve_linear(ext, "sigma-minus-one", a0.coeffs)
         except NoSolution:
             cob_check.record(False, {"trial": trial,
                                      "vector": wittvec_coords(vec)})
@@ -553,12 +515,11 @@ def deterministic_witness(ext: ExtensionData, m: int):
     a0 = ext.tower.pi_L
     if not ext.trace(a0).is_zero:
         return None, "pi_L is not trace-zero; no deterministic witness"
-    tr_map = linear_map_of(ext, "trace")
     hi = _twin(ext, ext.N + m)
     comps = [a0]
     chains = [frobenius_chain(hi, a0)]
     for n in range(1, m + 1):
-        _, x = _level_step(ext, hi, tr_map, chains)
+        _, x = _level_step(ext, hi, chains)
         if x is None:
             return None, f"carry target left the trace image at level {n}"
         comps.append(x)
@@ -584,7 +545,7 @@ def negative_control(ext: ExtensionData, m: int) -> SuiteRecord:
         check.detail["witness_found"] = False
         check.detail["reason"] = note
         return SuiteRecord.of("negative-control", ext, m, [check])
-    in_image = member(coboundary_image(ext), vec[0].coeffs)
+    in_image = member(linear_map_of(ext, "sigma-minus-one").image, vec[0].coeffs)
     check.detail["witness_found"] = not in_image
     check.detail["witness"] = wittvec_coords(vec)
     check.detail["first_component_is_coboundary"] = in_image
@@ -606,8 +567,7 @@ def h1_level1(ext: ExtensionData) -> tuple:
     """
     pN = ext.tower.pN
     columns = list(zip(*linear_map_of(ext, "sigma-minus-one").rows))
-    trace_rows = ext.trace_matrix[:ext.e_K]  # the other rows are zero
-    if any(any(matvec(trace_rows, col, pN)) for col in columns):
+    if any(any(matvec(ext.trace_matrix, col, pN)) for col in columns):
         raise VerificationError(
             f"coboundaries escape the trace kernel at N={ext.N}")
     factors = smith_invariants(columns, ext.p, ext.N, ext.tower.dim)

@@ -1,4 +1,4 @@
-"""Linear algebra over the chain ring Z/p^N: Howell form, presentations, quotients.
+"""Linear algebra over the chain ring Z/p^N: Howell form, linear maps, quotients.
 
 Over Z/p^N every submodule of (Z/p^N)^D has a unique Howell canonical
 generating set: rows with strictly increasing pivot columns, each pivot a
@@ -8,18 +8,19 @@ is a combination of the rows with pivot column >= c; this is what the extra
 p^(N-k) * row generators enforce).  Uniqueness makes submodule equality a
 row-list comparison and membership a single reduction sweep.
 
-Each generating set G = (g_1, ..., g_n) is eliminated once: a
-``Presentation`` keeps the Howell form H of [G | I_n], whose rows (v | y)
-record v = sum_i y_i g_i.  The rows of H with a nonzero left block, cut to
-it, are the Howell form of span(G), because the Howell property restricts to
-leading columns: a span element supported on columns >= c lifts to an
-element of span(H) supported there too, hence to a combination of rows of H
-with pivot column >= c.  The rows with a zero left block, cut to the right
-block, are the Howell form of the syzygies of G, by the Howell property at
-the first right-block column.  Reducing (b | 0) against the left-block rows
-leaves (0 | -y) exactly when b = sum_i y_i g_i.  For a matrix A in column
-convention the generators are its columns, so span, syzygies and
-combinations are its image, kernel and preimages.
+A ``LinearMap`` A: (Z/p^N)^n -> (Z/p^N)^h is eliminated once: it keeps the
+Howell form H of the rows (A e_c | e_c), c < n, whose span is the graph
+{(A x | x)}.  The rows of H with a nonzero left block, cut to it, are the
+Howell form of the image, because the Howell property restricts to leading
+columns: an image element supported on columns >= c lifts to an element of
+span(H) supported there too, hence to a combination of rows of H with
+pivot column >= c.  The rows with a zero left block, cut to the right
+block, are the Howell form of the kernel, by the Howell property at the
+first right-block column.  Reducing (b | 0) against the left-block rows
+leaves (0 | -x) exactly when A x = b, which is ``solve_columnwise``.  A
+generating set G = (g_1, ..., g_n) is the map with columns g_i: its image
+is span(G), its kernel the syzygies of G and its solutions the
+combinations giving a vector.
 
 A finite quotient span(G)/span(S) is presented on the generators G: its
 relations are the syzygies of G and the combinations giving S.  The invariant
@@ -53,9 +54,6 @@ class HowellBasis:
             col = next(i for i, x in enumerate(row) if x)
             out.append((col, padic_val(row[col], self.p)))
         return tuple(out)
-
-    def __len__(self):
-        return len(self.rows)
 
 
 def howell_form(rows, p: int, N: int, width: int) -> HowellBasis:
@@ -119,76 +117,70 @@ def member(basis: HowellBasis, vec) -> bool:
     return not any(r)
 
 
-class Presentation:
-    """Generators g_1..g_n of a submodule of (Z/p^N)^width, eliminated once.
+class LinearMap:
+    """A Z/p^N-linear map (Z/p^N)^width -> (Z/p^N)^len(rows), eliminated once.
 
-    ``aug`` is the Howell form of [G | I_n]: a row (v | y) records
-    v = sum_i y_i g_i.  Its span, its syzygies and every combination are
-    read off this one form.  Presentations compare by identity.
+    ``rows`` is its matrix in column convention: column c is the image of
+    the c-th unit vector.  ``width`` is the column count, which a map with
+    no rows cannot tell from its rows.  The Howell form of [columns | I] is
+    computed once, on first use; ``image``, ``kernel`` and every
+    ``solve_columnwise`` read it.  Maps compare by identity.
     """
 
-    def __init__(self, width: int, aug: HowellBasis):
+    def __init__(self, rows: tuple, p: int, N: int, width: int):
+        self.rows = rows
+        self.p = p
+        self.N = N
         self.width = width
-        self.aug = aug
 
     @cached_property
-    def span(self) -> HowellBasis:
-        """Howell form of span(G)."""
-        aug, w = self.aug, self.width
-        return HowellBasis(aug.p, aug.N, w, tuple(r[:w] for r in aug.rows if any(r[:w])))
+    def _aug(self) -> HowellBasis:
+        """Howell form of the rows (A e_c | e_c), one per column c."""
+        n = self.width
+        aug = [[row[c] for row in self.rows] + [int(i == c) for i in range(n)]
+               for c in range(n)]
+        return howell_form(aug, self.p, self.N, len(self.rows) + n)
 
     @cached_property
-    def syzygies(self) -> HowellBasis:
-        """Howell form of {y : sum_i y_i g_i = 0}."""
-        aug, w = self.aug, self.width
-        return HowellBasis(aug.p, aug.N, aug.width - w,
-                           tuple(r[w:] for r in aug.rows if not any(r[:w])))
+    def image(self) -> HowellBasis:
+        """Howell form of {A x}."""
+        aug, h = self._aug, len(self.rows)
+        return HowellBasis(self.p, self.N, h,
+                           tuple(r[:h] for r in aug.rows if any(r[:h])))
 
-    def combination(self, target):
-        """Coefficients y with sum_i y_i g_i = target, or None.
-
-        Quotients use balanced lifts so the particular solution comes out
-        small (e.g. -1 rather than p^N/2 - 1 when solving 2x = -2 over
-        Z/2^N).
-        """
-        width, aug = self.width, self.aug
-        if len(target) != width:
-            raise ValueError(f"target width {len(target)} != {width}")
-        p, pN = aug.p, aug.p ** aug.N
-        r = [x % pN for x in target] + [0] * (aug.width - width)
-        for row, (col, k) in zip(aug.rows, aug.pivots):
-            if col >= width:
-                break
-            x = r[col]
-            if x and padic_val(x, p) >= k:
-                rep = x if 2 * x <= pN else x - pN
-                q = rep // p ** k
-                r = [(a - q * b) % pN for a, b in zip(r, row)]
-        if any(r[:width]):
-            return None
-        return tuple(-x % pN for x in r[width:])
+    @cached_property
+    def kernel(self) -> HowellBasis:
+        """Howell form of {x : A x = 0}."""
+        aug, h = self._aug, len(self.rows)
+        return HowellBasis(self.p, self.N, self.width,
+                           tuple(r[h:] for r in aug.rows if not any(r[:h])))
 
 
-def present(rows, p: int, N: int, width: int) -> Presentation:
-    """The one elimination of the generator rows: Howell form of [G | I]."""
-    n = len(rows)
-    aug = [list(row) + [int(i == idx) for i in range(n)] for idx, row in enumerate(rows)]
-    return Presentation(width, howell_form(aug, p, N, width + n))
+def solve_columnwise(lin: LinearMap, b) -> tuple:
+    """Some x with A x = b mod p^N; raises NoSolution when b is not in the
+    image, ValueError when it has the wrong length.
 
-
-def columns_of(matrix_rows, p: int, N: int) -> Presentation:
-    """The columns of A (column convention), presented: ``span`` is the
-    image {A x}, ``syzygies`` the kernel {x : A x = 0}."""
-    return present([list(col) for col in zip(*matrix_rows)], p, N, len(matrix_rows))
-
-
-def solve_columnwise(columns: Presentation, b) -> tuple:
-    """Some x with A x = b mod p^N, for A presented by ``columns_of``;
-    raises NoSolution when b is not reached."""
-    combo = columns.combination(b)
-    if combo is None:
+    Reducing (b | 0) against the rows of ``lin``'s form with a nonzero
+    left block leaves (0 | -x) exactly when A x = b.  Quotients use
+    balanced lifts so the particular solution comes out small (e.g. -1
+    rather than p^N/2 - 1 when solving 2x = -2 over Z/2^N).
+    """
+    h, aug = len(lin.rows), lin._aug
+    if len(b) != h:
+        raise ValueError(f"target width {len(b)} != {h}")
+    p, pN = lin.p, lin.p ** lin.N
+    r = [x % pN for x in b] + [0] * lin.width
+    for row, (col, k) in zip(aug.rows, aug.pivots):
+        if col >= h:
+            break
+        x = r[col]
+        if x and padic_val(x, p) >= k:
+            rep = x if 2 * x <= pN else x - pN
+            q = rep // p ** k
+            r = [(a - q * y) % pN for a, y in zip(r, row)]
+    if any(r[:h]):
         raise NoSolution("target vector is not in the image at precision")
-    return combo
+    return tuple(-x % pN for x in r[h:])
 
 
 def smith_invariants(rows, p: int, N: int, width: int) -> list:
@@ -232,18 +224,17 @@ def quotient_invariants(gen_rows, sub_rows, p: int, N: int) -> tuple:
 
     ``sub_rows`` must generate a submodule of span(gen_rows), else
     ValueError.  With r generators the quotient is (Z/p^N)^r modulo the
-    coefficient syzygies of the generators and the preimages of the
-    sub-module generators; its invariant factors are read off the Smith
-    form of that relation matrix over Z/p^N.  Returned in descending order,
-    with trivial factors dropped.
+    kernel of the map whose columns are the generators and the preimages
+    of the sub-module generators; its invariant factors are read off the
+    Smith form of that relation matrix over Z/p^N.  Returned in descending
+    order, with trivial factors dropped.
     """
-    width = len(gen_rows[0]) if gen_rows else 0
-    pres = present(gen_rows, p, N, width)
-    relations = list(pres.syzygies.rows)
+    lin = LinearMap(tuple(zip(*gen_rows)), p, N, len(gen_rows))
+    relations = list(lin.kernel.rows)
     for b in sub_rows:
-        combo = pres.combination(b)
-        if combo is None:
-            raise ValueError("sub_rows do not lie in the span of gen_rows")
-        relations.append(combo)
+        try:
+            relations.append(solve_columnwise(lin, b))
+        except NoSolution:
+            raise ValueError("sub_rows do not lie in the span of gen_rows") from None
     factors = smith_invariants(relations, p, N, len(gen_rows))
     return tuple(d for d in reversed(factors) if d > 1)

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,7 +62,9 @@ def rebuilds(monkeypatch):
 @pytest.fixture
 def howell_calls(monkeypatch):
     """The argument tuples of every ``linalg.howell_form`` call made after
-    the fixture is set up."""
+    the fixture is set up, through any name bound to it: every ``wittram``
+    module attribute holding the function is rebound, so a call through a
+    name imported by value is counted too."""
     calls = []
     howell = linalg.howell_form
 
@@ -69,5 +72,9 @@ def howell_calls(monkeypatch):
         calls.append(args)
         return howell(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "howell_form", counting)
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "wittram" or name.startswith("wittram.")):
+            for attr, obj in list(vars(module).items()):
+                if obj is howell:
+                    monkeypatch.setattr(module, attr, counting)
     return calls

@@ -9,10 +9,10 @@ vector that is first certified trace-zero.  Every check raises as it did
 in the package.
 """
 
-from wittram.cohomology import LinearMap, _cascade_levels
+from wittram.cohomology import _cascade_levels
 from wittram.errors import LengthMismatch, PrecisionExhausted, VerificationError
 from wittram.extensions import ExtensionData, _twin
-from wittram.linalg import HowellBasis
+from wittram.linalg import HowellBasis, LinearMap
 from wittram.rings import OLElement, matvec, valuation_L
 from wittram.witt import WittVec, _from_ghost, _ghost, witt_trace
 
@@ -78,9 +78,10 @@ def uniform_element(ext: ExtensionData, rng) -> OLElement:
 # -- linear algebra -------------------------------------------------------------
 
 
-def apply_map(lin: LinearMap, a: OLElement) -> OLElement:
-    """The operator ``lin`` applied to ``a``: one matrix-vector product."""
-    return OLElement(a.tower, matvec(lin.rows, a.coeffs, a.tower.pN))
+def apply_map(lin: LinearMap, a: OLElement) -> tuple:
+    """The coordinates of the operator ``lin`` applied to ``a`` (O_K
+    coordinates for the trace): one matrix-vector product."""
+    return matvec(lin.rows, a.coeffs, a.tower.pN)
 
 
 def order_exponent(basis: HowellBasis) -> int:

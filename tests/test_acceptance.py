@@ -10,8 +10,8 @@ from math import prod
 
 from wittram.cohomology import (
     cascade_suite,
-    coboundary_image,
     h1_level1,
+    linear_map_of,
     member,
     negative_control,
     trace_index_exponent,
@@ -183,7 +183,7 @@ def test_c7_sharpness_negative_control(sqrt2):
     ok = detail["applicable"] is True
     ok &= detail["witness_found"] is True
     ok &= detail["witness"] == expected
-    ok &= not member(coboundary_image(sqrt2), t.pi_L.coeffs)
+    ok &= not member(linear_map_of(sqrt2, "sigma-minus-one").image, t.pi_L.coeffs)
     report(7, "sharpness witness (pi, -1) at p^m = t with first component "
               "outside the coboundaries", ok)
 

@@ -1,4 +1,5 @@
-"""The benchmark workloads' reports still hash to their recorded digests.
+"""The benchmark workloads' reports still hash to their recorded digests,
+and each workload makes its pinned number of Howell eliminations.
 
 ``wittbench/run.py`` rejects a verify run whose report bytes differ from
 ``wittbench/digests.json`` while the report version is the recorded one.
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from wittram import cli
+from wittram.harness import RunConfig, run
 from wittram.report import REPORT_VERSION
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +52,19 @@ def test_workload_report_matches_the_recorded_digest(name, seed, monkeypatch,
     out = capsysbinary.readouterr().out
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == DIGESTS["reports"][name][str(seed)]
+
+
+@pytest.mark.parametrize("name,eliminations", [
+    ("cyclo3-m2", 4), ("cyclo7-wide", 0), ("gauss-m4", 4)])
+def test_workload_makes_its_pinned_eliminations(name, eliminations, howell_calls,
+                                                monkeypatch):
+    # the trace at N and in the sampler's twin, the saturated kernel and
+    # sigma-1 are eliminated once each; h1, the trace lemmas and a control
+    # that does not apply eliminate nothing.  The count does not depend on
+    # the number of trials.
+    w = WORKLOADS[name]
+    monkeypatch.chdir(ROOT)
+    report, code = run(RunConfig(w.extension, w.precision, w.m, trials=2,
+                                 suites=w.suites))
+    assert code == 0
+    assert len(howell_calls) == eliminations

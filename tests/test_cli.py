@@ -7,16 +7,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wittram
-from wittram import cohomology, extensions, harness, universal
+from wittram import cli, cohomology, extensions, harness, universal
 from wittram.cli import main
 from wittram.errors import ConfigError, IntegralityError, NoSolution
-from wittram.extensions import ExtensionData, build_extension
+from wittram.extensions import MAX_RANK, ExtensionData, build_extension
 from wittram.harness import SUITE_ORDER, RunConfig, run
 from wittram.report import emit_report
 
@@ -450,6 +451,44 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, command, defect):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["verify", "extension-info"])
+@pytest.mark.parametrize("doc,rank", [
+    ({"kind": "cyclotomic-step", "p": 101}, "101*100 = 10100"),
+    (dict(SQRT2_DOC, e_K=2000, E_K=[-2] + [0] * 1999), "2*2000 = 4000"),
+], ids=["cyclotomic-p101", "custom-degree-2000"])
+def test_rank_above_the_bound_exits_2_before_any_build(tmp_path, capsys, monkeypatch,
+                                                       command, doc, rank):
+    # cyclotomic-step at p = 61 (D = 3660) took 44 s and 551 MB to build;
+    # these are refused in well under a second, before any tower is built
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def no_tower(*args):
+        raise AssertionError("a tower was built above the rank bound")
+
+    monkeypatch.setattr(extensions, "Tower", no_tower)
+    start = time.perf_counter()
+    assert main([command, "--spec-file", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: tower rank D = p*e_K = {rank} exceeds the "
+                            f"bound {MAX_RANK}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "extension-info"])
+def test_memory_exhaustion_exits_2_with_one_line(monkeypatch, capsys, command):
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(harness, "resolve_extension", exhausted)
+    monkeypatch.setattr(cli, "resolve_extension", exhausted)
+    assert main([command, "--extension", "quadratic-gaussian"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 _SCALARS = st.one_of(st.integers(-9, 9), st.integers(-9, 9).map(str),
                     st.booleans(), st.floats(-9, 9), st.just("1.5"))
 _SPEC_LISTS = st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
@@ -530,10 +569,10 @@ def test_vanishing_violation_reports_witness_and_counterexamples(monkeypatch):
 def test_unsolvable_coboundary_fails_the_proposition(monkeypatch):
     solve = cohomology.solve_linear
 
-    def no_preimage(lin, b):
-        if lin.which == "sigma-minus-one":
+    def no_preimage(ext, which, b):
+        if which == "sigma-minus-one":
             raise NoSolution("forced")
-        return solve(lin, b)
+        return solve(ext, which, b)
 
     monkeypatch.setattr(cohomology, "solve_linear", no_preimage)
     code, doc, digest = _run_json(precision=40, m=2, trials=10,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wittram.errors import (
+    ConfigError,
     InvalidExtension,
     NotEisenstein,
     PrecisionExhausted,
@@ -14,6 +15,7 @@ from wittram.errors import (
 )
 from wittram.extensions import (
     BUILTIN_NAMES,
+    MAX_RANK,
     ExtensionData,
     ExtensionSpec,
     _twin,
@@ -68,13 +70,15 @@ NEWTON_CASES = [(ExtensionSpec(kind), 32) for kind in BUILTIN_NAMES] + [
     ids=lambda v: f"{v.kind}{v.p or ''}" if isinstance(v, ExtensionSpec) else None)
 def test_newton_trace_matrix_is_the_sum_of_the_conjugates(spec, precision, margin):
     # oracle: column c is sum_i sigma^i of the c-th basis monomial, by
-    # matrix-vector products with sigma
+    # matrix-vector products with sigma; each sum vanishes outside O_K
     ext = build_extension(spec, precision=precision + margin)
     tower = ext.tower
     columns = []
     for c in range(tower.dim):
         unit = tower.element((0,) * c + (1,))
-        columns.append(sum(ext.conjugates(unit)).coeffs)
+        total = sum(ext.conjugates(unit))
+        assert total.lies_in_K
+        columns.append(total.coeffs[:ext.e_K])
     assert ext.trace_matrix == tuple(zip(*columns))
 
 
@@ -210,6 +214,25 @@ def test_an_omitted_or_allowed_p_builds_what_the_spec_names(spec):
     assert ext.name == spec.kind
     assert ext.p == (3 if spec.kind == "cyclotomic-step" else 2)
     assert ext.spec.p == spec.p and ext.spec.base_coeffs == spec.base_coeffs
+
+
+def _sqrt_pi_K_spec(e_K):
+    """K = Q_2(2^(1/e_K)), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: rank 2 e_K."""
+    return ExtensionSpec("custom", p=2, base_coeffs=(-2,) + (0,) * (e_K - 1),
+                         top_coeffs=((0, -1), (0,)), sigma_pi=((0,), (-1,)))
+
+
+def test_rank_bound_refuses_above_it_and_builds_up_to_it():
+    # cyclotomic-step builds up to p = 13 (D = 156) and a custom tower at
+    # D = MAX_RANK exactly; one more power of pi_K, or the next prime, is
+    # refused by the rank rule
+    assert build_extension(ExtensionSpec("cyclotomic-step", p=13)).tower.dim == 156
+    assert build_extension(_sqrt_pi_K_spec(MAX_RANK // 2)).tower.dim == MAX_RANK
+    for spec, rank in ((ExtensionSpec("cyclotomic-step", p=17), "17\\*16 = 272"),
+                       (_sqrt_pi_K_spec(MAX_RANK // 2 + 1), f"2\\*{MAX_RANK // 2 + 1}")):
+        message = f"D = p\\*e_K = {rank}.* bound {MAX_RANK}"
+        with pytest.raises(ConfigError, match=message):
+            build_extension(spec)
 
 
 @pytest.mark.parametrize("spec", [T4_SPEC, ExtensionSpec("cyclotomic-step", p=5),

@@ -10,10 +10,9 @@ from wittram.cohomology import linear_map_of
 from wittram.errors import NoSolution
 from wittram.extensions import ExtensionSpec, build_extension
 from wittram.linalg import (
-    columns_of,
+    LinearMap,
     howell_form,
     member,
-    present,
     quotient_invariants,
     smith_invariants,
     solve_columnwise,
@@ -119,26 +118,26 @@ def test_kernel_image_solve_against_enumeration(p, N, dim):
             images.setdefault(y, x)
             if not any(y):
                 kernel.add(x)
-        columns = columns_of(A, p, N)
-        ker = columns.syzygies
+        lin = LinearMap(tuple(A), p, N, dim)
+        ker = lin.kernel
         for x in vectors:
             assert member(ker, x) == (x in kernel)
-        img = columns.span
+        img = lin.image
         for y in vectors:
             assert member(img, y) == (y in images)
         # a few solves, both solvable and not
         for y in vectors[:: max(1, len(vectors) // 10)]:
             if y in images:
-                x = solve_columnwise(columns, y)
+                x = solve_columnwise(lin, y)
                 assert matvec(A, x, pN) == tuple(y)
             else:
                 with pytest.raises(NoSolution):
-                    solve_columnwise(columns, y)
+                    solve_columnwise(lin, y)
 
 
 def test_solve_zero_is_accepted():
     A = [(2, 0), (0, 4)]
-    x = solve_columnwise(columns_of(A, 2, 3), (0, 0))
+    x = solve_columnwise(LinearMap(tuple(A), 2, 3, 2), (0, 0))
     assert matvec(A, x, 8) == (0, 0)
 
 
@@ -146,17 +145,17 @@ def test_combination_roundtrip():
     rng = random.Random(9)
     rows = [(2, 0, 4), (0, 3, 1)]
     pN = 9
-    pres = present(rows, 3, 2, 3)
+    lin = LinearMap(tuple(zip(*rows)), 3, 2, len(rows))  # columns: the rows
     for _ in range(20):
         coeffs = [rng.randrange(pN) for _ in rows]
         target = tuple(sum(c * r[k] for c, r in zip(coeffs, rows)) % pN
                        for k in range(3))
-        combo = pres.combination(target)
-        assert combo is not None
+        combo = solve_columnwise(lin, target)
         got = tuple(sum(c * r[k] for c, r in zip(combo, rows)) % pN
                     for k in range(3))
         assert got == target
-    assert pres.combination((1, 0, 0)) is None
+    with pytest.raises(NoSolution):
+        solve_columnwise(lin, (1, 0, 0))
 
 
 # (p, N, most generators) small enough to enumerate every coefficient vector
@@ -165,9 +164,11 @@ PRESENTED_MODULI = [(2, 1, 4), (2, 3, 3), (3, 2, 3), (5, 1, 3), (7, 1, 3)]
 
 @pytest.mark.parametrize("p,N,max_gens", PRESENTED_MODULI)
 def test_presentation_against_enumeration(p, N, max_gens):
-    # the cut left block is the Howell form of the span, the tails are the
-    # Howell form of the enumerated syzygies, and combinations reproduce
-    # every span element; the empty generating list is included
+    # for the map whose columns are the generators, the image is the Howell
+    # form of the span, the kernel the Howell form of the enumerated
+    # syzygies, and solutions reproduce every span element; the empty
+    # generating list (a map with no columns) and width 0 (a map with no
+    # rows) are included
     rng = random.Random(7 * p + N)
     pN = p ** N
     for trial in range(30):
@@ -175,21 +176,24 @@ def test_presentation_against_enumeration(p, N, max_gens):
         n = 0 if trial < 2 else rng.randrange(1, max_gens + 1)
         rows = [tuple(rng.choice((0, rng.randrange(pN), p * rng.randrange(pN)))
                       for _ in range(width)) for _ in range(n)]
-        pres = present(rows, p, N, width)
-        assert pres.span.rows == howell_form(rows, p, N, width).rows
+        lin = LinearMap(tuple(tuple(r[k] for r in rows) for k in range(width)),
+                        p, N, n)
+        assert lin.image.rows == howell_form(rows, p, N, width).rows
+        assert lin.image.width == width
         syzygies = []
         for y in itertools.product(range(pN), repeat=n):
             total = tuple(sum(c * r[k] for c, r in zip(y, rows)) % pN
                           for k in range(width))
             if not any(total):
                 syzygies.append(y)
-            combo = pres.combination(total)
+            combo = solve_columnwise(lin, total)
             assert tuple(sum(c * r[k] for c, r in zip(combo, rows)) % pN
                          for k in range(width)) == total
-        assert pres.syzygies.rows == howell_form(syzygies, p, N, n).rows
-        assert pres.syzygies.width == n
-        if width and not member(pres.span, (1,) + (0,) * (width - 1)):
-            assert pres.combination((1,) + (0,) * (width - 1)) is None
+        assert lin.kernel.rows == howell_form(syzygies, p, N, n).rows
+        assert lin.kernel.width == n
+        if width and not member(lin.image, (1,) + (0,) * (width - 1)):
+            with pytest.raises(NoSolution):
+                solve_columnwise(lin, (1,) + (0,) * (width - 1))
 
 
 def test_quotient_eliminates_its_generators_once(howell_calls):

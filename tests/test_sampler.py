@@ -19,13 +19,12 @@ from wittram.cohomology import (
     random_from_basis,
     sample_trace_zero,
     solve_linear,
-    trace_image,
     trace_kernel_saturated,
 )
 from wittram.errors import SamplingExhausted, VerificationError
 from wittram.extensions import ExtensionSpec, _twin, build_extension
 from wittram.rings import matvec
-from wittram.witt import WittVec, frobenius_chain, witt_trace
+from wittram.witt import WittVec, frobenius_chain, ghost_level, witt_trace
 
 #: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
 T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
@@ -51,14 +50,26 @@ def extensions():
             for name, (spec, N, _) in EXTENSIONS.items()}
 
 
+def conjugate_sum_target(ext, hi, chains, n):
+    """``_carry_target`` re-derived without the trace matrix: minus the sum
+    of the conjugates of W_n in ``hi``, over p^n, reduced to N.  It must lie
+    in O_K; its O_K coordinates are returned."""
+    w = hi.tower.element(ghost_level(hi, chains, n))
+    total = sum(hi.conjugates(w)).coeffs
+    pn = ext.p ** n
+    assert not any(x % pn for x in total)
+    target = -ext.tower.element([x // pn for x in total])
+    assert target.lies_in_K
+    return target.coeffs[:ext.e_K]
+
+
 def oracle_sample(ext, m, seed=0):
     """The rejection sampler without linear prediction: every draw gets its
     element, its Frobenius chain and an exact carry target, which
     ``member`` on the trace image accepts or rejects."""
     rng = derive_rng(seed, "sample-trace-zero", ext.name, m)
     kernel = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
-    image = trace_image(ext)
-    tr_map = linear_map_of(ext, "trace")
+    image = linear_map_of(ext, "trace").image
     hi = _twin(ext, ext.N + m)
     pN = ext.tower.pN
 
@@ -71,11 +82,11 @@ def oracle_sample(ext, m, seed=0):
 
     def level_step(chains):
         c = _carry_target(ext, hi, chains, len(chains))
-        if not c.lies_in_K:
-            raise VerificationError("carry target left O_K")
-        if not member(image, c.coeffs):
+        if c != conjugate_sum_target(ext, hi, chains, len(chains)):
+            raise VerificationError("carry target differs from its conjugate sum")
+        if not member(image, c):
             return None
-        return solve_linear(tr_map, c)
+        return solve_linear(ext, "trace", c)
 
     comps = [draw()]
     chains = [frobenius_chain(hi, comps[0])]
@@ -128,7 +139,7 @@ def test_sampler_matches_the_rejection_oracle(extensions, name, m):
             outcome(oracle_sample, ext, m, seed), seed
 
 
-def _prefix_and_solution(ext, hi, tr_map, n, rng):
+def _prefix_and_solution(ext, hi, n, rng):
     """A trace-zero prefix P of length n-1, as Frobenius chains in ``hi``,
     and the level step's solution x for it (x = 0 at n = 1)."""
     if n == 1:
@@ -136,7 +147,7 @@ def _prefix_and_solution(ext, hi, tr_map, n, rng):
     while True:
         prefix = sample_trace_zero(ext, n - 2, seed=rng.randrange(2 ** 32))
         chains = [frobenius_chain(hi, a) for a in prefix.components]
-        _, x = _level_step(ext, hi, tr_map, chains)
+        _, x = _level_step(ext, hi, chains)
         if x is not None:
             return chains, x
 
@@ -149,27 +160,26 @@ def test_predicted_membership_equals_exact_membership(extensions, name):
     m = EXTENSIONS[name][2]
     hi = _twin(ext, ext.N + m)
     kernel = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
-    image = trace_image(ext)
-    tr_map = linear_map_of(ext, "trace")
+    image = linear_map_of(ext, "trace").image
     targets = _kernel_targets(ext, hi)
-    pN, e = ext.tower.pN, ext.e_K
-    pad = (0,) * (ext.tower.dim - e)
+    pN = ext.tower.pN
     rng = random.Random(derive_seed("predicted-membership", name))
     seen = set()
     for n in range(1, m + 1):
-        chains, x = _prefix_and_solution(ext, hi, tr_map, n, rng)
+        chains, x = _prefix_and_solution(ext, hi, n, rng)
         base = _carry_target(ext, hi, chains + [frobenius_chain(hi, x)], n)
         for _ in range(40):
             coeffs = random_from_basis(ext, kernel, rng)
             a = x + from_basis(ext, kernel, coeffs)
-            exact = _carry_target(ext, hi, chains + [frobenius_chain(hi, a)], n)
-            assert exact.lies_in_K
+            a_chains = chains + [frobenius_chain(hi, a)]
+            exact = _carry_target(ext, hi, a_chains, n)
+            assert exact == conjugate_sum_target(ext, hi, a_chains, n)
             shift = matvec(targets, coeffs, pN)
-            predicted = tuple((b + s) % pN for b, s in zip(base.coeffs, shift))
-            in_image = member(image, exact.coeffs)
-            assert member(image, predicted + pad) == in_image
+            predicted = tuple((b + s) % pN for b, s in zip(base, shift))
+            in_image = member(image, exact)
+            assert member(image, predicted) == in_image
             assert member(image, tuple(
-                (c - q) % pN for c, q in zip(exact.coeffs, predicted)) + pad)
+                (c - q) % pN for c, q in zip(exact, predicted)))
             seen.add(in_image)
     assert seen == {True, False}
 
@@ -183,10 +193,9 @@ def test_zeroed_table_row_is_caught(extensions, monkeypatch, name, m):
     ext = extensions[name]
     hi = _twin(ext, ext.N + m)
     table = _kernel_targets(ext, hi)
-    image = trace_image(ext)
-    pad = (0,) * (ext.tower.dim - ext.e_K)
+    image = linear_map_of(ext, "trace").image
     columns = list(zip(*table))
-    live = [i for i, t in enumerate(columns) if not member(image, t + pad)]
+    live = [i for i, t in enumerate(columns) if not member(image, t)]
     assert live
     oracle = [outcome(oracle_sample, ext, m, seed) for seed in range(40)]
     for i in live:
