@@ -13,12 +13,12 @@ it this module provides:
 * one level step of the trace-zero recursion: tr(a_n) cancels the carry
   delta_n of the prefix, component n of the Witt trace of
   (a_0, ..., a_{n-1}, 0).  For a prefix that is trace-zero at precision N
-  that is -tr(W_n)/p^n mod p^N, one ghost level in any twin at precision
-  >= N+n (``witt.ghost_level`` says why), so one twin at N+m serves every
-  level, and each component keeps its Frobenius chain a_i, a_i^p, ...
-  there until its level is redrawn.  The sampler adds kernel draws and
-  backtracks, the sharpness witness takes the solutions as they are, and
-  both certify the finished vector with the general Witt trace;
+  that is -tr(W_n)/p^n mod p^N, one ghost level in any lift of the tower
+  to precision >= N+n (``witt.ghost_level`` says why), so one lift to N+m
+  serves every level, and each component keeps its Frobenius chain a_i,
+  a_i^p, ... there until its level is redrawn.  The sampler adds kernel
+  draws and backtracks, the sharpness witness takes the solutions as they
+  are, and both certify the finished vector with the general Witt trace;
 
 * the sampler's rejections decided by linearity (Serre, *Local Fields*,
   ch. VIII: the connecting map of 0 -> W_n -> W_{n+1} -> O_L -> 0).  Write
@@ -72,11 +72,11 @@ it this module provides:
   the d below p^N.
 
 The sampler draws from the exact trace kernel K.  Truncation adds spurious
-elements, so its kernel is "saturated": computed in a twin at any N' > N
-and projected back to N.  The trace is O_K-linear and tr(1) = p, so if
-tr(y) = p^(N+1) w, then y - p^N w is an exact kernel element congruent to
-y mod p^N: the projection is K mod p^N.  The same identity one digit
-lower gives ker(tr mod p^N) = K + p^(N-1) O_K, the spurious part.
+elements, so its kernel is "saturated": computed in a lift (``Tower.lift``)
+to any N' > N and projected back to N.  The trace is O_K-linear and
+tr(1) = p, so if tr(y) = p^(N+1) w, then y - p^N w is an exact kernel
+element congruent to y mod p^N: the projection is K mod p^N.  One digit
+lower it gives ker(tr mod p^N) = K + p^(N-1) O_K, the spurious part.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from .errors import (
     VerificationError,
     sha256,
 )
-from .extensions import ExtensionData, _twin
+from .extensions import ExtensionData
 from .linalg import (
     HowellBasis,
     LinearMap,
@@ -102,7 +102,7 @@ from .linalg import (
     solve_columnwise,
 )
 from .report import CheckResult, SuiteRecord
-from .rings import OLElement, matvec, padic_val, valuation_K, valuation_L
+from .rings import OLElement, Tower, matvec, padic_val, valuation_K, valuation_L
 from .witt import WittVec, frobenius_chain, ghost_level, witt_trace
 
 RETRY_BUDGET = 64
@@ -148,13 +148,13 @@ def solve_linear(ext: ExtensionData, which: str, b) -> OLElement:
 
 
 @lru_cache(maxsize=64)
-def trace_kernel_saturated(ext: ExtensionData, hi: ExtensionData) -> HowellBasis:
+def trace_kernel_saturated(ext: ExtensionData, hi: Tower) -> HowellBasis:
     """ker(tr) mod p^N without truncation-spurious elements: the kernel in
-    ``hi``, a twin of ``ext`` above N (ValueError otherwise), projected to
+    ``hi``, a lift of the tower above N (ValueError otherwise), projected to
     precision N; the module docstring says why one extra digit suffices."""
     if hi.N <= ext.N:
-        raise ValueError(f"saturation needs a twin above N = {ext.N}, got {hi.N}")
-    hi_kernel = linear_map_of(hi, "trace").kernel
+        raise ValueError(f"saturation needs a lift above N = {ext.N}, got {hi.N}")
+    hi_kernel = LinearMap(hi.trace_matrix, hi.p, hi.N, hi.dim).kernel
     return howell_form(hi_kernel.rows, ext.p, ext.N, ext.tower.dim)
 
 
@@ -284,19 +284,18 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
 # -- trace-zero sampler -------------------------------------------------------
 
 
-def _carry_target(ext: ExtensionData, hi: ExtensionData, chains,
-                  n: int) -> tuple:
+def _carry_target(ext: ExtensionData, hi: Tower, chains, n: int) -> tuple:
     """The O_K coordinates of the required tr(a_n) for a trace-zero prefix
     (a_0, ..., a_{n-1}) whose components have the Frobenius chains
-    ``chains`` in ``hi``, a twin at precision at least N+n: -tr(W_n)/p^n
-    reduced to N, with W_n = sum_{i<n} p^i a_i^(p^(n-i)).
+    ``chains`` in ``hi``, the tower lifted to precision at least N+n:
+    -tr(W_n)/p^n reduced to N, with W_n = sum_{i<n} p^i a_i^(p^(n-i)).
 
     This is minus component n of the Witt trace of (a_0, ..., a_{n-1}, 0),
     i.e. -f_n at X_{i,j} = sigma^i(a_j), with W_n from ``ghost_level``.
     VerificationError when p^n does not divide tr(W_n): the prefix was not
     trace-zero.
     """
-    tr = matvec(hi.trace_matrix, ghost_level(hi, chains, n), hi.tower.pN)
+    tr = matvec(hi.trace_matrix, ghost_level(hi, chains, n), hi.pN)
     pn, pN = ext.p ** n, ext.tower.pN
     if any(x % pn for x in tr):
         raise VerificationError(
@@ -305,7 +304,7 @@ def _carry_target(ext: ExtensionData, hi: ExtensionData, chains,
     return tuple(-(x // pn) % pN for x in tr)
 
 
-def _level_step(ext: ExtensionData, hi: ExtensionData, chains) -> tuple:
+def _level_step(ext: ExtensionData, hi: Tower, chains) -> tuple:
     """(c, a_n): the carry target c = -f_n(sigma^i(a_j)) of the trace-zero
     prefix (a_0, ..., a_{n-1}) given by its Frobenius ``chains`` in ``hi``,
     and some a_n with tr(a_n) = c, or None when no a_n exists (c is not in
@@ -318,10 +317,10 @@ def _level_step(ext: ExtensionData, hi: ExtensionData, chains) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _kernel_targets(ext: ExtensionData, hi: ExtensionData) -> tuple:
+def _kernel_targets(ext: ExtensionData, hi: Tower) -> tuple:
     """The level-1 carry targets t_i of the Howell rows k_i of the trace
-    kernel saturated in the twin ``hi``, as an e_K x r matrix in column
-    convention (column i is t_i), computed in ``hi``.
+    kernel saturated in the lifted tower ``hi``, as an e_K x r matrix in
+    column convention (column i is t_i), computed in ``hi``.
 
     By additivity (module docstring) a kernel draw sum_i c_i k_i shifts
     every level's carry target by this matrix times c, modulo tr(O_L).
@@ -352,13 +351,13 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
     valuation constraints propagate downward).  Each draw is tested by
     linearity (module docstring); only the draws that the test keeps, and
     the first draw per level and prefix, get an element, a Frobenius chain
-    and an exact carry target, all in the one twin at N + max(m, 1), which
+    and an exact carry target, all in the one lift to N + max(m, 1), which
     also saturates the kernel and, for m >= 1, holds the final Witt trace.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     rng = derive_rng(seed, "sample-trace-zero", ext.name, m)
-    hi = _twin(ext, ext.N + max(m, 1))
+    hi = ext.tower.lift(ext.N + max(m, 1))
     kernel = trace_kernel_saturated(ext, hi)
     targets = _kernel_targets(ext, hi) if m else ()
     pN = ext.tower.pN
@@ -515,7 +514,7 @@ def deterministic_witness(ext: ExtensionData, m: int):
     a0 = ext.tower.pi_L
     if not ext.trace(a0).is_zero:
         return None, "pi_L is not trace-zero; no deterministic witness"
-    hi = _twin(ext, ext.N + m)
+    hi = ext.tower.lift(ext.N + m)
     comps = [a0]
     chains = [frobenius_chain(hi, a0)]
     for n in range(1, m + 1):

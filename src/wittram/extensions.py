@@ -23,7 +23,7 @@ close for naive root-finding to separate them reliably).
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
     ConfigError,
@@ -31,7 +31,6 @@ from .errors import (
     SigmaNotARoot,
     SigmaWrongOrder,
     VerificationError,
-    WittramError,
 )
 from .rings import OLElement, Tower, is_prime, matvec, valuation_L
 
@@ -44,6 +43,11 @@ MAX_MODULUS_DIGITS = 4300
 #: (D = 156).  On a 2-core host one elimination of sigma-1 takes about 1 s
 #: at D = 156 and 6.7 s at D = 272 (p = 17), growing as D^3
 MAX_RANK = 160
+#: the largest D^2 * log10(p^N) built.  One elimination of sigma-1 grows as
+#: D^3 times the cost of a product of digit-sized integers, which itself
+#: grows with the digits; along D^2 * log10(p^N) = 10^6 it takes 0.5 to
+#: 1.5 s on a 2-core host, from p = 5 at N = 3576 to p = 13 at N = 36
+MAX_WORK = 10 ** 6
 
 
 class ExtensionSpec:
@@ -87,9 +91,11 @@ class ExtensionData:
     sigma, listing conjugates and taking traces are all matrix-vector
     products.
 
-    ``spec`` is the spec as given, at the built precision.  Extensions
-    compare and hash by identity, so the caches keyed on them (``_twin`` and
-    the operator matrices of ``cohomology``) cost one pointer hash per
+    sigma lives at the built precision N only; work above N (the ghost lift
+    of Witt arithmetic, the saturated trace kernel) needs only the ring and
+    its trace, and takes ``tower.lift``.  ``spec`` is the spec as given, at
+    N.  Extensions compare and hash by identity, so the caches keyed on them
+    (the operator matrices of ``cohomology``) cost one pointer hash per
     lookup, and every build gets its own entries.
     """
 
@@ -123,31 +129,14 @@ class ExtensionData:
 
     @cached_property
     def trace_matrix(self) -> tuple:
-        """tr_{L/K} = 1 + sigma + ... + sigma^{p-1} as the e_K x D matrix of
-        a map O_L -> O_K: column c holds the O_K coordinates of the trace of
-        monomial c.
-
-        The trace is O_K-linear, so only s_i = tr(pi_L^i), i < p, is needed.
-        The conjugates of pi_L are the roots of E_L = x^p + c_{p-1} x^{p-1} +
-        ... + c_0, so by Newton's identities s_i is their i-th power sum:
-        s_0 = p and s_i = -i c_{p-i} - sum_{0<j<i} c_{p-j} s_{i-j}, products
-        in O_K.  That the values lie in O_K holds whatever sigma is, so sigma
-        is cross-checked instead: the sum of the sigma^i(pi_L), i < p, must
-        be s_1, else VerificationError (sigma is then no automorphism of
-        L/K).
-        """
-        tower, p = self.tower, self.p
-        c = tower.E_L
-        sums = [tower.ol_const(p)]
-        for i in range(1, p):
-            s_i = c[p - i] * -i
-            for j in range(1, i):
-                s_i -= c[p - j] * sums[i - j]
-            sums.append(s_i)
-        if sum(self.conjugates(tower.pi_L)) != sums[1]:
+        """``Tower.trace_matrix``, from E_L alone, once sigma is checked
+        against it: the sigma^i(pi_L), i < p, must sum to tr(pi_L) = -c_{p-1},
+        else VerificationError (sigma is then no automorphism of L/K)."""
+        tower = self.tower
+        if sum(self.conjugates(tower.pi_L)) != -tower.E_L[-1]:
             raise VerificationError(
                 f"the trace leaves O_K at N={self.N}: sigma is not a Galois action")
-        return _ok_linear_matrix(tower, [s.coeffs[:self.e_K] for s in sums])
+        return tower.trace_matrix
 
     def apply_sigma(self, a: OLElement) -> OLElement:
         """sigma applied to an element of O_L."""
@@ -169,43 +158,10 @@ class ExtensionData:
                 f"e_K={self.e_K}, t={self.t})")
 
 
-@lru_cache(maxsize=64)
-def _twin(ext: ExtensionData, precision: int) -> ExtensionData:
-    """``ext`` rebuilt at ``precision``, built once per pair: the saturated
-    kernels and the ghost lift of Witt arithmetic both work in it.  At its
-    own precision ``ext`` is its twin.  A rebuild that fails, its trace
-    check included (data valid to N can pass the others at N+1), is a
-    ConfigError naming the requested and the working precision."""
-    if precision == ext.N:
-        return ext
-    try:
-        twin = build_extension(ext.spec, precision)
-        twin.trace_matrix  # forced here, so that its check fails as a rebuild
-        return twin
-    except WittramError as exc:
-        raise ConfigError(
-            f"precision N = {ext.N} needs working precision {precision}, "
-            f"which fails: {exc}") from exc
-
-
-def _ok_linear_matrix(tower: Tower, images) -> tuple:
-    """Rows of the O_K-linear map sending pi_L^i to the coordinate vector
-    images[i], i < p, in O_L (length D) or in O_K (length e_K).
-
-    Column i*e_K + j is images[i] * pi_K^j.
-    """
-    cols = []
-    for col in images:
-        for _ in range(tower.e_K):
-            cols.append(col)
-            col = tower._times_pi_K(col)
-    return tuple(zip(*cols))
-
-
 def _materialize(spec: ExtensionSpec) -> tuple:
     """(p, base_coeffs, top_coeffs, sigma_pi) of ``spec``: the one place that
-    knows which fields each kind reads and which p it allows.  The rank is
-    bounded before any coefficient is built."""
+    knows which fields each kind reads and which p it allows.  The rank and
+    the work are bounded before any coefficient is built."""
     kind, p = spec.kind, spec.p
     given = (spec.base_coeffs, spec.top_coeffs, spec.sigma_pi)
     if kind == "custom":
@@ -214,7 +170,7 @@ def _materialize(spec: ExtensionSpec) -> tuple:
                                    "coefficients of E_K, E_L and sigma_pi")
         if p < 2:
             raise InvalidExtension(f"kind 'custom' has no p = {p}")
-        _check_rank(p, len(spec.base_coeffs))
+        _check_cost(p, len(spec.base_coeffs), spec.precision)
         return (p,) + given
     if kind not in BUILTIN_NAMES:
         raise InvalidExtension(f"unknown extension kind {kind!r}")
@@ -229,7 +185,7 @@ def _materialize(spec: ExtensionSpec) -> tuple:
     p = 3 if p is None else p
     if p == 2 or not is_prime(p):
         raise InvalidExtension(f"cyclotomic-step requires an odd prime, got {p}")
-    _check_rank(p, p - 1)
+    _check_cost(p, p - 1, spec.precision)
     # E_K = ((y+1)^p - 1)/y, degree p-1; pi_K = zeta_p - 1
     base = tuple(math.comb(p, k) for k in range(1, p))
     # E_L = (x+1)^p - (1 + pi_K): constant term -pi_K, then binomials
@@ -239,24 +195,30 @@ def _materialize(spec: ExtensionSpec) -> tuple:
     return p, base, top, ((0, 1), (1, 1))
 
 
-def _check_rank(p: int, e_K: int):
-    """ConfigError when the tower rank D = p * e_K exceeds MAX_RANK."""
-    if p * e_K > MAX_RANK:
-        raise ConfigError(f"tower rank D = p*e_K = {p}*{e_K} = {p * e_K} "
+def _check_cost(p: int, e_K: int, N: int):
+    """ConfigError when the tower rank D = p * e_K exceeds MAX_RANK, or the
+    work D^2 * log10(p^N) exceeds MAX_WORK."""
+    D = p * e_K
+    if D > MAX_RANK:
+        raise ConfigError(f"tower rank D = p*e_K = {p}*{e_K} = {D} "
                           f"exceeds the bound {MAX_RANK}")
+    work = D * D * N * math.log10(p)
+    if work > MAX_WORK:
+        raise ConfigError(f"tower rank D = {D} at precision N = {N}: work "
+                          f"D^2 * log10(p^N) = {work:.0f} exceeds the bound {MAX_WORK}")
 
 
 def build_extension(spec, precision: int = None) -> ExtensionData:
     """Build and validate an extension from a spec or a built-in name.
 
-    Checks, in order: the kind takes the spec's fields and p, and the rank
-    D = p * e_K is at most MAX_RANK (``_materialize``); p^N has at most
-    MAX_MODULUS_DIGITS decimal digits (ConfigError otherwise); both moduli
-    are Eisenstein, sigma_pi is a root of the top modulus, the induced
-    endomorphism has order exactly p, and the ramification break
-    t = v_L(sigma(pi_L) - pi_L) - 1 is at least 1 (wild ramification).  It
-    is exact: sigma does not fix pi_L, so the difference is nonzero at
-    precision.
+    Checks, in order: the kind takes the spec's fields and p, the rank
+    D = p * e_K is at most MAX_RANK and the work D^2 * log10(p^N) at most
+    MAX_WORK (``_materialize``); p^N has at most MAX_MODULUS_DIGITS decimal
+    digits (ConfigError otherwise); both moduli are Eisenstein, sigma_pi is
+    a root of the top modulus, the induced endomorphism has order exactly p,
+    and the ramification break t = v_L(sigma(pi_L) - pi_L) - 1 is at least 1
+    (wild ramification).  It is exact: sigma does not fix pi_L, so the
+    difference is nonzero at precision.
     """
     if isinstance(spec, str):
         spec = ExtensionSpec(kind=spec)
@@ -282,7 +244,7 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     powers = [tower.one_ol]
     for _ in range(p - 1):
         powers.append(powers[-1] * sigma_pi)
-    sigma = _ok_linear_matrix(tower, [x.coeffs for x in powers])
+    sigma = tower.ok_linear_matrix([x.coeffs for x in powers])
     orbit = [tower.pi_L.coeffs]
     for _ in range(p):
         orbit.append(matvec(sigma, orbit[-1], tower.pN))

@@ -52,6 +52,7 @@ the horizon is decided by one comparison either way.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import mul
 
 from .errors import NotEisenstein, PrecisionExhausted, InvalidExtension
@@ -205,6 +206,8 @@ class Tower:
         self.p = p
         self.N = N
         self.pN = p ** N
+        self._data = (tuple(base_coeffs), tuple(top_coeffs))
+        self._lifts = {N: self}
         self.e_K = len(base_coeffs)
         if self.e_K < 1:
             raise InvalidExtension("base modulus must have positive degree")
@@ -234,6 +237,47 @@ class Tower:
         self.pi_K = self.from_rows([[0, 1]])
         self.pi_L = self.from_rows([[0], [1]])
         self._pi_L_powers = [self.one_ol]
+
+    def lift(self, N: int) -> "Tower":
+        """The same tower at precision N, rebuilt from the integer data as
+        given, once per precision.  Eisenstein data stay Eisenstein at any
+        higher precision, so a lift above N cannot fail."""
+        if N not in self._lifts:
+            self._lifts[N] = Tower(self.p, N, *self._data)
+        return self._lifts[N]
+
+    @cached_property
+    def trace_matrix(self) -> tuple:
+        """tr_{L/K} as the e_K x D matrix of a map O_L -> O_K: column c
+        holds the O_K coordinates of the trace of monomial c.
+
+        It is O_K-linear, so only s_i = tr(pi_L^i), i < p, is needed: the
+        i-th power sum of the roots of E_L = x^p + c_{p-1} x^{p-1} + ... + c_0,
+        by Newton's identities s_0 = p and s_i = -i c_{p-i} - sum_{0<j<i}
+        c_{p-j} s_{i-j} in O_K (Serre, *Local Fields*, ch. III).  No Galois
+        action enters, so every lift of the tower has its trace.
+        """
+        p, c = self.p, self.E_L
+        sums = [self.ol_const(p)]
+        for i in range(1, p):
+            s_i = c[p - i] * -i
+            for j in range(1, i):
+                s_i -= c[p - j] * sums[i - j]
+            sums.append(s_i)
+        return self.ok_linear_matrix([s.coeffs[:self.e_K] for s in sums])
+
+    def ok_linear_matrix(self, images) -> tuple:
+        """Rows of the O_K-linear map sending pi_L^i to the coordinate
+        vector images[i], i < p, in O_L (length D) or in O_K (length e_K).
+
+        Column i*e_K + j is images[i] * pi_K^j.
+        """
+        cols = []
+        for col in images:
+            for _ in range(self.e_K):
+                cols.append(col)
+                col = self._times_pi_K(col)
+        return tuple(zip(*cols))
 
     # -- constructors -------------------------------------------------
 

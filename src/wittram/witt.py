@@ -1,21 +1,21 @@
 """Truncated p-typical Witt vectors over the ring of integers of L.
 
 A WittVec of length m+1 is a tuple of O_L elements.  Traces (the verify
-path) and sums run through the ghost map at precision N+m: the coordinates
-in [0, p^N) lift the components, their ghost components W_k are traced or
-added, and z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) / p^k is projected
-back to precision N.  O_L is free over Z_p, so p^k divides an element iff it
-divides every coordinate, which is checked (IntegralityError); z_k is exact
-modulo p^(N+m-k) >= p^N.  The tests compare this path with ``evaluate_poly``
-of the universal polynomials.  ``verify`` calls neither ``witt_add`` nor
+path) and sums run through the ghost map in the tower lifted to N+m
+(``Tower.lift``, whose trace comes from E_L, so no sigma is needed there):
+the coordinates in [0, p^N) lift the components, their ghost components
+W_k are traced or added, and z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) /
+p^k is projected back to precision N.  O_L is free over Z_p, so p^k
+divides an element iff it divides every coordinate, which is checked
+(IntegralityError); z_k is exact modulo p^(N+m-k) >= p^N.  The tests
+compare this path with ``evaluate_poly`` of the universal polynomials.  ``verify`` calls neither ``witt_add`` nor
 ``evaluate_poly``; they stay here because the benchmark tracer wraps them.
 """
 
 from __future__ import annotations
 
 from .errors import IntegralityError, LengthMismatch
-from .extensions import ExtensionData, _twin
-from .rings import OLElement
+from .rings import OLElement, Tower, matvec
 
 
 class WittVec:
@@ -26,7 +26,7 @@ class WittVec:
 
     __slots__ = ("ext", "components")
 
-    def __init__(self, ext: ExtensionData, components: tuple):
+    def __init__(self, ext, components: tuple):
         for c in components:
             if not isinstance(c, OLElement) or c.tower is not ext.tower:
                 raise ValueError("components must be O_L elements of the extension")
@@ -47,7 +47,7 @@ class WittVec:
         return f"WittVec({self.ext.name}, {self.components})"
 
 
-def evaluate_poly(poly, assign: dict, ext: ExtensionData) -> OLElement:
+def evaluate_poly(poly, assign: dict, ext) -> OLElement:
     """Evaluate a ``universal.SymPoly`` (integer coefficients) at O_L values.
 
     ``assign`` maps variables (i, j) to O_L elements; every variable of the
@@ -95,21 +95,21 @@ def _check_compatible(a: WittVec, b: WittVec):
         raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
 
 
-def frobenius_chain(hi: ExtensionData, a: OLElement) -> list:
-    """[a] with its coordinates lifted into the twin ``hi``; ``ghost_level``
+def frobenius_chain(hi: Tower, a: OLElement) -> list:
+    """[a] with its coordinates lifted into the tower ``hi``; ``ghost_level``
     extends it to (a, a^p, a^(p^2), ...) as far as a level needs."""
-    return [OLElement(hi.tower, a.coeffs)]
+    return [OLElement(hi, a.coeffs)]
 
 
-def ghost_level(hi: ExtensionData, chains, n: int) -> list:
+def ghost_level(hi: Tower, chains, n: int) -> list:
     """The coordinates of W_n = sum_{i<=n} p^i a_i^(p^(n-i)) in ``hi``, not
     reduced, where ``chains`` are the Frobenius chains of a_0, a_1, ...;
     chains past level n are ignored.  Each chain is extended only as far
     as level n needs, and a chain whose head is zero is skipped.
 
     This is the one place where a ghost component is summed.  Two
-    truncations bound the work done with it, for a twin ``hi`` at precision
-    at least N+n:
+    truncations bound the work done with it, for a lift ``hi`` of the tower
+    to precision at least N+n:
 
     * a chain may start from any lift of its component mod p^N, so a
       component that is zero mod p^N can be skipped.  If a = b mod p^N,
@@ -123,11 +123,11 @@ def ghost_level(hi: ExtensionData, chains, n: int) -> list:
       lower components of that trace.  For a prefix that is trace-zero at
       precision N they are divisible by p^N, so each recovery term has
       valuation at least i + N p^(n-i) >= N + n and vanishes after the
-      division by p^n: the component is tr(W_n)/p^n mod p^N, in any twin
-      at precision >= N+n.
+      division by p^n: the component is tr(W_n)/p^n mod p^N, in any lift
+      to precision >= N+n.
     """
     p = hi.p
-    w = [0] * hi.tower.dim
+    w = [0] * hi.dim
     for i, chain in enumerate(chains[:n + 1]):
         if chain[0].is_zero:
             continue
@@ -138,14 +138,14 @@ def ghost_level(hi: ExtensionData, chains, n: int) -> list:
     return w
 
 
-def _ghost(hi: ExtensionData, comps) -> list:
+def _ghost(hi: Tower, comps) -> list:
     """Ghost components W_0..W_m of ``comps``, their coordinates lifted
-    unchanged into ``hi`` (the twin at precision N+m, or ``ext`` itself)."""
+    unchanged into ``hi`` (the tower at precision N+m, or at N itself)."""
     chains = [frobenius_chain(hi, c) for c in comps]
-    return [hi.tower.element(ghost_level(hi, chains, k)) for k in range(len(chains))]
+    return [hi.element(ghost_level(hi, chains, k)) for k in range(len(chains))]
 
 
-def _from_ghost(ext: ExtensionData, hi: ExtensionData, ghosts) -> WittVec:
+def _from_ghost(ext, hi: Tower, ghosts) -> WittVec:
     """The Witt vector over ``ext`` whose ghost components in ``hi`` are
     ``ghosts``: z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) / p^k mod p^N,
     each z_i's chain starting from its value mod p^N (``ghost_level``);
@@ -166,7 +166,7 @@ def _from_ghost(ext: ExtensionData, hi: ExtensionData, ghosts) -> WittVec:
 def witt_add(a: WittVec, b: WittVec) -> WittVec:
     """Witt vector sum: the ghost components add."""
     _check_compatible(a, b)
-    hi = _twin(a.ext, a.ext.N + len(a) - 1)
+    hi = a.ext.tower.lift(a.ext.N + len(a) - 1)
     ghosts = [x + y for x, y in zip(_ghost(hi, a.components), _ghost(hi, b.components))]
     return _from_ghost(a.ext, hi, ghosts)
 
@@ -175,8 +175,10 @@ def witt_trace(a: WittVec) -> WittVec:
     """The Witt sum of all Galois conjugates of ``a``.
 
     sigma is a ring map, so the ghost components of the sum are the traces
-    of the ghost components of ``a``.  Component 0 equals the ordinary trace
-    of a_0; the vector vanishes exactly on W_{m+1}(O_L)^{tr=0}.
+    of the ghost components of ``a``, taken with ``Tower.trace_matrix`` in
+    the lift to N+m.  Component 0 equals the ordinary trace of a_0; the
+    vector vanishes exactly on W_{m+1}(O_L)^{tr=0}.
     """
-    hi = _twin(a.ext, a.ext.N + len(a) - 1)
-    return _from_ghost(a.ext, hi, [hi.trace(w) for w in _ghost(hi, a.components)])
+    hi = a.ext.tower.lift(a.ext.N + len(a) - 1)
+    return _from_ghost(a.ext, hi, [hi.element(matvec(hi.trace_matrix, w.coeffs, hi.pN))
+                                   for w in _ghost(hi, a.components)])

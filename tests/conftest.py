@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from wittram import extensions, linalg
+from wittram import linalg
 from wittram.extensions import build_extension, load_spec_file
+from wittram.rings import Tower
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,21 +43,20 @@ def all_extensions(gaussian, sqrt2, cyclo):
 
 
 @pytest.fixture
-def rebuilds(monkeypatch):
-    """The precisions of every extension rebuilt (``_twin``) after the
-    fixture is set up, counted where ``_twin`` calls
-    ``extensions.build_extension`` (a test's own imported ``build_extension``
-    is not counted); build the extension under test fresh, so that no cache
-    holds its twins."""
-    built = []
-    build = extensions.build_extension
+def lifts(monkeypatch):
+    """The precisions of every new ``Tower.lift`` (one its tower did not
+    keep yet) made after the fixture is set up; build the extension under
+    test fresh, so that its tower keeps no lift from an earlier test."""
+    made = []
+    lift = Tower.lift
 
-    def counting(spec, precision=None):
-        built.append(precision)
-        return build(spec, precision)
+    def counting(self, N):
+        if N not in self._lifts:
+            made.append(N)
+        return lift(self, N)
 
-    monkeypatch.setattr(extensions, "build_extension", counting)
-    return built
+    monkeypatch.setattr(Tower, "lift", counting)
+    return made
 
 
 @pytest.fixture

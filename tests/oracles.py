@@ -1,22 +1,33 @@
 """Test-side helpers that ``wittram verify`` never runs.
 
 Each one re-derives a quantity the program computes another way, or builds
-and takes apart Witt vectors for the arithmetic tests: the ramification
-break from any generator, the conjugate-product basis with its valuation
+and takes apart Witt vectors for the arithmetic tests: an extension rebuilt
+at a higher precision, sigma and all, the ramification break from any
+generator, the conjugate-product basis with its valuation
 pattern, uniform elements of O_L, an operator matrix applied to an element, the order of a Howell
 span, the Witt vector constructors and maps, and the cascade checks on a
 vector that is first certified trace-zero.  Every check raises as it did
 in the package.
 """
 
+from functools import lru_cache
+
 from wittram.cohomology import _cascade_levels
 from wittram.errors import LengthMismatch, PrecisionExhausted, VerificationError
-from wittram.extensions import ExtensionData, _twin
+from wittram.extensions import ExtensionData, build_extension
 from wittram.linalg import HowellBasis, LinearMap
 from wittram.rings import OLElement, matvec, valuation_L
 from wittram.witt import WittVec, _from_ghost, _ghost, witt_trace
 
 # -- extensions ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def rebuilt(ext: ExtensionData, precision: int) -> ExtensionData:
+    """``ext`` built again from its spec at ``precision``, sigma included,
+    once per pair: the oracles' own Galois action above N, which the
+    program never builds."""
+    return build_extension(ext.spec, precision)
 
 
 def ramification_break(ext: ExtensionData, generator_power: int = 1) -> int:
@@ -103,7 +114,7 @@ def teichmuller(ext: ExtensionData, x: OLElement, length: int) -> WittVec:
 
 def witt_neg(a: WittVec) -> WittVec:
     """The additive inverse: the ghost components negate."""
-    hi = _twin(a.ext, a.ext.N + len(a) - 1)
+    hi = a.ext.tower.lift(a.ext.N + len(a) - 1)
     return _from_ghost(a.ext, hi, [-w for w in _ghost(hi, a.components)])
 
 
@@ -131,7 +142,7 @@ def apply_sigma(a: WittVec, power: int = 1) -> WittVec:
 
 def ghost_map(a: WittVec) -> tuple:
     """Ghost coordinates (W_0(a), ..., W_m(a)) evaluated in O_L at precision."""
-    return tuple(_ghost(a.ext, a.components))
+    return tuple(_ghost(a.ext.tower, a.components))
 
 
 # -- cohomology ---------------------------------------------------------------

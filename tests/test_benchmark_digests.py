@@ -1,5 +1,6 @@
 """The benchmark workloads' reports still hash to their recorded digests,
-and each workload makes its pinned number of Howell eliminations.
+and each workload makes its pinned number of Howell eliminations, builds
+one extension and lifts its tower to the pinned precisions.
 
 ``wittbench/run.py`` rejects a verify run whose report bytes differ from
 ``wittbench/digests.json`` while the report version is the recorded one.
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from wittram import cli
+from wittram import cli, extensions
 from wittram.harness import RunConfig, run
 from wittram.report import REPORT_VERSION
 
@@ -58,7 +59,7 @@ def test_workload_report_matches_the_recorded_digest(name, seed, monkeypatch,
     ("cyclo3-m2", 4), ("cyclo7-wide", 0), ("gauss-m4", 4)])
 def test_workload_makes_its_pinned_eliminations(name, eliminations, howell_calls,
                                                 monkeypatch):
-    # the trace at N and in the sampler's twin, the saturated kernel and
+    # the trace at N and in the sampler's lift, the saturated kernel and
     # sigma-1 are eliminated once each; h1, the trace lemmas and a control
     # that does not apply eliminate nothing.  The count does not depend on
     # the number of trials.
@@ -68,3 +69,26 @@ def test_workload_makes_its_pinned_eliminations(name, eliminations, howell_calls
                                  suites=w.suites))
     assert code == 0
     assert len(howell_calls) == eliminations
+
+
+@pytest.mark.parametrize("name,margins", [
+    ("cyclo3-m2", [2]), ("cyclo7-wide", []), ("gauss-m4", [4])])
+def test_workload_builds_one_extension(name, margins, lifts, monkeypatch):
+    # sigma is built and checked once, at the requested precision; the
+    # sampler works in one lift of the ring to N + m, and a run without a
+    # sampler or a witness lifts nothing
+    w = WORKLOADS[name]
+    monkeypatch.chdir(ROOT)
+    builds = []
+    build = extensions.build_extension
+
+    def counting(spec, precision=None):
+        builds.append(precision)
+        return build(spec, precision)
+
+    monkeypatch.setattr(extensions, "build_extension", counting)
+    report, code = run(RunConfig(w.extension, w.precision, w.m, trials=2,
+                                 suites=w.suites))
+    assert code == 0
+    assert builds == [w.precision]
+    assert lifts == [w.precision + k for k in margins]

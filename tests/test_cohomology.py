@@ -28,7 +28,6 @@ from wittram.errors import NoSolution, VerificationError
 from wittram.extensions import (
     ExtensionData,
     ExtensionSpec,
-    _twin,
     build_extension,
 )
 from wittram.linalg import LinearMap, howell_form, quotient_invariants
@@ -113,10 +112,10 @@ def test_solve_zero_accepted(sqrt2):
 @pytest.fixture(scope="module")
 def presented_maps(all_extensions):
     """Every operator of the built-ins and of cyclotomic-step at p = 5 and
-    p = 7, at the working precision N and at N + 4."""
+    p = 7, at the working precision N and built again at N + 4."""
     exts = list(all_extensions) + [build_extension(ExtensionSpec("cyclotomic-step", p=p))
                                    for p in (5, 7)]
-    exts += [_twin(ext, ext.N + 4) for ext in exts]
+    exts += [build_extension(ext.spec, ext.N + 4) for ext in exts]
     return [(ext, which) for ext in exts for which in ("trace", "sigma-minus-one")]
 
 
@@ -196,7 +195,7 @@ def test_saturation_removes_spurious_elements(sqrt2):
     t = sqrt2.tower
     spurious = t.ol_const(2 ** (sqrt2.N - 1))  # trace = 2^N, zero at precision
     raw = linear_map_of(sqrt2, "trace").kernel
-    sat = trace_kernel_saturated(sqrt2, _twin(sqrt2, sqrt2.N + 1))
+    sat = trace_kernel_saturated(sqrt2, sqrt2.tower.lift(sqrt2.N + 1))
     assert member(raw, spurious.coeffs)
     assert not member(sat, spurious.coeffs)
     assert member(sat, t.pi_L.coeffs)  # tr(pi) = 0 exactly
@@ -205,7 +204,7 @@ def test_saturation_removes_spurious_elements(sqrt2):
 def test_saturated_kernel_is_exact_kernel_gaussian(gaussian):
     # exact trace-zero elements are the Z/p^N multiples of 1 - pi
     t = gaussian.tower
-    sat = trace_kernel_saturated(gaussian, _twin(gaussian, gaussian.N + 1))
+    sat = trace_kernel_saturated(gaussian, gaussian.tower.lift(gaussian.N + 1))
     gen = t.one_ol - t.pi_L
     assert member(sat, gen.coeffs)
     assert order_exponent(sat) == gaussian.N
@@ -219,20 +218,20 @@ def test_saturated_kernel_is_exact_kernel_gaussian(gaussian):
   + [(T4_SPEC, 48), (T4_SPEC, 12)], ids=_spec_id)
 def test_one_extra_digit_saturates_the_trace_kernel(spec, precision):
     # tr(1) = p: the kernel mod p^(N+1) projects onto the exact kernel K mod
-    # p^N, so every twin above N gives the same rows, and the spurious part
+    # p^N, so every lift above N gives the same rows, and the spurious part
     # is p^(N-1) O_K: ker(tr mod p^N) = K + p^(N-1) O_K
     ext = build_extension(spec, precision=precision)
-    sat = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
+    sat = trace_kernel_saturated(ext, ext.tower.lift(ext.N + 1))
     for k in (2, 4):
-        assert trace_kernel_saturated(ext, _twin(ext, ext.N + k)).rows == sat.rows
+        assert trace_kernel_saturated(ext, ext.tower.lift(ext.N + k)).rows == sat.rows
     raw = linear_map_of(ext, "trace").kernel
     assert all(member(raw, row) for row in sat.rows)
     assert order_exponent(sat) < order_exponent(raw)
     dim, top = ext.tower.dim, ext.p ** (ext.N - 1)
     spurious = [tuple(top * (c == j) for c in range(dim)) for j in range(ext.e_K)]
     assert howell_form(list(sat.rows) + spurious, ext.p, ext.N, dim).rows == raw.rows
-    with pytest.raises(ValueError, match="twin above N"):
-        trace_kernel_saturated(ext, ext)
+    with pytest.raises(ValueError, match="lift above N"):
+        trace_kernel_saturated(ext, ext.tower)
 
 
 # -- trace valuation laws ----------------------------------------------------------------
@@ -292,7 +291,7 @@ def test_sample_length_one_lies_in_kernel(all_extensions):
     for ext in all_extensions:
         v = sample_trace_zero(ext, 0, seed=1)
         assert len(v) == 1
-        kernel = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
+        kernel = trace_kernel_saturated(ext, ext.tower.lift(ext.N + 1))
         assert ext.trace(v[0]).is_zero or member(kernel, v[0].coeffs)
 
 
@@ -317,44 +316,46 @@ def test_sampler_at_length_three(sqrt2_hi, cyclo):
         assert witt_trace(v).is_zero
 
 
-def test_length_one_sample_rebuilds_only_the_saturation_twin(rebuilds):
+def test_length_one_sample_rebuilds_only_the_saturation_twin(lifts):
     # a length-1 Witt trace works at the extension's own precision, so the
-    # saturated kernel's twin, one digit above N, is the one rebuild
+    # saturated kernel's lift, one digit above N, is the one lift
     ext = build_extension("quadratic-sqrt2")
     sample_trace_zero(ext, 0, seed=1)
-    assert rebuilds == [ext.N + 1]
+    assert lifts == [ext.N + 1]
 
 
-def test_length_three_sample_rebuilds_only_the_twin_at_n_plus_2(rebuilds):
+def test_length_three_sample_rebuilds_only_the_twin_at_n_plus_2(lifts):
     # the saturated kernel, every carry target and the final Witt trace
-    # work in the one twin at N+m
+    # work in the one lift to N+m
     ext = build_extension("cyclotomic-step")
     assert witt_trace(sample_trace_zero(ext, 2, seed=0)).is_zero
-    assert rebuilds == [ext.N + 2]
+    assert lifts == [ext.N + 2]
 
 
-def test_length_five_sample_rebuilds_only_the_twin_at_n_plus_4(rebuilds):
-    # at m = 4 the one twin is at N+4
+def test_length_five_sample_rebuilds_only_the_twin_at_n_plus_4(lifts):
+    # at m = 4 the one lift is to N+4
     ext = build_extension("quadratic-gaussian")
     assert witt_trace(sample_trace_zero(ext, 4, seed=0)).is_zero
-    assert rebuilds == [ext.N + 4]
+    assert lifts == [ext.N + 4]
 
 
-def test_caches_key_extensions_and_maps_by_identity(rebuilds):
-    # an extension is its own cache key: its twin and its operator matrices
-    # are built once, and a fresh build of the same spec gets its own
+def test_caches_key_extensions_and_maps_by_identity(lifts):
+    # an extension is its own cache key and its tower keeps its lifts: each
+    # lift and operator matrix is built once, and a fresh build of the same
+    # spec gets its own
     ext = build_extension("quadratic-gaussian")
-    twin = _twin(ext, ext.N + 4)
-    assert _twin(ext, ext.N + 4) is twin
+    lifted = ext.tower.lift(ext.N + 4)
+    assert ext.tower.lift(ext.N + 4) is lifted
+    assert ext.tower.lift(ext.N) is ext.tower
     trace = linear_map_of(ext, "trace")
     assert linear_map_of(ext, "trace") is trace
     assert trace.image is trace.image
-    assert rebuilds == [ext.N + 4]
+    assert lifts == [ext.N + 4]
 
     fresh = build_extension("quadratic-gaussian")
     assert fresh != ext
-    assert _twin(fresh, fresh.N + 4) is not twin
-    assert rebuilds == [ext.N + 4, ext.N + 4]
+    assert fresh.tower.lift(fresh.N + 4) is not lifted
+    assert lifts == [ext.N + 4, ext.N + 4]
     fresh_trace = linear_map_of(fresh, "trace")
     assert fresh_trace is not trace
     assert fresh_trace.rows == trace.rows
@@ -539,13 +540,13 @@ def test_h1_matches_the_saturated_kernel_quotient(spec, precision):
     # coboundaries, two presented submodules instead of coker(sigma-1); and
     # the factors certified at N are those at N + 4
     ext = build_extension(spec, precision=precision)
-    kernel = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
+    kernel = trace_kernel_saturated(ext, ext.tower.lift(ext.N + 1))
     coboundaries = linear_map_of(ext, "sigma-minus-one").image
     expected = quotient_invariants(list(kernel.rows), list(coboundaries.rows),
                                    ext.p, ext.N)
     assert expected
     assert h1_level1(ext) == expected
-    assert h1_level1(_twin(ext, ext.N + 4)) == expected
+    assert h1_level1(build_extension(spec, precision=precision + 4)) == expected
 
 
 @pytest.mark.parametrize("spec,precision", [
@@ -569,7 +570,7 @@ def test_h1_suite_eliminates_no_matrix(howell_calls):
 
 
 def test_h1_builds_no_twin_and_eliminates_no_matrix(monkeypatch, howell_calls,
-                                                     rebuilds):
+                                                     lifts):
     ext = build_extension("cyclotomic-step")
     smith = cohomology.smith_invariants
     eliminated = []
@@ -580,7 +581,7 @@ def test_h1_builds_no_twin_and_eliminates_no_matrix(monkeypatch, howell_calls,
 
     monkeypatch.setattr(cohomology, "smith_invariants", counting_smith)
     assert h1_level1(ext) == (3, 3)
-    assert rebuilds == []
+    assert lifts == []
     assert len(eliminated) == 1
     assert howell_calls == []
 
@@ -639,7 +640,7 @@ def test_h1_trace_check_catches_a_coboundary_off_the_kernel(monkeypatch, spec):
 
 def test_h1_class_representative_is_nontrivial(sqrt2):
     # pi generates the quotient: trace-zero but not a coboundary
-    kernel = trace_kernel_saturated(sqrt2, _twin(sqrt2, sqrt2.N + 1))
+    kernel = trace_kernel_saturated(sqrt2, sqrt2.tower.lift(sqrt2.N + 1))
     assert member(kernel, sqrt2.tower.pi_L.coeffs)
     assert not member(linear_map_of(sqrt2, "sigma-minus-one").image,
                       sqrt2.tower.pi_L.coeffs)

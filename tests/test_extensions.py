@@ -1,6 +1,7 @@
 """Extension construction, ramification breaks, and the conjugate-product basis."""
 
 import json
+import random
 
 import pytest
 
@@ -16,9 +17,9 @@ from wittram.errors import (
 from wittram.extensions import (
     BUILTIN_NAMES,
     MAX_RANK,
+    MAX_WORK,
     ExtensionData,
     ExtensionSpec,
-    _twin,
     build_extension,
     load_spec_file,
     resolve_extension,
@@ -170,10 +171,10 @@ def test_precision_too_small():
 
 
 def test_rebuild_at_higher_precision(sqrt2):
-    hi = _twin(sqrt2, 40)
-    assert hi.t == sqrt2.t
+    hi = sqrt2.tower.lift(40)
+    assert build_extension(sqrt2.spec, 40).t == sqrt2.t
     assert hi.N == 40
-    assert hi.tower.pN == 2 ** 40
+    assert hi.pN == 2 ** 40
 
 
 # -- one rule site: a spec made in code is checked as a spec file is ---------------
@@ -235,17 +236,36 @@ def test_rank_bound_refuses_above_it_and_builds_up_to_it():
             build_extension(spec)
 
 
+@pytest.mark.parametrize("spec,largest", [
+    (ExtensionSpec("cyclotomic-step", p=13), 36),
+    (_sqrt_pi_K_spec(MAX_RANK // 2), 129),
+], ids=["cyclotomic-p13", "custom-rank-160"])
+def test_work_bound_refuses_one_above_the_largest_precision(spec, largest):
+    # D^2 * log10(p^N) <= MAX_WORK: the two largest ranks build at N = 32
+    # and up to N = ``largest``, and are refused one precision above it
+    assert build_extension(spec, precision=largest).N == largest
+    message = f"work D\\^2 \\* log10\\(p\\^N\\) = .* exceeds the bound {MAX_WORK}"
+    with pytest.raises(ConfigError, match=message):
+        build_extension(spec, precision=largest + 1)
+
+
 @pytest.mark.parametrize("spec", [T4_SPEC, ExtensionSpec("cyclotomic-step", p=5),
                                   ExtensionSpec("quadratic-sqrt2")],
                          ids=lambda spec: spec.kind)
 def test_twin_of_a_spec_made_in_code_is_a_fresh_build(spec):
+    # the lifted tower is the ring of a fresh build at the same precision:
+    # the same trace and the same products
     ext = build_extension(spec, precision=32)
-    twin = _twin(ext, 34)
+    lifted = ext.tower.lift(34)
     fresh = build_extension(spec, precision=34)
-    assert (twin.name, twin.spec.precision, twin.N) == (spec.kind, 34, 34)
-    assert twin.sigma == fresh.sigma
-    assert twin.trace_matrix == fresh.trace_matrix
-    assert twin.t == fresh.t == ext.t
+    assert (lifted.N, lifted.pN, lifted.dim) == (34, fresh.tower.pN, fresh.tower.dim)
+    assert lifted.trace_matrix == fresh.trace_matrix
+    rng = random.Random(34)
+    for _ in range(5):
+        x, y = ([rng.randrange(lifted.pN) for _ in range(lifted.dim)] for _ in range(2))
+        assert lifted.flat_mul(x, y) == fresh.tower.flat_mul(x, y)
+        assert lifted.flat_mul(x, x) == fresh.tower.flat_mul(x, x)
+    assert fresh.t == ext.t
 
 
 # -- conjugate-product basis ---------------------------------------------------------

@@ -22,9 +22,11 @@ from wittram.cohomology import (
     trace_kernel_saturated,
 )
 from wittram.errors import SamplingExhausted, VerificationError
-from wittram.extensions import ExtensionSpec, _twin, build_extension
+from wittram.extensions import ExtensionSpec, build_extension
 from wittram.rings import matvec
 from wittram.witt import WittVec, frobenius_chain, ghost_level, witt_trace
+
+from oracles import rebuilt
 
 #: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
 T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
@@ -52,10 +54,12 @@ def extensions():
 
 def conjugate_sum_target(ext, hi, chains, n):
     """``_carry_target`` re-derived without the trace matrix: minus the sum
-    of the conjugates of W_n in ``hi``, over p^n, reduced to N.  It must lie
-    in O_K; its O_K coordinates are returned."""
-    w = hi.tower.element(ghost_level(hi, chains, n))
-    total = sum(hi.conjugates(w)).coeffs
+    of the conjugates of W_n, under sigma of the extension rebuilt at the
+    precision of ``hi``, over p^n, reduced to N.  It must lie in O_K; its
+    O_K coordinates are returned."""
+    up = rebuilt(ext, hi.N)
+    w = up.tower.element(ghost_level(hi, chains, n))
+    total = sum(up.conjugates(w)).coeffs
     pn = ext.p ** n
     assert not any(x % pn for x in total)
     target = -ext.tower.element([x // pn for x in total])
@@ -68,9 +72,9 @@ def oracle_sample(ext, m, seed=0):
     element, its Frobenius chain and an exact carry target, which
     ``member`` on the trace image accepts or rejects."""
     rng = derive_rng(seed, "sample-trace-zero", ext.name, m)
-    kernel = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
+    kernel = trace_kernel_saturated(ext, ext.tower.lift(ext.N + 1))
     image = linear_map_of(ext, "trace").image
-    hi = _twin(ext, ext.N + m)
+    hi = ext.tower.lift(ext.N + m)
     pN = ext.tower.pN
 
     def draw():
@@ -158,8 +162,8 @@ def test_predicted_membership_equals_exact_membership(extensions, name):
     # tr(O_L), for the level step's x and the kernel rows k_i, at every level
     ext = extensions[name]
     m = EXTENSIONS[name][2]
-    hi = _twin(ext, ext.N + m)
-    kernel = trace_kernel_saturated(ext, _twin(ext, ext.N + 1))
+    hi = ext.tower.lift(ext.N + m)
+    kernel = trace_kernel_saturated(ext, ext.tower.lift(ext.N + 1))
     image = linear_map_of(ext, "trace").image
     targets = _kernel_targets(ext, hi)
     pN = ext.tower.pN
@@ -191,7 +195,7 @@ def test_zeroed_table_row_is_caught(extensions, monkeypatch, name, m):
     # quadratic-sqrt2 has its target in the image, so zeroing it changes no
     # prediction there.)
     ext = extensions[name]
-    hi = _twin(ext, ext.N + m)
+    hi = ext.tower.lift(ext.N + m)
     table = _kernel_targets(ext, hi)
     image = linear_map_of(ext, "trace").image
     columns = list(zip(*table))

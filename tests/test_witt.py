@@ -6,7 +6,7 @@ import pytest
 
 from wittram.cohomology import _carry_target, sample_trace_zero
 from wittram.errors import IntegralityError, LengthMismatch, VerificationError
-from wittram.extensions import ExtensionSpec, _twin, build_extension
+from wittram.extensions import ExtensionSpec, build_extension
 from wittram.rings import valuation_L
 from wittram.universal import carry_polynomial, sum_polynomials
 from wittram.witt import (
@@ -227,8 +227,8 @@ def test_trace_carry_identity(all_extensions):
 ], ids=lambda v: f"{v.kind}{v.p or ''}" if isinstance(v, ExtensionSpec) else None)
 def test_carry_target_on_trace_zero_prefixes(spec, levels):
     # for a trace-zero prefix the carry target read off the one ghost level
-    # W_n equals both oracles of the identity above, in the least twin at
-    # N+n and in the sampler's twin at N+levels
+    # W_n equals both oracles of the identity above, in the least lift to
+    # N+n and in the sampler's lift to N+levels
     ext = build_extension(spec)
     for n in range(1, levels + 1):
         f_n = carry_polynomial(ext.p, n)
@@ -240,7 +240,7 @@ def test_carry_target_on_trace_zero_prefixes(spec, levels):
             expected = -witt_trace(full)[n]
             assert expected == -evaluate_poly(f_n, assign, ext)
             assert expected.lies_in_K
-            for hi in (_twin(ext, ext.N + n), _twin(ext, ext.N + levels)):
+            for hi in (ext.tower.lift(ext.N + n), ext.tower.lift(ext.N + levels)):
                 chains = [frobenius_chain(hi, c) for c in prefix]
                 assert _carry_target(ext, hi, chains, n) == expected.coeffs[:ext.e_K]
 
@@ -248,7 +248,7 @@ def test_carry_target_on_trace_zero_prefixes(spec, levels):
 def test_carry_target_refuses_a_prefix_that_is_not_trace_zero(gaussian):
     # tr(1) = 2 != 0, and W_2 of (1, 0) is 1, whose trace 2 is not
     # divisible by p^2 = 4
-    hi = _twin(gaussian, gaussian.N + 2)
+    hi = gaussian.tower.lift(gaussian.N + 2)
     t = gaussian.tower
     chains = [frobenius_chain(hi, t.one_ol), frobenius_chain(hi, t.zero_ol)]
     with pytest.raises(VerificationError, match="level 2 is not divisible by p"):
@@ -291,8 +291,8 @@ def test_ghost_level_extends_each_chain_only_as_far_as_needed(cyclo):
     a = [uniform_element(cyclo, rng) for _ in range(4)]
     for a1, lengths in ((a[1], [3, 2, 1, 1]), (t.zero_ol, [3, 1, 1, 1])):
         comps = (a[0], a1, a[2], a[3])
-        chains = [frobenius_chain(cyclo, c) for c in comps]
-        w = t.element(ghost_level(cyclo, chains, 2))
+        chains = [frobenius_chain(t, c) for c in comps]
+        w = t.element(ghost_level(t, chains, 2))
         assert [len(chain) for chain in chains] == lengths
         assert w == a[0] ** (p * p) + p * a1 ** p + p * p * a[2]
 
@@ -341,7 +341,7 @@ def test_ghost_recovery_rejects_non_ghost_vectors(all_extensions):
     for ext in all_extensions:
         t = ext.tower
         with pytest.raises(IntegralityError):
-            _from_ghost(ext, ext, [t.zero_ol, t.one_ol])
+            _from_ghost(ext, t, [t.zero_ol, t.one_ol])
 
 
 # -- components that vanish mod p^N ----------------------------------------------------
@@ -349,7 +349,7 @@ def test_ghost_recovery_rejects_non_ghost_vectors(all_extensions):
 
 def test_components_that_vanish_mod_pN_match_the_oracle(all_extensions):
     # each result has a component that is zero mod p^N but whose lift into
-    # the twin need not be, so ``_from_ghost`` skips its power chain; the
+    # the lifted tower need not be, so ``_from_ghost`` skips its power chain; the
     # universal polynomials are the oracle
     rng = random.Random(22)
     for ext in all_extensions:
