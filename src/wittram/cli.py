@@ -11,7 +11,8 @@ flags) or memory exhausted.
 
 Each command imports the layers it runs when it runs, so ``witt-poly``
 loads the symbolic layer and not the verify stack (``cohomology``,
-``harness``, ``report``).
+``harness``, ``report``), and ``extension-info`` loads only the build
+(``errors``, ``rings``, ``extensions``).
 """
 
 from __future__ import annotations
@@ -129,10 +130,9 @@ def _cmd_witt_poly(args) -> int:
 
 
 def _cmd_extension_info(args) -> int:
-    from .cohomology import trace_image_exponent
-
     ext = resolve_extension(_pick_extension(args), args.precision)
-    d = trace_image_exponent(ext)
+    # tr(O_L) = p_K^d by Hilbert's formula, which the build checked
+    d = (ext.t + 1) * (ext.p - 1) // ext.p
     sys.stdout.write(
         f"extension: {ext.name}\np: {ext.p}\ne_K: {ext.e_K}\ne_L: {ext.e_L}\n"
         f"t: {ext.t}\nd: {d}\nprecision: {ext.N}\n"

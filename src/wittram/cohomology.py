@@ -3,8 +3,10 @@
 The two operators are ``linalg.LinearMap``s over Z/p^N in the flat
 monomial tower basis (D = p * e_K, column convention), where an element's
 coordinate vector is its ``coeffs`` tuple: the trace O_L -> O_K as the
-e_K x D matrix ``ExtensionData.trace_matrix``, whose targets are O_K
-coordinates, and sigma-1 on O_L as a D x D matrix off the matrix of sigma.
+e_K x D matrix ``Tower.trace_matrix``, whose targets are O_K coordinates,
+and sigma-1 on O_L as a D x D matrix off the matrix of sigma.  The data
+are an extension already (``build_extension`` refuses any other); the
+checks here are of the computation.
 Each is eliminated once per precision (``linear_map_of``): the trace image
 tr(O_L), the coboundaries im(sigma-1), the trace kernel and every solve
 tr(x) = c or (sigma-1)x = a are read off that one Howell form.  On top of
@@ -85,13 +87,7 @@ import random
 from functools import lru_cache
 from math import prod
 
-from .errors import (
-    NoSolution,
-    PrecisionExhausted,
-    SamplingExhausted,
-    VerificationError,
-    sha256,
-)
+from .errors import NoSolution, SamplingExhausted, VerificationError, sha256
 from .extensions import ExtensionData
 from .linalg import (
     HowellBasis,
@@ -126,11 +122,11 @@ def derive_rng(*parts) -> random.Random:
 
 @lru_cache(maxsize=128)
 def linear_map_of(ext: ExtensionData, which: str) -> LinearMap:
-    """The trace O_L -> O_K (``ExtensionData.trace_matrix``) or sigma-1 on
+    """The trace O_L -> O_K (``Tower.trace_matrix``) or sigma-1 on
     O_L ("trace" | "sigma-minus-one"), built and eliminated once per
     extension."""
     if which == "trace":
-        rows = ext.trace_matrix
+        rows = ext.tower.trace_matrix
     elif which == "sigma-minus-one":
         pN = ext.tower.pN
         rows = tuple(tuple((x - (r == c)) % pN for c, x in enumerate(row))
@@ -161,30 +157,11 @@ def trace_kernel_saturated(ext: ExtensionData, hi: Tower) -> HowellBasis:
 # -- trace image --------------------------------------------------------------
 
 
-def trace_image_exponent(ext: ExtensionData) -> int:
-    """The d with tr(O_L) = p_K^d, d = floor((t+1)(p-1)/p), asserted
-    against the computed trace index.
-
-    The trace image is an ideal of O_K/p^N, and the ideals of that chain
-    ring are the p_K^j, of index p^j, so the image is p_K^d exactly when
-    ``trace_index_exponent`` is d; VerificationError otherwise.
-    """
-    d = ((ext.t + 1) * (ext.p - 1)) // ext.p
-    if d >= ext.tower.horizon_K:
-        raise PrecisionExhausted(
-            f"trace image exponent {d} is beyond the O_K horizon {ext.tower.horizon_K}"
-        )
-    if trace_index_exponent(ext) != d:
-        raise VerificationError(
-            f"trace image differs from p_K^{d} at precision N={ext.N}"
-        )
-    return d
-
-
 def trace_index_exponent(ext: ExtensionData) -> int:
     """log_p |O_K / tr(O_L)|: the sum of v_p(d) over the Smith invariants d
-    of the trace's columns."""
-    columns = list(zip(*ext.trace_matrix))
+    of the trace's columns.  Hilbert's formula, checked at build, makes it
+    floor((t+1)(p-1)/p); h1 counts it here, independently of t."""
+    columns = list(zip(*ext.tower.trace_matrix))
     return sum(padic_val(d, ext.p)
                for d in smith_invariants(columns, ext.p, ext.N, ext.e_K))
 
@@ -566,7 +543,7 @@ def h1_level1(ext: ExtensionData) -> tuple:
     """
     pN = ext.tower.pN
     columns = list(zip(*linear_map_of(ext, "sigma-minus-one").rows))
-    if any(any(matvec(ext.trace_matrix, col, pN)) for col in columns):
+    if any(any(matvec(ext.tower.trace_matrix, col, pN)) for col in columns):
         raise VerificationError(
             f"coboundaries escape the trace kernel at N={ext.N}")
     factors = smith_invariants(columns, ext.p, ext.N, ext.tower.dim)
@@ -582,7 +559,9 @@ def h1_suite(ext: ExtensionData) -> SuiteRecord:
     """H^1 at level 1: its invariant factors, and a check that its order,
     read off sigma-1, equals |O_K / tr(O_L)| read off the trace
     (``trace_index_exponent``; the additive Herbrand quotient of O_L is
-    trivial, so the two must coincide).
+    trivial, so the two must coincide).  The data are an extension already
+    (``build_extension``); these are checks of the computation, and
+    ``h1_level1`` also checks sigma - 1 against the trace on all of O_L.
 
     ``invariant-factors-stable`` reports the factors.  Its evidence is the
     count certificate of ``h1_level1``, which makes them the factors at

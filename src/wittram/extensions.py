@@ -18,20 +18,19 @@ endomorphism x -> sigma_pi, and kept as a matrix over Z/p^N in the flat
 monomial basis of the tower; custom extensions must supply sigma_pi
 explicitly (conjugate roots of an Eisenstein polynomial are p-adically too
 close for naive root-finding to separate them reliably).
+
+``build_extension`` is the one place that refuses extension data: every
+check of the data runs there, at the requested precision, so every command
+and every suite set sees the same data accepted or refused.  The trace is
+``Tower.trace_matrix``, from E_L alone; the conjugate sum and Hilbert's
+formula, checked at build, tie sigma and t to it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
-from .errors import (
-    ConfigError,
-    InvalidExtension,
-    SigmaNotARoot,
-    SigmaWrongOrder,
-    VerificationError,
-)
+from .errors import ConfigError, InvalidExtension, SigmaNotARoot, SigmaWrongOrder
 from .rings import OLElement, Tower, is_prime, matvec, valuation_L
 
 BUILTIN_NAMES = ("quadratic-gaussian", "quadratic-sqrt2", "cyclotomic-step")
@@ -86,10 +85,11 @@ class ExtensionData:
     ``sigma`` is the matrix of sigma over Z/p^N in the flat monomial basis,
     stored as a tuple of D rows (D = p*e_K) in column convention: column c
     is sigma applied to monomial c.  sigma fixes O_K, so the column of
-    pi_L^i pi_K^j is sigma(pi_L)^i pi_K^j.  ``trace_matrix`` is the e_K x D
-    matrix of tr: O_L -> O_K in the same convention, from E_L.  Applying
-    sigma, listing conjugates and taking traces are all matrix-vector
-    products.
+    pi_L^i pi_K^j is sigma(pi_L)^i pi_K^j.  The trace is the tower's:
+    ``tower.trace_matrix`` is the e_K x D matrix of tr: O_L -> O_K in the
+    same convention, from E_L, and ``build_extension`` has checked that the
+    conjugates of pi_L sum to its tr(pi_L).  Applying sigma and taking
+    traces are matrix-vector products.
 
     sigma lives at the built precision N only; work above N (the ghost lift
     of Witt arithmetic, the saturated trace kernel) needs only the ring and
@@ -127,31 +127,15 @@ class ExtensionData:
     def e_L(self) -> int:
         return self.tower.e_L
 
-    @cached_property
-    def trace_matrix(self) -> tuple:
-        """``Tower.trace_matrix``, from E_L alone, once sigma is checked
-        against it: the sigma^i(pi_L), i < p, must sum to tr(pi_L) = -c_{p-1},
-        else VerificationError (sigma is then no automorphism of L/K)."""
-        tower = self.tower
-        if sum(self.conjugates(tower.pi_L)) != -tower.E_L[-1]:
-            raise VerificationError(
-                f"the trace leaves O_K at N={self.N}: sigma is not a Galois action")
-        return tower.trace_matrix
-
     def apply_sigma(self, a: OLElement) -> OLElement:
         """sigma applied to an element of O_L."""
         return OLElement(self.tower, matvec(self.sigma, a.coeffs, self.tower.pN))
 
-    def conjugates(self, a: OLElement) -> tuple:
-        out = [a]
-        for _ in range(1, self.p):
-            out.append(self.apply_sigma(out[-1]))
-        return tuple(out)
-
     def trace(self, a: OLElement) -> OLElement:
         """tr_{L/K}(a) = a + sigma(a) + ... + sigma^{p-1}(a) as an element of
         O_L lying in O_K."""
-        return self.tower.element(matvec(self.trace_matrix, a.coeffs, self.tower.pN))
+        tower = self.tower
+        return tower.element(matvec(tower.trace_matrix, a.coeffs, tower.pN))
 
     def __repr__(self):
         return (f"ExtensionData({self.name}, p={self.p}, N={self.N}, "
@@ -208,17 +192,40 @@ def _check_cost(p: int, e_K: int, N: int):
                           f"D^2 * log10(p^N) = {work:.0f} exceeds the bound {MAX_WORK}")
 
 
+def _check_hilbert(tower: Tower, t: int):
+    """InvalidExtension unless Hilbert's formula v_L(E_L'(pi_L)) = (t+1)(p-1)
+    holds: (E_L'(pi_L)) is the different of L/K, because O_L = O_K[pi_L]
+    (Serre, *Local Fields*, ch. III §6 Cor. 2 and ch. IV §1 Prop. 4).  It
+    implies tr(O_L) = p_K^d with d = floor((t+1)(p-1)/p) (ch. III §3).
+
+    E_L'(pi_L) = sum_{0<i<p} i c_i pi_L^(i-1) + p pi_L^(p-1) is already in
+    the monomial basis, block i-1 holding i c_i and block p-1 holding p, so
+    no product is taken.  Its valuation is exact: E_K is Eisenstein only at
+    N >= 2, where p is nonzero, so it is at most e_L + p - 1 < N e_L.  It is
+    at least p, as E_L is Eisenstein, so the formula forces t >= 1.
+    """
+    p, e = tower.p, tower.e_K
+    derivative = [i * c for i in range(1, p) for c in tower.E_L[i].coeffs[:e]] + [p]
+    v = valuation_L(tower.element(derivative))
+    if v != (t + 1) * (p - 1):
+        raise InvalidExtension(
+            f"v_L(E_L'(pi_L)) = {v} is not (t+1)(p-1) = {(t + 1) * (p - 1)} "
+            f"for the ramification break t = {t}: Hilbert's formula fails")
+
+
 def build_extension(spec, precision: int = None) -> ExtensionData:
     """Build and validate an extension from a spec or a built-in name.
 
-    Checks, in order: the kind takes the spec's fields and p, the rank
-    D = p * e_K is at most MAX_RANK and the work D^2 * log10(p^N) at most
-    MAX_WORK (``_materialize``); p^N has at most MAX_MODULUS_DIGITS decimal
-    digits (ConfigError otherwise); both moduli are Eisenstein, sigma_pi is
-    a root of the top modulus, the induced endomorphism has order exactly p,
-    and the ramification break t = v_L(sigma(pi_L) - pi_L) - 1 is at least 1
-    (wild ramification).  It is exact: sigma does not fix pi_L, so the
-    difference is nonzero at precision.
+    The one place that refuses extension data.  Checks, in order: the kind
+    takes the spec's fields and p, the rank D = p * e_K is at most MAX_RANK
+    and the work D^2 * log10(p^N) at most MAX_WORK (``_materialize``); p^N
+    has at most MAX_MODULUS_DIGITS decimal digits (ConfigError otherwise);
+    both moduli are Eisenstein (``Tower``); sigma_pi is a root of E_L;
+    sigma does not fix pi_L and sigma^p does; the conjugates
+    sigma^i(pi_L), i < p, sum to tr(pi_L) = -c_{p-1}; and the ramification
+    break t = v_L(sigma(pi_L) - pi_L) - 1 satisfies Hilbert's formula
+    (``_check_hilbert``), which also puts t >= 1.  t is exact: sigma does
+    not fix pi_L, so the difference is nonzero at precision.
     """
     if isinstance(spec, str):
         spec = ExtensionSpec(kind=spec)
@@ -252,10 +259,14 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
         raise SigmaWrongOrder("sigma fixes pi_L; the action is trivial")
     if orbit[p] != orbit[0]:
         raise SigmaWrongOrder("sigma^p does not fix pi_L at precision")
+    # the conjugates of pi_L are the p roots of E_L
+    conjugate_sum = tuple(sum(c) % tower.pN for c in zip(*orbit[:p]))
+    if conjugate_sum != (-tower.E_L[-1]).coeffs:
+        raise InvalidExtension("the conjugates of pi_L do not sum to tr(pi_L) "
+                               "= -c_{p-1} at precision: sigma is not a Galois action")
 
     t = valuation_L(sigma_pi - tower.pi_L) - 1
-    if t < 1:
-        raise InvalidExtension(f"ramification break t = {t} violates t >= 1")
+    _check_hilbert(tower, t)
 
     return ExtensionData(spec=spec, tower=tower, sigma_pi=sigma_pi, sigma=sigma,
                          t=t)

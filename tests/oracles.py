@@ -2,11 +2,12 @@
 
 Each one re-derives a quantity the program computes another way, or builds
 and takes apart Witt vectors for the arithmetic tests: an extension rebuilt
-at a higher precision, sigma and all, the ramification break from any
-generator, the conjugate-product basis with its valuation
-pattern, uniform elements of O_L, an operator matrix applied to an element, the order of a Howell
-span, the Witt vector constructors and maps, and the cascade checks on a
-vector that is first certified trace-zero.  Every check raises as it did
+at a higher precision, sigma and all, the Galois conjugates of an element,
+the ramification break from any generator, the conjugate-product basis with
+its valuation pattern, uniform elements of O_L, an operator matrix applied
+to an element, the order of a Howell span, the Witt vector constructors and
+maps, and the cascade checks on a vector that is first certified
+trace-zero.  Every check raises as it did
 in the package.
 """
 
@@ -30,11 +31,19 @@ def rebuilt(ext: ExtensionData, precision: int) -> ExtensionData:
     return build_extension(ext.spec, precision)
 
 
+def conjugates(ext: ExtensionData, a: OLElement) -> tuple:
+    """a, sigma(a), ..., sigma^(p-1)(a), by matrix-vector products with sigma."""
+    out = [a]
+    for _ in range(1, ext.p):
+        out.append(ext.apply_sigma(out[-1]))
+    return tuple(out)
+
+
 def ramification_break(ext: ExtensionData, generator_power: int = 1) -> int:
     """Re-derive t from any generator sigma^g (1 <= g < p); all agree."""
     if not 1 <= generator_power < ext.p:
         raise ValueError("generator power must lie in [1, p)")
-    diff = ext.conjugates(ext.tower.pi_L)[generator_power] - ext.tower.pi_L
+    diff = conjugates(ext, ext.tower.pi_L)[generator_power] - ext.tower.pi_L
     v = valuation_L(diff)
     if v == ext.tower.horizon_L:
         raise PrecisionExhausted("ramification break not resolvable at precision")
@@ -58,7 +67,7 @@ class SigmaBasis:
 def sigma_basis(ext: ExtensionData) -> SigmaBasis:
     """Build x_0..x_{p-1} and verify their valuation pattern exactly."""
     tower = ext.tower
-    conj = ext.conjugates(tower.pi_L)
+    conj = conjugates(ext, tower.pi_L)
     xs = [tower.one_ol]
     for mu in range(1, ext.p):
         xs.append(xs[-1] * conj[mu - 1])

@@ -261,6 +261,29 @@ def test_shifted_cyclotomic_spec_verifies_as_the_built_in(sources, capsys, suite
     assert shifted == builtin
 
 
+#: quadratic-sqrt2 at N = 48 with 2^47 added to sigma(pi_L): a root of E_L,
+#: of order 2 and with t = 2, but its conjugates sum to 2^47, not to
+#: tr(pi_L) = 0, so it is no Galois action
+OFF_TRACE_DOC = {"kind": "custom", "p": 2, "E_K": [-2], "E_L": [[-2], [0]],
+                 "sigma_pi": [["140737488355328"], [-1]], "precision": 48}
+
+
+@pytest.mark.parametrize("argv", [["extension-info"], ["verify"]] + [
+    ["verify", "--suites", suite] for suite in SUITE_ORDER],
+    ids=lambda argv: argv[-1])
+def test_sigma_off_the_trace_exits_2_for_every_command_and_suite(tmp_path, capsys,
+                                                                 argv):
+    # the build refuses the data, so no command and no suite set runs them
+    path = tmp_path / "off_trace.json"
+    path.write_text(json.dumps(OFF_TRACE_DOC), encoding="utf-8")
+    assert main(argv + ["--spec-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert "the conjugates of pi_L do not sum to tr(pi_L)" in line
+
+
 @pytest.mark.parametrize("suite", ["cascade", "proposition"])
 def test_sampler_runs_at_the_precision_ceiling(sources, capsys, suite):
     # the sampler's lift to N + 1 and the negative control's length-2 Witt

@@ -12,21 +12,20 @@ from wittram.errors import (
     PrecisionExhausted,
     SigmaNotARoot,
     SigmaWrongOrder,
-    VerificationError,
 )
 from wittram.extensions import (
     BUILTIN_NAMES,
     MAX_RANK,
     MAX_WORK,
-    ExtensionData,
     ExtensionSpec,
+    _check_hilbert,
     build_extension,
     load_spec_file,
     resolve_extension,
 )
 from wittram.rings import valuation_L
 
-from oracles import ramification_break, sigma_basis
+from oracles import conjugates, ramification_break, sigma_basis
 
 
 # -- built-ins -------------------------------------------------------------------
@@ -43,16 +42,6 @@ def test_sqrt2_break(sqrt2):
     diff = sqrt2.sigma_pi - sqrt2.tower.pi_L
     assert valuation_L(diff) == 3
     assert sqrt2.t == 2
-
-
-def test_trace_matrix_refuses_a_trace_outside_o_k(sqrt2):
-    # with sigma corrupted to the identity, tr(pi_L) = 2 pi_L leaves O_K
-    dim = sqrt2.tower.dim
-    identity = tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
-    corrupted = ExtensionData(sqrt2.spec, sqrt2.tower, sqrt2.sigma_pi, identity,
-                              sqrt2.t)
-    with pytest.raises(VerificationError, match="the trace leaves O_K"):
-        corrupted.trace_matrix
 
 
 #: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
@@ -77,10 +66,10 @@ def test_newton_trace_matrix_is_the_sum_of_the_conjugates(spec, precision, margi
     columns = []
     for c in range(tower.dim):
         unit = tower.element((0,) * c + (1,))
-        total = sum(ext.conjugates(unit))
+        total = sum(conjugates(ext, unit))
         assert total.lies_in_K
         columns.append(total.coeffs[:ext.e_K])
-    assert ext.trace_matrix == tuple(zip(*columns))
+    assert tower.trace_matrix == tuple(zip(*columns))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -158,6 +147,45 @@ def test_custom_sigma_trivial_order():
                          sigma_pi=((0,), (1,)))  # sigma = identity
     with pytest.raises(SigmaWrongOrder):
         build_extension(spec)
+
+
+def test_custom_sigma_whose_conjugates_miss_the_trace():
+    # at N = 3, sigma(pi_L) = 3 pi_L is a root of x^2 - 2 (9*2 - 2 = 16) and
+    # sigma^2 fixes pi_L (9 = 1 mod 8), and t = v_L(2 pi_L) - 1 = 2 meets
+    # Hilbert's formula; but pi_L + 3 pi_L = 4 pi_L is not tr(pi_L) = 0
+    spec = ExtensionSpec(kind="custom", p=2, precision=3,
+                         base_coeffs=(-2,), top_coeffs=((-2,), (0,)),
+                         sigma_pi=((0,), (3,)))
+    with pytest.raises(InvalidExtension, match="conjugates of pi_L do not sum"):
+        build_extension(spec)
+
+
+def test_hilbert_formula_refuses_a_break_off_by_one():
+    # v_L(E_L'(pi_L)) = (t+1)(p-1) pins t: the true break passes, and t - 1
+    # and t + 1 are refused on every built-in and the t=4 spec
+    refused = 0
+    for spec in [ExtensionSpec(kind) for kind in BUILTIN_NAMES] + [T4_SPEC]:
+        ext = build_extension(spec, precision=48)
+        _check_hilbert(ext.tower, ext.t)
+        for t in (ext.t - 1, ext.t + 1):
+            with pytest.raises(InvalidExtension, match="Hilbert's formula fails"):
+                _check_hilbert(ext.tower, t)
+            refused += 1
+    assert refused == 8
+
+
+@pytest.mark.parametrize("spec,precisions,t", [
+    (ExtensionSpec("quadratic-gaussian"), range(2, 41), 1),
+    (ExtensionSpec("quadratic-sqrt2"), range(2, 41), 2),
+    (ExtensionSpec("cyclotomic-step", p=3), (2, 3, 32), 2),
+    (ExtensionSpec("cyclotomic-step", p=5), (2, 3, 32), 4),
+    (ExtensionSpec("cyclotomic-step", p=7), (2, 3, 32), 6),
+    (T4_SPEC, (3, 4, 48, 52), 4),
+], ids=["gaussian", "sqrt2", "cyclotomic3", "cyclotomic5", "cyclotomic7", "t4"])
+def test_hilbert_formula_holds_at_every_precision(spec, precisions, t):
+    # every build checks the formula against the break its sigma gives,
+    # down to the least precision E_K is Eisenstein at
+    assert {build_extension(spec, precision=N).t for N in precisions} == {t}
 
 
 def test_unknown_kind_rejected():
@@ -259,7 +287,7 @@ def test_twin_of_a_spec_made_in_code_is_a_fresh_build(spec):
     lifted = ext.tower.lift(34)
     fresh = build_extension(spec, precision=34)
     assert (lifted.N, lifted.pN, lifted.dim) == (34, fresh.tower.pN, fresh.tower.dim)
-    assert lifted.trace_matrix == fresh.trace_matrix
+    assert lifted.trace_matrix == fresh.tower.trace_matrix
     rng = random.Random(34)
     for _ in range(5):
         x, y = ([rng.randrange(lifted.pN) for _ in range(lifted.dim)] for _ in range(2))
@@ -305,7 +333,7 @@ def test_sigma_basis_twist_relation(all_extensions):
         pi = ext.tower.pi_L
         for mu in range(1, ext.p):
             x = basis.elements[mu]
-            assert pi * ext.apply_sigma(x) == x * ext.conjugates(pi)[mu]
+            assert pi * ext.apply_sigma(x) == x * conjugates(ext, pi)[mu]
 
 
 def test_sigma_basis_spans(all_extensions):

@@ -3,8 +3,8 @@
 ``import wittram.cli`` loads neither ``dataclasses`` (which pulls in
 ``inspect``, ``ast`` and ``dis``), nor ``csv``, nor the symbolic layer
 ``wittram.universal``: the symbolic suite, ``witt-poly`` and ``--format
-csv`` import what they need when they run, and ``witt-poly`` never loads
-the verify stack.  The package binds no names, so ``import wittram`` loads
+csv`` import what they need when they run, ``witt-poly`` never loads
+the verify stack, and ``extension-info`` loads nothing past the build.  The package binds no names, so ``import wittram`` loads
 no submodule, and building an extension loads only the three modules it
 runs.  A verify run leaves OpenSSL (``_hashlib``) unloaded.  Each case
 starts a fresh interpreter, because the test process has loaded all of
@@ -80,6 +80,19 @@ def test_witt_poly_loads_no_verify_stack():
                 "for name in ('cohomology', 'harness', 'report'):\n"
                 "    print(name, 'wittram.' + name in sys.modules)") == [
         "0", "True", "cohomology", "False", "harness", "False", "report", "False"]
+
+
+def test_extension_info_loads_only_the_build():
+    # every check of the data runs in the build, so d comes from t alone
+    assert _run("import contextlib, io, sys\n"
+                "from wittram.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                "    code = main(['extension-info', '--extension', 'cyclotomic-step'])\n"
+                "print(code, 'd: 2' in out.getvalue().splitlines())\n"
+                "for name in ('cohomology', 'linalg', 'witt', 'report', 'harness'):\n"
+                "    print(name, 'wittram.' + name in sys.modules)") == [
+        "0", "True", "cohomology", "False", "linalg", "False", "witt", "False",
+        "report", "False", "harness", "False"]
 
 
 @pytest.mark.skipif(importlib.util.find_spec("_sha2") is None

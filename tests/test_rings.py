@@ -17,7 +17,7 @@ from wittram.rings import (
     valuation_L,
 )
 
-from oracles import uniform_element
+from oracles import conjugates, uniform_element
 
 
 def random_shifted(ext, rng, shift):
@@ -96,7 +96,7 @@ def test_structure_constants_oracle(kind, p):
         _axiom_checks(*(uniform_element(ext, rng) for _ in range(3)))
     for _ in range(10):
         a = random_element(ext, rng)
-        assert ext.trace(a) == sum(ext.conjugates(a))
+        assert ext.trace(a) == sum(conjugates(ext, a))
     # sigma^p is the identity matrix
     power = ext.sigma
     for _ in range(ext.p - 1):

@@ -26,7 +26,7 @@ from wittram.extensions import ExtensionSpec, build_extension
 from wittram.rings import matvec
 from wittram.witt import WittVec, frobenius_chain, ghost_level, witt_trace
 
-from oracles import rebuilt
+from oracles import conjugates, rebuilt
 
 #: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
 T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
@@ -59,7 +59,7 @@ def conjugate_sum_target(ext, hi, chains, n):
     O_K coordinates are returned."""
     up = rebuilt(ext, hi.N)
     w = up.tower.element(ghost_level(hi, chains, n))
-    total = sum(up.conjugates(w)).coeffs
+    total = sum(conjugates(up, w)).coeffs
     pn = ext.p ** n
     assert not any(x % pn for x in total)
     target = -ext.tower.element([x // pn for x in total])

@@ -1,4 +1,5 @@
-"""Every function, class, method and property in ``src/wittram`` is used there.
+"""Every function, class, method, property and import in ``src/wittram`` is
+used there.
 
 ``src/`` holds what ``wittram`` runs; a helper that only tests need lives in
 ``tests/oracles.py``.  The definitions checked are the module-level
@@ -6,6 +7,10 @@ functions and classes and the methods and properties of module-level
 classes, dunders left out.  A definition counts as used when a ``Name`` or
 ``Attribute`` node somewhere in ``src/wittram``, outside the definition
 itself, spells its name.  Imports, docstrings and comments do not count.
+
+A name that a module imports (``__future__`` features aside) counts as used
+when a ``Name`` or ``Attribute`` node of that module spells it, or when
+another module imports it from that one, as ``errors.sha256`` is.
 """
 
 import ast
@@ -55,6 +60,30 @@ def unreferenced(sources: dict) -> set:
             if total[node.name] == _spelled(node)[node.name]}
 
 
+def _imports(tree):
+    """(bound name, imported name, source module) of each import in
+    ``tree``; the source is None outside the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = node.module if node.level else None
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name, source
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], alias.name, None
+
+
+def unused_imports(sources: dict) -> set:
+    """``module.name`` of each name a module of ``sources`` imports that
+    the module never spells and no other module imports from it."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    passed_on = {(source, name) for tree in trees.values()
+                 for _, name, source in _imports(tree) if source}
+    return {f"{module}.{bound}" for module, tree in trees.items()
+            for bound, _, _ in _imports(tree)
+            if not _spelled(tree)[bound] and (module, bound) not in passed_on}
+
+
 def test_every_source_definition_is_referenced():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
@@ -101,3 +130,30 @@ def test_methods_and_properties_are_checked_too():
               "print(Box().size())\n"),
     }
     assert unreferenced(sources) == {"c.Box.depth"}
+
+
+def test_every_source_import_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unused_imports(sources) == set()
+
+
+def test_imports_are_used_when_spelled_or_passed_on():
+    sources = {
+        "a": ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from functools import cached_property, lru_cache as cache\n"
+              "try:\n"
+              "    from _sha2 import sha256\n"
+              "except ImportError:\n"
+              "    from hashlib import sha256\n"
+              "\n"
+              "@cache\n"
+              "def helper() -> os.PathLike:\n"
+              '    """Uses ``cached_property``."""\n'),
+        "b": ("from .a import sha256, helper\n"
+              "\n"
+              "def used():\n"
+              "    return helper()\n"),
+    }
+    assert unused_imports(sources) == {"a.cached_property", "b.sha256"}
