@@ -22,7 +22,7 @@ import sys
 
 from .errors import SUITE_ORDER, ConfigError, WittramError
 from .rings import is_prime
-from .extensions import resolve_extension
+from .extensions import BUILTIN_NAMES, resolve_extension
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,19 +61,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _extension_flags(cmd):
     cmd.add_argument("--extension", default=None,
-                     help="built-in extension name")
+                     help="built-in extension name: " + ", ".join(BUILTIN_NAMES))
     cmd.add_argument("--spec-file", default=None,
-                     help="path to a JSON extension spec")
+                     help="path to a JSON extension spec (always read as a file)")
     cmd.add_argument("--precision", type=int, default=None,
                      help="precision N (default: the spec file's, else 32)")
 
 
 def _pick_extension(args) -> str:
+    """``--extension`` as a built-in name, or ``--spec-file`` as a path that
+    ``resolve_extension`` cannot take for one (``./<path>`` if need be)."""
     if args.extension and args.spec_file:
         raise ConfigError("give either --extension or --spec-file, not both")
     if not args.extension and not args.spec_file:
         raise ConfigError("one of --extension or --spec-file is required")
-    return args.extension or args.spec_file
+    if args.extension:
+        if args.extension not in BUILTIN_NAMES:
+            raise ConfigError(f"unknown extension {args.extension!r}; choose from "
+                              f"{', '.join(BUILTIN_NAMES)}, or give --spec-file")
+        return args.extension
+    return f"./{args.spec_file}" if args.spec_file in BUILTIN_NAMES else args.spec_file
 
 
 def _cmd_verify(args) -> int:

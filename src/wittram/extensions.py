@@ -1,9 +1,9 @@
 """Construction of totally ramified cyclic degree-p towers with Galois action.
 
-An extension is described by exact integer data: the non-leading
-coefficients of the two Eisenstein moduli plus the coordinates of the
-Galois image sigma(pi_L), so the same extension can be rebuilt at any
-precision.  Three constructions ship built in:
+An extension is described by a spec, one JSON-shaped dict in spec files
+and in code: a kind and, for ``custom``, the exact integer coefficients of
+the two Eisenstein moduli and of the Galois image sigma(pi_L), so the same
+extension can be rebuilt at any precision.  Three constructions ship built in:
 
 * ``quadratic-gaussian``   p = 2, K = Q_2, E_L = x^2 - 2x + 2 (pi_L = 1+i),
                            sigma(pi_L) = 2 - pi_L; ramification break t = 1.
@@ -20,10 +20,10 @@ explicitly (conjugate roots of an Eisenstein polynomial are p-adically too
 close for naive root-finding to separate them reliably).
 
 ``build_extension`` is the one place that refuses extension data: every
-check of the data runs there, at the requested precision, so every command
-and every suite set sees the same data accepted or refused.  The trace is
-``Tower.trace_matrix``, from E_L alone; the conjugate sum and Hilbert's
-formula, checked at build, tie sigma and t to it.
+check of the data runs there, at the requested precision, so every command,
+suite set and spec made in code sees the same data accepted or refused.
+The trace is ``Tower.trace_matrix``, from E_L alone; the conjugate sum and
+Hilbert's formula, checked at build, tie sigma and t to it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .rings import OLElement, Tower, is_prime, matvec, valuation_L
 
 BUILTIN_NAMES = ("quadratic-gaussian", "quadratic-sqrt2", "cyclotomic-step")
 DEFAULT_PRECISION = 32
+#: the fields a spec may hold, in a spec file and in code alike
+SPEC_FIELDS = ("kind", "p", "precision", "e_K", "E_K", "E_L", "sigma_pi")
 #: at most this many decimal digits in p^N: CPython's default int-to-str
 #: limit, which every coordinate of a JSON report must stay under
 MAX_MODULUS_DIGITS = 4300
@@ -47,36 +49,6 @@ MAX_RANK = 160
 #: grows with the digits; along D^2 * log10(p^N) = 10^6 it takes 0.5 to
 #: 1.5 s on a 2-core host, from p = 5 at N = 3576 to p = 13 at N = 36
 MAX_WORK = 10 ** 6
-
-
-class ExtensionSpec:
-    """Exact integer description of an extension, rebuildable at any precision.
-
-    ``p = None`` means the kind's default (2 for the quadratic kinds, 3 for
-    ``cyclotomic-step``; ``custom`` has none).  For ``kind="custom"`` the
-    three coefficient fields are required and the built-ins take none:
-    ``base_coeffs`` are the non-leading integer coefficients of E_K,
-    ``top_coeffs`` the non-leading coefficients of E_L as O_K coordinate
-    tuples, and ``sigma_pi`` the O_L coordinates (one O_K tuple per power of
-    pi_L) of the Galois image of pi_L.
-    """
-
-    __slots__ = ("kind", "p", "precision", "base_coeffs", "top_coeffs", "sigma_pi")
-
-    def __init__(self, kind: str, p: int = None, precision: int = DEFAULT_PRECISION,
-                 base_coeffs: tuple = None, top_coeffs: tuple = None,
-                 sigma_pi: tuple = None):
-        self.kind = kind
-        self.p = p
-        self.precision = precision
-        self.base_coeffs = base_coeffs
-        self.top_coeffs = top_coeffs
-        self.sigma_pi = sigma_pi
-
-    def at_precision(self, precision: int) -> "ExtensionSpec":
-        """The same extension at another precision."""
-        return ExtensionSpec(self.kind, self.p, precision, self.base_coeffs,
-                             self.top_coeffs, self.sigma_pi)
 
 
 class ExtensionData:
@@ -93,13 +65,14 @@ class ExtensionData:
 
     sigma lives at the built precision N only; work above N (the ghost lift
     of Witt arithmetic, the saturated trace kernel) needs only the ring and
-    its trace, and takes ``tower.lift``.  ``spec`` is the spec as given, at
-    N.  Extensions compare and hash by identity, so the caches keyed on them
+    its trace, and takes ``tower.lift``.  ``spec`` is the build's own copy
+    of the spec dict, with ``precision`` set when the build was given one.
+    Extensions compare and hash by identity, so the caches keyed on them
     (the operator matrices of ``cohomology``) cost one pointer hash per
     lookup, and every build gets its own entries.
     """
 
-    def __init__(self, spec: ExtensionSpec, tower: Tower, sigma_pi: OLElement,
+    def __init__(self, spec: dict, tower: Tower, sigma_pi: OLElement,
                  sigma: tuple, t: int):
         self.spec = spec
         self.tower = tower
@@ -109,7 +82,7 @@ class ExtensionData:
 
     @property
     def name(self) -> str:
-        return self.spec.kind
+        return self.spec["kind"]
 
     @property
     def p(self) -> int:
@@ -142,41 +115,66 @@ class ExtensionData:
                 f"e_K={self.e_K}, t={self.t})")
 
 
-def _materialize(spec: ExtensionSpec) -> tuple:
-    """(p, base_coeffs, top_coeffs, sigma_pi) of ``spec``: the one place that
-    knows which fields each kind reads and which p it allows.  The rank and
-    the work are bounded before any coefficient is built."""
-    kind, p = spec.kind, spec.p
-    given = (spec.base_coeffs, spec.top_coeffs, spec.sigma_pi)
+def _materialize(spec: dict) -> tuple:
+    """(p, N, base_coeffs, top_coeffs, sigma_pi) of ``spec``: the one code
+    that reads a spec's fields.  First the document rules (a ``kind``, no
+    field outside SPEC_FIELDS, ints or decimal strings but no booleans,
+    ``e_K`` the length of ``E_K``), then the kind's fields and p.  The rank
+    and the work are bounded before any coefficient is built."""
+    if "kind" not in spec:
+        raise InvalidExtension("a spec needs a 'kind' field")
+    unknown = spec.keys() - SPEC_FIELDS
+    if unknown:
+        raise InvalidExtension(f"no spec reads field {', '.join(sorted(map(str, unknown)))}")
+    try:
+        p, e_K = (_parse_int(spec[k]) if k in spec else None for k in ("p", "e_K"))
+        N = _parse_int(spec.get("precision", DEFAULT_PRECISION))
+        base = tuple(map(_parse_int, spec["E_K"])) if "E_K" in spec else None
+        top, sigma = (tuple(tuple(map(_parse_int, row)) for row in spec[k])
+                      if k in spec else None for k in ("E_L", "sigma_pi"))
+    except (TypeError, ValueError) as exc:
+        raise InvalidExtension(f"malformed spec: {type(exc).__name__}: {exc}") from exc
+    if e_K is not None and (base is None or e_K != len(base)):
+        raise InvalidExtension("e_K is not the length of E_K")
+    kind, given = spec["kind"], (base, top, sigma)
     if kind == "custom":
         if p is None or None in given:
             raise InvalidExtension("custom extension needs p and the "
                                    "coefficients of E_K, E_L and sigma_pi")
         if p < 2:
             raise InvalidExtension(f"kind 'custom' has no p = {p}")
-        _check_cost(p, len(spec.base_coeffs), spec.precision)
-        return (p,) + given
+        _check_cost(p, len(base), N)
+        return (p, N) + given
     if kind not in BUILTIN_NAMES:
         raise InvalidExtension(f"unknown extension kind {kind!r}")
     if given != (None, None, None):
         raise InvalidExtension(f"kind {kind!r} reads no coefficient field")
     if kind == "quadratic-gaussian" and p in (None, 2):
-        return 2, (-2,), ((2,), (-2,)), ((2,), (-1,))
+        return 2, N, (-2,), ((2,), (-2,)), ((2,), (-1,))
     if kind == "quadratic-sqrt2" and p in (None, 2):
-        return 2, (-2,), ((-2,), (0,)), ((0,), (-1,))
+        return 2, N, (-2,), ((-2,), (0,)), ((0,), (-1,))
     if kind != "cyclotomic-step":
         raise InvalidExtension(f"kind {kind!r} has no p = {p}")
     p = 3 if p is None else p
     if p == 2 or not is_prime(p):
         raise InvalidExtension(f"cyclotomic-step requires an odd prime, got {p}")
-    _check_cost(p, p - 1, spec.precision)
+    _check_cost(p, p - 1, N)
     # E_K = ((y+1)^p - 1)/y, degree p-1; pi_K = zeta_p - 1
     base = tuple(math.comb(p, k) for k in range(1, p))
     # E_L = (x+1)^p - (1 + pi_K): constant term -pi_K, then binomials
     top = ((0, -1) + (0,) * (p - 3),) + tuple(
         (math.comb(p, k),) + (0,) * (p - 2) for k in range(1, p))
     # sigma(pi_L) = zeta_p (pi_L + 1) - 1 = pi_K + (1 + pi_K) pi_L
-    return p, base, top, ((0, 1), (1, 1))
+    return p, N, base, top, ((0, 1), (1, 1))
+
+
+def _parse_int(value) -> int:
+    # integers may arrive as decimal strings to sidestep word-size limits
+    if isinstance(value, str):
+        return int(value.strip(), 10)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer or decimal string, got {value!r}")
+    return value
 
 
 def _check_cost(p: int, e_K: int, N: int):
@@ -214,11 +212,14 @@ def _check_hilbert(tower: Tower, t: int):
 
 
 def build_extension(spec, precision: int = None) -> ExtensionData:
-    """Build and validate an extension from a spec or a built-in name.
+    """Build and validate an extension from a spec dict or a built-in name
+    (the spec ``{"kind": name}``).  The build keeps its own copy of the
+    spec, with ``precision`` set to the given one, if any.
 
-    The one place that refuses extension data.  Checks, in order: the kind
-    takes the spec's fields and p, the rank D = p * e_K is at most MAX_RANK
-    and the work D^2 * log10(p^N) at most MAX_WORK (``_materialize``); p^N
+    The one place that refuses extension data.  Checks, in order: the
+    spec's fields obey the document rules, and the kind takes its fields
+    and p; the rank D = p * e_K is at most MAX_RANK and the work
+    D^2 * log10(p^N) at most MAX_WORK (all in ``_materialize``); p^N
     has at most MAX_MODULUS_DIGITS decimal digits (ConfigError otherwise);
     both moduli are Eisenstein (``Tower``); sigma_pi is a root of E_L;
     sigma does not fix pi_L and sigma^p does; the conjugates
@@ -228,11 +229,11 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     not fix pi_L, so the difference is nonzero at precision.
     """
     if isinstance(spec, str):
-        spec = ExtensionSpec(kind=spec)
-    if precision is not None:
-        spec = spec.at_precision(precision)
-    p, base_coeffs, top_coeffs, sigma_rows = _materialize(spec)
-    N = spec.precision
+        spec = {"kind": spec}
+    if not isinstance(spec, dict):
+        raise InvalidExtension(f"a spec is a JSON object, not {type(spec).__name__}")
+    spec = dict(spec) if precision is None else dict(spec, precision=precision)
+    p, N, base_coeffs, top_coeffs, sigma_rows = _materialize(spec)
     # p^N has floor(N log10 p) + 1 digits; p^N itself is never formed here
     if N * math.log10(p) >= MAX_MODULUS_DIGITS:
         raise ConfigError(
@@ -275,58 +276,17 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
 # -- extension spec files ---------------------------------------------------
 
 
-def _parse_int(value) -> int:
-    # integers may arrive as decimal strings to sidestep word-size limits
-    if isinstance(value, bool):
-        raise InvalidExtension("booleans are not valid integers in spec files")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return int(value.strip(), 10)
-    raise InvalidExtension(f"expected an integer or decimal string, got {value!r}")
-
-
-def _parse_int_list(values) -> tuple:
-    return tuple(_parse_int(v) for v in values)
-
-
-def load_spec_file(path) -> ExtensionSpec:
-    """Load an extension spec from a JSON document.
-
-    Required field: ``kind``.  Optional: ``p``, ``precision``.  For
-    ``kind="custom"``: ``e_K``, ``E_K`` (list of integers, low to high,
-    without the leading 1), ``E_L`` (list of O_K coordinate lists) and
-    ``sigma_pi`` (list of O_K coordinate lists).  Integers may be written
-    as decimal strings.  A document that is not JSON, holds a field outside
-    these seven, an ``e_K`` other than the length of ``E_K`` or a value of
-    the wrong shape raises InvalidExtension here; a field or ``p`` its kind
-    does not take raises it when the spec is built.
-    """
+def load_spec_file(path) -> dict:
+    """The spec in a JSON spec file, as it stands: InvalidExtension if it
+    is not JSON.  ``build_extension`` checks it as any spec made in code."""
     import json  # only spec files need it
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return _spec_from_document(json.load(fh), path)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            return json.load(fh)
+        except ValueError as exc:
             raise InvalidExtension(
                 f"malformed spec file {path}: {type(exc).__name__}: {exc}") from exc
-
-
-def _spec_from_document(doc, path) -> ExtensionSpec:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise InvalidExtension(f"spec file {path} lacks a 'kind' field")
-    unknown = set(doc) - {"kind", "p", "precision", "e_K", "E_K", "E_L", "sigma_pi"}
-    if unknown:
-        raise InvalidExtension(
-            f"spec file {path}: no spec reads field {', '.join(sorted(unknown))}")
-    base = _parse_int_list(doc["E_K"]) if "E_K" in doc else None
-    if "e_K" in doc and (base is None or _parse_int(doc["e_K"]) != len(base)):
-        raise InvalidExtension(f"spec file {path}: e_K is not the length of E_K")
-    top, sigma = (tuple(_parse_int_list(row) for row in doc[k]) if k in doc else None
-                  for k in ("E_L", "sigma_pi"))
-    return ExtensionSpec(doc["kind"], _parse_int(doc["p"]) if "p" in doc else None,
-                         _parse_int(doc.get("precision", DEFAULT_PRECISION)),
-                         base, top, sigma)
 
 
 def resolve_extension(name_or_path: str, precision: int = None) -> ExtensionData:

@@ -9,6 +9,9 @@ to an element, the order of a Howell span, the Witt vector constructors and
 maps, and the cascade checks on a vector that is first certified
 trace-zero.  Every check raises as it did
 in the package.
+
+It also holds the spec documents that several test modules share: the t=4
+tower, the custom sqrt2 document and the table of refused specs.
 """
 
 from functools import lru_cache
@@ -19,6 +22,55 @@ from wittram.extensions import ExtensionData, build_extension
 from wittram.linalg import HowellBasis, LinearMap
 from wittram.rings import OLElement, matvec, valuation_L
 from wittram.witt import WittVec, _from_ghost, _ghost, witt_trace
+
+# -- shared spec documents ----------------------------------------------------
+
+#: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
+T4_SPEC = {"kind": "custom", "p": 2, "E_K": [-2, 0], "E_L": [[0, -1], [0, 0]],
+           "sigma_pi": [[0, 0], [-1, 0]]}
+
+#: ``quadratic-sqrt2`` spelled as a custom document
+SQRT2_DOC = {"kind": "custom", "p": 2, "e_K": 1, "E_K": [-2],
+             "E_L": [[-2], [0]], "sigma_pi": [[0], [-1]]}
+
+#: documents that ``build_extension`` refuses with InvalidExtension, and the
+#: text its message holds: from a spec file and in code alike
+REFUSED_SPECS = {
+    "missing-E_L": ({k: v for k, v in SQRT2_DOC.items() if k != "E_L"},
+                    "needs p and the coefficients"),
+    "custom-without-p": ({k: v for k, v in SQRT2_DOC.items() if k != "p"}, "needs p"),
+    "precision-not-an-int": (dict(SQRT2_DOC, precision="x"), "ValueError"),
+    "E_L-not-a-list": (dict(SQRT2_DOC, E_L=5), "TypeError"),
+    "boolean-coefficient": (dict(SQRT2_DOC, sigma_pi=[[False], [-1]]),
+                            "got False"),
+    "float-p": ({"kind": "cyclotomic-step", "p": 3.0}, "got 3.0"),
+    "not-an-object": ([["kind", "custom"]], "a spec is a JSON object"),
+    "without-kind": ({"p": 2}, "needs a 'kind' field"),
+    # documents that would build another extension than they say, or carry
+    # a field their kind does not read
+    "gaussian-at-p5": ({"kind": "quadratic-gaussian", "p": 5}, "has no p = 5"),
+    "sqrt2-at-p3": ({"kind": "quadratic-sqrt2", "p": 3}, "has no p = 3"),
+    "cyclotomic-at-p0": ({"kind": "cyclotomic-step", "p": 0}, "odd prime, got 0"),
+    "cyclotomic-at-p1": ({"kind": "cyclotomic-step", "p": 1}, "odd prime, got 1"),
+    "sqrt2-with-E_K": ({"kind": "quadratic-sqrt2", "E_K": [3]}, "reads no coefficient"),
+    "sqrt2-with-sigma_pi": ({"kind": "quadratic-sqrt2", "sigma_pi": [[1], [1]]},
+                            "reads no coefficient"),
+    "cyclotomic-with-E_K": ({"kind": "cyclotomic-step", "p": 3, "E_K": [1]},
+                            "reads no coefficient"),
+    "cyclotomic-with-custom-fields": (
+        {"kind": "cyclotomic-step", "p": 5, "sigma_pi": [[1]], "e_K": 9},
+        "e_K is not the length of E_K"),
+    "custom-with-bogus": (dict(SQRT2_DOC, bogus=1), "no spec reads field bogus"),
+    "custom-at-p0": (dict(SQRT2_DOC, p=0), "has no p = 0"),
+}
+
+
+def spec_id(value):
+    """A test id for a spec dict: its kind and p."""
+    if isinstance(value, dict):
+        return f"{value['kind']}{value.get('p') or ''}"
+    return None
+
 
 # -- extensions ---------------------------------------------------------------
 

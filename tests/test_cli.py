@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 import wittram
 from wittram import cli, cohomology, extensions, harness, universal
 from wittram.cli import main
-from wittram.errors import ConfigError, IntegralityError, NoSolution
+from wittram.errors import ConfigError, IntegralityError, NoSolution, WittramError
 from wittram.extensions import MAX_RANK, MAX_WORK, ExtensionData, build_extension
 from wittram.harness import SUITE_ORDER, RunConfig, run
 from wittram.report import emit_report
+
+from oracles import REFUSED_SPECS, SQRT2_DOC
 
 
 def test_witt_poly_golden_z(capsys):
@@ -150,6 +152,30 @@ def test_unknown_extension_exits_2(capsys):
 def test_requires_exactly_one_extension_source(capsys):
     assert main(["verify"]) == 2
     assert main(["verify", "--extension", "a", "--spec-file", "b"]) == 2
+
+
+def test_spec_file_named_like_a_built_in_is_read_as_a_file(tmp_path, capsys,
+                                                          monkeypatch):
+    # --spec-file always reads the file, even one named like a built-in
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "quadratic-sqrt2").write_text(json.dumps(
+        {"kind": "cyclotomic-step", "p": 5, "precision": 20}), encoding="utf-8")
+    assert main(["extension-info", "--spec-file", "quadratic-sqrt2"]) == 0
+    out = capsys.readouterr().out
+    assert "extension: cyclotomic-step\np: 5\n" in out and "precision: 20\n" in out
+    assert main(["verify", "--spec-file", "quadratic-sqrt2", "--suites", "h1",
+                 "--format", "json"]) == 0
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    assert (suite["extension"], suite["params"]["N"]) == ("cyclotomic-step", 20)
+
+
+@pytest.mark.parametrize("command", ["verify", "extension-info"])
+def test_extension_flag_takes_a_built_in_name_only(capsys, command):
+    # --extension never reads a spec file, not even an existing one
+    cyclo7 = os.path.join(os.path.dirname(__file__), "..", "wittbench", "cyclo7.json")
+    assert os.path.exists(cyclo7)
+    assert main([command, "--extension", cyclo7]) == 2
+    _assert_one_error_line(capsys)
 
 
 def test_guard_violation_exits_2(capsys):
@@ -451,36 +477,25 @@ def test_run_config_roundtrip_without_cli():
     assert csv_text.splitlines()[0].startswith("suite,extension")
 
 
-SQRT2_DOC = {"kind": "custom", "p": 2, "e_K": 1, "E_K": [-2],
-             "E_L": [[-2], [0]], "sigma_pi": [[0], [-1]]}
-BAD_SPECS = {
-    "missing-E_L": json.dumps({k: v for k, v in SQRT2_DOC.items() if k != "E_L"}),
-    "bad-json": "{\"kind\": \"custom\",",
-    "precision-not-an-int": json.dumps(dict(SQRT2_DOC, precision="x")),
-    "E_L-not-a-list": json.dumps(dict(SQRT2_DOC, E_L=5)),
-    # documents that would build another extension than they say, or carry
-    # a field their kind does not read
-    "gaussian-at-p5": json.dumps({"kind": "quadratic-gaussian", "p": 5}),
-    "sqrt2-at-p3": json.dumps({"kind": "quadratic-sqrt2", "p": 3}),
-    "cyclotomic-at-p0": json.dumps({"kind": "cyclotomic-step", "p": 0}),
-    "cyclotomic-at-p1": json.dumps({"kind": "cyclotomic-step", "p": 1}),
-    "sqrt2-with-E_K": json.dumps({"kind": "quadratic-sqrt2", "E_K": [3]}),
-    "cyclotomic-with-custom-fields": json.dumps(
-        {"kind": "cyclotomic-step", "p": 5, "sigma_pi": [[1]], "e_K": 9}),
-    "custom-with-bogus": json.dumps(dict(SQRT2_DOC, bogus=1)),
-    "custom-at-p0": json.dumps(dict(SQRT2_DOC, p=0)),
-}
+#: the spec-file text of each refused document, and of one that is no JSON
+BAD_SPEC_FILES = {defect: (json.dumps(doc), message)
+                  for defect, (doc, message) in REFUSED_SPECS.items()}
+BAD_SPEC_FILES["bad-json"] = ("{\"kind\": \"custom\",", "malformed spec file")
 
 
 @pytest.mark.parametrize("command", ["verify", "extension-info"])
-@pytest.mark.parametrize("defect", sorted(BAD_SPECS))
+@pytest.mark.parametrize("defect", sorted(BAD_SPEC_FILES))
 def test_malformed_spec_file_exits_2(tmp_path, capsys, command, defect):
+    # the same table is refused in code in
+    # tests/test_extensions.py::test_spec_made_in_code_is_refused_like_its_document
+    text, message = BAD_SPEC_FILES[defect]
     path = tmp_path / "spec.json"
-    path.write_text(BAD_SPECS[defect], encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     assert main([command, "--spec-file", str(path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("command", ["verify", "extension-info"])
@@ -560,7 +575,13 @@ _SPEC_LISTS = st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
               "E_L": [[-2], [0]], "sigma_pi": [[0], [-1]]})
 def test_spec_document_fuzz_exit_codes(tmp_path_factory, doc):
     # whatever the document holds, both commands end with a documented exit
-    # code and at most one line on stderr, never with an escaping exception
+    # code and at most one line on stderr, never with an escaping exception;
+    # the same dict made in code builds or raises a WittramError, never
+    # another exception
+    try:
+        build_extension(doc)
+    except WittramError:
+        pass
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     for argv in (["extension-info", "--spec-file", str(path)],

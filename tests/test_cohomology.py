@@ -26,7 +26,6 @@ from wittram.cohomology import (
 from wittram.errors import NoSolution, VerificationError
 from wittram.extensions import (
     ExtensionData,
-    ExtensionSpec,
     build_extension,
 )
 from wittram.linalg import LinearMap, howell_form, quotient_invariants
@@ -35,9 +34,11 @@ from wittram.rings import Tower, matvec
 from wittram.witt import WittVec, witt_add, witt_trace
 
 from oracles import (
+    T4_SPEC,
     apply_map,
     apply_sigma,
     order_exponent,
+    spec_id,
     teichmuller,
     uniform_element,
     verify_cascade,
@@ -112,7 +113,7 @@ def test_solve_zero_accepted(sqrt2):
 def presented_maps(all_extensions):
     """Every operator of the built-ins and of cyclotomic-step at p = 5 and
     p = 7, at the working precision N and built again at N + 4."""
-    exts = list(all_extensions) + [build_extension(ExtensionSpec("cyclotomic-step", p=p))
+    exts = list(all_extensions) + [build_extension({"kind": "cyclotomic-step", "p": p})
                                    for p in (5, 7)]
     exts += [build_extension(ext.spec, ext.N + 4) for ext in exts]
     return [(ext, which) for ext in exts for which in ("trace", "sigma-minus-one")]
@@ -152,8 +153,8 @@ def test_trace_image_exponents(gaussian, sqrt2, cyclo):
     # oracle
     assert [trace_index_exponent(ext) for ext in (sqrt2, gaussian, cyclo)] == [1, 1, 2]
     others = [build_extension(spec, precision=48) for spec in (
-        T4_SPEC, ExtensionSpec("cyclotomic-step", p=5),
-        ExtensionSpec("cyclotomic-step", p=7))]
+        T4_SPEC, {"kind": "cyclotomic-step", "p": 5},
+        {"kind": "cyclotomic-step", "p": 7})]
     for ext in (gaussian, sqrt2, cyclo, *others):
         assert trace_index_exponent(ext) == (ext.t + 1) * (ext.p - 1) // ext.p
 
@@ -165,17 +166,6 @@ def test_trace_image_sqrt2_is_two_z2(sqrt2):
 
 
 # -- saturated kernel --------------------------------------------------------------------
-
-
-#: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
-T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
-                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
-
-
-def _spec_id(value):
-    if isinstance(value, ExtensionSpec):
-        return f"{value.kind}{value.p or ''}"
-    return None
 
 
 def test_saturation_removes_spurious_elements(sqrt2):
@@ -198,11 +188,11 @@ def test_saturated_kernel_is_exact_kernel_gaussian(gaussian):
 
 
 @pytest.mark.parametrize("spec,precision", [
-    (ExtensionSpec("quadratic-gaussian"), 48),
-    (ExtensionSpec("quadratic-gaussian"), 6),
-    (ExtensionSpec("quadratic-sqrt2"), 32),
-] + [(ExtensionSpec("cyclotomic-step", p=p), 32) for p in (3, 5, 7)]
-  + [(T4_SPEC, 48), (T4_SPEC, 12)], ids=_spec_id)
+    ({"kind": "quadratic-gaussian"}, 48),
+    ({"kind": "quadratic-gaussian"}, 6),
+    ({"kind": "quadratic-sqrt2"}, 32),
+] + [({"kind": "cyclotomic-step", "p": p}, 32) for p in (3, 5, 7)]
+  + [(T4_SPEC, 48), (T4_SPEC, 12)], ids=spec_id)
 def test_one_extra_digit_saturates_the_trace_kernel(spec, precision):
     # tr(1) = p: the kernel mod p^(N+1) projects onto the exact kernel K mod
     # p^N, so every lift above N gives the same rows, and the spurious part
@@ -257,7 +247,7 @@ def test_trace_valuation_suite_product_count_at_p7(monkeypatch):
     # per trial: a^7 and tr(a)^7 by square-and-multiply (4 products each)
     # and one product with pi_L^k from the shift table.  The tower's trace
     # matrix is built first.
-    ext = build_extension(ExtensionSpec("cyclotomic-step", p=7))
+    ext = build_extension({"kind": "cyclotomic-step", "p": 7})
     ext.trace(ext.tower.pi_L)
     calls = []
     flat_mul = Tower.flat_mul
@@ -383,7 +373,7 @@ def test_cascade_levels_at_the_precision_horizon():
     # built without the harness guard, so that the horizon is reached: at
     # cyclotomic-step p = 5, N = 3 the horizon N e_L = 60 lies below the
     # cap p t (p-1) = 80, at gaussian N = 3 (horizon 6) above the cap 2
-    cyclo5 = build_extension(ExtensionSpec("cyclotomic-step", p=5), precision=3)
+    cyclo5 = build_extension({"kind": "cyclotomic-step", "p": 5}, precision=3)
     t = cyclo5.tower
     assert (t.horizon_L, cyclo5.p * cyclo5.t * (cyclo5.p - 1)) == (60, 80)
 
@@ -411,7 +401,7 @@ def test_trace_valuation_skips_at_the_precision_horizon():
     expected = {("cyclotomic-step", 5): [(60, 0), (60, 46)],
                 ("quadratic-gaussian", 2): [(60, 1), (60, 36)]}
     for (kind, p), counts in expected.items():
-        ext = build_extension(ExtensionSpec(kind, p=p), precision=3)
+        ext = build_extension({"kind": kind, "p": p}, precision=3)
         record = verify_trace_valuations(ext, trials=60, seed=0)
         assert record.status == "pass"
         assert [(c.trials, c.skipped) for c in record.checks] == counts
@@ -515,13 +505,13 @@ def test_h1_order_matches_independent_index(all_extensions):
 
 
 @pytest.mark.parametrize("spec,precision", [
-    (ExtensionSpec(kind), N) for kind in ("quadratic-gaussian", "quadratic-sqrt2")
+    ({"kind": kind}, N) for kind in ("quadratic-gaussian", "quadratic-sqrt2")
     for N in (8, 48)
 ] + [
-    (ExtensionSpec("cyclotomic-step", p=3), 6),
-    (ExtensionSpec("cyclotomic-step", p=3), 32),
-    (ExtensionSpec("cyclotomic-step", p=5), 32),
-] + [(T4_SPEC, N) for N in (5, 32, 48)], ids=_spec_id)
+    ({"kind": "cyclotomic-step", "p": 3}, 6),
+    ({"kind": "cyclotomic-step", "p": 3}, 32),
+    ({"kind": "cyclotomic-step", "p": 5}, 32),
+] + [(T4_SPEC, N) for N in (5, 32, 48)], ids=spec_id)
 def test_h1_matches_the_saturated_kernel_quotient(spec, precision):
     # oracle: H^1 as the quotient of the saturated trace kernel by the
     # coboundaries, two presented submodules instead of coker(sigma-1); and
@@ -537,11 +527,11 @@ def test_h1_matches_the_saturated_kernel_quotient(spec, precision):
 
 
 @pytest.mark.parametrize("spec,precision", [
-    (ExtensionSpec(kind), N) for kind in ("quadratic-gaussian", "quadratic-sqrt2")
+    ({"kind": kind}, N) for kind in ("quadratic-gaussian", "quadratic-sqrt2")
     for N in (32, 36)
 ] + [
-    (ExtensionSpec("cyclotomic-step", p=p), N) for p in (3, 5, 7) for N in (32, 36)
-] + [(T4_SPEC, N) for N in (48, 52)], ids=_spec_id)
+    ({"kind": "cyclotomic-step", "p": p}, N) for p in (3, 5, 7) for N in (32, 36)
+] + [(T4_SPEC, N) for N in (48, 52)], ids=spec_id)
 def test_trace_index_is_read_off_one_smith_form(spec, precision):
     # oracle: the order of the Howell basis of the trace image
     ext = build_extension(spec, precision=precision)
@@ -589,13 +579,13 @@ def _mutate_sigma_minus_one(monkeypatch, mutate):
     monkeypatch.setattr(cohomology, "linear_map_of", mutated)
 
 
-MUTATED_SPECS = [ExtensionSpec("quadratic-gaussian"),
-                 ExtensionSpec("quadratic-sqrt2"),
-                 ExtensionSpec("cyclotomic-step", p=3),
-                 ExtensionSpec("cyclotomic-step", p=5)]
+MUTATED_SPECS = [{"kind": "quadratic-gaussian"},
+                 {"kind": "quadratic-sqrt2"},
+                 {"kind": "cyclotomic-step", "p": 3},
+                 {"kind": "cyclotomic-step", "p": 5}]
 
 
-@pytest.mark.parametrize("spec", MUTATED_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("spec", MUTATED_SPECS, ids=spec_id)
 def test_h1_count_check_catches_a_dropped_coboundary(monkeypatch, spec):
     # sigma fixes O_K, so the first e_K columns of sigma-1 are zero already;
     # dropping any other column leaves one more free factor p^N
@@ -612,7 +602,7 @@ def test_h1_count_check_catches_a_dropped_coboundary(monkeypatch, spec):
                 h1_level1(ext)
 
 
-@pytest.mark.parametrize("spec", MUTATED_SPECS[:3], ids=_spec_id)
+@pytest.mark.parametrize("spec", MUTATED_SPECS[:3], ids=spec_id)
 def test_h1_trace_check_catches_a_coboundary_off_the_kernel(monkeypatch, spec):
     # adding 1 to a column adds tr(1) = p to its trace
     ext = build_extension(spec)

@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ from wittram.extensions import (
     BUILTIN_NAMES,
     MAX_RANK,
     MAX_WORK,
-    ExtensionSpec,
+    SPEC_FIELDS,
     _check_hilbert,
     build_extension,
     load_spec_file,
@@ -25,7 +27,15 @@ from wittram.extensions import (
 )
 from wittram.rings import valuation_L
 
-from oracles import conjugates, ramification_break, sigma_basis
+from oracles import (
+    REFUSED_SPECS,
+    SQRT2_DOC,
+    T4_SPEC,
+    conjugates,
+    ramification_break,
+    sigma_basis,
+    spec_id,
+)
 
 
 # -- built-ins -------------------------------------------------------------------
@@ -44,20 +54,16 @@ def test_sqrt2_break(sqrt2):
     assert sqrt2.t == 2
 
 
-#: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
-T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
-                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
-
-NEWTON_CASES = [(ExtensionSpec(kind), 32) for kind in BUILTIN_NAMES] + [
-    (ExtensionSpec("cyclotomic-step", p=5), 32),
-    (ExtensionSpec("cyclotomic-step", p=7), 32),
+NEWTON_CASES = [({"kind": kind}, 32) for kind in BUILTIN_NAMES] + [
+    ({"kind": "cyclotomic-step", "p": 5}, 32),
+    ({"kind": "cyclotomic-step", "p": 7}, 32),
     (T4_SPEC, 48),
 ]
 
 
 @pytest.mark.parametrize("spec,precision,margin", [
     (spec, N, margin) for spec, N in NEWTON_CASES for margin in (0, 4)],
-    ids=lambda v: f"{v.kind}{v.p or ''}" if isinstance(v, ExtensionSpec) else None)
+    ids=spec_id)
 def test_newton_trace_matrix_is_the_sum_of_the_conjugates(spec, precision, margin):
     # oracle: column c is sum_i sigma^i of the c-th basis monomial, by
     # matrix-vector products with sigma; each sum vanishes outside O_K
@@ -75,7 +81,7 @@ def test_newton_trace_matrix_is_the_sum_of_the_conjugates(spec, precision, margi
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_cyclotomic_sigma_is_the_binomial_power(p):
     # sigma(zeta_{p^2}) = zeta_{p^2}^(p+1), with zeta_{p^2} = pi_L + 1
-    ext = build_extension(ExtensionSpec("cyclotomic-step", p=p))
+    ext = build_extension({"kind": "cyclotomic-step", "p": p})
     one = ext.tower.one_ol
     assert ext.sigma_pi == (ext.tower.pi_L + one) ** (p + 1) - one
 
@@ -116,35 +122,26 @@ def test_sigma_has_order_p(all_extensions):
 
 
 def test_custom_matches_builtin():
-    spec = ExtensionSpec(kind="custom", p=2, precision=32,
-                         base_coeffs=(-2,), top_coeffs=((-2,), (0,)),
-                         sigma_pi=((0,), (-1,)))
-    ext = build_extension(spec)
+    ext = build_extension(dict(SQRT2_DOC, precision=32))
     ref = build_extension("quadratic-sqrt2")
     assert ext.t == ref.t == 2
     assert ext.sigma_pi.coeffs == ref.sigma_pi.coeffs
 
 
 def test_custom_not_eisenstein():
-    spec = ExtensionSpec(kind="custom", p=2, precision=16,
-                         base_coeffs=(-2,), top_coeffs=((-3,), (0,)),
-                         sigma_pi=((0,), (-1,)))
+    spec = dict(SQRT2_DOC, precision=16, E_L=[[-3], [0]])
     with pytest.raises(NotEisenstein):
         build_extension(spec)
 
 
 def test_custom_sigma_not_a_root():
-    spec = ExtensionSpec(kind="custom", p=2, precision=16,
-                         base_coeffs=(-2,), top_coeffs=((-2,), (0,)),
-                         sigma_pi=((1,), (1,)))  # 1 + pi is no conjugate
+    spec = dict(SQRT2_DOC, precision=16, sigma_pi=[[1], [1]])  # 1 + pi is no conjugate
     with pytest.raises(SigmaNotARoot):
         build_extension(spec)
 
 
 def test_custom_sigma_trivial_order():
-    spec = ExtensionSpec(kind="custom", p=2, precision=16,
-                         base_coeffs=(-2,), top_coeffs=((-2,), (0,)),
-                         sigma_pi=((0,), (1,)))  # sigma = identity
+    spec = dict(SQRT2_DOC, precision=16, sigma_pi=[[0], [1]])  # sigma = identity
     with pytest.raises(SigmaWrongOrder):
         build_extension(spec)
 
@@ -153,9 +150,7 @@ def test_custom_sigma_whose_conjugates_miss_the_trace():
     # at N = 3, sigma(pi_L) = 3 pi_L is a root of x^2 - 2 (9*2 - 2 = 16) and
     # sigma^2 fixes pi_L (9 = 1 mod 8), and t = v_L(2 pi_L) - 1 = 2 meets
     # Hilbert's formula; but pi_L + 3 pi_L = 4 pi_L is not tr(pi_L) = 0
-    spec = ExtensionSpec(kind="custom", p=2, precision=3,
-                         base_coeffs=(-2,), top_coeffs=((-2,), (0,)),
-                         sigma_pi=((0,), (3,)))
+    spec = dict(SQRT2_DOC, precision=3, sigma_pi=[[0], [3]])
     with pytest.raises(InvalidExtension, match="conjugates of pi_L do not sum"):
         build_extension(spec)
 
@@ -164,7 +159,7 @@ def test_hilbert_formula_refuses_a_break_off_by_one():
     # v_L(E_L'(pi_L)) = (t+1)(p-1) pins t: the true break passes, and t - 1
     # and t + 1 are refused on every built-in and the t=4 spec
     refused = 0
-    for spec in [ExtensionSpec(kind) for kind in BUILTIN_NAMES] + [T4_SPEC]:
+    for spec in [{"kind": kind} for kind in BUILTIN_NAMES] + [T4_SPEC]:
         ext = build_extension(spec, precision=48)
         _check_hilbert(ext.tower, ext.t)
         for t in (ext.t - 1, ext.t + 1):
@@ -175,11 +170,11 @@ def test_hilbert_formula_refuses_a_break_off_by_one():
 
 
 @pytest.mark.parametrize("spec,precisions,t", [
-    (ExtensionSpec("quadratic-gaussian"), range(2, 41), 1),
-    (ExtensionSpec("quadratic-sqrt2"), range(2, 41), 2),
-    (ExtensionSpec("cyclotomic-step", p=3), (2, 3, 32), 2),
-    (ExtensionSpec("cyclotomic-step", p=5), (2, 3, 32), 4),
-    (ExtensionSpec("cyclotomic-step", p=7), (2, 3, 32), 6),
+    ({"kind": "quadratic-gaussian"}, range(2, 41), 1),
+    ({"kind": "quadratic-sqrt2"}, range(2, 41), 2),
+    ({"kind": "cyclotomic-step", "p": 3}, (2, 3, 32), 2),
+    ({"kind": "cyclotomic-step", "p": 5}, (2, 3, 32), 4),
+    ({"kind": "cyclotomic-step", "p": 7}, (2, 3, 32), 6),
     (T4_SPEC, (3, 4, 48, 52), 4),
 ], ids=["gaussian", "sqrt2", "cyclotomic3", "cyclotomic5", "cyclotomic7", "t4"])
 def test_hilbert_formula_holds_at_every_precision(spec, precisions, t):
@@ -207,57 +202,62 @@ def test_rebuild_at_higher_precision(sqrt2):
 
 # -- one rule site: a spec made in code is checked as a spec file is ---------------
 
-SQRT2_DATA = dict(base_coeffs=(-2,), top_coeffs=((-2,), (0,)), sigma_pi=((0,), (-1,)))
-
-#: specs that ask for another extension than their kind builds, among them
-#: the per-kind documents of ``tests/test_cli.py::BAD_SPECS`` made in code
-REFUSED_SPECS = {
-    "gaussian-at-p5": (ExtensionSpec("quadratic-gaussian", p=5), "has no p = 5"),
-    "cyclotomic-at-p0": (ExtensionSpec("cyclotomic-step", p=0), "odd prime, got 0"),
-    "cyclotomic-with-base_coeffs": (
-        ExtensionSpec("cyclotomic-step", p=3, base_coeffs=(1,)), "reads no coefficient"),
-    "sqrt2-with-sigma_pi": (
-        ExtensionSpec("quadratic-sqrt2", sigma_pi=((1,), (1,))), "reads no coefficient"),
-    "sqrt2-at-p3": (ExtensionSpec("quadratic-sqrt2", p=3), "has no p = 3"),
-    "cyclotomic-at-p1": (ExtensionSpec("cyclotomic-step", p=1), "odd prime, got 1"),
-    "sqrt2-with-E_K": (
-        ExtensionSpec("quadratic-sqrt2", base_coeffs=(3,)), "reads no coefficient"),
-    "custom-at-p0": (ExtensionSpec("custom", p=0, **SQRT2_DATA), "has no p = 0"),
-    "custom-without-p": (ExtensionSpec("custom", **SQRT2_DATA), "needs p"),
-}
-
 
 @pytest.mark.parametrize("case", sorted(REFUSED_SPECS))
 def test_spec_made_in_code_is_refused_like_its_document(case):
+    # the same table runs through both commands from spec files in
+    # tests/test_cli.py::test_malformed_spec_file_exits_2
     spec, message = REFUSED_SPECS[case]
-    with pytest.raises(InvalidExtension, match=message):
+    with pytest.raises(InvalidExtension, match=re.escape(message)):
         build_extension(spec)
 
 
-@pytest.mark.parametrize("spec", [ExtensionSpec("quadratic-gaussian", p=2),
-                                  ExtensionSpec("cyclotomic-step"),
-                                  ExtensionSpec("custom", p=2, **SQRT2_DATA)],
-                         ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("spec", [{"kind": "quadratic-gaussian", "p": 2},
+                                  {"kind": "cyclotomic-step"},
+                                  SQRT2_DOC],
+                         ids=lambda spec: spec["kind"])
 def test_an_omitted_or_allowed_p_builds_what_the_spec_names(spec):
     ext = build_extension(spec)
-    assert ext.name == spec.kind
-    assert ext.p == (3 if spec.kind == "cyclotomic-step" else 2)
-    assert ext.spec.p == spec.p and ext.spec.base_coeffs == spec.base_coeffs
+    assert ext.name == spec["kind"]
+    assert ext.p == (3 if spec["kind"] == "cyclotomic-step" else 2)
+    assert ext.spec == spec and ext.spec is not spec
+
+
+def test_build_keeps_its_own_copy_of_the_spec():
+    # --precision is applied to the build's copy; the caller's dict is kept
+    spec = dict(SQRT2_DOC, p="2", precision=" 40 ")
+    ext = build_extension(spec, precision=24)
+    assert (ext.p, ext.N, ext.t) == (2, 24, 2)
+    assert spec["precision"] == " 40 " and ext.spec["precision"] == 24
+    spec["kind"] = "junk"
+    assert build_extension(ext.spec).t == 2
+
+
+def test_readme_spec_table_names_the_spec_fields():
+    # the README's table of spec fields names exactly the keys a spec may
+    # hold, and its first column exactly the kinds
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    rows = [line.split("|")[1:3] for line in readme.splitlines()
+            if line.startswith("| `")]
+    kinds = {k for row in rows for k in re.findall(r"`([^`]+)`", row[0])}
+    fields = {f for row in rows for f in re.findall(r"`([^`]+)`", row[1])}
+    assert kinds == set(BUILTIN_NAMES) | {"custom"}
+    assert fields == set(SPEC_FIELDS)
 
 
 def _sqrt_pi_K_spec(e_K):
     """K = Q_2(2^(1/e_K)), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: rank 2 e_K."""
-    return ExtensionSpec("custom", p=2, base_coeffs=(-2,) + (0,) * (e_K - 1),
-                         top_coeffs=((0, -1), (0,)), sigma_pi=((0,), (-1,)))
+    return {"kind": "custom", "p": 2, "E_K": [-2] + [0] * (e_K - 1),
+            "E_L": [[0, -1], [0]], "sigma_pi": [[0], [-1]]}
 
 
 def test_rank_bound_refuses_above_it_and_builds_up_to_it():
     # cyclotomic-step builds up to p = 13 (D = 156) and a custom tower at
     # D = MAX_RANK exactly; one more power of pi_K, or the next prime, is
     # refused by the rank rule
-    assert build_extension(ExtensionSpec("cyclotomic-step", p=13)).tower.dim == 156
+    assert build_extension({"kind": "cyclotomic-step", "p": 13}).tower.dim == 156
     assert build_extension(_sqrt_pi_K_spec(MAX_RANK // 2)).tower.dim == MAX_RANK
-    for spec, rank in ((ExtensionSpec("cyclotomic-step", p=17), "17\\*16 = 272"),
+    for spec, rank in (({"kind": "cyclotomic-step", "p": 17}, "17\\*16 = 272"),
                        (_sqrt_pi_K_spec(MAX_RANK // 2 + 1), f"2\\*{MAX_RANK // 2 + 1}")):
         message = f"D = p\\*e_K = {rank}.* bound {MAX_RANK}"
         with pytest.raises(ConfigError, match=message):
@@ -265,7 +265,7 @@ def test_rank_bound_refuses_above_it_and_builds_up_to_it():
 
 
 @pytest.mark.parametrize("spec,largest", [
-    (ExtensionSpec("cyclotomic-step", p=13), 36),
+    ({"kind": "cyclotomic-step", "p": 13}, 36),
     (_sqrt_pi_K_spec(MAX_RANK // 2), 129),
 ], ids=["cyclotomic-p13", "custom-rank-160"])
 def test_work_bound_refuses_one_above_the_largest_precision(spec, largest):
@@ -277,9 +277,9 @@ def test_work_bound_refuses_one_above_the_largest_precision(spec, largest):
         build_extension(spec, precision=largest + 1)
 
 
-@pytest.mark.parametrize("spec", [T4_SPEC, ExtensionSpec("cyclotomic-step", p=5),
-                                  ExtensionSpec("quadratic-sqrt2")],
-                         ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("spec", [T4_SPEC, {"kind": "cyclotomic-step", "p": 5},
+                                  {"kind": "quadratic-sqrt2"}],
+                         ids=lambda spec: spec["kind"])
 def test_twin_of_a_spec_made_in_code_is_a_fresh_build(spec):
     # the lifted tower is the ring of a fresh build at the same precision:
     # the same trace and the same products
@@ -367,7 +367,7 @@ def test_load_spec_file_roundtrip(tmp_path):
     path = tmp_path / "ext.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     spec = load_spec_file(path)
-    assert spec.precision == 24
+    assert spec == doc
     ext = build_extension(spec)
     assert ext.t == 2
     assert ext.N == 24
@@ -387,9 +387,11 @@ def test_resolve_builtin_by_name():
 
 
 def test_spec_file_rejects_mismatched_degree(tmp_path):
+    # the file is read as it stands; the build refuses its e_K
     doc = {"kind": "custom", "p": 2, "e_K": 2, "E_K": ["-2"],
            "E_L": [["-2"], ["0"]], "sigma_pi": [["0"], ["-1"]]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(InvalidExtension):
-        load_spec_file(path)
+    assert load_spec_file(path) == doc
+    with pytest.raises(InvalidExtension, match="e_K is not the length of E_K"):
+        resolve_extension(str(path))

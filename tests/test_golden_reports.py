@@ -14,14 +14,7 @@ import pytest
 from wittram.harness import RunConfig, run
 from wittram.report import emit_report
 
-SQRT2_SPEC = {
-    "kind": "custom",
-    "p": 2,
-    "e_K": 1,
-    "E_K": [-2],
-    "E_L": [[-2], [0]],
-    "sigma_pi": [[0], [-1]],
-}
+from oracles import SQRT2_DOC
 
 #: the suites that run at p = 5 and p = 7 without Witt arithmetic
 WIDE_SUITES = ("trace-lemmas", "h1", "negative-control")
@@ -47,7 +40,7 @@ GOLDEN = {
 def test_report_digest(extension, tmp_path, monkeypatch):
     # the spec path is echoed in the report, so it is kept relative
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "sqrt2.json").write_text(json.dumps(SQRT2_SPEC), encoding="utf-8")
+    (tmp_path / "sqrt2.json").write_text(json.dumps(SQRT2_DOC), encoding="utf-8")
     for p in (5, 7):
         (tmp_path / f"cyclo{p}.json").write_text(
             json.dumps({"kind": "cyclotomic-step", "p": p}), encoding="utf-8")

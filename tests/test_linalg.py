@@ -8,7 +8,7 @@ import pytest
 
 from wittram.cohomology import linear_map_of
 from wittram.errors import NoSolution
-from wittram.extensions import ExtensionSpec, build_extension
+from wittram.extensions import build_extension
 from wittram.linalg import (
     LinearMap,
     howell_form,
@@ -19,7 +19,7 @@ from wittram.linalg import (
 )
 from wittram.rings import matvec, padic_val
 
-from oracles import order_exponent
+from oracles import T4_SPEC, order_exponent
 
 
 def brute_span(rows, pN):
@@ -279,15 +279,10 @@ def _smith_min_reference(rows, p, N, width):
         out.append(p ** k)
 
 
-#: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
-T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
-                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
-
-
 @pytest.mark.parametrize("spec", [
-    ExtensionSpec("quadratic-gaussian"), ExtensionSpec("quadratic-sqrt2"),
-    ExtensionSpec("cyclotomic-step", p=3), ExtensionSpec("cyclotomic-step", p=5),
-    ExtensionSpec("cyclotomic-step", p=7), T4_SPEC,
+    {"kind": "quadratic-gaussian"}, {"kind": "quadratic-sqrt2"},
+    {"kind": "cyclotomic-step", "p": 3}, {"kind": "cyclotomic-step", "p": 5},
+    {"kind": "cyclotomic-step", "p": 7}, T4_SPEC,
 ], ids=["gaussian", "sqrt2", "cyclo3", "cyclo5", "cyclo7", "t4"])
 def test_unit_first_smith_matches_the_least_valuation_pivot(spec):
     ext = build_extension(spec)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wittram.cohomology import random_element
 from wittram.errors import InvalidExtension, NotEisenstein, PrecisionExhausted
-from wittram.extensions import ExtensionSpec, build_extension
+from wittram.extensions import build_extension
 from wittram.rings import (
     Tower,
     is_prime,
@@ -17,7 +17,7 @@ from wittram.rings import (
     valuation_L,
 )
 
-from oracles import conjugates, uniform_element
+from oracles import T4_SPEC, conjugates, uniform_element
 
 
 def random_shifted(ext, rng, shift):
@@ -85,7 +85,7 @@ def test_rejects_elements_of_foreign_tower(sqrt2, gaussian):
                                     ("cyclotomic-step", 3), ("cyclotomic-step", 5),
                                     ("cyclotomic-step", 7)])
 def test_structure_constants_oracle(kind, p):
-    ext = build_extension(ExtensionSpec(kind=kind, p=p))
+    ext = build_extension({"kind": kind, "p": p})
     t = ext.tower
     # both moduli vanish at their uniformizers (leading coefficients are 1)
     e_k = sum((c * t.pi_K ** j for j, c in enumerate(t.E_K)), t.pi_K ** t.e_K)
@@ -126,7 +126,7 @@ def shift_and_reduce(t, x, y):
                                     ("cyclotomic-step", 7)])
 @pytest.mark.parametrize("extra", [0, 2])
 def test_flat_mul_matches_shift_and_reduce(kind, p, extra):
-    base = build_extension(ExtensionSpec(kind=kind, p=p))
+    base = build_extension({"kind": kind, "p": p})
     _assert_flat_mul_matches_oracle(base.tower.lift(base.N + extra))
 
 
@@ -173,12 +173,6 @@ def dense_tower(p, e_K, zero_ks, seed, N=10):
     return Tower(p, N, base, top)
 
 
-# t = 4: K = Q_2(sqrt 2), L = K(sqrt pi_K); E_L = x^2 - pi_K folds pi_L^2 into
-# the pi_K column, so rows fold into the overflow columns of lower rows
-T4_SPEC = ExtensionSpec(kind="custom", p=2, base_coeffs=(-2, 0),
-                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
-
-
 @pytest.mark.parametrize("p,e_K,zero_ks", [(2, 1, ()), (2, 3, (1,)), (2, 4, ()),
                                            (3, 2, (2,)), (3, 4, (1,)), (5, 1, (2, 3)),
                                            (5, 3, (1, 4)), (5, 4, ())])
@@ -193,6 +187,8 @@ def test_staged_fold_matches_shift_and_reduce_on_dense_towers(p, e_K, zero_ks):
 
 @pytest.mark.parametrize("N", [32, 48])
 def test_staged_fold_matches_shift_and_reduce_on_t4_spec(N):
+    # t = 4: K = Q_2(sqrt 2), L = K(sqrt pi_K); E_L = x^2 - pi_K folds pi_L^2
+    # into the pi_K column, so rows fold into the overflow columns of lower rows
     ext = build_extension(T4_SPEC, precision=N)
     assert ext.t == 4
     _assert_flat_mul_matches_oracle(ext.tower)
@@ -205,7 +201,7 @@ def test_staged_fold_matches_shift_and_reduce_on_t4_spec(N):
                                             ("cyclotomic-step", 7, 642)])
 def test_staged_fold_entry_counts(kind, p, entries):
     # the fold's cost per product, pinned without timing
-    t = build_extension(ExtensionSpec(kind=kind, p=p)).tower
+    t = build_extension({"kind": kind, "p": p}).tower
     assert sum(len(targets) for _, targets in t._fold) == entries
 
 
@@ -213,7 +209,7 @@ def test_staged_fold_entry_counts(kind, p, entries):
                                     ("cyclotomic-step", 3), ("cyclotomic-step", 5),
                                     ("cyclotomic-step", 7)])
 def test_pi_L_power_table_matches_repeated_squaring(kind, p):
-    t = build_extension(ExtensionSpec(kind=kind, p=p)).tower
+    t = build_extension({"kind": kind, "p": p}).tower
     # every shift random_element draws, from a table built by pi_L shifts
     for k in range(2 * t.e_L):
         assert t.pi_L_power(k) == t.pi_L ** k
@@ -369,7 +365,7 @@ SMALL_PRECISION = [("quadratic-gaussian", 2, 2), ("quadratic-sqrt2", 2, 3),
 def test_valuations_below_the_horizon_are_exactly_the_nonzero_elements(kind, p, N):
     # the int encoding rests on this: v_L < horizon_L iff the element is
     # nonzero at precision, and v_K = v_L // p on O_K, horizon_K at zero
-    ext = build_extension(ExtensionSpec(kind=kind, p=p), precision=N)
+    ext = build_extension({"kind": kind, "p": p}, precision=N)
     t = ext.tower
     rng = random.Random(17)
     top = ext.p ** (N - 1)  # the least nonzero power of p at precision

@@ -22,21 +22,17 @@ from wittram.cohomology import (
     trace_kernel_saturated,
 )
 from wittram.errors import SamplingExhausted, VerificationError
-from wittram.extensions import ExtensionSpec, build_extension
+from wittram.extensions import build_extension
 from wittram.rings import matvec
 from wittram.witt import WittVec, frobenius_chain, ghost_level, witt_trace
 
-from oracles import conjugates, rebuilt
-
-#: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
-T4_SPEC = ExtensionSpec("custom", p=2, base_coeffs=(-2, 0),
-                        top_coeffs=((0, -1), (0, 0)), sigma_pi=((0, 0), (-1, 0)))
+from oracles import T4_SPEC, conjugates, rebuilt
 
 #: (extension, precision, largest m)
 EXTENSIONS = {
-    "gaussian": (ExtensionSpec("quadratic-gaussian"), 48, 4),
-    "sqrt2": (ExtensionSpec("quadratic-sqrt2"), 48, 3),
-    "cyclo3": (ExtensionSpec("cyclotomic-step", p=3), 32, 3),
+    "gaussian": ({"kind": "quadratic-gaussian"}, 48, 4),
+    "sqrt2": ({"kind": "quadratic-sqrt2"}, 48, 3),
+    "cyclo3": ({"kind": "cyclotomic-step", "p": 3}, 32, 3),
     "t4": (T4_SPEC, 48, 3),
 }
 
