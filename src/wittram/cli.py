@@ -25,6 +25,12 @@ from .rings import is_prime
 from .extensions import BUILTIN_NAMES, resolve_extension
 
 
+def _refuse(message):
+    """A parse error is a ConfigError, which ``main`` reports as any other:
+    one ``error:`` line, exit 2."""
+    raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wittram",
@@ -56,6 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("extension-info", help="print extension invariants")
     _extension_flags(info)
+    for cmd in (parser, *sub.choices.values()):
+        cmd.error = _refuse  # not argparse's usage block and exit
     return parser
 
 
@@ -148,9 +156,8 @@ def _cmd_extension_info(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "witt-poly":

@@ -13,20 +13,8 @@ class WittramError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotEisenstein(WittramError):
-    """A tower modulus fails the Eisenstein conditions."""
-
-
 class InvalidExtension(WittramError):
-    """Extension data is structurally inconsistent."""
-
-
-class SigmaNotARoot(InvalidExtension):
-    """The supplied Galois image of pi_L is not a root of the top modulus."""
-
-
-class SigmaWrongOrder(InvalidExtension):
-    """The supplied Galois action does not have order exactly p."""
+    """Extension data are refused; the one type of every such refusal."""
 
 
 class PrecisionExhausted(WittramError):

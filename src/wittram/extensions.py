@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigError, InvalidExtension, SigmaNotARoot, SigmaWrongOrder
+from .errors import ConfigError, InvalidExtension
 from .rings import OLElement, Tower, is_prime, matvec, valuation_L
 
 BUILTIN_NAMES = ("quadratic-gaussian", "quadratic-sqrt2", "cyclotomic-step")
@@ -61,7 +61,8 @@ class ExtensionData:
     ``tower.trace_matrix`` is the e_K x D matrix of tr: O_L -> O_K in the
     same convention, from E_L, and ``build_extension`` has checked that the
     conjugates of pi_L sum to its tr(pi_L).  Applying sigma and taking
-    traces are matrix-vector products.
+    traces are matrix-vector products; sigma(pi_L) is
+    ``apply_sigma(tower.pi_L)``, not kept apart.
 
     sigma lives at the built precision N only; work above N (the ghost lift
     of Witt arithmetic, the saturated trace kernel) needs only the ring and
@@ -72,11 +73,9 @@ class ExtensionData:
     lookup, and every build gets its own entries.
     """
 
-    def __init__(self, spec: dict, tower: Tower, sigma_pi: OLElement,
-                 sigma: tuple, t: int):
+    def __init__(self, spec: dict, tower: Tower, sigma: tuple, t: int):
         self.spec = spec
         self.tower = tower
-        self.sigma_pi = sigma_pi
         self.sigma = sigma
         self.t = t
 
@@ -118,9 +117,10 @@ class ExtensionData:
 def _materialize(spec: dict) -> tuple:
     """(p, N, base_coeffs, top_coeffs, sigma_pi) of ``spec``: the one code
     that reads a spec's fields.  First the document rules (a ``kind``, no
-    field outside SPEC_FIELDS, ints or decimal strings but no booleans,
-    ``e_K`` the length of ``E_K``), then the kind's fields and p.  The rank
-    and the work are bounded before any coefficient is built."""
+    field outside SPEC_FIELDS, a list or tuple (a JSON array) at every list
+    position, ints or decimal strings but no booleans, ``e_K`` the length
+    of ``E_K``), then the kind's fields and p.  The rank and the work are
+    bounded before any coefficient is built."""
     if "kind" not in spec:
         raise InvalidExtension("a spec needs a 'kind' field")
     unknown = spec.keys() - SPEC_FIELDS
@@ -129,9 +129,9 @@ def _materialize(spec: dict) -> tuple:
     try:
         p, e_K = (_parse_int(spec[k]) if k in spec else None for k in ("p", "e_K"))
         N = _parse_int(spec.get("precision", DEFAULT_PRECISION))
-        base = tuple(map(_parse_int, spec["E_K"])) if "E_K" in spec else None
-        top, sigma = (tuple(tuple(map(_parse_int, row)) for row in spec[k])
-                      if k in spec else None for k in ("E_L", "sigma_pi"))
+        base = _parse_list(spec["E_K"]) if "E_K" in spec else None
+        top, sigma = (_parse_list(spec[k], _parse_list) if k in spec else None
+                      for k in ("E_L", "sigma_pi"))
     except (TypeError, ValueError) as exc:
         raise InvalidExtension(f"malformed spec: {type(exc).__name__}: {exc}") from exc
     if e_K is not None and (base is None or e_K != len(base)):
@@ -175,6 +175,13 @@ def _parse_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer or decimal string, got {value!r}")
     return value
+
+
+def _parse_list(value, parse=_parse_int) -> tuple:
+    # a string or an object is iterable too, but no list of a spec
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(map(parse, value))
 
 
 def _check_cost(p: int, e_K: int, N: int):
@@ -247,7 +254,7 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     for c in reversed(tower.E_L):
         root = root * sigma_pi + c
     if not root.is_zero:
-        raise SigmaNotARoot("sigma(pi_L) is not a root of E_L at precision")
+        raise InvalidExtension("sigma(pi_L) is not a root of E_L at precision")
 
     powers = [tower.one_ol]
     for _ in range(p - 1):
@@ -257,9 +264,9 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     for _ in range(p):
         orbit.append(matvec(sigma, orbit[-1], tower.pN))
     if orbit[1] == orbit[0]:
-        raise SigmaWrongOrder("sigma fixes pi_L; the action is trivial")
+        raise InvalidExtension("sigma fixes pi_L; the action is trivial")
     if orbit[p] != orbit[0]:
-        raise SigmaWrongOrder("sigma^p does not fix pi_L at precision")
+        raise InvalidExtension("sigma^p does not fix pi_L at precision")
     # the conjugates of pi_L are the p roots of E_L
     conjugate_sum = tuple(sum(c) % tower.pN for c in zip(*orbit[:p]))
     if conjugate_sum != (-tower.E_L[-1]).coeffs:
@@ -269,8 +276,7 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     t = valuation_L(sigma_pi - tower.pi_L) - 1
     _check_hilbert(tower, t)
 
-    return ExtensionData(spec=spec, tower=tower, sigma_pi=sigma_pi, sigma=sigma,
-                         t=t)
+    return ExtensionData(spec=spec, tower=tower, sigma=sigma, t=t)
 
 
 # -- extension spec files ---------------------------------------------------
@@ -278,13 +284,14 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
 
 def load_spec_file(path) -> dict:
     """The spec in a JSON spec file, as it stands: InvalidExtension if it
-    is not JSON.  ``build_extension`` checks it as any spec made in code."""
+    is not JSON or nests too deeply to parse.  ``build_extension`` checks
+    it as any spec made in code."""
     import json  # only spec files need it
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidExtension(
                 f"malformed spec file {path}: {type(exc).__name__}: {exc}") from exc
 

@@ -29,15 +29,10 @@ class CheckResult:
     __slots__ = ("name", "status", "trials", "passes", "failures", "skipped",
                  "detail")
 
-    def __init__(self, name: str, status: str, trials: int = 0,
-                 passes: int = 0, failures: int = 0, skipped: int = 0,
-                 detail: dict = None):
+    def __init__(self, name: str, status: str, detail: dict = None):
         self.name = name
         self.status = status  # "pass" | "fail" | "skip" | "info"
-        self.trials = trials
-        self.passes = passes
-        self.failures = failures
-        self.skipped = skipped
+        self.trials = self.passes = self.failures = self.skipped = 0
         self.detail = {} if detail is None else detail
 
     def record(self, ok: bool, counterexample: dict = None) -> None:

@@ -55,7 +55,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import mul
 
-from .errors import NotEisenstein, PrecisionExhausted, InvalidExtension
+from .errors import PrecisionExhausted, InvalidExtension
 
 
 def padic_val(n: int, p: int) -> int:
@@ -142,9 +142,6 @@ class OLElement:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -180,9 +177,6 @@ class OLElement:
             return NotImplemented
         return self.coeffs == o.coeffs
 
-    def __hash__(self):
-        return hash((id(self.tower), self.coeffs))
-
     def __repr__(self):
         return f"OL{self.coeffs}"
 
@@ -192,10 +186,10 @@ class Tower:
 
     ``base_coeffs`` are the non-leading integer coefficients of E_K (length
     e_K) and ``top_coeffs`` the non-leading coefficients of E_L (length p),
-    each given as a coordinate list over O_K.  Both moduli are validated to
-    be Eisenstein; only at N = 1, where the constant term of E_K vanishes,
-    is that undecidable (PrecisionExhausted).  ``E_K`` keeps the integer
-    coefficients and ``E_L`` the coefficients as elements of O_K.
+    each given as a coordinate list over O_K.  Both moduli must be
+    Eisenstein (InvalidExtension); only at N = 1, where the constant term of
+    E_K vanishes, is that undecidable (PrecisionExhausted).  ``E_K`` keeps
+    the integer coefficients and ``E_L`` the coefficients as elements of O_K.
     """
 
     def __init__(self, p: int, N: int, base_coeffs, top_coeffs):
@@ -422,22 +416,22 @@ class Tower:
                             "constant term of E_K vanishes at precision N=1; "
                             "cannot certify Eisenstein"
                         )
-                    raise NotEisenstein("constant term of E_K has valuation > 1")
+                    raise InvalidExtension("constant term of E_K has valuation > 1")
                 continue
             v = padic_val(c, self.p)
             if v < 1:
-                raise NotEisenstein(f"coefficient {i} of E_K is a unit")
+                raise InvalidExtension(f"coefficient {i} of E_K is a unit")
             if i == 0 and v != 1:
-                raise NotEisenstein(f"constant term of E_K has valuation {v} != 1")
+                raise InvalidExtension(f"constant term of E_K has valuation {v} != 1")
         # E_K passed, so N >= 2 and a c_0 at the horizon N*e_K >= 2 is not
         # Eisenstein either; a higher coefficient there has valuation >= 1
         for i, c in enumerate(self.E_L):
             v = valuation_K(c)
             if v < 1:
-                raise NotEisenstein(f"coefficient {i} of E_L is a unit")
+                raise InvalidExtension(f"coefficient {i} of E_L is a unit")
             if i == 0 and v != 1:
                 at_least = "at least " if v == self.horizon_K else ""
-                raise NotEisenstein(
+                raise InvalidExtension(
                     f"constant term of E_L has valuation {at_least}{v} != 1")
 
 

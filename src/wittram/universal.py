@@ -285,9 +285,6 @@ class SymPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- substitution -----------------------------------------------------
 
     def substitute(self, table: dict) -> "SymPoly":

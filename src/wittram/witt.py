@@ -8,11 +8,13 @@ W_k are traced or added, and z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) /
 p^k is projected back to precision N.  O_L is free over Z_p, so p^k
 divides an element iff it divides every coordinate, which is checked
 (IntegralityError); z_k is exact modulo p^(N+m-k) >= p^N.  The tests
-compare this path with ``evaluate_poly`` of the universal polynomials.  ``verify`` calls neither ``witt_add`` nor
-``evaluate_poly``; they stay here because the benchmark tracer wraps them.
+compare this path with ``evaluate_poly``, the plain oracle.  ``verify``
+calls neither it nor ``witt_add``; the benchmark tracer wraps both.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .errors import IntegralityError, LengthMismatch
 from .rings import OLElement, Tower, matvec
@@ -48,44 +50,19 @@ class WittVec:
 
 
 def evaluate_poly(poly, assign: dict, ext) -> OLElement:
-    """Evaluate a ``universal.SymPoly`` (integer coefficients) at O_L values.
+    """Evaluate a ``universal.SymPoly`` (integer coefficients) at O_L values:
+    the plain oracle, the sum over the terms of the coefficient times the
+    product of ``assign[var] ** e`` over the factors of the monomial.
 
     ``assign`` maps variables (i, j) to O_L elements; every variable of the
-    polynomial must be assigned.  Each packed monomial is decoded once into
-    its ((i, j), e) factors, and the product runs in flat coordinates with
-    per-variable power tables, which keeps the inner loop free of element
-    allocation.  The symbolic layer is imported here, not with the module,
-    so that runs without symbolic work never load it.
+    polynomial must be assigned.  The symbolic layer is imported here, not
+    with the module, so that runs without symbolic work never load it.
     """
     from .universal import decode_monomial
 
-    tower = ext.tower
-    dim = tower.dim
-    flat_mul = tower.flat_mul
-    powers = {}
-
-    def power(var, e):
-        table = powers.get(var)
-        if table is None:
-            table = [None, assign[var].coeffs]
-            powers[var] = table
-        while len(table) <= e:
-            table.append(tuple(flat_mul(table[-1], table[1])))
-        return table[e]
-
-    total = [0] * dim
-    for mono, c in poly.terms.items():
-        vec = None
-        for var, e in decode_monomial(mono):
-            pv = power(var, e)
-            vec = pv if vec is None else flat_mul(vec, pv)
-        if vec is None:
-            total[0] += c  # constant term
-            continue
-        for k in range(dim):
-            if vec[k]:
-                total[k] += c * vec[k]
-    return tower.element(total)
+    one = ext.tower.one_ol
+    return sum((c * prod((assign[var] ** e for var, e in decode_monomial(mono)), start=one)
+                for mono, c in poly.terms.items()), start=ext.tower.zero_ol)
 
 
 def _check_compatible(a: WittVec, b: WittVec):

@@ -62,6 +62,38 @@ REFUSED_SPECS = {
         "e_K is not the length of E_K"),
     "custom-with-bogus": (dict(SQRT2_DOC, bogus=1), "no spec reads field bogus"),
     "custom-at-p0": (dict(SQRT2_DOC, p=0), "has no p = 0"),
+    "unknown-kind": ({"kind": "quartic"}, "unknown extension kind 'quartic'"),
+    # a string or an object is iterable, but no list of a spec
+    "E_L-rows-are-strings": (dict(SQRT2_DOC, E_L=["2", "0"]), "expected a list, got '2'"),
+    "E_K-an-object": (dict(SQRT2_DOC, E_K={"7": 1}), "expected a list, got {'7': 1}"),
+    # the tower's rules: p, N, the degrees and the Eisenstein conditions
+    "custom-at-p4": (dict(SQRT2_DOC, p=4), "p = 4 is not prime"),
+    # past the bound of the deterministic Miller-Rabin bases, and odd
+    "cyclotomic-at-uncertified-p": ({"kind": "cyclotomic-step", "p": 318665857834031151167461},
+                                    "cannot certify that p = 318665857834031151167461"),
+    "precision-0": (dict(SQRT2_DOC, precision=0), "precision N = 0 must be positive"),
+    "empty-E_K": ({k: v for k, v in SQRT2_DOC.items() if k != "e_K"} | {"E_K": []},
+                  "base modulus must have positive degree"),
+    "E_L-of-degree-p+1": (dict(SQRT2_DOC, E_L=[[-2], [0], [0]]),
+                          "top modulus must have degree p = 2, got 3"),
+    "unit-E_K-coefficient": (dict(SQRT2_DOC, E_K=[1]), "coefficient 0 of E_K is a unit"),
+    "E_K-constant-of-valuation-2": (dict(SQRT2_DOC, E_K=[-4]),
+                                    "constant term of E_K has valuation 2 != 1"),
+    "E_K-constant-0": (dict(SQRT2_DOC, E_K=[0]), "constant term of E_K has valuation > 1"),
+    "unit-E_L-coefficient": (dict(SQRT2_DOC, E_L=[[-2], [1]]),
+                             "coefficient 1 of E_L is a unit"),
+    "E_L-constant-of-valuation-2": (dict(SQRT2_DOC, E_L=[[-4], [0]]),
+                                    "constant term of E_L has valuation 2 != 1"),
+    # Galois data: sigma(pi_L) a root of E_L, sigma of order p, the conjugates
+    # summing to the trace
+    "sigma-not-a-root": (dict(SQRT2_DOC, sigma_pi=[[1], [1]]), "not a root of E_L"),
+    "sigma-identity": (dict(SQRT2_DOC, sigma_pi=[[0], [1]]), "sigma fixes pi_L"),
+    "sigma-of-order-not-p": ({"kind": "custom", "p": 3, "E_K": [-3], "E_L": [[-3], [0], [0]],
+                              "sigma_pi": [[0], [1], [1]], "precision": 2},
+                             "sigma^p does not fix pi_L"),
+    # at N = 3, 3 pi_L is a root of x^2 - 2 of order 2, but pi_L + 3 pi_L != 0
+    "conjugates-miss-the-trace": (dict(SQRT2_DOC, precision=3, sigma_pi=[[0], [3]]),
+                                  "conjugates of pi_L do not sum"),
 }
 
 

@@ -1,13 +1,16 @@
 """CLI behavior: exit codes, formats, golden polynomial output, determinism."""
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,12 +19,26 @@ from hypothesis import strategies as st
 import wittram
 from wittram import cli, cohomology, extensions, harness, universal
 from wittram.cli import main
-from wittram.errors import ConfigError, IntegralityError, NoSolution, WittramError
-from wittram.extensions import MAX_RANK, MAX_WORK, ExtensionData, build_extension
+from wittram.errors import (
+    ConfigError,
+    IntegralityError,
+    InvalidExtension,
+    NoSolution,
+    WittramError,
+)
+from wittram.extensions import (
+    MAX_RANK,
+    MAX_WORK,
+    ExtensionData,
+    build_extension,
+    resolve_extension,
+)
 from wittram.harness import SUITE_ORDER, RunConfig, run
 from wittram.report import emit_report
 
 from oracles import REFUSED_SPECS, SQRT2_DOC
+
+SRC = Path(wittram.__file__).resolve().parent
 
 
 def test_witt_poly_golden_z(capsys):
@@ -319,7 +336,7 @@ def test_sampler_runs_at_the_precision_ceiling(sources, capsys, suite):
 
 
 @pytest.mark.parametrize("flag,value", [("--m", "-1"), ("--trials", "0"),
-                                        ("--trials", "-3")])
+                                        ("--trials", "-3"), ("--m", "abc")])
 def test_bad_m_or_trials_exits_2(flag, value, capsys):
     assert main(["verify", "--extension", "quadratic-gaussian",
                  flag, value]) == 2
@@ -481,6 +498,8 @@ def test_run_config_roundtrip_without_cli():
 BAD_SPEC_FILES = {defect: (json.dumps(doc), message)
                   for defect, (doc, message) in REFUSED_SPECS.items()}
 BAD_SPEC_FILES["bad-json"] = ("{\"kind\": \"custom\",", "malformed spec file")
+# the JSON decoder raises RecursionError, not ValueError, on deep nesting
+BAD_SPEC_FILES["too-deep"] = ("[" * 100000 + "]" * 100000, "RecursionError")
 
 
 @pytest.mark.parametrize("command", ["verify", "extension-info"])
@@ -496,6 +515,65 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, command, defect):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert message in err
+
+
+def _refusal_patterns() -> dict:
+    """The message of each ``raise InvalidExtension(...)`` in src/wittram as
+    a pattern, each formatted field matching any text, with its source line;
+    Hilbert's formula aside, which no spec reaches."""
+    patterns = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        hilbert = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "_check_hilbert"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "InvalidExtension"
+                    and id(node) not in hilbert):
+                message = node.exc.args[0]
+                parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+                pattern = "".join(re.escape(part.value) if isinstance(part, ast.Constant)
+                                  else ".*" for part in parts)
+                patterns[pattern] = f"{path.name}:{node.lineno}"
+    return patterns
+
+
+def test_every_refusal_of_extension_data_is_in_the_table(tmp_path):
+    # each refusal then runs in code and through both commands, in
+    # test_malformed_spec_file_exits_2 and
+    # tests/test_extensions.py::test_spec_made_in_code_is_refused_like_its_document
+    messages = []
+    for defect, (text, _) in BAD_SPEC_FILES.items():
+        path = tmp_path / f"{defect}.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidExtension) as refused:
+            resolve_extension(str(path))
+        messages.append(str(refused.value))
+    patterns = _refusal_patterns()
+    assert len(patterns) > 20
+    missing = [line for pattern, line in patterns.items()
+               if not any(re.fullmatch(pattern, m, re.DOTALL) for m in messages)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--extension", "quadratic-gaussian", "--format", "xml"],
+    [],
+], ids=["unknown-format", "no-command"])
+def test_a_parse_error_is_one_error_line(capsys, argv):
+    # argparse would print its usage block first; --m abc is in
+    # test_bad_m_or_trials_exits_2
+    assert main(argv) == 2
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    assert "usage: wittram" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["verify", "extension-info"])
@@ -620,7 +698,7 @@ def test_vanishing_violation_reports_witness_and_counterexamples(monkeypatch):
     # claiming t = 3 for the Gaussian extension (t = 1) keeps p^m = 4 > t, so
     # the proposition runs and its valuation bound must fail
     ext = build_extension("quadratic-gaussian", precision=48)
-    ext = ExtensionData(ext.spec, ext.tower, ext.sigma_pi, ext.sigma, t=3)
+    ext = ExtensionData(ext.spec, ext.tower, ext.sigma, t=3)
     monkeypatch.setattr(harness, "resolve_extension", lambda name, precision: ext)
     code, doc, digest = _run_json(precision=48, m=2, trials=10)
     assert code == 1

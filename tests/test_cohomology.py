@@ -642,7 +642,7 @@ def test_suites_report_a_break_that_is_too_large():
     # the Gaussian extension has t = 1; claiming t = 4 breaks the trace lower
     # bound and the cascade, and the suites must say so with counterexamples
     ext = build_extension("quadratic-gaussian", precision=48)
-    ext = ExtensionData(ext.spec, ext.tower, ext.sigma_pi, ext.sigma, t=4)
+    ext = ExtensionData(ext.spec, ext.tower, ext.sigma, t=4)
     lemmas = verify_trace_valuations(ext, trials=40, seed=0)
     lower, power = lemmas.checks
     assert (lemmas.status, lower.status, power.status) == ("fail", "fail", "pass")

@@ -316,6 +316,15 @@ def test_packed_product_matches_tuple_merge(a, b, c):
     assert (pa * pb) * pc == pa * (pb * pc)
 
 
+def test_product_drops_the_terms_that_cancel():
+    # (X0 - X1)(X0 + X1): the cross terms X0 X1 cancel, and no zero
+    # coefficient is kept
+    x0, x1 = X(0, 0), X(1, 0)
+    product = (x0 - x1) * (x0 + x1)
+    assert product == x0 ** 2 - x1 ** 2
+    assert product.num_terms == 2
+
+
 def test_degree_overflow_raises_instead_of_wrapping():
     top = 2 ** _WIDTH - 1  # the largest degree an exponent field holds
     power = X(0, 0) ** top
