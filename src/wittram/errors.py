@@ -17,10 +17,6 @@ class InvalidExtension(WittramError):
     """Extension data are refused; the one type of every such refusal."""
 
 
-class PrecisionExhausted(WittramError):
-    """A quantity could not be resolved below the precision horizon."""
-
-
 #: the default term budget of the symbolic computations; every report
 #: echoes the budget it ran with
 DEFAULT_TERM_LIMIT = 10 ** 7

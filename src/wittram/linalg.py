@@ -5,22 +5,42 @@ generating set: rows with strictly increasing pivot columns, each pivot a
 power of p, entries above a pivot reduced modulo it, and the span closed
 under the "Howell property" (every span element supported on columns >= c
 is a combination of the rows with pivot column >= c; this is what the extra
-p^(N-k) * row generators enforce).  Uniqueness makes submodule equality a
-row-list comparison and membership a single reduction sweep.
+p^(N-k) * row generators enforce).  The elimination of ``howell_form`` is
+the one place that finds pivots; each ``HowellBasis`` keeps its rows'
+(column, k) pivots p^k from it.
+
+One sweep (``_reduce``) is every reduction against Howell rows: at each
+pivot p^k in a column before a stop column, in order, it replaces the entry
+x by its remainder mod p^k, subtracting q times the row for q the quotient
+of x's balanced lift (so a solution comes out small: -1 rather than
+p^N/2 - 1 for 2x = -2 over Z/2^N).  Rows with a later pivot vanish in that
+column, so an entry, once swept, is final.  Now let s be an element of the
+span whose entries at the pivot columns before the stop lie below their
+pivots.  Then s vanishes before the stop: at its first nonzero column c, s
+is a combination of the rows with pivot column >= c (Howell property), so
+c is a pivot column p^k and s_c, a multiple of p^k, would lie in (0, p^k).
+Hence a residue the sweep leaves before the stop can never be cleared, and
+the final zero test decides: a vector lies in the span exactly when it
+sweeps to zero (``member``, stop = width).  Two sweeps of one coset differ
+by such an s, so a fully swept vector does not depend on the quotients
+taken, and the above-pivot pass of ``howell_form`` is the same sweep.  So
+is each elimination step, against its pivot row alone: the other rows'
+entries in the pivot column have valuation >= k, so they sweep to 0.
 
 A ``LinearMap`` A: (Z/p^N)^n -> (Z/p^N)^h is eliminated once: it keeps the
 Howell form H of the rows (A e_c | e_c), c < n, whose span is the graph
-{(A x | x)}.  The rows of H with a nonzero left block, cut to it, are the
-Howell form of the image, because the Howell property restricts to leading
-columns: an image element supported on columns >= c lifts to an element of
-span(H) supported there too, hence to a combination of rows of H with
-pivot column >= c.  The rows with a zero left block, cut to the right
-block, are the Howell form of the kernel, by the Howell property at the
-first right-block column.  Reducing (b | 0) against the left-block rows
-leaves (0 | -x) exactly when A x = b, which is ``solve_columnwise``.  A
-generating set G = (g_1, ..., g_n) is the map with columns g_i: its image
-is span(G), its kernel the syzygies of G and its solutions the
-combinations giving a vector.
+{(A x | x)}.  The rows of H with a pivot in the left block, cut to it, are
+the Howell form of the image, because the Howell property restricts to
+leading columns: an image element supported on columns >= c lifts to an
+element of span(H) supported there too, hence to a combination of rows of
+H with pivot column >= c.  The rows with a pivot in the right block, cut to
+it, are the Howell form of the kernel, by the Howell property at the first
+right-block column; their pivots shift by h.  Sweeping (b | 0) with stop h
+leaves s + (0 | z) for some s in span(H) exactly when b is in the image,
+and then s vanishes on the left block: the sweep leaves (0 | -x) with
+A x = b, which is ``solve_columnwise``.  A generating set G = (g_1, ...,
+g_n) is the map with columns g_i: its image is span(G), its kernel the
+syzygies of G and its solutions the combinations giving a vector.
 
 A finite quotient span(G)/span(S) is presented on the generators G: its
 relations are the syzygies of G and the combinations giving S.  The invariant
@@ -38,22 +58,28 @@ from .rings import padic_val
 
 
 class HowellBasis:
-    """Canonical generating rows of a submodule of (Z/p^N)^width."""
+    """Canonical generating rows of a submodule of (Z/p^N)^width, with the
+    (column, k) pivot of each row: its first nonzero entry, p^k."""
 
-    def __init__(self, p: int, N: int, width: int, rows: tuple):
+    def __init__(self, p: int, N: int, width: int, rows: tuple, pivots: tuple):
         self.p = p
         self.N = N
         self.width = width
         self.rows = rows
+        self.pivots = pivots
 
-    @cached_property
-    def pivots(self) -> tuple:
-        """(column, k) pairs: the pivot at ``column`` is p^k; computed once."""
-        out = []
-        for row in self.rows:
-            col = next(i for i, x in enumerate(row) if x)
-            out.append((col, padic_val(row[col], self.p)))
-        return tuple(out)
+
+def _reduce(r: list, rows, pivots, stop: int, p: int, pN: int) -> list:
+    """The sweep of the residues ``r`` against Howell rows with their
+    pivots, up to the column ``stop`` (see the module docstring)."""
+    for row, (col, k) in zip(rows, pivots):
+        if col >= stop:
+            break
+        x = r[col]
+        q = (x if 2 * x <= pN else x - pN) // p ** k
+        if q:
+            r = [(a - q * b) % pN for a, b in zip(r, row)]
+    return r
 
 
 def howell_form(rows, p: int, N: int, width: int) -> HowellBasis:
@@ -80,10 +106,9 @@ def howell_form(rows, p: int, N: int, width: int) -> HowellBasis:
         unit_inv = pow(piv[col] // p ** k, -1, pN)
         piv = [(x * unit_inv) % pN for x in piv]
         for r in cand:
-            q = r[col] // p ** k
-            r2 = [(x - q * y) % pN for x, y in zip(r, piv)]
-            if any(r2):
-                rest.append(r2)
+            r = _reduce(r, (piv,), ((col, k),), width, p, pN)
+            if any(r):
+                rest.append(r)
         if k > 0:
             extra = [(x * p ** (N - k)) % pN for x in piv]
             if any(extra):
@@ -91,30 +116,19 @@ def howell_form(rows, p: int, N: int, width: int) -> HowellBasis:
         basis.append(piv)
         pivots.append((col, k))
         remaining = rest
-    # reduce entries above every pivot
-    for i, row in enumerate(basis):
-        for j in range(i + 1, len(basis)):
-            col, k = pivots[j]
-            q = row[col] // p ** k
-            if q:
-                basis[i] = [(x - q * y) % pN for x, y in zip(basis[i], basis[j])]
-                row = basis[i]
-    return HowellBasis(p, N, width, tuple(tuple(r) for r in basis))
+    for i in range(len(basis)):
+        basis[i] = _reduce(basis[i], basis[i + 1:], pivots[i + 1:], width, p, pN)
+    return HowellBasis(p, N, width, tuple(map(tuple, basis)), tuple(pivots))
 
 
 def member(basis: HowellBasis, vec) -> bool:
-    """Decide membership of a vector in the spanned submodule: it reduces
+    """Decide membership of a vector in the spanned submodule: it sweeps
     to zero against the Howell rows.  ValueError on a wrong width."""
     if len(vec) != basis.width:
         raise ValueError(f"vector width {len(vec)} != {basis.width}")
-    p, pN = basis.p, basis.p ** basis.N
-    r = [x % pN for x in vec]
-    for row, (col, k) in zip(basis.rows, basis.pivots):
-        x = r[col]
-        if x and padic_val(x, p) >= k:
-            q = x // p ** k
-            r = [(a - q * b) % pN for a, b in zip(r, row)]
-    return not any(r)
+    pN = basis.p ** basis.N
+    return not any(_reduce([x % pN for x in vec], basis.rows, basis.pivots,
+                           basis.width, basis.p, pN))
 
 
 class LinearMap:
@@ -143,41 +157,33 @@ class LinearMap:
 
     @cached_property
     def image(self) -> HowellBasis:
-        """Howell form of {A x}."""
+        """Howell form of {A x}: the leading rows of the form, those with a
+        pivot in the left block, cut to it."""
         aug, h = self._aug, len(self.rows)
-        return HowellBasis(self.p, self.N, h,
-                           tuple(r[:h] for r in aug.rows if any(r[:h])))
+        i = sum(col < h for col, _ in aug.pivots)
+        return HowellBasis(self.p, self.N, h, tuple(r[:h] for r in aug.rows[:i]),
+                           aug.pivots[:i])
 
     @cached_property
     def kernel(self) -> HowellBasis:
-        """Howell form of {x : A x = 0}."""
+        """Howell form of {x : A x = 0}: the other rows, cut to the right
+        block, their pivots shifted by h."""
         aug, h = self._aug, len(self.rows)
-        return HowellBasis(self.p, self.N, self.width,
-                           tuple(r[h:] for r in aug.rows if not any(r[:h])))
+        i = len(self.image.rows)
+        return HowellBasis(self.p, self.N, self.width, tuple(r[h:] for r in aug.rows[i:]),
+                           tuple((col - h, k) for col, k in aug.pivots[i:]))
 
 
 def solve_columnwise(lin: LinearMap, b) -> tuple:
     """Some x with A x = b mod p^N; raises NoSolution when b is not in the
-    image, ValueError when it has the wrong length.
-
-    Reducing (b | 0) against the rows of ``lin``'s form with a nonzero
-    left block leaves (0 | -x) exactly when A x = b.  Quotients use
-    balanced lifts so the particular solution comes out small (e.g. -1
-    rather than p^N/2 - 1 when solving 2x = -2 over Z/2^N).
-    """
+    image, ValueError when it has the wrong length: (b | 0) swept with
+    stop h against ``lin``'s form leaves (0 | -x) exactly when A x = b."""
     h, aug = len(lin.rows), lin._aug
     if len(b) != h:
         raise ValueError(f"target width {len(b)} != {h}")
-    p, pN = lin.p, lin.p ** lin.N
-    r = [x % pN for x in b] + [0] * lin.width
-    for row, (col, k) in zip(aug.rows, aug.pivots):
-        if col >= h:
-            break
-        x = r[col]
-        if x and padic_val(x, p) >= k:
-            rep = x if 2 * x <= pN else x - pN
-            q = rep // p ** k
-            r = [(a - q * y) % pN for a, y in zip(r, row)]
+    pN = lin.p ** lin.N
+    r = _reduce([x % pN for x in b] + [0] * lin.width, aug.rows, aug.pivots,
+                h, lin.p, pN)
     if any(r[:h]):
         raise NoSolution("target vector is not in the image at precision")
     return tuple(-x % pN for x in r[h:])

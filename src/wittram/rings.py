@@ -55,7 +55,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import mul
 
-from .errors import PrecisionExhausted, InvalidExtension
+from .errors import InvalidExtension
 
 
 def padic_val(n: int, p: int) -> int:
@@ -187,8 +187,8 @@ class Tower:
     ``base_coeffs`` are the non-leading integer coefficients of E_K (length
     e_K) and ``top_coeffs`` the non-leading coefficients of E_L (length p),
     each given as a coordinate list over O_K.  Both moduli must be
-    Eisenstein (InvalidExtension); only at N = 1, where the constant term of
-    E_K vanishes, is that undecidable (PrecisionExhausted).  ``E_K`` keeps
+    Eisenstein (InvalidExtension), which N = 1 cannot certify: the constant
+    term of E_K vanishes there, so it is refused too.  ``E_K`` keeps
     the integer coefficients and ``E_L`` the coefficients as elements of O_K.
     """
 
@@ -412,7 +412,7 @@ class Tower:
                 # vanishing at precision means v_p >= N >= 1, fine except at c_0
                 if i == 0:
                     if self.N == 1:
-                        raise PrecisionExhausted(
+                        raise InvalidExtension(
                             "constant term of E_K vanishes at precision N=1; "
                             "cannot certify Eisenstein"
                         )

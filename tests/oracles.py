@@ -7,8 +7,9 @@ the ramification break from any generator, the conjugate-product basis with
 its valuation pattern, uniform elements of O_L, an operator matrix applied
 to an element, the order of a Howell span, the Witt vector constructors and
 maps, and the cascade checks on a vector that is first certified
-trace-zero.  Every check raises as it did
-in the package.
+trace-zero.  Every check raises as it did in the package, except that a
+valuation at the precision horizon raises this module's own
+``PrecisionExhausted``.
 
 It also holds the spec documents that several test modules share: the t=4
 tower, the custom sqrt2 document and the table of refused specs.
@@ -17,7 +18,7 @@ tower, the custom sqrt2 document and the table of refused specs.
 from functools import lru_cache
 
 from wittram.cohomology import _cascade_levels
-from wittram.errors import LengthMismatch, PrecisionExhausted, VerificationError
+from wittram.errors import LengthMismatch, VerificationError
 from wittram.extensions import ExtensionData, build_extension
 from wittram.linalg import HowellBasis, LinearMap
 from wittram.rings import OLElement, matvec, valuation_L
@@ -72,6 +73,8 @@ REFUSED_SPECS = {
     "cyclotomic-at-uncertified-p": ({"kind": "cyclotomic-step", "p": 318665857834031151167461},
                                     "cannot certify that p = 318665857834031151167461"),
     "precision-0": (dict(SQRT2_DOC, precision=0), "precision N = 0 must be positive"),
+    "precision-1": ({"kind": "quadratic-gaussian", "precision": 1},
+                    "constant term of E_K vanishes at precision N=1"),
     "empty-E_K": ({k: v for k, v in SQRT2_DOC.items() if k != "e_K"} | {"E_K": []},
                   "base modulus must have positive degree"),
     "E_L-of-degree-p+1": (dict(SQRT2_DOC, E_L=[[-2], [0], [0]]),
@@ -105,6 +108,10 @@ def spec_id(value):
 
 
 # -- extensions ---------------------------------------------------------------
+
+
+class PrecisionExhausted(Exception):
+    """An oracle's valuation hit the precision horizon: it cannot decide."""
 
 
 @lru_cache(maxsize=None)

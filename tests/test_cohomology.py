@@ -293,7 +293,7 @@ def test_sampler_at_length_three(sqrt2_hi, cyclo):
         assert witt_trace(v).is_zero
 
 
-def test_length_one_sample_rebuilds_only_the_saturation_twin(lifts):
+def test_length_one_sample_makes_only_the_saturation_lift(lifts):
     # a length-1 Witt trace works at the extension's own precision, so the
     # saturated kernel's lift, one digit above N, is the one lift
     ext = build_extension("quadratic-sqrt2")
@@ -301,7 +301,7 @@ def test_length_one_sample_rebuilds_only_the_saturation_twin(lifts):
     assert lifts == [ext.N + 1]
 
 
-def test_length_three_sample_rebuilds_only_the_twin_at_n_plus_2(lifts):
+def test_length_three_sample_makes_only_the_lift_to_n_plus_2(lifts):
     # the saturated kernel, every carry target and the final Witt trace
     # work in the one lift to N+m
     ext = build_extension("cyclotomic-step")
@@ -309,7 +309,7 @@ def test_length_three_sample_rebuilds_only_the_twin_at_n_plus_2(lifts):
     assert lifts == [ext.N + 2]
 
 
-def test_length_five_sample_rebuilds_only_the_twin_at_n_plus_4(lifts):
+def test_length_five_sample_makes_only_the_lift_to_n_plus_4(lifts):
     # at m = 4 the one lift is to N+4
     ext = build_extension("quadratic-gaussian")
     assert witt_trace(sample_trace_zero(ext, 4, seed=0)).is_zero
@@ -396,6 +396,21 @@ def test_cascade_levels_at_the_precision_horizon():
         {"level": 1, "status": "pass", "lhs": 2, "rhs": 2, "margin": 0}]
 
 
+def test_cascade_level_passes_at_margin_0_and_fails_at_margin_minus_1(gaussian):
+    # quadratic-gaussian has p = 2, t = 1 and cap p t (p-1) = 2, so level 1
+    # checks 2 v_L(a_0) >= min(v_L(a_1) + 1, 2)
+    t = gaussian.tower
+
+    def level(a0, a1):
+        (rec,) = cohomology._cascade_levels(WittVec(gaussian, (a0, a1)))
+        return rec
+
+    assert level(t.pi_L, t.pi_L) == {"level": 1, "status": "pass", "lhs": 2,
+                                     "rhs": 2, "margin": 0}
+    assert level(t.one_ol, t.one_ol) == {"level": 1, "status": "fail", "lhs": 0,
+                                         "rhs": 1, "margin": -1}
+
+
 def test_trace_valuation_skips_at_the_precision_horizon():
     # (trials, skipped) of the lower bound and of the power law at N = 3
     expected = {("cyclotomic-step", 5): [(60, 0), (60, 46)],
@@ -459,6 +474,24 @@ def test_unsolvable_coboundary_returns_the_failing_record(gaussian, monkeypatch)
     assert (coboundary.trials, coboundary.failures) == (10, 10)
     first = coboundary.detail["counterexamples"][0]["vector"]
     assert valuation.detail == {"witness": first}
+
+
+@pytest.mark.parametrize("spec,m", [({"kind": "quadratic-gaussian"}, 1), (T4_SPEC, 3)],
+                         ids=spec_id)
+def test_first_component_valuation_passes_at_t_and_fails_at_t_minus_1(spec, m,
+                                                                      monkeypatch):
+    # the check is v_L(a_0) > t - 1, on a vector handed in for the sampler's
+    ext = build_extension(spec)
+    assert ext.p ** m > ext.t
+    statuses = []
+    for v0 in (ext.t, ext.t - 1):
+        vec = WittVec(ext, (ext.tower.pi_L_power(v0),) + (ext.tower.zero_ol,) * m)
+        monkeypatch.setattr(cohomology, "sample_trace_zero",
+                            lambda ext, m, seed=0: vec)
+        valuation = verify_restriction_vanishing(ext, m, trials=1).checks[0]
+        assert valuation.name == "first-component-valuation"
+        statuses.append((valuation.status, valuation.failures))
+    assert statuses == [("pass", 0), ("fail", 1)]
 
 
 # -- sharpness control ----------------------------------------------------------------------
@@ -546,8 +579,8 @@ def test_h1_suite_eliminates_no_matrix(howell_calls):
     assert howell_calls == []
 
 
-def test_h1_builds_no_twin_and_eliminates_no_matrix(monkeypatch, howell_calls,
-                                                     lifts):
+def test_h1_makes_no_lift_and_eliminates_no_matrix(monkeypatch, howell_calls,
+                                                    lifts):
     ext = build_extension("cyclotomic-step")
     smith = cohomology.smith_invariants
     eliminated = []

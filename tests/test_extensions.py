@@ -7,11 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wittram.errors import (
-    ConfigError,
-    InvalidExtension,
-    PrecisionExhausted,
-)
+from wittram.errors import ConfigError, InvalidExtension
 from wittram.extensions import (
     BUILTIN_NAMES,
     MAX_RANK,
@@ -131,27 +127,6 @@ def test_custom_not_eisenstein():
         build_extension(spec)
 
 
-def test_custom_sigma_not_a_root():
-    spec = dict(SQRT2_DOC, precision=16, sigma_pi=[[1], [1]])  # 1 + pi is no conjugate
-    with pytest.raises(InvalidExtension, match="not a root of E_L"):
-        build_extension(spec)
-
-
-def test_custom_sigma_trivial_order():
-    spec = dict(SQRT2_DOC, precision=16, sigma_pi=[[0], [1]])  # sigma = identity
-    with pytest.raises(InvalidExtension, match="sigma fixes pi_L"):
-        build_extension(spec)
-
-
-def test_custom_sigma_whose_conjugates_miss_the_trace():
-    # at N = 3, sigma(pi_L) = 3 pi_L is a root of x^2 - 2 (9*2 - 2 = 16) and
-    # sigma^2 fixes pi_L (9 = 1 mod 8), and t = v_L(2 pi_L) - 1 = 2 meets
-    # Hilbert's formula; but pi_L + 3 pi_L = 4 pi_L is not tr(pi_L) = 0
-    spec = dict(SQRT2_DOC, precision=3, sigma_pi=[[0], [3]])
-    with pytest.raises(InvalidExtension, match="conjugates of pi_L do not sum"):
-        build_extension(spec)
-
-
 def test_hilbert_formula_refuses_a_break_off_by_one():
     # v_L(E_L'(pi_L)) = (t+1)(p-1) pins t: the true break passes, and t - 1
     # and t + 1 are refused on every built-in and the t=4 spec
@@ -186,7 +161,7 @@ def test_unknown_kind_rejected():
 
 
 def test_precision_too_small():
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(InvalidExtension, match="vanishes at precision N=1"):
         build_extension("quadratic-gaussian", precision=1)
 
 
@@ -277,7 +252,7 @@ def test_work_bound_refuses_one_above_the_largest_precision(spec, largest):
 @pytest.mark.parametrize("spec", [T4_SPEC, {"kind": "cyclotomic-step", "p": 5},
                                   {"kind": "quadratic-sqrt2"}],
                          ids=lambda spec: spec["kind"])
-def test_twin_of_a_spec_made_in_code_is_a_fresh_build(spec):
+def test_lift_of_a_spec_made_in_code_is_a_fresh_build(spec):
     # the lifted tower is the ring of a fresh build at the same precision:
     # the same trace and the same products
     ext = build_extension(spec, precision=32)

@@ -1,5 +1,6 @@
 """Chain-ring linear algebra against brute-force enumeration over tiny moduli."""
 
+import hashlib
 import itertools
 import random
 from math import prod
@@ -158,6 +159,54 @@ def test_combination_roundtrip():
         solve_columnwise(lin, (1, 0, 0))
 
 
+#: sha256 of ``repr`` of the (target, particular solution) pairs below, per
+#: extension and operator, recorded while ``solve_columnwise`` still had a
+#: reduction loop of its own
+PARTICULAR_SOLUTION_DIGESTS = {
+    "gaussian-trace": "ba25364fa0d7fb1bcbd54ce6358fd77c4922324ef3e117e0f867688c2a6f0f14",
+    "gaussian-sigma-minus-one": "705fb6b3ba2273d74d6bee3cf9524a66802e0170e570d5f1ee3b5d69530318ed",
+    "sqrt2-trace": "e54b2db91a1e231f86786c9f476c66770d6b5b3118a61bfab09a2793d2c08cd2",
+    "sqrt2-sigma-minus-one": "fe2bc6120a68ec464a266149a88e636ef28020daa0d45e8d8b9d881235451d2e",
+    "cyclo3-trace": "75dc37f6981fc433a49290b2abd5029dd5db9bb9bf388e8a175070d449500e3f",
+    "cyclo3-sigma-minus-one": "18ef5181d295d3ba256cbcd9510515b561c3c34f408d1625e332397fd1a3978d",
+    "t4-trace": "b0072f768384e01f974232d19e33fa54abd27287f4c57358cd85f056669959ea",
+    "t4-sigma-minus-one": "39a8f54ed9e1bb042983f53c7813a2ac789610bed30889a7ed4687c514d7c177",
+}
+
+
+SOLVED_SPECS = {"gaussian": {"kind": "quadratic-gaussian"},
+                "sqrt2": {"kind": "quadratic-sqrt2"},
+                "cyclo3": {"kind": "cyclotomic-step"}, "t4": T4_SPEC}
+
+
+@pytest.mark.parametrize("which", ["trace", "sigma-minus-one"])
+@pytest.mark.parametrize("name", list(SOLVED_SPECS))
+def test_particular_solutions_keep_their_digest(name, which):
+    # the targets are every Howell row of the image and eight seeded image
+    # elements; a solution that is still a solution but another one (a
+    # kernel row swept in, a quotient taken another way) moves the digest
+    case = f"{name}-{which}"
+    ext = build_extension(SOLVED_SPECS[name])
+    lin = linear_map_of(ext, which)
+    pN = ext.tower.pN
+    rng = random.Random(case)
+    targets = list(lin.image.rows) + [
+        matvec(lin.rows, [rng.randrange(pN) for _ in range(lin.width)], pN)
+        for _ in range(8)]
+    solutions = [(b, solve_columnwise(lin, b)) for b in targets]
+    for b, x in solutions:
+        assert matvec(lin.rows, x, pN) == b, f"A x != b for b = {b}, x = {x}"
+    digest = hashlib.sha256(repr(solutions).encode()).hexdigest()
+    assert digest == PARTICULAR_SOLUTION_DIGESTS[case], \
+        "particular solutions (target, x) moved:\n" + "\n".join(map(str, solutions))
+
+
+def _first_entries(basis):
+    """(column, v_p) of each row's first nonzero entry, found by a scan."""
+    cols = [next(c for c, x in enumerate(row) if x) for row in basis.rows]
+    return tuple((c, padic_val(row[c], basis.p)) for c, row in zip(cols, basis.rows))
+
+
 # (p, N, most generators) small enough to enumerate every coefficient vector
 PRESENTED_MODULI = [(2, 1, 4), (2, 3, 3), (3, 2, 3), (5, 1, 3), (7, 1, 3)]
 
@@ -191,6 +240,8 @@ def test_presentation_against_enumeration(p, N, max_gens):
                          for k in range(width)) == total
         assert lin.kernel.rows == howell_form(syzygies, p, N, n).rows
         assert lin.kernel.width == n
+        for basis in (lin.image, lin.kernel):
+            assert basis.pivots == _first_entries(basis)
         if width and not member(lin.image, (1,) + (0,) * (width - 1)):
             with pytest.raises(NoSolution):
                 solve_columnwise(lin, (1,) + (0,) * (width - 1))

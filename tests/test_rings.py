@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittram.cohomology import random_element
-from wittram.errors import InvalidExtension, PrecisionExhausted
+from wittram.errors import InvalidExtension
 from wittram.extensions import build_extension
 from wittram.rings import (
     Tower,
@@ -343,7 +343,7 @@ def test_constant_term_valuation_must_be_one():
 
 
 def test_precision_one_cannot_certify():
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(InvalidExtension, match="vanishes at precision N=1"):
         Tower(2, 1, (-2,), ((-2,), (0,)))
 
 
