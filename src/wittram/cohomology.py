@@ -17,41 +17,54 @@ it this module provides:
   (a_0, ..., a_{n-1}, 0).  For a prefix that is trace-zero at precision N
   that is -tr(W_n)/p^n mod p^N, one ghost level in any lift of the tower
   to precision >= N+n (``witt.ghost_level`` says why), so one lift to N+m
-  serves every level, and each component keeps its Frobenius chain a_i,
-  a_i^p, ... there until its level is redrawn.  The sampler adds kernel
-  draws and backtracks, the sharpness witness takes the solutions as they
-  are, and both certify the finished vector with the general Witt trace;
+  serves every level.  The sharpness witness takes the level step's
+  solutions as they are and certifies the finished vector with the
+  general Witt trace;
 
-* the sampler's rejections decided by linearity (Serre, *Local Fields*,
-  ch. VIII: the connecting map of 0 -> W_n -> W_{n+1} -> O_L -> 0).  Write
-  delta_n(v) for the carry target of a trace-zero v of length n.  For
-  trace-zero v, w, (v, 0) + (w, 0) = (v + w, c) in W_{n+1}(O_L) for some c,
-  and (s, c) = (s, 0) + V^n(c) without carries, so the Witt traces give
-  delta_n(v + w) = delta_n(v) + delta_n(w) + tr(c): delta_n is additive
-  modulo tr(O_L).  (The lower trace components are divisible by p^N, and
-  the carry of their Witt sum into component n has no constant term, so it
-  vanishes mod p^N.)  Let P be a trace-zero prefix, x the level step's
-  solution for it and k a kernel element.  Then (P, x + k) = (P, x) +
-  V^(n-1)(k) exactly, because a Witt sum with (0, ..., 0, k) carries
-  nothing into the first n components, and V commutes with the Witt trace,
-  so delta_n(V^(n-1)(k)) = delta_1(k).  With k = sum_i c_i k_i over the
-  Howell rows k_i of the saturated kernel,
+* generators of T_n, the Witt-trace-zero vectors of length n at precision
+  N, and a uniform sampler on their span.  delta_n is additive modulo
+  tr(O_L) (Serre, *Local Fields*, ch. VIII: the connecting map of
+  0 -> W_n -> W_{n+1} -> O_L -> 0).  For trace-zero v, w,
+  (v, 0) + (w, 0) = (v + w, c) in W_{n+1}(O_L) for some c, and
+  (s, c) = (s, 0) + V^n(c) without carries, so the Witt traces give
+  delta_n(v + w) = delta_n(v) + delta_n(w) + tr(c).  (The lower trace
+  components are divisible by p^N, and the carry of their Witt sum into
+  component n has no constant term, so it vanishes mod p^N.)  Hence, for
+  generators g_1, ..., g_r of T_n, the Witt trace of
+  lift(x | y) = sum_i x_i (g_i, 0) + V^n(y), for x in Z^r and y in O_L, is
+  V^n(tr(y) - sum_i x_i delta_n(g_i)), and the trace-zero vectors of
+  length n+1 over the span of the g_i are the lifts of the integer
+  solutions of sum_i x_i delta_n(g_i) = tr(y) mod p^N.  ``lift`` is
+  additive, so it is enough to lift the Howell rows of the kernel of the
+  one ``LinearMap`` whose e_K rows are [delta_n(g_1) ... delta_n(g_r) |
+  -tr]: their integer span R meets every solution modulo p^N Z^(r+D), and
+  the lifts of p^N Z^(r+D) lie in lift(R) already.  The y-part is killed
+  by p^N.  For the x-part, (p e_i | delta_n(g_i)) is a solution, because
+  tr(c) = p c on O_K; write it as rho + p^N s with rho in R.  Then
+  p^N (g_i, 0) = lift(p^(N-1) rho) + lift(p^(2N-1) s)
+  - V^n(p^(N-1) delta_n(g_i)), where the middle term vanishes because
+  p^(N+n) kills W_{n+1}(O_L/p^N) (below) and n < N, and the last is the
+  lift of a solution (0 | z), which the rows with their pivot in the
+  y-block give exactly (Howell property), with no x-part to reduce.  The
+  same rows give V^n(k) for every trace kernel element k, so T_{m+1}'s
+  generators (``trace_zero_generators``) are the saturated trace kernel
+  at level 0 and then, per level, the lifts of one kernel's rows.
+  Each generator is kept as its ghost vector, in the lift of the tower to
+  N + m: ghost components are additive, so a lift is one
+  ``witt.witt_combination`` of the ghost vectors of the (g_i, 0), which
+  need one ``ghost_level`` each, and of the V^n(e_c), which are p^n e_c in
+  the last slot; ``witt._from_ghost`` recovers its components.
 
-      delta_n(P, x + k) = delta_n(P, x) + sum_i c_i delta_1(k_i)
-                          mod tr(O_L).
-
-  So one table t_i = delta_1(k_i) (``_kernel_targets``) and one base per
-  level and prefix decide whether a draw's target lies in the trace image:
-  the test is ``member(image, base + sum_i c_i t_i)`` in O_K coordinates,
-  e_K * r multiply-adds and one reduction.  At level 1 the prefix is empty
-  and the base is 0; at a higher level it is the first draw's exact target
-  minus its sum, and it is dropped when a lower level is redrawn.  The
-  exact steps are the table, the first draw at each level n >= 2 for each
-  prefix, every draw the test keeps (its element, Frobenius chain, carry
-  target and ``solve_linear``, whose NoSolution is the membership test)
-  and the final Witt trace.  A kept draw whose exact target is not in the
-  image is a VerificationError, so a wrong prediction cannot pass
-  silently;
+  p^(N+m) kills W_{m+1}(O_L/p^N).  The Witt vector functor takes the
+  surjection O_L -> O_L/p^N to a surjection, so it is enough that for x
+  in W_{m+1}(O_L) and s >= m, component k of y = p^s x is divisible by
+  p^(s-k).  By induction on k: p^k y_k = p^s W_k(x) - sum_{i<k} p^i
+  y_i^(p^(k-i)), and each term has valuation at least
+  i + (s-i) p^(k-i) >= s, while O_L is free over Z_p.  So coefficients
+  drawn uniformly mod p^(N+m) give a uniform element of the span
+  (``sample_trace_zero``): c -> sum_i c_i g_i is a surjective group map
+  from (Z/p^(N+m))^r, whose fibres are cosets of its kernel.  Nothing is
+  rejected, and each sample is still certified by its Witt trace;
 
 * verifiers for the trace valuation bounds, for the level-by-level
   valuation cascade on trace-zero vectors, and for the vanishing of the
@@ -73,12 +86,14 @@ it this module provides:
   equal p^N', none lies in [p^N, p^N'), and both lists of H^1 factors are
   the d below p^N.
 
-The sampler draws from the exact trace kernel K.  Truncation adds spurious
-elements, so its kernel is "saturated": computed in a lift (``Tower.lift``)
-to any N' > N and projected back to N.  The trace is O_K-linear and
-tr(1) = p, so if tr(y) = p^(N+1) w, then y - p^N w is an exact kernel
-element congruent to y mod p^N: the projection is K mod p^N.  One digit
-lower it gives ker(tr mod p^N) = K + p^(N-1) O_K, the spurious part.
+The generators start from the exact trace kernel K.  Truncation adds
+spurious elements, so its kernel is "saturated": computed in a lift
+(``Tower.lift``) to any N' > N and projected back to N.  The trace is
+O_K-linear and tr(1) = p, so if tr(y) = p^(N+1) w, then y - p^N w is an
+exact kernel element congruent to y mod p^N: the projection is K mod p^N.
+One digit lower it gives ker(tr mod p^N) = K + p^(N-1) O_K, the spurious
+part.  So every a_0 of the sampler lies in K mod p^N, while each later
+component ranges over all of its solutions mod p^N.
 """
 
 from __future__ import annotations
@@ -87,7 +102,7 @@ import random
 from functools import lru_cache
 from math import prod
 
-from .errors import NoSolution, SamplingExhausted, VerificationError, sha256
+from .errors import NoSolution, VerificationError, sha256
 from .extensions import ExtensionData
 from .linalg import (
     HowellBasis,
@@ -99,10 +114,14 @@ from .linalg import (
 )
 from .report import CheckResult, SuiteRecord
 from .rings import OLElement, Tower, matvec, padic_val, valuation_K, valuation_L
-from .witt import WittVec, frobenius_chain, ghost_level, witt_trace
-
-RETRY_BUDGET = 64
-
+from .witt import (
+    WittVec,
+    _from_ghost,
+    frobenius_chain,
+    ghost_level,
+    witt_combination,
+    witt_trace,
+)
 
 # -- deterministic randomness -------------------------------------------------
 
@@ -183,21 +202,11 @@ def random_element(ext: ExtensionData, rng: random.Random) -> OLElement:
     return a
 
 
-def random_from_basis(ext: ExtensionData, basis: HowellBasis,
-                      rng: random.Random) -> list:
-    """Uniform coefficients of an element of the spanned submodule: one
-    ``randrange(p^N)`` per Howell row, in row order."""
-    pN = ext.tower.pN
-    return [rng.randrange(pN) for _ in basis.rows]
-
-
-def from_basis(ext: ExtensionData, basis: HowellBasis, coeffs) -> OLElement:
-    """sum_i coeffs[i] * (row i of ``basis``), reduced once by
-    ``Tower.element``."""
-    vec = [0] * basis.width
-    for c, row in zip(coeffs, basis.rows):
-        vec = [a + c * b for a, b in zip(vec, row)]
-    return ext.tower.element(vec)
+def random_from_basis(basis, modulus: int, rng: random.Random) -> list:
+    """Uniform coefficients mod ``modulus``, one ``randrange`` per element
+    of ``basis``, in order: a uniform element of its span when ``modulus``
+    kills every element."""
+    return [rng.randrange(modulus) for _ in basis]
 
 
 def wittvec_coords(a: WittVec) -> list:
@@ -293,98 +302,48 @@ def _level_step(ext: ExtensionData, hi: Tower, chains) -> tuple:
         return c, None
 
 
-@lru_cache(maxsize=64)
-def _kernel_targets(ext: ExtensionData, hi: Tower) -> tuple:
-    """The level-1 carry targets t_i of the Howell rows k_i of the trace
-    kernel saturated in the lifted tower ``hi``, as an e_K x r matrix in
-    column convention (column i is t_i), computed in ``hi``.
-
-    By additivity (module docstring) a kernel draw sum_i c_i k_i shifts
-    every level's carry target by this matrix times c, modulo tr(O_L).
-    """
-    targets = []
-    for row in trace_kernel_saturated(ext, hi).rows:
-        chain = frobenius_chain(hi, OLElement(ext.tower, row))
-        targets.append(_carry_target(ext, hi, [chain], 1))
-    return tuple(zip(*targets))
-
-
-def _trace_zero(ext: ExtensionData, comps) -> WittVec:
-    """The Witt vector of ``comps``, certified by its Witt trace."""
-    vec = WittVec(ext, tuple(comps))
+def _trace_zero(vec: WittVec) -> WittVec:
+    """``vec``, certified trace-zero by its Witt trace."""
     if not witt_trace(vec).is_zero:
         raise VerificationError("level recursion produced a nonzero Witt trace")
     return vec
 
 
-def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
-    """A seeded random element of W_{m+1}(O_L)^{tr=0} at precision.
+@lru_cache(maxsize=64)
+def trace_zero_generators(ext: ExtensionData, m: int) -> tuple:
+    """(hi, ghosts): generators of T_{m+1}, the trace-zero Witt vectors of
+    length m+1 at precision N, as their ghost vectors (``witt._ghost``) in
+    ``hi``, the tower lifted to N + max(m, 1).  Level 0 is the saturated
+    trace kernel; each level n lifts the syzygies (x | y) of the carry
+    targets against the trace to sum_i x_i (g_i, 0) + V^n(y), one
+    ``witt_combination`` each (module docstring)."""
+    hi = ext.tower.lift(ext.N + max(m, 1))
+    minus_trace = [tuple(-x for x in row) for row in ext.tower.trace_matrix]
+    ghosts = tuple((hi.element(k),) for k in trace_kernel_saturated(ext, hi).rows)
+    for n in range(1, m + 1):
+        chains = [[frobenius_chain(hi, a) for a in _from_ghost(ext, hi, g).components]
+                  for g in ghosts]
+        targets = [_carry_target(ext, hi, c, n) for c in chains]
+        syzygies = LinearMap(tuple(t + row for t, row in zip(zip(*targets), minus_trace)),
+                             ext.p, ext.N, len(ghosts) + hi.dim).kernel
+        columns = [g + (hi.element(ghost_level(hi, c, n)),) for g, c in zip(ghosts, chains)]
+        columns += [(hi.zero_ol,) * n + (hi.element((0,) * c + (ext.p ** n,)),)
+                    for c in range(hi.dim)]
+        ghosts = tuple(witt_combination(hi, row, columns) for row in syzygies.rows)
+    return hi, ghosts
 
-    Level 0 is drawn uniformly from the saturated trace kernel; each later
-    level adds a uniform kernel element to the level step's solution.  When
-    the carry target leaves the trace image the sampler redraws the
-    previous level, backing off all the way to level 0 as the per-level
-    retry budgets run out (a prefix can be genuinely unextendable:
-    valuation constraints propagate downward).  Each draw is tested by
-    linearity (module docstring); only the draws that the test keeps, and
-    the first draw per level and prefix, get an element, a Frobenius chain
-    and an exact carry target, all in the one lift to N + max(m, 1), which
-    also saturates the kernel and, for m >= 1, holds the final Witt trace.
-    """
+
+def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
+    """A seeded uniform element of the span of ``trace_zero_generators``,
+    certified by its Witt trace: coefficients drawn once mod p^(N+m), which
+    kills W_{m+1}(O_L/p^N) (module docstring), and one combination;
+    nothing is rejected."""
     if m < 0:
         raise ValueError("m must be >= 0")
     rng = derive_rng(seed, "sample-trace-zero", ext.name, m)
-    hi = ext.tower.lift(ext.N + max(m, 1))
-    kernel = trace_kernel_saturated(ext, hi)
-    targets = _kernel_targets(ext, hi) if m else ()
-    pN = ext.tower.pN
-    image = linear_map_of(ext, "trace").image
-
-    draw = random_from_basis(ext, kernel, rng)
-    comps, chains = [], []  # the prefix (a_0, ..., a_{n-2}) of the draw
-    particular = [ext.tower.zero_ol] + [None] * m
-    bases = [None, (0,) * ext.e_K]  # bases[n]: level-n target at a zero draw
-    retries = [0] * (m + 1)
-    attempts = 0
-    n = 1
-    while n <= m:
-        attempts += 1
-        if attempts > RETRY_BUDGET * (m + 1) * 4:
-            raise SamplingExhausted(
-                f"global retry budget exhausted at level {n}", level=n)
-        shift = matvec(targets, draw, pN)
-        predicted = n < len(bases)
-        if not predicted or member(image, [b + s for b, s in zip(bases[n], shift)]):
-            a = particular[n - 1] + from_basis(ext, kernel, draw)
-            comps.append(a)
-            chains.append(frobenius_chain(hi, a))
-            c, x = _level_step(ext, hi, chains)
-            if not predicted:
-                bases.append(tuple((b - s) % pN for b, s in zip(c, shift)))
-            elif x is None:
-                raise VerificationError(
-                    f"carry target at level {n} left the trace image "
-                    f"against its linear prediction")
-            if x is not None:
-                particular[n] = x
-                draw = random_from_basis(ext, kernel, rng)
-                n += 1
-                continue
-            del comps[-1], chains[-1]
-        # backtrack: redraw the deepest level whose budget still allows it
-        lvl = n - 1
-        while retries[lvl] == RETRY_BUDGET:
-            retries[lvl] = 0
-            if lvl == 0:
-                raise SamplingExhausted(
-                    f"retry budget exhausted while extending level {n}", level=n)
-            lvl -= 1
-        retries[lvl] += 1
-        del comps[lvl:], chains[lvl:], bases[lvl + 2:]
-        draw = random_from_basis(ext, kernel, rng)
-        n = lvl + 1
-    comps.append(particular[m] + from_basis(ext, kernel, draw))
-    return _trace_zero(ext, comps)
+    hi, ghosts = trace_zero_generators(ext, m)
+    coeffs = random_from_basis(ghosts, ext.p ** (ext.N + m), rng)
+    return _trace_zero(_from_ghost(ext, hi, witt_combination(hi, coeffs, ghosts)))
 
 
 # -- cascade verifier ---------------------------------------------------------
@@ -500,7 +459,7 @@ def deterministic_witness(ext: ExtensionData, m: int):
             return None, f"carry target left the trace image at level {n}"
         comps.append(x)
         chains.append(frobenius_chain(hi, x))
-    return _trace_zero(ext, comps), None
+    return _trace_zero(WittVec(ext, tuple(comps))), None
 
 
 def negative_control(ext: ExtensionData, m: int) -> SuiteRecord:

@@ -43,14 +43,6 @@ class NoSolution(WittramError):
     """A linear system over Z/p^N has no solution at precision."""
 
 
-class SamplingExhausted(WittramError):
-    """The trace-zero sampler ran out of retries."""
-
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
-
-
 class VerificationError(WittramError):
     """An internal consistency check failed (implementation bug)."""
 

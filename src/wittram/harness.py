@@ -22,7 +22,6 @@ from .errors import (
     SUITE_ORDER,
     ConfigError,
     IntegralityError,
-    SamplingExhausted,
     VerificationError,
     WittramError,
 )
@@ -203,13 +202,9 @@ def run(config: RunConfig):
         start = time.perf_counter()
         try:
             record = _run_suite(name, ext, config)
-        except (SamplingExhausted, IntegralityError, VerificationError) as exc:
-            if isinstance(exc, SamplingExhausted):
-                check = CheckResult("sampler", "fail", detail={
-                    "error": str(exc), "level": exc.level})
-            else:
-                check = CheckResult("consistency", "fail", detail={
-                    "error": f"{type(exc).__name__}: {exc}"})
+        except (IntegralityError, VerificationError) as exc:
+            check = CheckResult("consistency", "fail", detail={
+                "error": f"{type(exc).__name__}: {exc}"})
             record = SuiteRecord.of(name, ext, config.m, [check])
         record.duration_s = time.perf_counter() - start
         report.suites.append(record)

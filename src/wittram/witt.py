@@ -7,9 +7,12 @@ the coordinates in [0, p^N) lift the components, their ghost components
 W_k are traced or added, and z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) /
 p^k is projected back to precision N.  O_L is free over Z_p, so p^k
 divides an element iff it divides every coordinate, which is checked
-(IntegralityError); z_k is exact modulo p^(N+m-k) >= p^N.  The tests
-compare this path with ``evaluate_poly``, the plain oracle.  ``verify``
-calls neither it nor ``witt_add``; the benchmark tracer wraps both.
+(IntegralityError); z_k is exact modulo p^(N+m-k) >= p^N.  Ghost
+components are additive, so a combination sum_i c_i v_i is one product of
+the coefficients with the ghost vectors (``witt_combination``), and
+``witt_add`` is its two-term case.  The tests compare this path with
+``evaluate_poly``, the plain oracle.  ``verify`` calls neither it nor
+``witt_add``; the benchmark tracer wraps both.
 """
 
 from __future__ import annotations
@@ -140,12 +143,26 @@ def _from_ghost(ext, hi: Tower, ghosts) -> WittVec:
     return WittVec(ext, tuple(comps))
 
 
+def witt_combination(hi: Tower, coeffs, ghosts) -> tuple:
+    """The ghost components of sum_i coeffs[i] * v_i in ``hi``, for Witt
+    vectors v_i given by their ghost components ``ghosts[i]`` there
+    (``_ghost``).  The ghost map is additive, so this is one matrix product;
+    ``_from_ghost`` recovers the components, in a lift of the tower to
+    precision at least N+m for length m+1."""
+    levels = [[0] * hi.dim for _ in ghosts[0]]
+    for c, ghost in zip(coeffs, ghosts):
+        if c:
+            levels = [[x + c * y for x, y in zip(acc, w.coeffs)]
+                      for acc, w in zip(levels, ghost)]
+    return tuple(hi.element(w) for w in levels)
+
+
 def witt_add(a: WittVec, b: WittVec) -> WittVec:
-    """Witt vector sum: the ghost components add."""
+    """Witt vector sum: the two-term ``witt_combination``."""
     _check_compatible(a, b)
     hi = a.ext.tower.lift(a.ext.N + len(a) - 1)
-    ghosts = [x + y for x, y in zip(_ghost(hi, a.components), _ghost(hi, b.components))]
-    return _from_ghost(a.ext, hi, ghosts)
+    ghosts = (_ghost(hi, a.components), _ghost(hi, b.components))
+    return _from_ghost(a.ext, hi, witt_combination(hi, (1, 1), ghosts))
 
 
 def witt_trace(a: WittVec) -> WittVec:

@@ -6,21 +6,23 @@ at a higher precision, sigma and all, the Galois conjugates of an element,
 the ramification break from any generator, the conjugate-product basis with
 its valuation pattern, uniform elements of O_L, an operator matrix applied
 to an element, the order of a Howell span, the Witt vector constructors and
-maps, and the cascade checks on a vector that is first certified
-trace-zero.  Every check raises as it did in the package, except that a
+maps, the cascade checks on a vector that is first certified trace-zero,
+and membership in the span of the trace-zero generators, read in ghost
+coordinates.  Every check raises as it did in the package, except that a
 valuation at the precision horizon raises this module's own
 ``PrecisionExhausted``.
 
 It also holds the spec documents that several test modules share: the t=4
-tower, the custom sqrt2 document and the table of refused specs.
+tower, the t=1 tower, the custom sqrt2 document and the table of refused
+specs.
 """
 
 from functools import lru_cache
 
-from wittram.cohomology import _cascade_levels
+from wittram.cohomology import _cascade_levels, trace_zero_generators
 from wittram.errors import LengthMismatch, VerificationError
 from wittram.extensions import ExtensionData, build_extension
-from wittram.linalg import HowellBasis, LinearMap
+from wittram.linalg import HowellBasis, LinearMap, howell_form, member
 from wittram.rings import OLElement, matvec, valuation_L
 from wittram.witt import WittVec, _from_ghost, _ghost, witt_trace
 
@@ -29,6 +31,13 @@ from wittram.witt import WittVec, _from_ghost, _ghost, witt_trace
 #: K = Q_2(sqrt 2), L = K(sqrt pi_K), sigma(pi_L) = -pi_L: break t = 4
 T4_SPEC = {"kind": "custom", "p": 2, "E_K": [-2, 0], "E_L": [[0, -1], [0, 0]],
            "sigma_pi": [[0, 0], [-1, 0]]}
+
+#: K = Q_2(2^(1/4)), L = K(beta) with beta^2 = 1 + pi_K^7 and
+#: pi_L = (beta - 1)/pi_K^3, a root of x^2 + pi_K x - pi_K; sigma(beta) = -beta
+#: gives sigma(pi_L) = -pi_K - pi_L: break t = 1, below e_K = 4, so a
+#: trace-zero a_0 can have v_L(a_0) = 2 and (a_0, a_1) need not be killed by p^N
+T1_SPEC = {"kind": "custom", "p": 2, "E_K": [-2, 0, 0, 0],
+           "E_L": [[0, -1], [0, 1]], "sigma_pi": [[0, -1], [-1, 0]]}
 
 #: ``quadratic-sqrt2`` spelled as a custom document
 SQRT2_DOC = {"kind": "custom", "p": 2, "e_K": 1, "E_K": [-2],
@@ -254,3 +263,28 @@ def verify_cascade(a: WittVec) -> list:
     if not witt_trace(a).is_zero:
         raise ValueError("cascade verifier requires a trace-zero vector")
     return _cascade_levels(a)
+
+
+def in_trace_zero_span(ext: ExtensionData, m: int):
+    """Membership in the span of ``trace_zero_generators(ext, m)``, as a
+    test on the components of a vector of length m+1.
+
+    The ghost vector of a lift of a vector x to precision N+m, taken mod
+    p^(N+k) at level k, does not depend on the lift (a change of lift by
+    p^N e at component i moves level k >= i by a multiple of p^(N+k)), and
+    it determines x (``_from_ghost``).  So x lies in the span exactly when
+    that ghost vector lies in the span of the generators' ghost vectors
+    plus p^(N+k) O_L at each level k, mod p^(N+m): one Howell membership.
+    """
+    hi, ghosts = trace_zero_generators(ext, m)
+    p, N, D = ext.p, ext.N, ext.tower.dim
+    width = D * (m + 1)
+    lifts_of_zero = [[p ** (N + i // D) * (j == i) for j in range(width)]
+                     for i in range(width)]
+    basis = howell_form([[x for w in g for x in w.coeffs] for g in ghosts] + lifts_of_zero,
+                        p, N + m, width)
+
+    def contains(components) -> bool:
+        return member(basis, [x for w in _ghost(hi, components) for x in w.coeffs])
+
+    return contains

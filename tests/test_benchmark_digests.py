@@ -56,13 +56,13 @@ def test_workload_report_matches_the_recorded_digest(name, seed, monkeypatch,
 
 
 @pytest.mark.parametrize("name,eliminations", [
-    ("cyclo3-m2", 4), ("cyclo7-wide", 0), ("gauss-m4", 4)])
+    ("cyclo3-m2", 5), ("cyclo7-wide", 0), ("gauss-m4", 7)])
 def test_workload_makes_its_pinned_eliminations(name, eliminations, howell_calls,
                                                 monkeypatch):
-    # the trace at N and in the sampler's lift, the saturated kernel and
-    # sigma-1 are eliminated once each; h1, the trace lemmas and a control
-    # that does not apply eliminate nothing.  The count does not depend on
-    # the number of trials.
+    # the trace in the sampler's lift, the saturated kernel, one syzygy map
+    # per level 1..m of the trace-zero generators and sigma-1 are eliminated
+    # once each; h1, the trace lemmas and a control that does not apply
+    # eliminate nothing.  The count does not depend on the number of trials.
     w = WORKLOADS[name]
     monkeypatch.chdir(ROOT)
     report, code = run(RunConfig(w.extension, w.precision, w.m, trials=2,

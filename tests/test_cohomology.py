@@ -411,6 +411,21 @@ def test_cascade_level_passes_at_margin_0_and_fails_at_margin_minus_1(gaussian):
                                          "rhs": 1, "margin": -1}
 
 
+def test_trace_lower_bound_passes_at_margin_0_and_fails_at_margin_minus_1(gaussian,
+                                                                          monkeypatch):
+    # lemma (i) on a = pi_L of quadratic-gaussian: v_L(a) = 1 and tr(pi_L) = -2,
+    # so p v_K(tr(a)) = 2 = v_L(a) + t(p-1) at t = 1; a claimed t = 2 puts
+    # the bound at 3
+    monkeypatch.setattr(cohomology, "random_element", lambda ext, rng: ext.tower.pi_L)
+    lower, _ = verify_trace_valuations(gaussian, trials=1).checks
+    assert (lower.status, lower.passes) == ("pass", 1)
+    wrong = ExtensionData(gaussian.spec, gaussian.tower, gaussian.sigma, t=2)
+    lower, _ = verify_trace_valuations(wrong, trials=1).checks
+    assert lower.status == "fail"
+    assert lower.detail["counterexamples"] == [
+        {"trial": 0, "v_L(a)": 1, "p*v_K(tr(a))": 2, "bound": 3}]
+
+
 def test_trace_valuation_skips_at_the_precision_horizon():
     # (trials, skipped) of the lower bound and of the power law at N = 3
     expected = {("cyclotomic-step", 5): [(60, 0), (60, 46)],
@@ -689,11 +704,11 @@ def test_suites_report_a_break_that_is_too_large():
     cascade = cascade_suite(ext, 2, trials=10, seed=0)
     (check,) = cascade.checks
     assert (cascade.status, check.status) == ("fail", "fail")
-    assert (check.trials, check.passes, check.failures, check.skipped) == (20, 13, 7, 0)
+    assert (check.trials, check.passes, check.failures, check.skipped) == (20, 11, 9, 0)
     assert [sorted(c) for c in check.detail["counterexamples"]] == [
-        ["level", "trial", "vector"]] * 7
+        ["level", "trial", "vector"]] * 9
     assert _report_digest(lemmas, cascade) == (
-        "684df6b5a7fd89dc79d1bd1dabc0344949f27c06a7ed19669f3ccc429b51e909")
+        "794529f74a3f80999152302e8a35e8f62881d34bbd0888af323d4d2e30f25a4b")
 
 
 def test_h1_order_mismatch_fails_the_order_check(gaussian, monkeypatch):
