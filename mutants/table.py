@@ -100,6 +100,20 @@ MUTANTS = (
         "tests": ["tests/test_trace_zero.py"],
     },
     {
+        "id": "carry-target-divisibility-unchecked",
+        "file": "cohomology.py",
+        "text": "if any(x % pn for x in tr):",
+        "replacement": "if False:",
+        "tests": ["tests/test_witt.py::test_carry_target_refuses_a_prefix_that_is_not_trace_zero"],
+    },
+    {
+        "id": "generator-ghost-level-one-low",
+        "file": "cohomology.py",
+        "text": "_ghost(hi, _from_ghost(ext, hi, g).components + zero)[n]",
+        "replacement": "_ghost(hi, _from_ghost(ext, hi, g).components + zero)[n - 1]",
+        "tests": ["tests/test_trace_zero.py"],
+    },
+    {
         "id": "no-op-draw-from-zero",
         "file": "cohomology.py",
         "text": "return [rng.randrange(modulus) for _ in basis]",

@@ -12,14 +12,15 @@ tr(O_L), the coboundaries im(sigma-1), the trace kernel and every solve
 tr(x) = c or (sigma-1)x = a are read off that one Howell form.  On top of
 it this module provides:
 
-* one level step of the trace-zero recursion: tr(a_n) cancels the carry
-  delta_n of the prefix, component n of the Witt trace of
-  (a_0, ..., a_{n-1}, 0).  For a prefix that is trace-zero at precision N
-  that is -tr(W_n)/p^n mod p^N, one ghost level in any lift of the tower
-  to precision >= N+n (``witt.ghost_level`` says why), so one lift to N+m
-  serves every level.  The sharpness witness takes the level step's
-  solutions as they are and certifies the finished vector with the
-  general Witt trace;
+* the carry target of the trace-zero recursion (``_carry_target``):
+  tr(a_n) cancels the carry delta_n of the prefix, component n of the
+  Witt trace of (a_0, ..., a_{n-1}, 0).  For a prefix that is trace-zero
+  at precision N that is -tr(W_n)/p^n mod p^N, one ghost level in any lift
+  of the tower to precision >= N+n (``witt.ghost_level`` says why), so one
+  lift to N+m serves every level.  W_n is component n of one
+  ``witt._ghost`` call on (a_0, ..., a_{n-1}, 0).  The sharpness witness
+  grows a_0 = pi_L by the solver's solution of each level's target and
+  certifies the finished vector with the general Witt trace;
 
 * generators of T_n, the Witt-trace-zero vectors of length n at precision
   N, and a uniform sampler on their span.  delta_n is additive modulo
@@ -51,9 +52,11 @@ it this module provides:
   at level 0 and then, per level, the lifts of one kernel's rows.
   Each generator is kept as its ghost vector, in the lift of the tower to
   N + m: ghost components are additive, so a lift is one
-  ``witt.witt_combination`` of the ghost vectors of the (g_i, 0), which
-  need one ``ghost_level`` each, and of the V^n(e_c), which are p^n e_c in
-  the last slot; ``witt._from_ghost`` recovers its components.
+  ``witt.witt_combination`` of the ghost vectors of the (g_i, 0) and of
+  the V^n(e_c), which are p^n e_c in the last slot; ``witt._from_ghost``
+  recovers its components.  The new ghost level W_n of (g_i, 0) is one
+  ``witt._ghost`` call on g_i's recovered components, and it gives
+  delta_n(g_i) too.
 
   p^(N+m) kills W_{m+1}(O_L/p^N).  The Witt vector functor takes the
   surjection O_L -> O_L/p^N to a surjection, so it is enough that for x
@@ -114,14 +117,7 @@ from .linalg import (
 )
 from .report import CheckResult, SuiteRecord
 from .rings import OLElement, Tower, matvec, padic_val, valuation_K, valuation_L
-from .witt import (
-    WittVec,
-    _from_ghost,
-    frobenius_chain,
-    ghost_level,
-    witt_combination,
-    witt_trace,
-)
+from .witt import WittVec, _from_ghost, _ghost, witt_combination, witt_trace
 
 # -- deterministic randomness -------------------------------------------------
 
@@ -162,7 +158,6 @@ def solve_linear(ext: ExtensionData, which: str, b) -> OLElement:
     return OLElement(ext.tower, solve_columnwise(linear_map_of(ext, which), b))
 
 
-@lru_cache(maxsize=64)
 def trace_kernel_saturated(ext: ExtensionData, hi: Tower) -> HowellBasis:
     """ker(tr) mod p^N without truncation-spurious elements: the kernel in
     ``hi``, a lift of the tower above N (ValueError otherwise), projected to
@@ -270,36 +265,24 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
 # -- trace-zero sampler -------------------------------------------------------
 
 
-def _carry_target(ext: ExtensionData, hi: Tower, chains, n: int) -> tuple:
+def _carry_target(ext: ExtensionData, hi: Tower, w: OLElement, n: int) -> tuple:
     """The O_K coordinates of the required tr(a_n) for a trace-zero prefix
-    (a_0, ..., a_{n-1}) whose components have the Frobenius chains
-    ``chains`` in ``hi``, the tower lifted to precision at least N+n:
-    -tr(W_n)/p^n reduced to N, with W_n = sum_{i<n} p^i a_i^(p^(n-i)).
+    (a_0, ..., a_{n-1}) whose ghost level W_n = sum_{i<n} p^i a_i^(p^(n-i))
+    is ``w`` in ``hi``, the tower lifted to precision at least N+n:
+    -tr(W_n)/p^n reduced to N.
 
     This is minus component n of the Witt trace of (a_0, ..., a_{n-1}, 0),
-    i.e. -f_n at X_{i,j} = sigma^i(a_j), with W_n from ``ghost_level``.
-    VerificationError when p^n does not divide tr(W_n): the prefix was not
-    trace-zero.
+    i.e. -f_n at X_{i,j} = sigma^i(a_j), with W_n component n of
+    ``witt._ghost`` of that vector.  VerificationError when p^n does not
+    divide tr(W_n): the prefix was not trace-zero.
     """
-    tr = matvec(hi.trace_matrix, ghost_level(hi, chains, n), hi.pN)
+    tr = matvec(hi.trace_matrix, w.coeffs, hi.pN)
     pn, pN = ext.p ** n, ext.tower.pN
     if any(x % pn for x in tr):
         raise VerificationError(
             f"carry target at level {n} is not divisible by p^{n}: "
             f"the prefix is not trace-zero")
     return tuple(-(x // pn) % pN for x in tr)
-
-
-def _level_step(ext: ExtensionData, hi: Tower, chains) -> tuple:
-    """(c, a_n): the carry target c = -f_n(sigma^i(a_j)) of the trace-zero
-    prefix (a_0, ..., a_{n-1}) given by its Frobenius ``chains`` in ``hi``,
-    and some a_n with tr(a_n) = c, or None when no a_n exists (c is not in
-    the trace image; the solver's NoSolution is the membership test)."""
-    c = _carry_target(ext, hi, chains, len(chains))
-    try:
-        return c, solve_linear(ext, "trace", c)
-    except NoSolution:
-        return c, None
 
 
 def _trace_zero(vec: WittVec) -> WittVec:
@@ -318,15 +301,15 @@ def trace_zero_generators(ext: ExtensionData, m: int) -> tuple:
     targets against the trace to sum_i x_i (g_i, 0) + V^n(y), one
     ``witt_combination`` each (module docstring)."""
     hi = ext.tower.lift(ext.N + max(m, 1))
+    zero = (ext.tower.zero_ol,)
     minus_trace = [tuple(-x for x in row) for row in ext.tower.trace_matrix]
     ghosts = tuple((hi.element(k),) for k in trace_kernel_saturated(ext, hi).rows)
     for n in range(1, m + 1):
-        chains = [[frobenius_chain(hi, a) for a in _from_ghost(ext, hi, g).components]
-                  for g in ghosts]
-        targets = [_carry_target(ext, hi, c, n) for c in chains]
+        levels = [_ghost(hi, _from_ghost(ext, hi, g).components + zero)[n] for g in ghosts]
+        targets = [_carry_target(ext, hi, w, n) for w in levels]
         syzygies = LinearMap(tuple(t + row for t, row in zip(zip(*targets), minus_trace)),
                              ext.p, ext.N, len(ghosts) + hi.dim).kernel
-        columns = [g + (hi.element(ghost_level(hi, c, n)),) for g, c in zip(ghosts, chains)]
+        columns = [g + (w,) for g, w in zip(ghosts, levels)]
         columns += [(hi.zero_ol,) * n + (hi.element((0,) * c + (ext.p ** n,)),)
                     for c in range(hi.dim)]
         ghosts = tuple(witt_combination(hi, row, columns) for row in syzygies.rows)
@@ -442,7 +425,9 @@ def verify_restriction_vanishing(ext: ExtensionData, m: int,
 
 
 def deterministic_witness(ext: ExtensionData, m: int):
-    """The level step started at a_0 = pi_L with zero offsets.
+    """A trace-zero vector grown from a_0 = pi_L: at each level n, a_n is
+    the solver's solution of tr(a_n) = the carry target of the prefix, read
+    off W_n of (a_0, ..., a_{n-1}, 0), with no kernel offset.
 
     Returns (vector, note); vector is None when the construction cannot run
     (pi_L not trace-zero, or the carry target leaves the trace image).
@@ -451,15 +436,14 @@ def deterministic_witness(ext: ExtensionData, m: int):
     if not ext.trace(a0).is_zero:
         return None, "pi_L is not trace-zero; no deterministic witness"
     hi = ext.tower.lift(ext.N + m)
-    comps = [a0]
-    chains = [frobenius_chain(hi, a0)]
+    comps = (a0,)
     for n in range(1, m + 1):
-        _, x = _level_step(ext, hi, chains)
-        if x is None:
+        target = _carry_target(ext, hi, _ghost(hi, comps + (ext.tower.zero_ol,))[n], n)
+        try:
+            comps += (solve_linear(ext, "trace", target),)
+        except NoSolution:
             return None, f"carry target left the trace image at level {n}"
-        comps.append(x)
-        chains.append(frobenius_chain(hi, x))
-    return _trace_zero(WittVec(ext, tuple(comps))), None
+    return _trace_zero(WittVec(ext, comps)), None
 
 
 def negative_control(ext: ExtensionData, m: int) -> SuiteRecord:

@@ -10,7 +10,10 @@ divides an element iff it divides every coordinate, which is checked
 (IntegralityError); z_k is exact modulo p^(N+m-k) >= p^N.  Ghost
 components are additive, so a combination sum_i c_i v_i is one product of
 the coefficients with the ghost vectors (``witt_combination``), and
-``witt_add`` is its two-term case.  The tests compare this path with
+``witt_add`` is its two-term case.  ``_ghost`` and ``_from_ghost`` are the
+only ghost entry points other modules use: the Frobenius chains a^(p^j)
+that ghost levels are summed from are built and extended in this module
+alone (``ghost_level``).  The tests compare this path with
 ``evaluate_poly``, the plain oracle.  ``verify`` calls neither it nor
 ``witt_add``; the benchmark tracer wraps both.
 """
@@ -75,17 +78,13 @@ def _check_compatible(a: WittVec, b: WittVec):
         raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
 
 
-def frobenius_chain(hi: Tower, a: OLElement) -> list:
-    """[a] with its coordinates lifted into the tower ``hi``; ``ghost_level``
-    extends it to (a, a^p, a^(p^2), ...) as far as a level needs."""
-    return [OLElement(hi, a.coeffs)]
-
-
 def ghost_level(hi: Tower, chains, n: int) -> list:
     """The coordinates of W_n = sum_{i<=n} p^i a_i^(p^(n-i)) in ``hi``, not
-    reduced, where ``chains`` are the Frobenius chains of a_0, a_1, ...;
-    chains past level n are ignored.  Each chain is extended only as far
-    as level n needs, and a chain whose head is zero is skipped.
+    reduced, where ``chains`` are the Frobenius chains of a_0, a_1, ...:
+    lists (a_i, a_i^p, a_i^(p^2), ...) that start as [a_i] with its
+    coordinates lifted into ``hi``; chains past level n are ignored.  Each
+    chain is extended only as far as level n needs, and a chain whose head
+    is zero is skipped.
 
     This is the one place where a ghost component is summed.  Two
     truncations bound the work done with it, for a lift ``hi`` of the tower
@@ -121,7 +120,7 @@ def ghost_level(hi: Tower, chains, n: int) -> list:
 def _ghost(hi: Tower, comps) -> list:
     """Ghost components W_0..W_m of ``comps``, their coordinates lifted
     unchanged into ``hi`` (the tower at precision N+m, or at N itself)."""
-    chains = [frobenius_chain(hi, c) for c in comps]
+    chains = [[OLElement(hi, c.coeffs)] for c in comps]
     return [hi.element(ghost_level(hi, chains, k)) for k in range(len(chains))]
 
 
@@ -139,7 +138,7 @@ def _from_ghost(ext, hi: Tower, ghosts) -> WittVec:
             raise IntegralityError(f"ghost level {k} is not divisible by p^{k}")
         z = ext.tower.element([x // pk for x in w])
         comps.append(z)
-        chains.append(frobenius_chain(hi, z))
+        chains.append([OLElement(hi, z.coeffs)])
     return WittVec(ext, tuple(comps))
 
 

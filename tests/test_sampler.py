@@ -25,14 +25,7 @@ from wittram.cohomology import (
 )
 from wittram.errors import VerificationError
 from wittram.extensions import build_extension
-from wittram.witt import (
-    WittVec,
-    _from_ghost,
-    frobenius_chain,
-    ghost_level,
-    witt_combination,
-    witt_trace,
-)
+from wittram.witt import WittVec, _from_ghost, _ghost, witt_combination, witt_trace
 
 from oracles import T4_SPEC, conjugates, in_trace_zero_span, rebuilt
 
@@ -63,14 +56,19 @@ def extensions():
             for name, (spec, N, _) in EXTENSIONS.items()}
 
 
-def conjugate_sum_target(ext, hi, chains, n):
+def next_ghost_level(ext, hi, prefix):
+    """W_n of (a_0, ..., a_{n-1}, 0) in ``hi``, for the n components
+    ``prefix``: the ghost level a carry target is read off."""
+    return _ghost(hi, tuple(prefix) + (ext.tower.zero_ol,))[len(prefix)]
+
+
+def conjugate_sum_target(ext, hi, w, n):
     """``_carry_target`` re-derived without the trace matrix: minus the sum
-    of the conjugates of W_n, under sigma of the extension rebuilt at the
-    precision of ``hi``, over p^n, reduced to N.  It must lie in O_K; its
-    O_K coordinates are returned."""
+    of the conjugates of the ghost level W_n = ``w``, under sigma of the
+    extension rebuilt at the precision of ``hi``, over p^n, reduced to N.
+    It must lie in O_K; its O_K coordinates are returned."""
     up = rebuilt(ext, hi.N)
-    w = up.tower.element(ghost_level(hi, chains, n))
-    total = sum(conjugates(up, w)).coeffs
+    total = sum(conjugates(up, up.tower.element(w.coeffs))).coeffs
     pn = ext.p ** n
     assert not any(x % pn for x in total)
     target = -ext.tower.element([x // pn for x in total])
@@ -79,10 +77,10 @@ def conjugate_sum_target(ext, hi, chains, n):
 
 
 def oracle_sample(ext, m, seed=0):
-    """The rejection sampler: every draw gets its element, its Frobenius
-    chain and an exact carry target, which ``member`` on the trace image
-    accepts or rejects; a rejected level redraws the one below, backing off
-    further as the per-level budgets run out."""
+    """The rejection sampler: every draw gets its element and an exact
+    carry target, which ``member`` on the trace image accepts or rejects; a
+    rejected level redraws the one below, backing off further as the
+    per-level budgets run out."""
     rng = derive_rng(seed, "rejection-oracle", ext.name, m)
     kernel = trace_kernel_saturated(ext, ext.tower.lift(ext.N + 1))
     image = linear_map_of(ext, "trace").image
@@ -96,16 +94,17 @@ def oracle_sample(ext, m, seed=0):
             vec = [a + c * b for a, b in zip(vec, row)]
         return ext.tower.element(vec)
 
-    def level_step(chains):
-        c = _carry_target(ext, hi, chains, len(chains))
-        if c != conjugate_sum_target(ext, hi, chains, len(chains)):
+    def level_step(comps):
+        n = len(comps)
+        w = next_ghost_level(ext, hi, comps)
+        c = _carry_target(ext, hi, w, n)
+        if c != conjugate_sum_target(ext, hi, w, n):
             raise VerificationError("carry target differs from its conjugate sum")
         if not member(image, c):
             return None
         return solve_linear(ext, "trace", c)
 
     comps = [draw()]
-    chains = [frobenius_chain(hi, comps[0])]
     particular = [ext.tower.zero_ol] + [None] * m
     retries = [0] * (m + 1)
     attempts = 0
@@ -114,11 +113,10 @@ def oracle_sample(ext, m, seed=0):
         attempts += 1
         if attempts > RETRY_BUDGET * (m + 1) * 4:
             raise OracleExhausted(f"global retry budget exhausted at level {n}")
-        x = level_step(chains)
+        x = level_step(comps)
         if x is not None:
             particular[n] = x
             comps.append(x + draw())
-            chains.append(frobenius_chain(hi, comps[n]))
             n += 1
             continue
         lvl = n - 1
@@ -129,7 +127,6 @@ def oracle_sample(ext, m, seed=0):
             lvl -= 1
         retries[lvl] += 1
         comps[lvl:] = [particular[lvl] + draw()]
-        chains[lvl:] = [frobenius_chain(hi, comps[lvl])]
         n = lvl + 1
     vec = WittVec(ext, tuple(comps))
     assert witt_trace(vec).is_zero
@@ -169,15 +166,14 @@ def test_predicted_membership_equals_exact_membership(extensions, name):
     seen = set()
     for n in range(1, m + 1):
         lo, ghosts = trace_zero_generators(ext, n - 1)
-        chains = [[frobenius_chain(hi, a) for a in _from_ghost(ext, lo, g).components]
-                  for g in ghosts]
-        targets = [_carry_target(ext, hi, c, n) for c in chains]
+        prefixes = [_from_ghost(ext, lo, g).components for g in ghosts]
+        targets = [_carry_target(ext, hi, next_ghost_level(ext, hi, a), n) for a in prefixes]
         for _ in range(20):
             x = [rng.randrange(pN) for _ in ghosts]
             h = _from_ghost(ext, lo, witt_combination(lo, x, ghosts))
-            h_chains = [frobenius_chain(hi, a) for a in h.components]
-            exact = _carry_target(ext, hi, h_chains, n)
-            assert exact == conjugate_sum_target(ext, hi, h_chains, n)
+            w = next_ghost_level(ext, hi, h.components)
+            exact = _carry_target(ext, hi, w, n)
+            assert exact == conjugate_sum_target(ext, hi, w, n)
             predicted = [sum(c * t[j] for c, t in zip(x, targets)) % pN
                          for j in range(ext.e_K)]
             in_image = member(image, exact)
@@ -199,15 +195,15 @@ def test_zeroed_table_row_is_caught(extensions, monkeypatch, name, m):
     lo, ghosts = trace_zero_generators(ext, 0)
     live = [i for i, g in enumerate(ghosts)
             if not member(image, _carry_target(
-                ext, hi, [frobenius_chain(hi, _from_ghost(ext, lo, g)[0])], 1))]
+                ext, hi, next_ghost_level(ext, hi, _from_ghost(ext, lo, g).components), 1))]
     assert live
     carry_target = cohomology._carry_target
     for i in live:
         calls = []
 
-        def zeroing(ext, hi, chains, n):
+        def zeroing(ext, hi, w, n):
             calls.append(n)
-            target = carry_target(ext, hi, chains, n)
+            target = carry_target(ext, hi, w, n)
             return (0,) * len(target) if n == 1 and len(calls) == i + 1 else target
 
         cohomology.trace_zero_generators.cache_clear()
@@ -219,9 +215,9 @@ def test_zeroed_table_row_is_caught(extensions, monkeypatch, name, m):
         cohomology.trace_zero_generators.cache_clear()
 
 
-def test_sqrt2_rejections_need_few_exact_targets(extensions, monkeypatch):
-    # the generators take one exact carry target per generator and level,
-    # and the draws none, so 200 vectors of length 3 cost four
+def test_sqrt2_draws_take_no_exact_targets(extensions, monkeypatch):
+    # nothing is rejected: the generators take one exact carry target per
+    # generator and level, and the 200 draws of length 3 none at all
     ext = extensions["sqrt2"]
     cohomology.trace_zero_generators.cache_clear()
     generators = [len(trace_zero_generators(ext, k)[1]) for k in (0, 1)]

@@ -11,6 +11,9 @@ itself, spells its name.  Imports, docstrings and comments do not count.
 A name that a module imports (``__future__`` features aside) counts as used
 when a ``Name`` or ``Attribute`` node of that module spells it, or when
 another module imports it from that one, as ``errors.sha256`` is.
+
+Frobenius chains stay inside ``witt``: no other module spells the names
+in ``WITT_ONLY``, counted the same way.
 """
 
 import ast
@@ -29,6 +32,11 @@ DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 #: guard calls it.)
 ALLOWED = {"witt.evaluate_poly", "witt.witt_add", "linalg.quotient_invariants",
            "universal.SymPoly.num_terms"}
+
+#: names only ``witt.py`` may spell: the Frobenius chains a^(p^j) that a
+#: ghost level is summed from; other modules go through ``_ghost`` and
+#: ``_from_ghost``
+WITT_ONLY = ("ghost_level", "frobenius_chain")
 
 
 def _spelled(node) -> Counter:
@@ -130,6 +138,13 @@ def test_methods_and_properties_are_checked_too():
               "print(Box().size())\n"),
     }
     assert unreferenced(sources) == {"c.Box.depth"}
+
+
+def test_only_witt_spells_frobenius_chains():
+    spelled = {path.stem: _spelled(ast.parse(path.read_text(encoding="utf-8")))
+               for path in sorted(SRC.glob("*.py")) if path.stem != "witt"}
+    assert {f"{module}.{name}" for module, names in spelled.items()
+            for name in WITT_ONLY if names[name]} == set()
 
 
 def test_every_source_import_is_used():

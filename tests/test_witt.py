@@ -12,8 +12,8 @@ from wittram.universal import carry_polynomial, sum_polynomials
 from wittram.witt import (
     WittVec,
     _from_ghost,
+    _ghost,
     evaluate_poly,
-    frobenius_chain,
     ghost_level,
     witt_add,
     witt_trace,
@@ -243,8 +243,8 @@ def test_carry_target_on_trace_zero_prefixes(spec, levels):
             assert expected == -evaluate_poly(f_n, assign, ext)
             assert expected.lies_in_K
             for hi in (ext.tower.lift(ext.N + n), ext.tower.lift(ext.N + levels)):
-                chains = [frobenius_chain(hi, c) for c in prefix]
-                assert _carry_target(ext, hi, chains, n) == expected.coeffs[:ext.e_K]
+                w = _ghost(hi, full.components)[n]
+                assert _carry_target(ext, hi, w, n) == expected.coeffs[:ext.e_K]
 
 
 def test_carry_target_refuses_a_prefix_that_is_not_trace_zero(gaussian):
@@ -252,9 +252,10 @@ def test_carry_target_refuses_a_prefix_that_is_not_trace_zero(gaussian):
     # divisible by p^2 = 4
     hi = gaussian.tower.lift(gaussian.N + 2)
     t = gaussian.tower
-    chains = [frobenius_chain(hi, t.one_ol), frobenius_chain(hi, t.zero_ol)]
+    w = _ghost(hi, (t.one_ol, t.zero_ol, t.zero_ol))[2]
+    assert w == hi.one_ol
     with pytest.raises(VerificationError, match="level 2 is not divisible by p"):
-        _carry_target(gaussian, hi, chains, 2)
+        _carry_target(gaussian, hi, w, 2)
 
 
 # -- ghost map -----------------------------------------------------------------------
@@ -293,7 +294,7 @@ def test_ghost_level_extends_each_chain_only_as_far_as_needed(cyclo):
     a = [uniform_element(cyclo, rng) for _ in range(4)]
     for a1, lengths in ((a[1], [3, 2, 1, 1]), (t.zero_ol, [3, 1, 1, 1])):
         comps = (a[0], a1, a[2], a[3])
-        chains = [frobenius_chain(t, c) for c in comps]
+        chains = [[c] for c in comps]
         w = t.element(ghost_level(t, chains, 2))
         assert [len(chain) for chain in chains] == lengths
         assert w == a[0] ** (p * p) + p * a1 ** p + p * p * a[2]
