@@ -109,9 +109,16 @@ MUTANTS = (
     {
         "id": "generator-ghost-level-one-low",
         "file": "cohomology.py",
-        "text": "_ghost(hi, _from_ghost(ext, hi, g).components + zero)[n]",
-        "replacement": "_ghost(hi, _from_ghost(ext, hi, g).components + zero)[n - 1]",
+        "text": "_carry_target(ext, hi, c[-D:], n)",
+        "replacement": "_carry_target(ext, hi, c[-2 * D:-D], n)",
         "tests": ["tests/test_trace_zero.py"],
+    },
+    {
+        "id": "recovered-ghost-is-the-input",
+        "file": "witt.py",
+        "text": "vec.hi, vec.chains, vec.ghost = hi, chains, kept",
+        "replacement": "vec.hi, vec.chains, vec.ghost = hi, chains, list(ghost)",
+        "tests": ["tests/test_witt.py::test_recovered_vectors_keep_their_ghost_and_chains"],
     },
     {
         "id": "no-op-draw-from-zero",

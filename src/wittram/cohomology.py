@@ -17,10 +17,11 @@ it this module provides:
   Witt trace of (a_0, ..., a_{n-1}, 0).  For a prefix that is trace-zero
   at precision N that is -tr(W_n)/p^n mod p^N, one ghost level in any lift
   of the tower to precision >= N+n (``witt.ghost_level`` says why), so one
-  lift to N+m serves every level.  W_n is component n of one
-  ``witt._ghost`` call on (a_0, ..., a_{n-1}, 0).  The sharpness witness
-  grows a_0 = pi_L by the solver's solution of each level's target and
-  certifies the finished vector with the general Witt trace;
+  lift to N+m serves every level.  W_n is the last block of the ghost
+  vector of (a_0, ..., a_{n-1}, 0), which ``witt.extended`` appends to the
+  prefix's with one power per component.  The sharpness witness grows
+  a_0 = pi_L the same way, by the solver's solution of each level's target,
+  and certifies the finished vector with the general Witt trace;
 
 * generators of T_n, the Witt-trace-zero vectors of length n at precision
   N, and a uniform sampler on their span.  delta_n is additive modulo
@@ -50,13 +51,14 @@ it this module provides:
   same rows give V^n(k) for every trace kernel element k, so T_{m+1}'s
   generators (``trace_zero_generators``) are the saturated trace kernel
   at level 0 and then, per level, the lifts of one kernel's rows.
-  Each generator is kept as its ghost vector, in the lift of the tower to
-  N + m: ghost components are additive, so a lift is one
-  ``witt.witt_combination`` of the ghost vectors of the (g_i, 0) and of
-  the V^n(e_c), which are p^n e_c in the last slot; ``witt._from_ghost``
-  recovers its components.  The new ghost level W_n of (g_i, 0) is one
-  ``witt._ghost`` call on g_i's recovered components, and it gives
-  delta_n(g_i) too.
+  Each generator is kept as its ghost vector, a flat coordinate list in
+  the lift of the tower to N + m: ghost components are additive, so a lift
+  is one ``witt.witt_combination`` of the ghost vectors of the (g_i, 0)
+  and of the V^n(e_c), which are p^n e_c in the last block.
+  ``witt._from_ghost`` recovers g_i's components, and the vector it
+  returns keeps their Frobenius chains, so the ghost vector of (g_i, 0)
+  (``witt.extended``) costs one more power per component; its last block
+  W_n gives delta_n(g_i) too.
 
   p^(N+m) kills W_{m+1}(O_L/p^N).  The Witt vector functor takes the
   surjection O_L -> O_L/p^N to a surjection, so it is enough that for x
@@ -117,7 +119,7 @@ from .linalg import (
 )
 from .report import CheckResult, SuiteRecord
 from .rings import OLElement, Tower, matvec, padic_val, valuation_K, valuation_L
-from .witt import WittVec, _from_ghost, _ghost, witt_combination, witt_trace
+from .witt import WittVec, _from_ghost, _ghost, extended, witt_combination, witt_trace
 
 # -- deterministic randomness -------------------------------------------------
 
@@ -265,18 +267,18 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
 # -- trace-zero sampler -------------------------------------------------------
 
 
-def _carry_target(ext: ExtensionData, hi: Tower, w: OLElement, n: int) -> tuple:
+def _carry_target(ext: ExtensionData, hi: Tower, w, n: int) -> tuple:
     """The O_K coordinates of the required tr(a_n) for a trace-zero prefix
     (a_0, ..., a_{n-1}) whose ghost level W_n = sum_{i<n} p^i a_i^(p^(n-i))
-    is ``w`` in ``hi``, the tower lifted to precision at least N+n:
-    -tr(W_n)/p^n reduced to N.
+    has the coordinates ``w`` in ``hi``, the tower lifted to precision at
+    least N+n: -tr(W_n)/p^n reduced to N.
 
     This is minus component n of the Witt trace of (a_0, ..., a_{n-1}, 0),
-    i.e. -f_n at X_{i,j} = sigma^i(a_j), with W_n component n of
-    ``witt._ghost`` of that vector.  VerificationError when p^n does not
-    divide tr(W_n): the prefix was not trace-zero.
+    i.e. -f_n at X_{i,j} = sigma^i(a_j), with W_n the last block of the
+    ``witt._ghost`` vector of that vector.  VerificationError when p^n does
+    not divide tr(W_n): the prefix was not trace-zero.
     """
-    tr = matvec(hi.trace_matrix, w.coeffs, hi.pN)
+    tr = matvec(hi.trace_matrix, w, hi.pN)
     pn, pN = ext.p ** n, ext.tower.pN
     if any(x % pn for x in tr):
         raise VerificationError(
@@ -295,23 +297,22 @@ def _trace_zero(vec: WittVec) -> WittVec:
 @lru_cache(maxsize=64)
 def trace_zero_generators(ext: ExtensionData, m: int) -> tuple:
     """(hi, ghosts): generators of T_{m+1}, the trace-zero Witt vectors of
-    length m+1 at precision N, as their ghost vectors (``witt._ghost``) in
-    ``hi``, the tower lifted to N + max(m, 1).  Level 0 is the saturated
-    trace kernel; each level n lifts the syzygies (x | y) of the carry
-    targets against the trace to sum_i x_i (g_i, 0) + V^n(y), one
-    ``witt_combination`` each (module docstring)."""
+    length m+1 at precision N, as their ghost vectors in ``hi`` (flat
+    coordinate lists, ``witt._ghost``), the tower lifted to N + max(m, 1).
+    Level 0 is the saturated trace kernel; each level n lifts the syzygies
+    (x | y) of the carry targets against the trace to
+    sum_i x_i (g_i, 0) + V^n(y), one ``witt_combination`` each (module
+    docstring)."""
     hi = ext.tower.lift(ext.N + max(m, 1))
-    zero = (ext.tower.zero_ol,)
+    D, zero = hi.dim, ext.tower.zero_ol
     minus_trace = [tuple(-x for x in row) for row in ext.tower.trace_matrix]
-    ghosts = tuple((hi.element(k),) for k in trace_kernel_saturated(ext, hi).rows)
+    ghosts = tuple(list(k) for k in trace_kernel_saturated(ext, hi).rows)
     for n in range(1, m + 1):
-        levels = [_ghost(hi, _from_ghost(ext, hi, g).components + zero)[n] for g in ghosts]
-        targets = [_carry_target(ext, hi, w, n) for w in levels]
+        columns = [_ghost(hi, extended(hi, _from_ghost(ext, hi, g), zero)) for g in ghosts]
+        targets = [_carry_target(ext, hi, c[-D:], n) for c in columns]
         syzygies = LinearMap(tuple(t + row for t, row in zip(zip(*targets), minus_trace)),
                              ext.p, ext.N, len(ghosts) + hi.dim).kernel
-        columns = [g + (w,) for g, w in zip(ghosts, levels)]
-        columns += [(hi.zero_ol,) * n + (hi.element((0,) * c + (ext.p ** n,)),)
-                    for c in range(hi.dim)]
+        columns += [[0] * (n * D + c) + [ext.p ** n] + [0] * (D - 1 - c) for c in range(D)]
         ghosts = tuple(witt_combination(hi, row, columns) for row in syzygies.rows)
     return hi, ghosts
 
@@ -320,7 +321,8 @@ def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
     """A seeded uniform element of the span of ``trace_zero_generators``,
     certified by its Witt trace: coefficients drawn once mod p^(N+m), which
     kills W_{m+1}(O_L/p^N) (module docstring), and one combination;
-    nothing is rejected."""
+    nothing is rejected.  The certificate traces the ghost vector of the
+    recovered components, kept by the recovery, not the combination."""
     if m < 0:
         raise ValueError("m must be >= 0")
     rng = derive_rng(seed, "sample-trace-zero", ext.name, m)
@@ -427,7 +429,10 @@ def verify_restriction_vanishing(ext: ExtensionData, m: int,
 def deterministic_witness(ext: ExtensionData, m: int):
     """A trace-zero vector grown from a_0 = pi_L: at each level n, a_n is
     the solver's solution of tr(a_n) = the carry target of the prefix, read
-    off W_n of (a_0, ..., a_{n-1}, 0), with no kernel offset.
+    off W_n of (a_0, ..., a_{n-1}, 0), with no kernel offset.  The prefix
+    keeps its Frobenius chains as it grows (``witt.extended``), so level n
+    costs n powers, and the Witt trace that certifies the vector reuses
+    them.
 
     Returns (vector, note); vector is None when the construction cannot run
     (pi_L not trace-zero, or the carry target leaves the trace image).
@@ -436,14 +441,14 @@ def deterministic_witness(ext: ExtensionData, m: int):
     if not ext.trace(a0).is_zero:
         return None, "pi_L is not trace-zero; no deterministic witness"
     hi = ext.tower.lift(ext.N + m)
-    comps = (a0,)
+    vec, zero = WittVec(ext, (a0,)), ext.tower.zero_ol
     for n in range(1, m + 1):
-        target = _carry_target(ext, hi, _ghost(hi, comps + (ext.tower.zero_ol,))[n], n)
+        target = _carry_target(ext, hi, _ghost(hi, extended(hi, vec, zero))[-hi.dim:], n)
         try:
-            comps += (solve_linear(ext, "trace", target),)
+            vec = extended(hi, vec, solve_linear(ext, "trace", target))
         except NoSolution:
             return None, f"carry target left the trace image at level {n}"
-    return _trace_zero(WittVec(ext, comps)), None
+    return _trace_zero(vec), None
 
 
 def negative_control(ext: ExtensionData, m: int) -> SuiteRecord:

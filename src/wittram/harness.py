@@ -104,11 +104,8 @@ def symbolic_suite(ext: ExtensionData,
 
     p = ext.p
 
-    def sum_vars(level: int) -> SymPoly:
-        out = SymPoly.zero()
-        for i in range(p):
-            out = out + SymPoly.var(i, level)
-        return out
+    def sum_vars(level: int, e: int = 1) -> SymPoly:
+        return sum((SymPoly.var(i, level) ** e for i in range(p)), SymPoly.zero())
 
     n_max = SYMBOLIC_LEVELS.get(p, 1)
     checks = []
@@ -121,10 +118,8 @@ def symbolic_suite(ext: ExtensionData,
         digests[f"z_{k}"] = zs[k].digest()
         structure.record(not zs[k].has_constant_term)
         w_k = ghost_polynomial(p, k)
-        lhs = SymPoly.zero()
-        for i in range(p):
-            lhs = lhs + w_k.substitute({(0, e): SymPoly.var(i, e)
-                                        for e in range(k + 1)})
+        lhs = sum((w_k.substitute({(0, e): SymPoly.var(i, e) for e in range(k + 1)})
+                   for i in range(p)), SymPoly.zero())
         rhs = w_k.substitute({(0, e): zs[e] for e in range(k + 1)})
         ghost.record((lhs - rhs).is_zero)
     checks.extend([structure, ghost])
@@ -151,10 +146,7 @@ def symbolic_suite(ext: ExtensionData,
         res_struct.record(structure_check(g, p * p))
         f_n = carry_polynomial(p, n, max_terms)
         f_prev = carry_polynomial(p, n - 1, max_terms)
-        block = SymPoly.zero()
-        for i in range(p):
-            block = block + SymPoly.var(i, n - 1) ** p
-        block = block - zs[n - 1] ** p - (-f_prev) ** p
+        block = sum_vars(n - 1, p) - zs[n - 1] ** p - (-f_prev) ** p
         res_ident.record(((f_n - g).scale(p) - block).is_zero)
     checks.extend([res_struct, res_ident])
     checks[0].detail["digests"] = digests

@@ -155,12 +155,7 @@ class OLElement:
             raise ValueError("negative powers are not supported")
         if n == 0:
             return self.tower.one_ol
-        result = self
-        for bit in bin(n)[3:]:  # left to right after the leading 1
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return OLElement(self.tower, tuple(self.tower.flat_pow(self.coeffs, n)))
 
     @property
     def is_zero(self) -> bool:
@@ -403,6 +398,17 @@ class Tower:
                     grid[sk] += c * v
         pN = self.pN
         return [grid[s] % pN for s in slot]
+
+    def flat_pow(self, x, n: int):
+        """x^n for n >= 1 on flat coordinates, by square-and-multiply from
+        the leading bit of n (each square a ``flat_mul`` of x with itself);
+        x itself when n = 1."""
+        result = x
+        for bit in bin(n)[3:]:
+            result = self.flat_mul(result, result)
+            if bit == "1":
+                result = self.flat_mul(result, x)
+        return result
 
     # -- validation ----------------------------------------------------
 

@@ -224,7 +224,7 @@ def teichmuller(ext: ExtensionData, x: OLElement, length: int) -> WittVec:
 def witt_neg(a: WittVec) -> WittVec:
     """The additive inverse: the ghost components negate."""
     hi = a.ext.tower.lift(a.ext.N + len(a) - 1)
-    return _from_ghost(a.ext, hi, [-w for w in _ghost(hi, a.components)])
+    return _from_ghost(a.ext, hi, [-x for x in _ghost(hi, a)])
 
 
 def verschiebung(a: WittVec) -> WittVec:
@@ -251,7 +251,9 @@ def apply_sigma(a: WittVec, power: int = 1) -> WittVec:
 
 def ghost_map(a: WittVec) -> tuple:
     """Ghost coordinates (W_0(a), ..., W_m(a)) evaluated in O_L at precision."""
-    return tuple(_ghost(a.ext.tower, a.components))
+    tower = a.ext.tower
+    ghost = _ghost(tower, WittVec(a.ext, a.components))
+    return tuple(tower.element(ghost[k:k + tower.dim]) for k in range(0, len(ghost), tower.dim))
 
 
 # -- cohomology ---------------------------------------------------------------
@@ -281,10 +283,10 @@ def in_trace_zero_span(ext: ExtensionData, m: int):
     width = D * (m + 1)
     lifts_of_zero = [[p ** (N + i // D) * (j == i) for j in range(width)]
                      for i in range(width)]
-    basis = howell_form([[x for w in g for x in w.coeffs] for g in ghosts] + lifts_of_zero,
+    basis = howell_form([list(g) for g in ghosts] + lifts_of_zero,
                         p, N + m, width)
 
     def contains(components) -> bool:
-        return member(basis, [x for w in _ghost(hi, components) for x in w.coeffs])
+        return member(basis, _ghost(hi, WittVec(ext, tuple(components))))
 
     return contains

@@ -59,7 +59,7 @@ def extensions():
 def next_ghost_level(ext, hi, prefix):
     """W_n of (a_0, ..., a_{n-1}, 0) in ``hi``, for the n components
     ``prefix``: the ghost level a carry target is read off."""
-    return _ghost(hi, tuple(prefix) + (ext.tower.zero_ol,))[len(prefix)]
+    return _ghost(hi, WittVec(ext, tuple(prefix) + (ext.tower.zero_ol,)))[-hi.dim:]
 
 
 def conjugate_sum_target(ext, hi, w, n):
@@ -68,7 +68,7 @@ def conjugate_sum_target(ext, hi, w, n):
     extension rebuilt at the precision of ``hi``, over p^n, reduced to N.
     It must lie in O_K; its O_K coordinates are returned."""
     up = rebuilt(ext, hi.N)
-    total = sum(conjugates(up, up.tower.element(w.coeffs))).coeffs
+    total = sum(conjugates(up, up.tower.element(w))).coeffs
     pn = ext.p ** n
     assert not any(x % pn for x in total)
     target = -ext.tower.element([x // pn for x in total])

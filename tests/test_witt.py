@@ -7,13 +7,14 @@ import pytest
 from wittram.cohomology import _carry_target, sample_trace_zero
 from wittram.errors import IntegralityError, LengthMismatch, VerificationError
 from wittram.extensions import build_extension
-from wittram.rings import valuation_L
+from wittram.rings import Tower, valuation_L
 from wittram.universal import carry_polynomial, sum_polynomials
 from wittram.witt import (
     WittVec,
     _from_ghost,
     _ghost,
     evaluate_poly,
+    extended,
     ghost_level,
     witt_add,
     witt_trace,
@@ -243,7 +244,7 @@ def test_carry_target_on_trace_zero_prefixes(spec, levels):
             assert expected == -evaluate_poly(f_n, assign, ext)
             assert expected.lies_in_K
             for hi in (ext.tower.lift(ext.N + n), ext.tower.lift(ext.N + levels)):
-                w = _ghost(hi, full.components)[n]
+                w = _ghost(hi, WittVec(ext, full.components))[n * hi.dim:]
                 assert _carry_target(ext, hi, w, n) == expected.coeffs[:ext.e_K]
 
 
@@ -252,8 +253,8 @@ def test_carry_target_refuses_a_prefix_that_is_not_trace_zero(gaussian):
     # divisible by p^2 = 4
     hi = gaussian.tower.lift(gaussian.N + 2)
     t = gaussian.tower
-    w = _ghost(hi, (t.one_ol, t.zero_ol, t.zero_ol))[2]
-    assert w == hi.one_ol
+    w = _ghost(hi, WittVec(gaussian, (t.one_ol, t.zero_ol, t.zero_ol)))[2 * hi.dim:]
+    assert w == list(hi.one_ol.coeffs)
     with pytest.raises(VerificationError, match="level 2 is not divisible by p"):
         _carry_target(gaussian, hi, w, 2)
 
@@ -294,7 +295,7 @@ def test_ghost_level_extends_each_chain_only_as_far_as_needed(cyclo):
     a = [uniform_element(cyclo, rng) for _ in range(4)]
     for a1, lengths in ((a[1], [3, 2, 1, 1]), (t.zero_ol, [3, 1, 1, 1])):
         comps = (a[0], a1, a[2], a[3])
-        chains = [[c] for c in comps]
+        chains = [[c.coeffs] for c in comps]
         w = t.element(ghost_level(t, chains, 2))
         assert [len(chain) for chain in chains] == lengths
         assert w == a[0] ** (p * p) + p * a1 ** p + p * p * a[2]
@@ -344,7 +345,47 @@ def test_ghost_recovery_rejects_non_ghost_vectors(all_extensions):
     for ext in all_extensions:
         t = ext.tower
         with pytest.raises(IntegralityError):
-            _from_ghost(ext, t, [t.zero_ol, t.one_ol])
+            _from_ghost(ext, t, [0] * t.dim + list(t.one_ol.coeffs))
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "quadratic-gaussian"}, {"kind": "quadratic-sqrt2"},
+    {"kind": "cyclotomic-step", "p": 3}, {"kind": "cyclotomic-step", "p": 5}], ids=spec_id)
+def test_recovered_vectors_keep_their_ghost_and_chains(spec, monkeypatch):
+    # a vector from ``_from_ghost`` (a Witt sum, and a trace-zero draw) keeps
+    # the ghost vector of its own components and their chains: they equal
+    # what a fresh vector with the same components computes, so the Witt
+    # trace and W_n of (vec, 0) read off them are the fresh ones too.  The
+    # draw's certificate makes no product, and (vec, 0) one p-th power per
+    # nonzero component
+    ext = build_extension(spec)
+    rng = random.Random(23)
+    zero, p = ext.tower.zero_ol, ext.p
+    products = []
+    flat_mul = Tower.flat_mul
+
+    def counting(tower, x, y):
+        products.append(1)
+        return flat_mul(tower, x, y)
+
+    for length in range(1, 6):
+        drawn = sample_trace_zero(ext, length - 1, seed=length)
+        summed = witt_add(rand_vec(ext, rng, length), rand_vec(ext, rng, length))
+        for vec in (drawn, summed):
+            products.clear()
+            hi, D = vec.hi, vec.hi.dim
+            fresh = WittVec(ext, vec.components)
+            assert vec.ghost == _ghost(hi, fresh)
+            assert witt_trace(vec).components == witt_trace(fresh).components
+            monkeypatch.setattr(Tower, "flat_mul", counting)
+            if vec is drawn:
+                assert witt_trace(vec).is_zero and not products
+            products.clear()
+            w = _ghost(hi, extended(hi, vec, zero))[length * D:]
+            nonzero = sum(not c.is_zero for c in vec.components)
+            assert len(products) == nonzero * (len(bin(p)) - 3 + bin(p)[3:].count("1"))
+            monkeypatch.undo()
+            assert w == _ghost(hi, WittVec(ext, vec.components + (zero,)))[length * D:]
 
 
 # -- components that vanish mod p^N ----------------------------------------------------
