@@ -121,6 +121,27 @@ MUTANTS = (
         "tests": ["tests/test_witt.py::test_recovered_vectors_keep_their_ghost_and_chains"],
     },
     {
+        "id": "decimal-string-of-any-digits",
+        "file": "extensions.py",
+        "text": "if not (digits.isascii() and digits.isdigit()):",
+        "replacement": "if not digits.isdigit():",
+        "tests": ["tests/test_extensions.py::test_spec_made_in_code_is_refused_like_its_document"],
+    },
+    {
+        "id": "repeated-spec-key-keeps-the-last",
+        "file": "extensions.py",
+        "text": "json.load(fh, object_pairs_hook=_unique_keys)",
+        "replacement": "json.load(fh)",
+        "tests": ["tests/test_cli.py::test_malformed_spec_file_exits_2"],
+    },
+    {
+        "id": "repeated-suite-accepted",
+        "file": "harness.py",
+        "text": "if name in config.suites[:i]:",
+        "replacement": "if False:",
+        "tests": ["tests/test_cli.py::test_repeated_suite_exits_2"],
+    },
+    {
         "id": "no-op-draw-from-zero",
         "file": "cohomology.py",
         "text": "return [rng.randrange(modulus) for _ in basis]",

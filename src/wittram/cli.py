@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DEFAULT_TERM_LIMIT, SUITE_ORDER, ConfigError, WittramError
+from .errors import SUITE_ORDER, ConfigError, WittramError
 from .rings import is_prime
 from .extensions import BUILTIN_NAMES, resolve_extension
 
@@ -50,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", dest="fmt", default="text",
                         choices=("text", "json", "csv"))
     verify.add_argument("--out", default=None, help="write the report to a file")
-    verify.add_argument("--max-terms", type=int, default=DEFAULT_TERM_LIMIT,
-                        help="term budget for symbolic computations")
 
     poly = sub.add_parser("witt-poly", help="print a universal polynomial")
     poly.add_argument("--p", type=int, required=True)
@@ -98,7 +96,7 @@ def _cmd_verify(args) -> int:
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     config = RunConfig(extension=_pick_extension(args), precision=args.precision,
                        m=args.m, trials=args.trials, seed=args.seed,
-                       suites=suites, fmt=args.fmt, max_terms=args.max_terms)
+                       suites=suites, fmt=args.fmt)
     report, code = run(config)
     text = emit_report(report, args.fmt)
     if args.out:

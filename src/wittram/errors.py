@@ -17,9 +17,9 @@ class InvalidExtension(WittramError):
     """Extension data are refused; the one type of every such refusal."""
 
 
-#: the default term budget of the symbolic computations; every report
-#: echoes the budget it ran with
-DEFAULT_TERM_LIMIT = 10 ** 7
+#: the term budget of the symbolic computations: the most monomials the dense
+#: bound of a requested addition law may project; every report echoes it
+TERM_LIMIT = 10 ** 7
 
 #: the suites of ``verify``, in run order; kept here so that the command
 #: line parser can list them without loading the verify stack
@@ -28,7 +28,7 @@ SUITE_ORDER = ("symbolic", "trace-lemmas", "cascade", "proposition", "h1",
 
 
 class ResourceLimit(WittramError):
-    """A symbolic computation would exceed the configured term budget."""
+    """A symbolic computation would exceed the term budget."""
 
 
 class IntegralityError(WittramError):

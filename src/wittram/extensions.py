@@ -78,26 +78,8 @@ class ExtensionData:
         self.tower = tower
         self.sigma = sigma
         self.t = t
-
-    @property
-    def name(self) -> str:
-        return self.spec["kind"]
-
-    @property
-    def p(self) -> int:
-        return self.tower.p
-
-    @property
-    def N(self) -> int:
-        return self.tower.N
-
-    @property
-    def e_K(self) -> int:
-        return self.tower.e_K
-
-    @property
-    def e_L(self) -> int:
-        return self.tower.e_L
+        self.name = spec["kind"]
+        self.p, self.N, self.e_K, self.e_L = tower.p, tower.N, tower.e_K, tower.e_L
 
     def apply_sigma(self, a: OLElement) -> OLElement:
         """sigma applied to an element of O_L."""
@@ -169,9 +151,14 @@ def _materialize(spec: dict) -> tuple:
 
 
 def _parse_int(value) -> int:
-    # integers may arrive as decimal strings to sidestep word-size limits
+    # integers may arrive as decimal strings to sidestep word-size limits: an
+    # optional '-' and ASCII digits, after surrounding whitespace is stripped
     if isinstance(value, str):
-        return int(value.strip(), 10)
+        text = value.strip()
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"expected a decimal string, got {value!r}")
+        return int(text)
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer or decimal string, got {value!r}")
     return value
@@ -260,8 +247,8 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     for _ in range(p - 1):
         powers.append(powers[-1] * sigma_pi)
     sigma = tower.ok_linear_matrix([x.coeffs for x in powers])
-    orbit = [tower.pi_L.coeffs]
-    for _ in range(p):
+    orbit = [tower.pi_L.coeffs, sigma_pi.coeffs]  # sigma^i(pi_L), i <= p
+    for _ in range(p - 1):
         orbit.append(matvec(sigma, orbit[-1], tower.pN))
     if orbit[1] == orbit[0]:
         raise InvalidExtension("sigma fixes pi_L; the action is trivial")
@@ -282,15 +269,26 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
 # -- extension spec files ---------------------------------------------------
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are all distinct; the decoder would keep
+    the last value of a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is repeated")
+        obj[key] = value
+    return obj
+
+
 def load_spec_file(path) -> dict:
     """The spec in a JSON spec file, as it stands: InvalidExtension if it
-    is not JSON or nests too deeply to parse.  ``build_extension`` checks
-    it as any spec made in code."""
+    is not JSON, repeats a key in an object or nests too deeply to parse.
+    ``build_extension`` checks it as any spec made in code."""
     import json  # only spec files need it
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise InvalidExtension(
                 f"malformed spec file {path}: {type(exc).__name__}: {exc}") from exc

@@ -18,8 +18,8 @@ from .cohomology import (
     verify_trace_valuations,
 )
 from .errors import (
-    DEFAULT_TERM_LIMIT,
     SUITE_ORDER,
+    TERM_LIMIT,
     ConfigError,
     IntegralityError,
     VerificationError,
@@ -35,13 +35,11 @@ SYMBOLIC_LEVELS = {2: 3, 3: 2}
 class RunConfig:
     """One ``verify`` invocation: the extension, the suites and their knobs."""
 
-    __slots__ = ("extension", "precision", "m", "trials", "seed", "suites",
-                 "fmt", "max_terms")
+    __slots__ = ("extension", "precision", "m", "trials", "seed", "suites", "fmt")
 
     def __init__(self, extension: str = "quadratic-gaussian",
                  precision: int = None, m: int = 1, trials: int = 200,
-                 seed: int = 0, suites: tuple = SUITE_ORDER, fmt: str = "text",
-                 max_terms: int = DEFAULT_TERM_LIMIT):
+                 seed: int = 0, suites: tuple = SUITE_ORDER, fmt: str = "text"):
         self.extension = extension
         self.precision = precision  # None: the spec file's or the built-in default
         self.m = m
@@ -49,10 +47,10 @@ class RunConfig:
         self.seed = seed
         self.suites = suites
         self.fmt = fmt
-        self.max_terms = max_terms
 
     def echo(self, precision: int) -> dict:
-        """The report's config block, at the precision the run resolved."""
+        """The report's config block, at the precision the run resolved,
+        with the symbolic layer's fixed term budget."""
         return {
             "extension": self.extension,
             "precision": precision,
@@ -61,7 +59,7 @@ class RunConfig:
             "seed": self.seed,
             "suites": list(self.suites),
             "format": self.fmt,
-            "max_terms": self.max_terms,
+            "max_terms": TERM_LIMIT,
         }
 
 
@@ -76,8 +74,7 @@ def precision_guard(ext: ExtensionData, m: int):
         )
 
 
-def symbolic_suite(ext: ExtensionData,
-                   max_terms: int = DEFAULT_TERM_LIMIT) -> SuiteRecord:
+def symbolic_suite(ext: ExtensionData) -> SuiteRecord:
     """Structural and identity certification of the universal polynomials
     at the extension's prime p.
 
@@ -109,7 +106,7 @@ def symbolic_suite(ext: ExtensionData,
 
     n_max = SYMBOLIC_LEVELS.get(p, 1)
     checks = []
-    zs = sum_polynomials(p, n_max, p, max_terms)
+    zs = sum_polynomials(p, n_max, p)
     digests = {}
 
     ghost = CheckResult("ghost-compatibility", "pass")
@@ -125,14 +122,14 @@ def symbolic_suite(ext: ExtensionData,
     checks.extend([structure, ghost])
 
     base = CheckResult("base-cases", "pass")
-    base.record(carry_polynomial(p, 0, max_terms).is_zero)
-    base.record(carry_residue_polynomial(p, 1, max_terms).is_zero)
+    base.record(carry_polynomial(p, 0).is_zero)
+    base.record(carry_residue_polynomial(p, 1).is_zero)
     checks.append(base)
 
     carry_struct = CheckResult("carry-structure", "pass")
     carry_ident = CheckResult("carry-identity", "pass")
     for n in range(1, n_max + 1):
-        f_n = carry_polynomial(p, n, max_terms)
+        f_n = carry_polynomial(p, n)
         digests[f"f_{n}"] = f_n.digest()
         carry_struct.record(structure_check(f_n, p))
         carry_ident.record((f_n + sum_vars(n) - zs[n]).is_zero)
@@ -141,11 +138,11 @@ def symbolic_suite(ext: ExtensionData,
     res_struct = CheckResult("carry-residue-structure", "pass")
     res_ident = CheckResult("carry-split-identity", "pass")
     for n in range(2, n_max + 1):
-        g = carry_residue_polynomial(p, n, max_terms)
+        g = carry_residue_polynomial(p, n)
         digests[f"g_for_level_{n}"] = g.digest()
         res_struct.record(structure_check(g, p * p))
-        f_n = carry_polynomial(p, n, max_terms)
-        f_prev = carry_polynomial(p, n - 1, max_terms)
+        f_n = carry_polynomial(p, n)
+        f_prev = carry_polynomial(p, n - 1)
         block = sum_vars(n - 1, p) - zs[n - 1] ** p - (-f_prev) ** p
         res_ident.record(((f_n - g).scale(p) - block).is_zero)
     checks.extend([res_struct, res_ident])
@@ -155,7 +152,7 @@ def symbolic_suite(ext: ExtensionData,
 
 def _run_suite(name: str, ext: ExtensionData, config: RunConfig) -> SuiteRecord:
     if name == "symbolic":
-        return symbolic_suite(ext, config.max_terms)
+        return symbolic_suite(ext)
     if name == "trace-lemmas":
         return verify_trace_valuations(ext, config.trials, config.seed)
     if name == "cascade":
@@ -172,9 +169,11 @@ def run(config: RunConfig):
     """Execute the configured suites; returns (Report, exit_code)."""
     if not config.suites:
         raise ConfigError(f"no suite selected; choose from {SUITE_ORDER}")
-    for name in config.suites:
+    for i, name in enumerate(config.suites):
         if name not in SUITE_ORDER:
             raise ConfigError(f"unknown suite {name!r}; choose from {SUITE_ORDER}")
+        if name in config.suites[:i]:
+            raise ConfigError(f"suite {name!r} is selected twice")
     if config.m < 0:
         raise ConfigError(f"--m must be >= 0, got {config.m}")
     if config.trials < 1:

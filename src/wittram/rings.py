@@ -263,9 +263,10 @@ class Tower:
         """
         cols = []
         for col in images:
-            for _ in range(self.e_K):
-                cols.append(col)
+            cols.append(col)
+            for _ in range(self.e_K - 1):
                 col = self._times_pi_K(col)
+                cols.append(col)
         return tuple(zip(*cols))
 
     # -- constructors -------------------------------------------------

@@ -53,7 +53,7 @@ from functools import lru_cache
 from math import isqrt
 from struct import pack
 
-from .errors import DEFAULT_TERM_LIMIT, IntegralityError, ResourceLimit, sha256
+from .errors import TERM_LIMIT, IntegralityError, ResourceLimit, sha256
 
 # Bits per exponent field, and the bound on i + j for a variable X_{i,j}: it
 # keeps a packed monomial within (64 * 65 / 2 + 1) fields of 32 bits.
@@ -338,24 +338,24 @@ def structure_check(poly: SymPoly, required_min_degree: int) -> bool:
         min_deg is None or min_deg >= required_min_degree)
 
 
-def _guard(p: int, n: int, arity: int, max_terms: int):
+def _guard(p: int, n: int, arity: int):
     # dense bound: monomials of total degree <= d = p^n in arity*(n+1)
     # variables, C(d + nvars, nvars).  Both d and the binomial grow with every
-    # factor, so each is built up only until it passes the limit: a huge
+    # factor, so each is built up only until it passes TERM_LIMIT: a huge
     # level or arity is refused without forming a huge integer.
     nvars = arity * (n + 1)
     degree = 1
     for _ in range(n):
         degree *= p
-        if degree > max_terms:
+        if degree > TERM_LIMIT:
             break
     projected = 1
     for i in range(1, nvars + 1):
         projected = projected * (degree + i) // i
-        if projected > max_terms:
+        if projected > TERM_LIMIT:
             raise ResourceLimit(
                 f"projected dense term count for (p={p}, n={n}, "
-                f"arity={arity}) exceeds the limit {max_terms}"
+                f"arity={arity}) exceeds the limit {TERM_LIMIT}"
             )
 
 
@@ -394,20 +394,19 @@ def _certified(poly: SymPoly, d: int, label: str) -> SymPoly:
 
 
 @lru_cache(maxsize=None)
-def sum_polynomials(p: int, n: int, arity: int,
-                    max_terms: int = DEFAULT_TERM_LIMIT) -> tuple:
+def sum_polynomials(p: int, n: int, arity: int) -> tuple:
     """The Witt addition laws z_0..z_n for ``arity`` summands.
 
     z_k = sum_i X_{i,k} + T(k, k)/p^k, certified integral with no constant
     term.  Raises ResourceLimit, before any level is built, when the dense
-    monomial bound of level n exceeds ``max_terms``; the bound grows with
+    monomial bound of level n exceeds TERM_LIMIT; the bound grows with
     the level, so no lower level can exceed it first.
     """
     if arity < 2:
         raise ValueError("arity must be >= 2")
     if n < 0:
         raise ValueError("level must be >= 0")
-    _guard(p, n, arity, max_terms)
+    _guard(p, n, arity)
     zs = []
     for k in range(n + 1):
         z_k = _certified(_telescoped(p, arity, zs, k, k), p ** k,
@@ -419,7 +418,7 @@ def sum_polynomials(p: int, n: int, arity: int,
 
 
 @lru_cache(maxsize=None)
-def carry_polynomial(p: int, n: int, max_terms: int = DEFAULT_TERM_LIMIT) -> SymPoly:
+def carry_polynomial(p: int, n: int) -> SymPoly:
     """The level-n addition carry for p summands (CLI name: f).
 
     f_0 = 0, and f_n = z_n - sum_i X_{i,n} = T(n, n)/p^n for n >= 1, read
@@ -430,13 +429,12 @@ def carry_polynomial(p: int, n: int, max_terms: int = DEFAULT_TERM_LIMIT) -> Sym
         raise ValueError("level must be >= 0")
     if n == 0:
         return SymPoly.zero()
-    z_n = sum_polynomials(p, n, p, max_terms)[n]
+    z_n = sum_polynomials(p, n, p)[n]
     return z_n - sum((SymPoly.var(i, n) for i in range(p)), SymPoly.zero())
 
 
 @lru_cache(maxsize=None)
-def carry_residue_polynomial(p: int, n: int,
-                             max_terms: int = DEFAULT_TERM_LIMIT) -> SymPoly:
+def carry_residue_polynomial(p: int, n: int) -> SymPoly:
     """The residue of the level-n carry split (CLI name: g).
 
     For n >= 1 this is the polynomial g with
@@ -451,8 +449,8 @@ def carry_residue_polynomial(p: int, n: int,
         raise ValueError("level must be >= 1")
     if n == 1:
         return SymPoly.zero()
-    _guard(p, n, p, max_terms)
-    zs = sum_polynomials(p, n - 2, p, max_terms)
-    f_prev = carry_polynomial(p, n - 1, max_terms)
+    _guard(p, n, p)
+    zs = sum_polynomials(p, n - 2, p)
+    f_prev = carry_polynomial(p, n - 1)
     block = _telescoped(p, p, zs, n, n - 1) + ((-f_prev) ** p).scale(p ** (n - 1))
     return _certified(block, p ** n, f"carry residue for level {n} (p={p})")

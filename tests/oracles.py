@@ -54,6 +54,13 @@ REFUSED_SPECS = {
     "boolean-coefficient": (dict(SQRT2_DOC, sigma_pi=[[False], [-1]]),
                             "got False"),
     "float-p": ({"kind": "cyclotomic-step", "p": 3.0}, "got 3.0"),
+    # int() would read each of these as a decimal string: 11, 5 and 5
+    "p-with-underscore": ({"kind": "cyclotomic-step", "p": "1_1"},
+                          "expected a decimal string, got '1_1'"),
+    "p-in-arabic-indic-digits": ({"kind": "cyclotomic-step", "p": "\u0665"},
+                                 "expected a decimal string, got '\u0665'"),
+    "p-with-plus-sign": ({"kind": "cyclotomic-step", "p": " +5 "},
+                         "expected a decimal string, got ' +5 '"),
     "not-an-object": ([["kind", "custom"]], "a spec is a JSON object"),
     "without-kind": ({"p": 2}, "needs a 'kind' field"),
     # documents that would build another extension than they say, or carry

@@ -368,19 +368,16 @@ def test_bad_m_or_trials_exits_2(flag, value, capsys):
 @settings(max_examples=40, deadline=None)
 @given(extension=st.sampled_from(["quadratic-gaussian", "quadratic-sqrt2"]),
        m=st.integers(-2, 3), trials=st.integers(-2, 3),
-       precision=st.integers(-2, 80), max_terms=st.integers(-1, 10 ** 7),
+       precision=st.integers(-2, 80),
        suites=st.lists(st.sampled_from(SUITE_ORDER), min_size=1, unique=True))
-@example(extension="quadratic-sqrt2", m=-1, trials=3, precision=48,
-         max_terms=10 ** 6, suites=["cascade"])
-def test_verify_fuzz_exit_codes(extension, m, trials, precision, max_terms,
-                                suites):
+@example(extension="quadratic-sqrt2", m=-1, trials=3, precision=48, suites=["cascade"])
+def test_verify_fuzz_exit_codes(extension, m, trials, precision, suites):
     # whatever the flags, verify ends with a documented exit code and at most
     # one line on stderr, never with an escaping exception
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--extension", extension, "--m", str(m),
                      "--trials", str(trials), "--precision", str(precision),
-                     "--max-terms", str(max_terms),
                      "--suites", ",".join(suites), "--format", "json"])
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
@@ -392,6 +389,26 @@ def test_verify_fuzz_exit_codes(extension, m, trials, precision, max_terms,
 def test_unknown_suite_exits_2(capsys):
     assert main(["verify", "--extension", "quadratic-sqrt2",
                  "--suites", "nope"]) == 2
+
+
+@pytest.mark.parametrize("suites", ["h1,h1", "h1,cascade,h1"])
+def test_repeated_suite_exits_2(capsys, suites):
+    # the report's config would echo the suite twice, while it runs once
+    assert main(["verify", "--extension", "quadratic-sqrt2",
+                 "--suites", suites]) == 2
+    _assert_one_error_line(capsys)
+    with pytest.raises(ConfigError, match="suite 'h1' is selected twice"):
+        run(RunConfig(extension="quadratic-sqrt2", suites=tuple(suites.split(","))))
+
+
+def test_term_budget_is_no_flag(capsys):
+    # the symbolic layer's budget is a constant: --max-terms is an unknown flag
+    assert main(["verify", "--extension", "quadratic-sqrt2", "--suites", "h1",
+                 "--max-terms", "5"]) == 2
+    _assert_one_error_line(capsys)
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--max-terms" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("suites", [",", ""])
@@ -467,6 +484,7 @@ def test_json_report_structure(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "1"
     assert doc["config"]["extension"] == "quadratic-sqrt2"
+    assert doc["config"]["max_terms"] == 10 ** 7  # the symbolic layer's fixed budget
     names = [s["suite"] for s in doc["suites"]]
     assert names == ["trace-lemmas", "h1"]
     for suite in doc["suites"]:
@@ -520,6 +538,9 @@ def test_run_config_roundtrip_without_cli():
 BAD_SPEC_FILES = {defect: (json.dumps(doc), message)
                   for defect, (doc, message) in REFUSED_SPECS.items()}
 BAD_SPEC_FILES["bad-json"] = ("{\"kind\": \"custom\",", "malformed spec file")
+# the decoder would keep the last value and build p = 7
+BAD_SPEC_FILES["repeated-key"] = ('{"kind": "cyclotomic-step", "p": 5, "p": 7}',
+                                  "ValueError: key 'p' is repeated")
 # the JSON decoder raises RecursionError, not ValueError, on deep nesting
 BAD_SPEC_FILES["too-deep"] = ("[" * 100000 + "]" * 100000, "RecursionError")
 

@@ -205,6 +205,14 @@ def test_build_keeps_its_own_copy_of_the_spec():
     assert build_extension(ext.spec).t == 2
 
 
+def test_decimal_strings_build_what_their_integers_build():
+    # an optional '-' and ASCII digits, surrounding whitespace stripped
+    doc = dict(SQRT2_DOC, p=" 2", E_K=["-2 "], E_L=[["-2"], ["0"]],
+               sigma_pi=[["00"], ["\t-1\n"]])
+    ext, plain = build_extension(doc), build_extension(SQRT2_DOC)
+    assert (ext.p, ext.t, ext.sigma) == (plain.p, plain.t, plain.sigma)
+
+
 def test_readme_spec_table_names_the_spec_fields():
     # the README's table of spec fields names exactly the keys a spec may
     # hold, and its first column exactly the kinds

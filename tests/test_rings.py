@@ -105,6 +105,26 @@ def test_structure_constants_oracle(kind, p):
     assert power == tuple(tuple(int(r == c) for c in range(t.dim)) for r in range(t.dim))
 
 
+@pytest.mark.parametrize("kind,p", [("quadratic-gaussian", 2), ("cyclotomic-step", 3),
+                                    ("cyclotomic-step", 7)])
+def test_ok_linear_matrix_shifts_each_image_e_K_minus_1_times(monkeypatch, kind, p):
+    t = build_extension({"kind": kind, "p": p}).tower
+    rng = random.Random(p)
+    images = [tuple(rng.randrange(t.pN) for _ in range(t.dim)) for _ in range(t.p)]
+    shifts = []
+    times_pi_K = Tower._times_pi_K
+    monkeypatch.setattr(Tower, "_times_pi_K",
+                        lambda self, vec: shifts.append(vec) or times_pi_K(self, vec))
+    columns = list(zip(*t.ok_linear_matrix(images)))
+    # the last multiple pi_K^(e_K - 1) of each image is not shifted again
+    assert len(shifts) == t.p * (t.e_K - 1)
+    monkeypatch.undo()
+    pi_K = t.from_rows([[0, 1]])
+    for i, image in enumerate(images):
+        for j in range(t.e_K):
+            assert columns[i * t.e_K + j] == (t.element(image) * pi_K ** j).coeffs
+
+
 def shift_and_reduce(t, x, y):
     """x * y as the sum of x_ij * (y * pi_K^j * pi_L^i), built from the
     one-step shifts alone."""

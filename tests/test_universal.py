@@ -239,12 +239,12 @@ def test_exact_division_raises_on_a_remainder():
 
 def test_resource_limit_large_level():
     with pytest.raises(ResourceLimit):
-        sum_polynomials(3, 3, 3, 10 ** 7)
+        sum_polynomials(3, 3, 3)
 
 
 def test_resource_limit_large_arity():
     with pytest.raises(ResourceLimit):
-        sum_polynomials(2, 3, 40, 10 ** 7)
+        sum_polynomials(2, 3, 40)
 
 
 # -- canonical format ------------------------------------------------------------------
