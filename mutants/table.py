@@ -90,28 +90,42 @@ MUTANTS = (
         "text": "LinearMap(tuple(t + row for t, row in zip(zip(*targets), minus_trace)),\n"
                 "                             ext.p, ext.N, len(ghosts) + hi.dim)",
         "replacement": "LinearMap(tuple(zip(*targets)), ext.p, ext.N, len(ghosts))",
-        "tests": ["tests/test_trace_zero.py"],
+        "tests": ["tests/test_trace_zero.py", "tests/test_restriction_image.py"],
     },
     {
         "id": "unsaturated-kernel-at-level-0",
         "file": "cohomology.py",
         "text": "for k in trace_kernel_saturated(ext, hi).rows)",
         "replacement": 'for k in linear_map_of(ext, "trace").kernel.rows)',
-        "tests": ["tests/test_trace_zero.py"],
+        "tests": ["tests/test_trace_zero.py", "tests/test_restriction_image.py"],
     },
     {
         "id": "carry-target-divisibility-unchecked",
         "file": "cohomology.py",
-        "text": "if any(x % pn for x in tr):",
+        "text": "if not all(c.is_zero for c in trace.components[:n]):",
         "replacement": "if False:",
         "tests": ["tests/test_witt.py::test_carry_target_refuses_a_prefix_that_is_not_trace_zero"],
     },
     {
         "id": "generator-ghost-level-one-low",
         "file": "cohomology.py",
-        "text": "_carry_target(ext, hi, c[-D:], n)",
-        "replacement": "_carry_target(ext, hi, c[-2 * D:-D], n)",
+        "text": "return (-trace[n]).coeffs[:vec.ext.e_K]",
+        "replacement": "return (-trace[n - 1]).coeffs[:vec.ext.e_K]",
         "tests": ["tests/test_trace_zero.py"],
+    },
+    {
+        "id": "restriction-image-from-ghost-block-1",
+        "file": "cohomology.py",
+        "text": "[g[:D] for g in trace_zero_generators(ext, m)[1]]",
+        "replacement": "[g[D:2 * D] for g in trace_zero_generators(ext, m)[1]]",
+        "tests": ["tests/test_restriction_image.py"],
+    },
+    {
+        "id": "witt-trace-takes-any-kept-lift",
+        "file": "witt.py",
+        "text": "a.hi is not None and a.hi.N >= need",
+        "replacement": "a.hi is not None",
+        "tests": ["tests/test_witt.py::test_witt_trace_takes_a_kept_lift_only_when_it_is_high_enough"],
     },
     {
         "id": "recovered-ghost-is-the-input",

@@ -13,15 +13,12 @@ tr(x) = c or (sigma-1)x = a are read off that one Howell form.  On top of
 it this module provides:
 
 * the carry target of the trace-zero recursion (``_carry_target``):
-  tr(a_n) cancels the carry delta_n of the prefix, component n of the
-  Witt trace of (a_0, ..., a_{n-1}, 0).  For a prefix that is trace-zero
-  at precision N that is -tr(W_n)/p^n mod p^N, one ghost level in any lift
-  of the tower to precision >= N+n (``witt.ghost_level`` says why), so one
-  lift to N+m serves every level.  W_n is the last block of the ghost
-  vector of (a_0, ..., a_{n-1}, 0), which ``witt.extended`` appends to the
-  prefix's with one power per component.  The sharpness witness grows
-  a_0 = pi_L the same way, by the solver's solution of each level's target,
-  and certifies the finished vector with the general Witt trace;
+  tr(a_n) cancels the carry delta_n of the prefix, component n of the Witt
+  trace of (a_0, ..., a_{n-1}, 0), whose lower components vanish exactly
+  when the prefix is trace-zero.  ``witt.extended`` appends that vector's
+  ghost vector to the prefix's with one power per component, in the lift
+  that ``witt.witt_trace`` reads.  The sharpness witness grows a_0 = pi_L
+  the same way, by the solver's solution of each level's target;
 
 * generators of T_n, the Witt-trace-zero vectors of length n at precision
   N, and a uniform sampler on their span.  delta_n is additive modulo
@@ -57,8 +54,8 @@ it this module provides:
   and of the V^n(e_c), which are p^n e_c in the last block.
   ``witt._from_ghost`` recovers g_i's components, and the vector it
   returns keeps their Frobenius chains, so the ghost vector of (g_i, 0)
-  (``witt.extended``) costs one more power per component; its last block
-  W_n gives delta_n(g_i) too.
+  (``witt.extended``), whose Witt trace gives delta_n(g_i), costs one more
+  power per component.
 
   p^(N+m) kills W_{m+1}(O_L/p^N).  The Witt vector functor takes the
   surjection O_L -> O_L/p^N to a surjection, so it is enough that for x
@@ -70,6 +67,14 @@ it this module provides:
   (``sample_trace_zero``): c -> sum_i c_i g_i is a surjective group map
   from (Z/p^(N+m))^r, whose fibres are cosets of its kernel.  Nothing is
   rejected, and each sample is still certified by its Witt trace;
+
+* the image of restriction from classes of length m+1 in H^1
+  (``restriction_image``): E_m/im(sigma-1), for E_m the first components
+  a_0 of the trace-zero vectors of length m+1.  First components add under
+  Witt sums, so the a_0 of T_{m+1}'s generators span E_m.  E_m contains
+  im(sigma-1), as sigma(x, 0, ...) - (x, 0, ...) is trace-zero, and E_0 is
+  the saturated trace kernel, so m = 0 gives H^1.  The paper's level-1
+  statement is E_m = im(sigma-1) whenever p^m > t;
 
 * verifiers for the trace valuation bounds, for the level-by-level
   valuation cascade on trace-zero vectors, and for the vanishing of the
@@ -114,6 +119,7 @@ from .linalg import (
     LinearMap,
     howell_form,
     member,
+    quotient_invariants,
     smith_invariants,
     solve_columnwise,
 )
@@ -267,24 +273,18 @@ def verify_trace_valuations(ext: ExtensionData, trials: int = 200,
 # -- trace-zero sampler -------------------------------------------------------
 
 
-def _carry_target(ext: ExtensionData, hi: Tower, w, n: int) -> tuple:
+def _carry_target(vec: WittVec) -> tuple:
     """The O_K coordinates of the required tr(a_n) for a trace-zero prefix
-    (a_0, ..., a_{n-1}) whose ghost level W_n = sum_{i<n} p^i a_i^(p^(n-i))
-    has the coordinates ``w`` in ``hi``, the tower lifted to precision at
-    least N+n: -tr(W_n)/p^n reduced to N.
-
-    This is minus component n of the Witt trace of (a_0, ..., a_{n-1}, 0),
-    i.e. -f_n at X_{i,j} = sigma^i(a_j), with W_n the last block of the
-    ``witt._ghost`` vector of that vector.  VerificationError when p^n does
-    not divide tr(W_n): the prefix was not trace-zero.
-    """
-    tr = matvec(hi.trace_matrix, w, hi.pN)
-    pn, pN = ext.p ** n, ext.tower.pN
-    if any(x % pn for x in tr):
+    (a_0, ..., a_{n-1}), given ``vec`` = (a_0, ..., a_{n-1}, 0): minus
+    component n of the Witt trace of ``vec``, i.e. -f_n at
+    X_{i,j} = sigma^i(a_j).  VerificationError unless the components below n
+    of that trace vanish: the prefix was not trace-zero."""
+    trace, n = witt_trace(vec), len(vec) - 1
+    if not all(c.is_zero for c in trace.components[:n]):
         raise VerificationError(
-            f"carry target at level {n} is not divisible by p^{n}: "
+            f"the Witt trace of the prefix is nonzero below level {n}: "
             f"the prefix is not trace-zero")
-    return tuple(-(x // pn) % pN for x in tr)
+    return (-trace[n]).coeffs[:vec.ext.e_K]
 
 
 def _trace_zero(vec: WittVec) -> WittVec:
@@ -308,10 +308,11 @@ def trace_zero_generators(ext: ExtensionData, m: int) -> tuple:
     minus_trace = [tuple(-x for x in row) for row in ext.tower.trace_matrix]
     ghosts = tuple(list(k) for k in trace_kernel_saturated(ext, hi).rows)
     for n in range(1, m + 1):
-        columns = [_ghost(hi, extended(hi, _from_ghost(ext, hi, g), zero)) for g in ghosts]
-        targets = [_carry_target(ext, hi, c[-D:], n) for c in columns]
+        prefixes = [extended(hi, _from_ghost(ext, hi, g), zero) for g in ghosts]
+        targets = [_carry_target(v) for v in prefixes]
         syzygies = LinearMap(tuple(t + row for t, row in zip(zip(*targets), minus_trace)),
                              ext.p, ext.N, len(ghosts) + hi.dim).kernel
+        columns = [_ghost(hi, v) for v in prefixes]
         columns += [[0] * (n * D + c) + [ext.p ** n] + [0] * (D - 1 - c) for c in range(D)]
         ghosts = tuple(witt_combination(hi, row, columns) for row in syzygies.rows)
     return hi, ghosts
@@ -387,6 +388,19 @@ def cascade_suite(ext: ExtensionData, m: int, trials: int = 200,
 # -- restriction vanishing ----------------------------------------------------
 
 
+def restriction_image(ext: ExtensionData, m: int) -> tuple:
+    """(E_m, factors): E_m, the first components a_0 of the trace-zero
+    vectors of length m+1, as a Howell basis mod p^N, and the invariant
+    factors of E_m/im(sigma-1), the image of restriction in H^1 (module
+    docstring).  W_0 = a_0, so E_m is spanned by the first D coordinates of
+    the generators' ghost vectors.  ValueError when a coboundary lies
+    outside E_m: the solve checks im(sigma-1) <= E_m."""
+    D = ext.tower.dim
+    image = howell_form([g[:D] for g in trace_zero_generators(ext, m)[1]], ext.p, ext.N, D)
+    coboundaries = linear_map_of(ext, "sigma-minus-one").image
+    return image, quotient_invariants(image.rows, coboundaries.rows, ext.p, ext.N)
+
+
 def verify_restriction_vanishing(ext: ExtensionData, m: int,
                                  trials: int = 200, seed: int = 0) -> SuiteRecord:
     """Verify that length-(m+1) trace-zero classes restrict to coboundaries.
@@ -428,11 +442,10 @@ def verify_restriction_vanishing(ext: ExtensionData, m: int,
 
 def deterministic_witness(ext: ExtensionData, m: int):
     """A trace-zero vector grown from a_0 = pi_L: at each level n, a_n is
-    the solver's solution of tr(a_n) = the carry target of the prefix, read
-    off W_n of (a_0, ..., a_{n-1}, 0), with no kernel offset.  The prefix
-    keeps its Frobenius chains as it grows (``witt.extended``), so level n
-    costs n powers, and the Witt trace that certifies the vector reuses
-    them.
+    the solver's solution of tr(a_n) = the carry target of the prefix
+    (``_carry_target``), with no kernel offset.  The prefix keeps its
+    Frobenius chains as it grows (``witt.extended``), so level n costs n
+    powers, and the Witt traces of the targets and of the vector reuse them.
 
     Returns (vector, note); vector is None when the construction cannot run
     (pi_L not trace-zero, or the carry target leaves the trace image).
@@ -443,7 +456,7 @@ def deterministic_witness(ext: ExtensionData, m: int):
     hi = ext.tower.lift(ext.N + m)
     vec, zero = WittVec(ext, (a0,)), ext.tower.zero_ol
     for n in range(1, m + 1):
-        target = _carry_target(ext, hi, _ghost(hi, extended(hi, vec, zero))[-hi.dim:], n)
+        target = _carry_target(extended(hi, vec, zero))
         try:
             vec = extended(hi, vec, solve_linear(ext, "trace", target))
         except NoSolution:

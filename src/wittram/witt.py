@@ -1,11 +1,12 @@
 """Truncated p-typical Witt vectors over the ring of integers of L.
 
 A WittVec of length m+1 is a tuple of O_L elements.  Traces (the verify
-path) and sums run through the ghost map in the tower lifted to N+m
-(``Tower.lift``, whose trace comes from E_L, so no sigma is needed there),
-on plain coordinates in that lift: a ghost vector is one flat int list of
-(m+1)*D coordinates, block k holding W_k, and a Frobenius chain is a list
-of coordinate lists (a, a^p, a^(p^2), ...) powered with ``Tower.flat_pow``.
+path) and sums run through the ghost map in a lift of the tower to
+precision at least N+m (``Tower.lift``, whose trace comes from E_L, so no
+sigma is needed there), on plain coordinates in that lift: a ghost vector
+is one flat int list of (m+1)*D coordinates, block k holding W_k, and a
+Frobenius chain is a list of coordinate lists (a, a^p, a^(p^2), ...)
+powered with ``Tower.flat_pow``.
 OLElement and WittVec appear only at this module's boundary.  The
 coordinates in [0, p^N) lift the components, their ghost components W_k
 are traced or added, and z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) / p^k
@@ -22,12 +23,14 @@ component mod p^N, and its ghost vector W'_k = sum_{i<k} p^i
 z_i^(p^(k-i)) + p^k z_k, whose lower terms the recovery summed anyway, so
 W' costs no product.  ``_ghost`` reads them off (or builds and keeps them
 on a vector that has none in that lift), and ``extended`` appends a
-component for one more power per chain.  So the certificate
-``witt_trace`` powers nothing again on a recovered vector, and it still
-tests the components returned: W' are the integers that ``_ghost``
-computes on a fresh vector with those components.  The ghost vector that
-went into the recovery would test nothing: a combination of trace-zero
-ghost vectors has trace zero whatever components come out.
+component for one more power per chain.  ``witt_trace``, the one Witt
+trace (the carry targets of ``cohomology._carry_target`` are its
+components), reads the ghost vector a vector keeps in any lift to N+m or
+above, so it powers nothing again on a recovered or extended vector, and
+it still tests the components returned: W' are the integers that
+``_ghost`` computes on a fresh vector with those components.  The ghost
+vector that went into the recovery would test nothing: a combination of
+trace-zero ghost vectors has trace zero whatever components come out.
 
 ``_ghost``, ``_from_ghost``, ``extended`` and ``witt_combination`` are the
 only ghost entry points other modules use; chains are built and extended
@@ -101,24 +104,13 @@ def ghost_level(hi: Tower, chains, n: int) -> list:
     Each chain is extended with ``Tower.flat_pow`` only as far as level n
     needs, and a chain whose head is zero is skipped.
 
-    This is the one place where a ghost component is summed.  Two
-    truncations bound the work done with it, for a lift ``hi`` of the tower
-    to precision at least N+n:
-
-    * a chain may start from any lift of its component mod p^N, so a
-      component that is zero mod p^N can be skipped.  If a = b mod p^N,
-      then a^q = b^q mod p^(N+j) for q = p^j, so the term
-      p^i a_i^(p^(n-i)) moves by a multiple of p^(N+n).  That changes
-      neither whether p^n divides W_n minus the lower terms nor the
-      quotient mod p^N, which is all that ``_from_ghost`` recovers;
-    * one ghost level is enough for a trace-zero prefix.  Component n of
-      the Witt trace of (a_0, ..., a_{n-1}, 0) is
-      (tr(W_n) - sum_{i<n} p^i z_i^(p^(n-i))) / p^n, where z_i are the
-      lower components of that trace.  For a prefix that is trace-zero at
-      precision N they are divisible by p^N, so each recovery term has
-      valuation at least i + N p^(n-i) >= N + n and vanishes after the
-      division by p^n: the component is tr(W_n)/p^n mod p^N, in any lift
-      to precision >= N+n.
+    This is the one place where a ghost component is summed.  In a lift
+    ``hi`` of the tower to precision at least N+n, a chain may start from
+    any lift of its component mod p^N, so a component that is zero mod p^N
+    is skipped.  If a = b mod p^N, then a^q = b^q mod p^(N+j) for q = p^j,
+    so the term p^i a_i^(p^(n-i)) moves by a multiple of p^(N+n).  That
+    changes neither whether p^n divides W_n minus the lower terms nor the
+    quotient mod p^N, which is all that ``_from_ghost`` recovers.
     """
     p = hi.p
     weights, terms = [], []
@@ -203,11 +195,12 @@ def witt_trace(a: WittVec) -> WittVec:
 
     sigma is a ring map, so the ghost components of the sum are the traces
     of the ghost components of ``a``, taken with ``Tower.trace_matrix`` in
-    the lift to N+m, on the ghost vector that ``a`` keeps when it has one
-    there.  Component 0 equals the ordinary trace of a_0; the vector
-    vanishes exactly on W_{m+1}(O_L)^{tr=0}.
+    the lift that ``a`` keeps when its precision is at least N+m for length
+    m+1, else in the lift to N+m.  Component 0 equals the ordinary trace of
+    a_0; the vector vanishes exactly on W_{m+1}(O_L)^{tr=0}.
     """
-    hi = a.ext.tower.lift(a.ext.N + len(a) - 1)
+    need = a.ext.N + len(a) - 1
+    hi = a.hi if a.hi is not None and a.hi.N >= need else a.ext.tower.lift(need)
     ghost, D = _ghost(hi, a), hi.dim
     pad = (0,) * (D - a.ext.e_K)
     return _from_ghost(a.ext, hi, [x for k in range(0, len(ghost), D)

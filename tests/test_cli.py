@@ -371,15 +371,22 @@ def test_bad_m_or_trials_exits_2(flag, value, capsys):
        precision=st.integers(-2, 80),
        suites=st.lists(st.sampled_from(SUITE_ORDER), min_size=1, unique=True))
 @example(extension="quadratic-sqrt2", m=-1, trials=3, precision=48, suites=["cascade"])
+@example(extension="quadratic-gaussian", m=1, trials=1, precision=19, suites=["cascade"])
+@example(extension="quadratic-gaussian", m=1, trials=1, precision=18, suites=["cascade"])
 def test_verify_fuzz_exit_codes(extension, m, trials, precision, suites):
     # whatever the flags, verify ends with a documented exit code and at most
-    # one line on stderr, never with an escaping exception
+    # one line on stderr, never with an escaping exception.  It passes exactly
+    # when m >= 0, trials >= 1 and the precision guard N*e_L > 4(t+e_L)(m+2)
+    # holds, with e_L = 2 and t = 1 (gaussian) or 2 (sqrt2); every other run
+    # is a configuration error
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--extension", extension, "--m", str(m),
                      "--trials", str(trials), "--precision", str(precision),
                      "--suites", ",".join(suites), "--format", "json"])
-    assert code in (0, 1, 2)
+    t = {"quadratic-gaussian": 1, "quadratic-sqrt2": 2}[extension]
+    runs = m >= 0 and trials >= 1 and 2 * precision > 4 * (t + 2) * (m + 2)
+    assert code == (0 if runs else 2)
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1
     if code == 2:

@@ -16,6 +16,7 @@ from wittram.cohomology import (
     member,
     negative_control,
     random_element,
+    restriction_image,
     sample_trace_zero,
     solve_linear,
     trace_index_exponent,
@@ -571,6 +572,7 @@ def test_h1_matches_the_saturated_kernel_quotient(spec, precision):
                                    ext.p, ext.N)
     assert expected
     assert h1_level1(ext) == expected
+    assert restriction_image(ext, 0)[1] == expected
     assert h1_level1(build_extension(spec, precision=precision + 4)) == expected
 
 

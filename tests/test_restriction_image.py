@@ -1,0 +1,102 @@
+"""The exact image of restriction on level-1 cohomology.
+
+``cohomology.restriction_image(ext, m)`` gives E_m, the first components of
+the trace-zero Witt vectors of length m+1, and the invariant factors of
+E_m/im(sigma-1), the image of restriction from classes of length m+1 in
+H^1 = ker(tr)/im(sigma-1).  The paper's level-1 statement is that the image
+vanishes once p^m exceeds the break t; it is sharp, so the image is nonzero
+whenever p^m <= t.
+"""
+
+import itertools
+
+import pytest
+
+from wittram import cohomology
+from wittram.cohomology import (
+    linear_map_of,
+    restriction_image,
+    trace_kernel_saturated,
+)
+from wittram.extensions import build_extension
+from wittram.linalg import howell_form, member
+from wittram.rings import padic_val
+from wittram.witt import WittVec, witt_trace
+
+from oracles import T4_SPEC, spec_id
+
+#: (spec, N, log_p |E_m/im(sigma-1)| for m = 0, 1, 2, 3)
+TABLE = [
+    ({"kind": "quadratic-sqrt2"}, 48, (1, 1, 0, 0)),
+    ({"kind": "quadratic-gaussian"}, 48, (1, 0, 0, 0)),
+    (T4_SPEC, 48, (2, 1, 1, 0)),
+    ({"kind": "cyclotomic-step", "p": 3}, 40, (2, 0, 0, 0)),
+    ({"kind": "cyclotomic-step", "p": 5}, 32, (4, 0, 0, 0)),
+]
+
+
+def image_exponent(ext, m) -> int:
+    """log_p |E_m/im(sigma-1)|."""
+    return sum(padic_val(d, ext.p) for d in restriction_image(ext, m)[1])
+
+
+@pytest.mark.parametrize("spec,N,expected", TABLE, ids=spec_id)
+def test_image_orders_vanish_exactly_when_p_to_the_m_exceeds_t(spec, N, expected):
+    ext = build_extension(spec, precision=N)
+    orders = tuple(image_exponent(ext, m) for m in range(4))
+    assert orders == expected
+    assert [order == 0 for order in orders] == [ext.p ** m > ext.t for m in range(4)]
+
+
+@pytest.mark.parametrize("spec,N,expected", TABLE, ids=spec_id)
+def test_images_shrink_with_the_length(spec, N, expected):
+    # a trace-zero vector of length m+1 truncates to one of length m
+    ext = build_extension(spec, precision=N)
+    for m in range(1, 4):
+        shorter = restriction_image(ext, m - 1)[0]
+        assert all(member(shorter, row) for row in restriction_image(ext, m)[0].rows)
+
+
+@pytest.mark.parametrize("spec,N,expected", TABLE, ids=spec_id)
+def test_image_is_the_same_four_digits_higher(spec, N, expected):
+    # E_m at N + 4, reduced mod p^N, has the Howell form of E_m at N
+    ext = build_extension(spec, precision=N)
+    up = build_extension(spec, precision=N + 4)
+    D = ext.tower.dim
+    for m in range(4):
+        reduced = howell_form(restriction_image(up, m)[0].rows, ext.p, ext.N, D)
+        assert reduced.rows == restriction_image(ext, m)[0].rows
+
+
+@pytest.mark.parametrize("kind,whole_kernel", [
+    ("quadratic-gaussian", False), ("quadratic-sqrt2", True)])
+def test_first_image_equals_brute_force(kind, whole_kernel):
+    # E_1 at N = 3 by enumeration of O_L/p^3 (4096 elements): the a_0 of the
+    # saturated trace kernel whose carry, component 1 of the Witt trace of
+    # (a_0, 0), some tr(a_1) cancels.  On sqrt2 that is every a_0 (p = 2 <= t)
+    ext = build_extension({"kind": kind}, precision=3)
+    tower = ext.tower
+    elements = list(itertools.product(range(tower.pN), repeat=tower.dim))
+    traces = {ext.trace(tower.element(c)).coeffs for c in elements}
+    kernel = trace_kernel_saturated(ext, tower.lift(4))
+    expected = {c for c in elements if member(kernel, c) and (-witt_trace(
+        WittVec(ext, (tower.element(c), tower.zero_ol)))[1]).coeffs in traces}
+    image = restriction_image(ext, 1)[0]
+    assert {c for c in elements if member(image, c)} == expected
+    assert (expected == {c for c in elements if member(kernel, c)}) == whole_kernel
+
+
+def test_a_basis_missing_a_coboundary_is_refused(monkeypatch):
+    # E_m must contain im(sigma-1): generators that span the coboundaries
+    # give the zero image, and one row fewer is refused
+    ext = build_extension("cyclotomic-step", precision=8)
+    coboundaries = list(linear_map_of(ext, "sigma-minus-one").image.rows)
+    hi = ext.tower.lift(ext.N + 1)
+    monkeypatch.setattr(cohomology, "trace_zero_generators", lambda ext, m: (hi, coboundaries))
+    assert restriction_image(ext, 0)[1] == ()
+    D = ext.tower.dim
+    missing = next(i for i, row in enumerate(coboundaries) if not member(
+        howell_form(coboundaries[:i] + coboundaries[i + 1:], ext.p, ext.N, D), row))
+    del coboundaries[missing]
+    with pytest.raises(ValueError, match="do not lie in the span"):
+        restriction_image(ext, 0)

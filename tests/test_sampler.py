@@ -56,19 +56,22 @@ def extensions():
             for name, (spec, N, _) in EXTENSIONS.items()}
 
 
-def next_ghost_level(ext, hi, prefix):
-    """W_n of (a_0, ..., a_{n-1}, 0) in ``hi``, for the n components
-    ``prefix``: the ghost level a carry target is read off."""
-    return _ghost(hi, WittVec(ext, tuple(prefix) + (ext.tower.zero_ol,)))[-hi.dim:]
+def padded(ext, hi, prefix):
+    """(a_0, ..., a_{n-1}, 0) for the n components ``prefix``, with its
+    ghost vector taken in ``hi``: the vector a carry target is read off."""
+    vec = WittVec(ext, tuple(prefix) + (ext.tower.zero_ol,))
+    _ghost(hi, vec)
+    return vec
 
 
-def conjugate_sum_target(ext, hi, w, n):
-    """``_carry_target`` re-derived without the trace matrix: minus the sum
-    of the conjugates of the ghost level W_n = ``w``, under sigma of the
-    extension rebuilt at the precision of ``hi``, over p^n, reduced to N.
-    It must lie in O_K; its O_K coordinates are returned."""
-    up = rebuilt(ext, hi.N)
-    total = sum(conjugates(up, up.tower.element(w))).coeffs
+def conjugate_sum_target(ext, hi, vec):
+    """``_carry_target`` re-derived without the Witt trace: minus the sum
+    of the conjugates of the last ghost level W_n of ``vec`` in ``hi``,
+    under sigma of the extension rebuilt at the precision of ``hi``, over
+    p^n, reduced to N.  It must lie in O_K; its O_K coordinates are
+    returned."""
+    up, n = rebuilt(ext, hi.N), len(vec) - 1
+    total = sum(conjugates(up, up.tower.element(_ghost(hi, vec)[-hi.dim:]))).coeffs
     pn = ext.p ** n
     assert not any(x % pn for x in total)
     target = -ext.tower.element([x // pn for x in total])
@@ -95,10 +98,9 @@ def oracle_sample(ext, m, seed=0):
         return ext.tower.element(vec)
 
     def level_step(comps):
-        n = len(comps)
-        w = next_ghost_level(ext, hi, comps)
-        c = _carry_target(ext, hi, w, n)
-        if c != conjugate_sum_target(ext, hi, w, n):
+        vec = padded(ext, hi, comps)
+        c = _carry_target(vec)
+        if c != conjugate_sum_target(ext, hi, vec):
             raise VerificationError("carry target differs from its conjugate sum")
         if not member(image, c):
             return None
@@ -167,13 +169,13 @@ def test_predicted_membership_equals_exact_membership(extensions, name):
     for n in range(1, m + 1):
         lo, ghosts = trace_zero_generators(ext, n - 1)
         prefixes = [_from_ghost(ext, lo, g).components for g in ghosts]
-        targets = [_carry_target(ext, hi, next_ghost_level(ext, hi, a), n) for a in prefixes]
+        targets = [_carry_target(padded(ext, hi, a)) for a in prefixes]
         for _ in range(20):
             x = [rng.randrange(pN) for _ in ghosts]
             h = _from_ghost(ext, lo, witt_combination(lo, x, ghosts))
-            w = next_ghost_level(ext, hi, h.components)
-            exact = _carry_target(ext, hi, w, n)
-            assert exact == conjugate_sum_target(ext, hi, w, n)
+            vec = padded(ext, hi, h.components)
+            exact = _carry_target(vec)
+            assert exact == conjugate_sum_target(ext, hi, vec)
             predicted = [sum(c * t[j] for c, t in zip(x, targets)) % pN
                          for j in range(ext.e_K)]
             in_image = member(image, exact)
@@ -195,15 +197,16 @@ def test_zeroed_table_row_is_caught(extensions, monkeypatch, name, m):
     lo, ghosts = trace_zero_generators(ext, 0)
     live = [i for i, g in enumerate(ghosts)
             if not member(image, _carry_target(
-                ext, hi, next_ghost_level(ext, hi, _from_ghost(ext, lo, g).components), 1))]
+                padded(ext, hi, _from_ghost(ext, lo, g).components)))]
     assert live
     carry_target = cohomology._carry_target
     for i in live:
         calls = []
 
-        def zeroing(ext, hi, w, n):
+        def zeroing(vec):
+            n = len(vec) - 1
             calls.append(n)
-            target = carry_target(ext, hi, w, n)
+            target = carry_target(vec)
             return (0,) * len(target) if n == 1 and len(calls) == i + 1 else target
 
         cohomology.trace_zero_generators.cache_clear()
@@ -223,9 +226,9 @@ def test_sqrt2_draws_take_no_exact_targets(extensions, monkeypatch):
     generators = [len(trace_zero_generators(ext, k)[1]) for k in (0, 1)]
     calls = []
 
-    def counting(*args):
-        calls.append(args[3])
-        return _carry_target(*args)
+    def counting(vec):
+        calls.append(len(vec) - 1)
+        return _carry_target(vec)
 
     monkeypatch.setattr(cohomology, "_carry_target", counting)
     for trial in range(200):

@@ -26,12 +26,14 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 #: defined in src/ but referenced nowhere there.  The benchmark tracer
-#: (wittbench/tracer.py) wraps the three functions, which only tests call,
-#: and raises when no module binds them, so they stay until its metrics for
-#: them are dropped; it reads ``SymPoly.num_terms`` as the size of each
-#: ``evaluate_poly`` call.  (``cli.main`` needs no entry: the ``__main__``
-#: guard calls it.)
-ALLOWED = {"witt.evaluate_poly", "witt.witt_add", "linalg.quotient_invariants",
+#: (wittbench/tracer.py) wraps the two Witt functions, which only tests
+#: call, and raises when no module binds them, so they stay until its
+#: metrics for them are dropped; it reads ``SymPoly.num_terms`` as the size
+#: of each ``evaluate_poly`` call.  Only tests call
+#: ``cohomology.restriction_image`` until the proposition suite checks its
+#: exact image.  (``cli.main`` needs no entry: the ``__main__`` guard calls
+#: it.)
+ALLOWED = {"witt.evaluate_poly", "witt.witt_add", "cohomology.restriction_image",
            "universal.SymPoly.num_terms"}
 
 #: names only ``witt.py`` may spell: the Frobenius chains a^(p^j) that a

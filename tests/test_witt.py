@@ -229,9 +229,10 @@ def test_trace_carry_identity(all_extensions):
     (T4_SPEC, 3),
 ], ids=spec_id)
 def test_carry_target_on_trace_zero_prefixes(spec, levels):
-    # for a trace-zero prefix the carry target read off the one ghost level
-    # W_n equals both oracles of the identity above, in the least lift to
-    # N+n and in the sampler's lift to N+levels
+    # for a trace-zero prefix the carry target, minus component n of the
+    # Witt trace in the lift the vector keeps, equals both oracles of the
+    # identity above, in the least lift to N+n and in the sampler's lift to
+    # N+levels
     ext = build_extension(spec)
     for n in range(1, levels + 1):
         f_n = carry_polynomial(ext.p, n)
@@ -244,19 +245,39 @@ def test_carry_target_on_trace_zero_prefixes(spec, levels):
             assert expected == -evaluate_poly(f_n, assign, ext)
             assert expected.lies_in_K
             for hi in (ext.tower.lift(ext.N + n), ext.tower.lift(ext.N + levels)):
-                w = _ghost(hi, WittVec(ext, full.components))[n * hi.dim:]
-                assert _carry_target(ext, hi, w, n) == expected.coeffs[:ext.e_K]
+                vec = WittVec(ext, full.components)
+                _ghost(hi, vec)
+                assert _carry_target(vec) == expected.coeffs[:ext.e_K]
+                assert vec.hi is hi
 
 
 def test_carry_target_refuses_a_prefix_that_is_not_trace_zero(gaussian):
-    # tr(1) = 2 != 0, and W_2 of (1, 0) is 1, whose trace 2 is not
-    # divisible by p^2 = 4
-    hi = gaussian.tower.lift(gaussian.N + 2)
-    t = gaussian.tower
-    w = _ghost(hi, WittVec(gaussian, (t.one_ol, t.zero_ol, t.zero_ol)))[2 * hi.dim:]
-    assert w == list(hi.one_ol.coeffs)
-    with pytest.raises(VerificationError, match="level 2 is not divisible by p"):
-        _carry_target(gaussian, hi, w, 2)
+    # tr(1) = 2 != 0: the Witt trace of (1, 0, 0) is nonzero at levels 0
+    # and 1, that of (0, 1, 0) at level 1 only
+    one, zero = gaussian.tower.one_ol, gaussian.tower.zero_ol
+    for prefix in ((one, zero), (zero, one)):
+        vec = WittVec(gaussian, prefix + (zero,))
+        trace = witt_trace(vec)
+        assert [c.is_zero for c in trace.components[:2]] == [prefix[0] is zero, False]
+        with pytest.raises(VerificationError, match="nonzero below level 2"):
+            _carry_target(vec)
+
+
+def test_witt_trace_takes_a_kept_lift_only_when_it_is_high_enough(all_extensions):
+    # the trace of a vector of length m+1 reads the ghost vector the vector
+    # keeps in a lift to N+m or above, else it takes the lift to N+m: either
+    # way it is the trace of a fresh vector with the same components
+    rng = random.Random(19)
+    for ext in all_extensions:
+        drawn = sample_trace_zero(ext, 0, seed=1)
+        above, below = rand_vec(ext, rng, 3), rand_vec(ext, rng, 3)
+        _ghost(ext.tower.lift(ext.N + 4), above)
+        _ghost(ext.tower, below)
+        assert drawn.hi.N > ext.N and below.hi.N < ext.N + 2
+        for vec in (drawn, above, below):
+            fresh = witt_trace(WittVec(ext, vec.components))
+            assert witt_trace(vec).components == fresh.components
+        assert not witt_trace(below).is_zero
 
 
 # -- ghost map -----------------------------------------------------------------------
