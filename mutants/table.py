@@ -156,6 +156,20 @@ MUTANTS = (
         "tests": ["tests/test_cli.py::test_repeated_suite_exits_2"],
     },
     {
+        "id": "kummer-base-ignores-f",
+        "file": "extensions.py",
+        "text": "base[f * (k - 1)] = math.comb(p, k)",
+        "replacement": "base[k - 1] = math.comb(p, k)",
+        "tests": ["tests/test_extensions.py::test_kummer_step_breaks_and_h1"],
+    },
+    {
+        "id": "pi-L-power-by-square-and-multiply",
+        "file": "rings.py",
+        "text": "powers.append(powers[-1] * self.pi_L)",
+        "replacement": "powers.append(self.pi_L ** len(powers))",
+        "tests": ["tests/test_cohomology.py::test_trace_valuation_suite_product_count_at_p7"],
+    },
+    {
         "id": "no-op-draw-from-zero",
         "file": "cohomology.py",
         "text": "return [rng.randrange(modulus) for _ in basis]",

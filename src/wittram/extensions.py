@@ -12,6 +12,13 @@ extension can be rebuilt at any precision.  Three constructions ship built in:
 * ``cyclotomic-step``      odd p, K = Q_p(zeta_p) via E_K = ((y+1)^p - 1)/y,
                            L = K(zeta_{p^2}) with pi_L = zeta_{p^2} - 1 and
                            sigma(zeta_{p^2}) = zeta_{p^2}^{1+p}; t = p - 1.
+                           It is ``kummer-step`` at f = 1, radicand unit.
+
+The spec kind ``kummer-step`` takes p, f >= 1 and a radicand: K = Q_p(varpi)
+with E_K = Phi_p(y^f + 1), so e_K = f(p-1) and zeta_p = 1 + varpi^f, and
+L = K(beta) with beta^p = 1 + varpi (``unit``, pi_L = beta - 1, t = pf - 1)
+or beta^p = varpi (``uniformizer``, pi_L = beta, t = pf), sigma(beta) =
+zeta_p beta.
 
 sigma is determined by its value on pi_L, extended as the O_K-algebra
 endomorphism x -> sigma_pi, and kept as a matrix over Z/p^N in the flat
@@ -36,7 +43,8 @@ from .rings import OLElement, Tower, is_prime, matvec, valuation_L
 BUILTIN_NAMES = ("quadratic-gaussian", "quadratic-sqrt2", "cyclotomic-step")
 DEFAULT_PRECISION = 32
 #: the fields a spec may hold, in a spec file and in code alike
-SPEC_FIELDS = ("kind", "p", "precision", "e_K", "E_K", "E_L", "sigma_pi")
+SPEC_FIELDS = ("kind", "p", "precision", "e_K", "E_K", "E_L", "sigma_pi", "f",
+               "radicand")
 #: at most this many decimal digits in p^N: CPython's default int-to-str
 #: limit, which every coordinate of a JSON report must stay under
 MAX_MODULUS_DIGITS = 4300
@@ -109,7 +117,8 @@ def _materialize(spec: dict) -> tuple:
     if unknown:
         raise InvalidExtension(f"no spec reads field {', '.join(sorted(map(str, unknown)))}")
     try:
-        p, e_K = (_parse_int(spec[k]) if k in spec else None for k in ("p", "e_K"))
+        p, e_K, f = (_parse_int(spec[k]) if k in spec else None
+                     for k in ("p", "e_K", "f"))
         N = _parse_int(spec.get("precision", DEFAULT_PRECISION))
         base = _parse_list(spec["E_K"]) if "E_K" in spec else None
         top, sigma = (_parse_list(spec[k], _parse_list) if k in spec else None
@@ -119,6 +128,10 @@ def _materialize(spec: dict) -> tuple:
     if e_K is not None and (base is None or e_K != len(base)):
         raise InvalidExtension("e_K is not the length of E_K")
     kind, given = spec["kind"], (base, top, sigma)
+    kummer_fields = spec.keys() & {"f", "radicand"}
+    if kummer_fields and kind != "kummer-step":
+        raise InvalidExtension(f"kind {kind!r} reads no field "
+                               f"{', '.join(sorted(kummer_fields))}")
     if kind == "custom":
         if p is None or None in given:
             raise InvalidExtension("custom extension needs p and the "
@@ -127,7 +140,7 @@ def _materialize(spec: dict) -> tuple:
             raise InvalidExtension(f"kind 'custom' has no p = {p}")
         _check_cost(p, len(base), N)
         return (p, N) + given
-    if kind not in BUILTIN_NAMES:
+    if kind not in BUILTIN_NAMES + ("kummer-step",):
         raise InvalidExtension(f"unknown extension kind {kind!r}")
     if given != (None, None, None):
         raise InvalidExtension(f"kind {kind!r} reads no coefficient field")
@@ -135,19 +148,32 @@ def _materialize(spec: dict) -> tuple:
         return 2, N, (-2,), ((2,), (-2,)), ((2,), (-1,))
     if kind == "quadratic-sqrt2" and p in (None, 2):
         return 2, N, (-2,), ((-2,), (0,)), ((0,), (-1,))
-    if kind != "cyclotomic-step":
+    if kind not in ("cyclotomic-step", "kummer-step"):
         raise InvalidExtension(f"kind {kind!r} has no p = {p}")
     p = 3 if p is None else p
-    if p == 2 or not is_prime(p):
-        raise InvalidExtension(f"cyclotomic-step requires an odd prime, got {p}")
-    _check_cost(p, p - 1, N)
-    # E_K = ((y+1)^p - 1)/y, degree p-1; pi_K = zeta_p - 1
-    base = tuple(math.comb(p, k) for k in range(1, p))
-    # E_L = (x+1)^p - (1 + pi_K): constant term -pi_K, then binomials
-    top = ((0, -1) + (0,) * (p - 3),) + tuple(
-        (math.comb(p, k),) + (0,) * (p - 2) for k in range(1, p))
-    # sigma(pi_L) = zeta_p (pi_L + 1) - 1 = pi_K + (1 + pi_K) pi_L
-    return p, N, base, top, ((0, 1), (1, 1))
+    odd = kind == "cyclotomic-step"
+    if (odd and p == 2) or not is_prime(p):
+        raise InvalidExtension(f"{kind} requires {'an odd' if odd else 'a'} prime, got {p}")
+    f = 1 if f is None else f
+    if f < 1:
+        raise InvalidExtension(f"kummer-step needs f >= 1, got {f}")
+    radicand = spec.get("radicand", "unit")
+    if radicand not in ("unit", "uniformizer"):
+        raise InvalidExtension(f"the radicand is 'unit' or 'uniformizer', not {radicand!r}")
+    e_K = f * (p - 1)
+    _check_cost(p, e_K, N)
+    # E_K = Phi_p(y^f + 1) = sum_{0<k<=p} C(p,k) y^(f(k-1)), pi_K = varpi
+    base = [0] * e_K
+    for k in range(1, p):
+        base[f * (k - 1)] = math.comb(p, k)
+    zeta = (1,) + (0,) * (f - 1) + (1,)  # zeta_p = 1 + varpi^f
+    if radicand == "unit":
+        # E_L = (x+1)^p - 1 - varpi, and sigma(pi_L) = zeta_p (pi_L + 1) - 1
+        # = varpi^f + zeta_p pi_L
+        top = ((0, -1),) + tuple((math.comb(p, k),) for k in range(1, p))
+        return p, N, tuple(base), top, ((0,) + zeta[1:], zeta)
+    # E_L = x^p - varpi, and sigma(pi_L) = zeta_p pi_L
+    return p, N, tuple(base), ((0, -1),) + ((0,),) * (p - 1), ((0,), zeta)
 
 
 def _parse_int(value) -> int:

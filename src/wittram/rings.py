@@ -28,11 +28,11 @@ scalars are stored as signed least residues, so that a scalar such as -7
 stays a small int instead of p^N - 7; the grid values may go negative, and
 the final reduction mod p^N makes them canonical.  A square visits each
 unordered pair of coordinates once and doubles the off-diagonal terms, so
-it makes about half the coefficient products of a general product.  The
-one-step shifts build the fold and the powers of pi_L (``Tower.pi_L_power``):
-multiplying by pi_K shifts within every O_K block and reduces by E_K,
-multiplying by pi_L shifts the blocks and folds the overflow block back in
-through E_L.
+it makes about half the coefficient products of a general product.  Every
+product in O_L is this one (``Tower.flat_mul``), the powers of pi_L
+(``Tower.pi_L_power``) included.  The one-step shift by pi_K, which shifts
+within every O_K block and reduces by E_K, builds the fold itself, the O_K
+blocks of ``Tower.from_rows`` and the columns of ``Tower.ok_linear_matrix``.
 
 Valuations are L-normalized: v_L(pi_L) = 1, v_L(pi_K) = p, v_L(p) = e_L =
 p*e_K.  The monomials pi_L^i pi_K^j have pairwise distinct valuations
@@ -213,18 +213,12 @@ class Tower:
         self.E_L = tuple(self.element(self._ok_block(c)) for c in top_coeffs)
         self._validate_eisenstein()
 
-        # _overflow[k] = pi_L^p pi_K^k = -(E_L_0 + ... + E_L_{p-1} pi_L^{p-1}) pi_K^k
-        # is where multiplying by pi_L sends coordinate k of the top block
-        top = [-c % self.pN for block in self.E_L for c in block.coeffs[:self.e_K]]
-        self._overflow = [top]
-        for _ in range(self.e_K - 1):
-            self._overflow.append(self._times_pi_K(self._overflow[-1]))
         self._slot, self._fold = self._build_slots()
 
         self.zero_ol = self.element(())
         self.one_ol = self.ol_const(1)
-        self.pi_K = self.from_rows([[0, 1]])
-        self.pi_L = self.from_rows([[0], [1]])
+        self.pi_K = self.element(self._ok_block([0, 1]))
+        self.pi_L = self.element((0,) * self.e_K + (1,))
         self._pi_L_powers = [self.one_ol]
 
     def lift(self, N: int) -> "Tower":
@@ -283,19 +277,18 @@ class Tower:
 
     def from_rows(self, rows) -> OLElement:
         """sum_i (sum_j rows[i][j] pi_K^j) pi_L^i, one O_K coordinate list
-        per power of pi_L; lists may run past the degrees of the moduli."""
-        e = self.e_K
-        acc = [0] * self.dim
-        for row in reversed(rows):
-            acc = self._times_pi_L(acc)
-            acc[:e] = [(a + b) % self.pN for a, b in zip(acc[:e], self._ok_block(row))]
-        return OLElement(self, tuple(acc))
+        per power of pi_L; lists may run past the degrees of the moduli.
+        Row 0 is an O_K block; each row i >= 1 is one product with pi_L^i."""
+        acc = self.element(self._ok_block(rows[0]) if rows else ())
+        for i, row in enumerate(rows[1:], 1):
+            acc += self.element(self._ok_block(row)) * self.pi_L_power(i)
+        return acc
 
     def pi_L_power(self, k: int) -> OLElement:
-        """pi_L^k, from a table extended by one pi_L shift per power."""
+        """pi_L^k, from a table extended by one product with pi_L per power."""
         powers = self._pi_L_powers
         while len(powers) <= k:
-            powers.append(OLElement(self, tuple(self._times_pi_L(powers[-1].coeffs))))
+            powers.append(powers[-1] * self.pi_L)
         return powers[k]
 
     # -- reduction and multiplication ----------------------------------
@@ -316,16 +309,6 @@ class Tower:
             c = vec[i + e - 1]
             shifted = [0] + list(vec[i:i + e - 1])
             out.extend((a - c * k) % pN for a, k in zip(shifted, self.E_K))
-        return out
-
-    def _times_pi_L(self, vec) -> list:
-        """vec * pi_L: shift the O_K blocks up one power of pi_L and fold
-        the overflow block back in through E_L."""
-        e, pN = self.e_K, self.pN
-        out = [0] * e + list(vec[:-e])
-        for k, c in enumerate(vec[-e:]):
-            if c:
-                out = [(a + c * b) % pN for a, b in zip(out, self._overflow[k])]
         return out
 
     def _build_slots(self):
@@ -351,12 +334,10 @@ class Tower:
         for _ in range(e, width):
             vec = self._times_pi_K(vec)
             ok_powers.append(tuple((l, c) for l, c in enumerate(vec) if c))
-        # pi_L^p = -E_L, as (slot offset, scalar) pairs from row i to i-p+k
-        drops = []
-        for n, c in enumerate(self._overflow[0]):
-            if c:
-                k, l = divmod(n, e)
-                drops.append(((k - p) * width + l, c))
+        # pi_L^p = -(c_0 + ... + c_{p-1} pi_L^{p-1}), as (slot offset, scalar)
+        # pairs from row i to i-p+k
+        drops = [((k - p) * width + l, -c % self.pN)
+                 for k, c_k in enumerate(self.E_L) for l, c in enumerate(c_k.coeffs[:e]) if c]
         # signed least residues (see the module docstring)
         half = self.pN // 2
         ok_powers = [tuple((l, c - self.pN if c > half else c) for l, c in vec)

@@ -4,13 +4,13 @@ Each one re-derives a quantity the program computes another way, or builds
 and takes apart Witt vectors for the arithmetic tests: an extension rebuilt
 at a higher precision, sigma and all, the Galois conjugates of an element,
 the ramification break from any generator, the conjugate-product basis with
-its valuation pattern, uniform elements of O_L, an operator matrix applied
-to an element, the order of a Howell span, the Witt vector constructors and
-maps, the cascade checks on a vector that is first certified trace-zero,
-and membership in the span of the trace-zero generators, read in ghost
-coordinates.  Every check raises as it did in the package, except that a
-valuation at the precision horizon raises this module's own
-``PrecisionExhausted``.
+its valuation pattern, the product by pi_L as a shift, uniform elements of
+O_L, an operator matrix applied to an element, the order of a Howell span,
+the Witt vector constructors and maps, the cascade checks on a vector that
+is first certified trace-zero, and membership in the span of the trace-zero
+generators, read in ghost coordinates.  Every check raises as it did in
+the package, except that a valuation at the precision horizon raises this
+module's own ``PrecisionExhausted``.
 
 It also holds the spec documents that several test modules share: the t=4
 tower, the t=1 tower, the custom sqrt2 document and the table of refused
@@ -69,6 +69,10 @@ REFUSED_SPECS = {
     "sqrt2-at-p3": ({"kind": "quadratic-sqrt2", "p": 3}, "has no p = 3"),
     "cyclotomic-at-p0": ({"kind": "cyclotomic-step", "p": 0}, "odd prime, got 0"),
     "cyclotomic-at-p1": ({"kind": "cyclotomic-step", "p": 1}, "odd prime, got 1"),
+    "kummer-at-p4": ({"kind": "kummer-step", "p": 4}, "kummer-step requires a prime, got 4"),
+    "kummer-with-f-0": ({"kind": "kummer-step", "p": 3, "f": 0}, "needs f >= 1, got 0"),
+    "kummer-with-radicand-square": ({"kind": "kummer-step", "p": 3, "radicand": "square"},
+                                    "the radicand is 'unit' or 'uniformizer', not 'square'"),
     "sqrt2-with-E_K": ({"kind": "quadratic-sqrt2", "E_K": [3]}, "reads no coefficient"),
     "sqrt2-with-sigma_pi": ({"kind": "quadratic-sqrt2", "sigma_pi": [[1], [1]]},
                             "reads no coefficient"),
@@ -77,6 +81,9 @@ REFUSED_SPECS = {
     "cyclotomic-with-custom-fields": (
         {"kind": "cyclotomic-step", "p": 5, "sigma_pi": [[1]], "e_K": 9},
         "e_K is not the length of E_K"),
+    "cyclotomic-with-f": ({"kind": "cyclotomic-step", "p": 5, "f": 2},
+                          "kind 'cyclotomic-step' reads no field f"),
+    "custom-with-radicand": (dict(SQRT2_DOC, radicand="unit"), "reads no field radicand"),
     "custom-with-bogus": (dict(SQRT2_DOC, bogus=1), "no spec reads field bogus"),
     "custom-at-p0": (dict(SQRT2_DOC, p=0), "has no p = 0"),
     "unknown-kind": ({"kind": "quartic"}, "unknown extension kind 'quartic'"),
@@ -194,6 +201,21 @@ def sigma_basis(ext: ExtensionData) -> SigmaBasis:
                 f"v_L((sigma-1)x_{mu}) = {v}, expected t + mu = {ext.t + mu}"
             )
     return SigmaBasis(tuple(xs))
+
+
+def times_pi_L(tower, vec) -> list:
+    """vec * pi_L on flat coordinates, by one shift: the O_K blocks move up
+    one power of pi_L, and the overflow block comes back in through
+    pi_L^p = -(c_0 + ... + c_{p-1} pi_L^{p-1}), built here from E_L, times
+    pi_K^k for its coordinate k.  The oracle of ``Tower.flat_mul``'s fold."""
+    e, pN = tower.e_K, tower.pN
+    row = [-c % pN for c_k in tower.E_L for c in c_k.coeffs[:e]]  # pi_L^p
+    out = [0] * e + list(vec[:-e])
+    for c in vec[-e:]:
+        if c:
+            out = [(a + c * b) % pN for a, b in zip(out, row)]
+        row = tower._times_pi_K(row)
+    return out
 
 
 def uniform_element(ext: ExtensionData, rng) -> OLElement:

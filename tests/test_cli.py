@@ -162,6 +162,20 @@ def test_extension_info(capsys):
     assert "e_L: 2" in out
 
 
+def test_kummer_step_spec_file_at_the_largest_break(tmp_path, capsys):
+    # K = Q_3(varpi) with e_K = 6, L = K(varpi^(1/3)): t = pf = 9 = 3^2
+    spec = tmp_path / "kummer.json"
+    spec.write_text(json.dumps({"kind": "kummer-step", "p": 3, "f": 3,
+                                "radicand": "uniformizer"}), encoding="utf-8")
+    assert main(["extension-info", "--spec-file", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert "extension: kummer-step\np: 3\ne_K: 6\ne_L: 18\nt: 9\n" in out
+    assert main(["verify", "--spec-file", str(spec), "--suites", "h1",
+                 "--format", "json"]) == 0
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    assert suite["checks"][0]["detail"]["invariant_factors"] == [3] * 6
+
+
 def test_unknown_extension_exits_2(capsys):
     assert main(["verify", "--extension", "quadratic-sqrt5"]) == 2
 

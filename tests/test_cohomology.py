@@ -246,8 +246,8 @@ def test_trace_valuation_suite(all_extensions):
 
 def test_trace_valuation_suite_product_count_at_p7(monkeypatch):
     # per trial: a^7 and tr(a)^7 by square-and-multiply (4 products each)
-    # and one product with pi_L^k from the shift table.  The tower's trace
-    # matrix is built first.
+    # and one product with pi_L^k from the power table.  The tower's trace
+    # matrix and its table of the pi_L^k, k < 2 e_L, are built first.
     ext = build_extension({"kind": "cyclotomic-step", "p": 7})
     ext.trace(ext.tower.pi_L)
     calls = []
@@ -258,6 +258,12 @@ def test_trace_valuation_suite_product_count_at_p7(monkeypatch):
         return flat_mul(self, x, y)
 
     monkeypatch.setattr(Tower, "flat_mul", counting)
+    # the table costs one product per power, on a fresh tower too
+    fresh = ext.tower.lift(ext.N + 1)
+    fresh.pi_L_power(5)
+    assert len(calls) == 5
+    ext.tower.pi_L_power(2 * ext.e_L - 1)
+    calls.clear()
     assert verify_trace_valuations(ext, trials=30, seed=0).status == "pass"
     assert len(calls) <= 270
 
@@ -292,6 +298,25 @@ def test_sampler_at_length_three(sqrt2_hi, cyclo):
     for ext in (sqrt2_hi, cyclo):
         v = sample_trace_zero(ext, 2, seed=7)
         assert witt_trace(v).is_zero
+
+
+def test_sampler_refuses_a_draw_whose_witt_trace_is_nonzero(monkeypatch):
+    # p^m added to the first coordinate of the last ghost block keeps every
+    # level divisible and moves a_m by 1, so the Witt trace gains tr(1) = p
+    # in component m; the generators are built before the patch
+    ext, m = build_extension("quadratic-gaussian", precision=48), 2
+    hi, _ = cohomology.trace_zero_generators(ext, m)
+    combine = cohomology.witt_combination
+
+    def shifted(tower, coeffs, ghosts):
+        ghost = combine(tower, coeffs, ghosts)
+        ghost[m * tower.dim] += ext.p ** m
+        return ghost
+
+    monkeypatch.setattr(cohomology, "witt_combination", shifted)
+    with pytest.raises(VerificationError,
+                       match="level recursion produced a nonzero Witt trace"):
+        sample_trace_zero(ext, m, seed=0)
 
 
 def test_length_one_sample_makes_only_the_saturation_lift(lifts):
@@ -355,6 +380,17 @@ def test_cascade_hand_equality_case(sqrt2):
 def test_cascade_zero_vector_skips(sqrt2):
     levels = verify_cascade(witt_zero(sqrt2, 3))
     assert all(rec["status"] == "skip" for rec in levels)
+
+
+def test_cascade_suite_tallies_the_skipped_levels(sqrt2, monkeypatch):
+    # every level of a zero vector is skipped at the horizon: 4 trials of
+    # 2 levels each, none passed and none failed
+    monkeypatch.setattr(cohomology, "sample_trace_zero",
+                        lambda ext, m, seed=0: witt_zero(ext, m + 1))
+    record = cascade_suite(sqrt2, 2, trials=4)
+    check = record.checks[0]
+    assert record.status == check.status == "pass"
+    assert (check.trials, check.skipped, check.passes, check.failures) == (8, 8, 0, 0)
 
 
 def test_cascade_on_coboundary(sqrt2):
@@ -524,6 +560,18 @@ def test_negative_control_witness_sqrt2(sqrt2):
     minus_one = [[c] for c in (-t.one_ol).coeffs]
     assert detail["witness"] == [pi_coords, minus_one]
     assert not member(linear_map_of(sqrt2, "sigma-minus-one").image, t.pi_L.coeffs)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_negative_control_without_a_witness(m):
+    # t = 4: p^m <= t at m = 1 and 2, and pi_L is trace-zero, but the carry
+    # target of (pi_L, 0) leaves the trace image, so no witness is built.
+    # The exact checks over E_m's generators and the report-v2 bump
+    # (ROADMAP items 18 and 3) replace this suite.
+    ext = build_extension(T4_SPEC, precision=48)
+    detail = negative_control(ext, m).checks[0].detail
+    assert detail == {"applicable": True, "witness_found": False,
+                      "reason": "carry target left the trace image at level 1"}
 
 
 def test_negative_control_not_applicable(gaussian):

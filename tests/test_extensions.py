@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from wittram.cohomology import h1_level1
 from wittram.errors import ConfigError, InvalidExtension
 from wittram.extensions import (
     BUILTIN_NAMES,
@@ -155,6 +156,34 @@ def test_hilbert_formula_holds_at_every_precision(spec, precisions, t):
     assert {build_extension(spec, precision=N).t for N in precisions} == {t}
 
 
+#: (p, f) of every kummer-step built per radicand: t = pf - 1 for the unit
+#: 1 + varpi, and t = pf, the largest break of a degree-p extension of K,
+#: for the uniformizer varpi
+KUMMER_GRID = {"unit": ((2, 3), (2, 5), (3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (7, 1)),
+               "uniformizer": ((2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                               (7, 1))}
+
+
+@pytest.mark.parametrize("radicand,p,f", [(r, p, f) for r, grid in KUMMER_GRID.items()
+                                          for p, f in grid])
+def test_kummer_step_breaks_and_h1(radicand, p, f):
+    ext = build_extension({"kind": "kummer-step", "p": p, "f": f, "radicand": radicand})
+    assert (ext.e_K, ext.t) == (f * (p - 1), p * f - (radicand == "unit"))
+    assert ramification_break(ext) == ext.t
+    assert h1_level1(ext) == (p,) * ext.e_K
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cyclotomic_step_is_the_unit_kummer_step_at_f_1(p):
+    cyclo = build_extension({"kind": "cyclotomic-step", "p": p})
+    for spec in ({"kind": "kummer-step", "p": p},
+                 {"kind": "kummer-step", "p": p, "f": 1, "radicand": "unit"}):
+        kummer = build_extension(spec)
+        assert kummer.tower.E_K == cyclo.tower.E_K
+        assert [c.coeffs for c in kummer.tower.E_L] == [c.coeffs for c in cyclo.tower.E_L]
+        assert (kummer.sigma, kummer.t) == (cyclo.sigma, cyclo.t)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidExtension):
         build_extension("quadratic-sqrt3")
@@ -221,7 +250,7 @@ def test_readme_spec_table_names_the_spec_fields():
             if line.startswith("| `")]
     kinds = {k for row in rows for k in re.findall(r"`([^`]+)`", row[0])}
     fields = {f for row in rows for f in re.findall(r"`([^`]+)`", row[1])}
-    assert kinds == set(BUILTIN_NAMES) | {"custom"}
+    assert kinds == set(BUILTIN_NAMES) | {"kummer-step", "custom"}
     assert fields == set(SPEC_FIELDS)
 
 

@@ -71,6 +71,12 @@ def test_member_refuses_a_vector_of_the_wrong_width():
             member(hb, vec)
 
 
+def test_howell_form_refuses_a_row_of_the_wrong_width():
+    for row in ((1, 0, 5), (1,)):
+        with pytest.raises(ValueError, match="row width"):
+            howell_form([(1, 0), row], 2, 4, 2)
+
+
 @pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (2, 4)])
 def test_canonical_on_equal_spans(p, N):
     # two random generating sets with the same brute-force span must produce
@@ -140,6 +146,14 @@ def test_solve_zero_is_accepted():
     A = [(2, 0), (0, 4)]
     x = solve_columnwise(LinearMap(tuple(A), 2, 3, 2), (0, 0))
     assert matvec(A, x, 8) == (0, 0)
+
+
+def test_solve_refuses_a_target_of_the_wrong_length():
+    lin = LinearMap(((1, 0), (0, 2)), 2, 4, 2)
+    assert solve_columnwise(lin, (1, 2)) == (1, 1)
+    for b in ((1, 2, 0), (1,)):
+        with pytest.raises(ValueError, match="target width"):
+            solve_columnwise(lin, b)
 
 
 def test_combination_roundtrip():

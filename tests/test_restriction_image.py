@@ -32,6 +32,10 @@ TABLE = [
     (T4_SPEC, 48, (2, 1, 1, 0)),
     ({"kind": "cyclotomic-step", "p": 3}, 40, (2, 0, 0, 0)),
     ({"kind": "cyclotomic-step", "p": 5}, 32, (4, 0, 0, 0)),
+    # t = pf, and at (3, 3) the boundary p^m = t = 9 at m = 2
+    ({"kind": "kummer-step", "p": 2, "f": 3, "radicand": "uniformizer"}, 48, (3, 2, 1, 0)),
+    ({"kind": "kummer-step", "p": 3, "f": 3, "radicand": "uniformizer"}, 40, (6, 2, 1, 0)),
+    ({"kind": "kummer-step", "p": 5, "f": 2, "radicand": "uniformizer"}, 32, (8, 2, 0, 0)),
 ]
 
 

@@ -17,7 +17,7 @@ from wittram.rings import (
     valuation_L,
 )
 
-from oracles import T4_SPEC, conjugates, uniform_element
+from oracles import T4_SPEC, conjugates, times_pi_L, uniform_element
 
 
 def random_shifted(ext, rng, shift):
@@ -69,6 +69,13 @@ def test_reduce_constant_is_identity(sqrt2):
     assert t.from_rows([[5]]) == t.ol_const(5)
     # an O_K row past e_K = 1 is reduced by E_K = y - 2: 5 + 0*pi_K = 5
     assert t.from_rows([[5, 0]]) == t.ol_const(5)
+
+
+def test_element_refuses_more_coordinates_than_the_rank(sqrt2):
+    t = sqrt2.tower
+    assert t.element((1, 2)).coeffs == (1, 2)
+    with pytest.raises(ValueError, match="3 coordinates exceed the rank 2"):
+        t.element((1, 2, 3))
 
 
 def test_rejects_elements_of_foreign_tower(sqrt2, gaussian):
@@ -127,7 +134,8 @@ def test_ok_linear_matrix_shifts_each_image_e_K_minus_1_times(monkeypatch, kind,
 
 def shift_and_reduce(t, x, y):
     """x * y as the sum of x_ij * (y * pi_K^j * pi_L^i), built from the
-    one-step shifts alone."""
+    one-step shifts alone: the tower's pi_K shift and the oracle's pi_L
+    shift."""
     acc = [0] * t.dim
     row = list(y)  # y * pi_L^i
     for i in range(t.p):
@@ -137,7 +145,7 @@ def shift_and_reduce(t, x, y):
             if c:
                 acc = [(a + c * b) % t.pN for a, b in zip(acc, vec)]
             vec = t._times_pi_K(vec)
-        row = t._times_pi_L(row)
+        row = times_pi_L(t, row)
     return acc
 
 
@@ -230,9 +238,13 @@ def test_staged_fold_entry_counts(kind, p, entries):
                                     ("cyclotomic-step", 7)])
 def test_pi_L_power_table_matches_repeated_squaring(kind, p):
     t = build_extension({"kind": kind, "p": p}).tower
-    # every shift random_element draws, from a table built by pi_L shifts
+    # every shift random_element draws, from a table built by products
+    # with pi_L, against square-and-multiply and the oracle's pi_L shifts
+    shifted = list(t.one_ol.coeffs)
     for k in range(2 * t.e_L):
         assert t.pi_L_power(k) == t.pi_L ** k
+        assert list(t.pi_L_power(k).coeffs) == shifted
+        shifted = times_pi_L(t, shifted)
 
 
 # -- valuations ---------------------------------------------------------------
@@ -444,8 +456,8 @@ def _unsigned_fold(t):
     for _ in range(e, width):
         vec = t._times_pi_K(vec)
         ok_powers.append(tuple((l, c) for l, c in enumerate(vec) if c))
-    drops = [((n // e - p) * width + n % e, c)
-             for n, c in enumerate(t._overflow[0]) if c]
+    top = times_pi_L(t, [int(n == (p - 1) * e) for n in range(t.dim)])  # pi_L^p
+    drops = [((n // e - p) * width + n % e, c) for n, c in enumerate(top) if c]
     fold = []
     for i in reversed(range(2 * p - 1)):
         base = i * width
