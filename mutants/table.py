@@ -170,6 +170,29 @@ MUTANTS = (
         "tests": ["tests/test_cohomology.py::test_trace_valuation_suite_product_count_at_p7"],
     },
     {
+        "id": "eisenstein-constant-of-valuation-2-accepted",
+        "file": "extensions.py",
+        "text": "if i == 0 and v != 1:",
+        "replacement": "if i == 0 and v > 2:",
+        "tests": [
+            "tests/test_extensions.py::test_spec_made_in_code_is_refused_like_its_document"
+            "[E_K-constant-of-valuation-2]",
+            "tests/test_extensions.py::test_spec_made_in_code_is_refused_like_its_document"
+            "[E_L-constant-of-valuation-2]",
+        ],
+    },
+    {
+        "id": "trial-division-one-divisor-short",
+        "file": "extensions.py",
+        "text": "range(2, math.isqrt(n) + 1)",
+        "replacement": "range(2, math.isqrt(n))",
+        "tests": [
+            "tests/test_rings.py::test_is_prime_matches_trial_division",
+            "tests/test_extensions.py::test_spec_made_in_code_is_refused_like_its_document"
+            "[custom-at-p4]",
+        ],
+    },
+    {
         "id": "no-op-draw-from-zero",
         "file": "cohomology.py",
         "text": "return [rng.randrange(modulus) for _ in basis]",

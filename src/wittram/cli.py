@@ -21,8 +21,7 @@ import argparse
 import sys
 
 from .errors import SUITE_ORDER, ConfigError, WittramError
-from .rings import is_prime
-from .extensions import BUILTIN_NAMES, resolve_extension
+from .extensions import BUILTIN_NAMES, is_prime, resolve_extension
 
 
 def _refuse(message):

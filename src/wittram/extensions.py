@@ -27,8 +27,9 @@ explicitly (conjugate roots of an Eisenstein polynomial are p-adically too
 close for naive root-finding to separate them reliably).
 
 ``build_extension`` is the one place that refuses extension data: every
-check of the data runs there, at the requested precision, so every command,
-suite set and spec made in code sees the same data accepted or refused.
+check of the data runs there, once per build, at the requested precision,
+so every command, suite set and spec made in code sees the same data
+accepted or refused.  ``rings.Tower`` is arithmetic on data checked here.
 The trace is ``Tower.trace_matrix``, from E_L alone; the conjugate sum and
 Hilbert's formula, checked at build, tie sigma and t to it.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError, InvalidExtension
-from .rings import OLElement, Tower, is_prime, matvec, valuation_L
+from .rings import OLElement, Tower, matvec, padic_val, valuation_K, valuation_L
 
 BUILTIN_NAMES = ("quadratic-gaussian", "quadratic-sqrt2", "cyclotomic-step")
 DEFAULT_PRECISION = 32
@@ -57,6 +58,9 @@ MAX_RANK = 160
 #: grows with the digits; along D^2 * log10(p^N) = 10^6 it takes 0.5 to
 #: 1.5 s on a 2-core host, from p = 5 at N = 3576 to p = 13 at N = 36
 MAX_WORK = 10 ** 6
+#: ``is_prime`` certifies p below this cap, by at most 2^16 trial divisions.
+#: The rank bound keeps every p a build holds at most 157
+PRIME_CAP = 2 ** 32
 
 
 class ExtensionData:
@@ -109,8 +113,9 @@ def _materialize(spec: dict) -> tuple:
     that reads a spec's fields.  First the document rules (a ``kind``, no
     field outside SPEC_FIELDS, a list or tuple (a JSON array) at every list
     position, ints or decimal strings but no booleans, ``e_K`` the length
-    of ``E_K``), then the kind's fields and p.  The rank and the work are
-    bounded before any coefficient is built."""
+    of ``E_K``), then the kind's fields and p, a prime, and a custom
+    spec's degrees.  The rank and the work are bounded before any
+    coefficient is built."""
     if "kind" not in spec:
         raise InvalidExtension("a spec needs a 'kind' field")
     unknown = spec.keys() - SPEC_FIELDS
@@ -138,6 +143,12 @@ def _materialize(spec: dict) -> tuple:
                                    "coefficients of E_K, E_L and sigma_pi")
         if p < 2:
             raise InvalidExtension(f"kind 'custom' has no p = {p}")
+        if not is_prime(p):
+            raise InvalidExtension(f"p = {p} is not prime")
+        if not base:
+            raise InvalidExtension("base modulus must have positive degree")
+        if len(top) != p:
+            raise InvalidExtension(f"top modulus must have degree p = {p}, got {len(top)}")
         _check_cost(p, len(base), N)
         return (p, N) + given
     if kind not in BUILTIN_NAMES + ("kummer-step",):
@@ -176,6 +187,14 @@ def _materialize(spec: dict) -> tuple:
     return p, N, tuple(base), ((0, -1),) + ((0,),) * (p - 1), ((0,), zeta)
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division up to its square root;
+    InvalidExtension from PRIME_CAP on, rather than a long search."""
+    if n >= PRIME_CAP:
+        raise InvalidExtension(f"cannot certify that p = {n} is prime")
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def _parse_int(value) -> int:
     # integers may arrive as decimal strings to sidestep word-size limits: an
     # optional '-' and ASCII digits, after surrounding whitespace is stripped
@@ -210,6 +229,29 @@ def _check_cost(p: int, e_K: int, N: int):
                           f"D^2 * log10(p^N) = {work:.0f} exceeds the bound {MAX_WORK}")
 
 
+def _check_eisenstein(tower: Tower):
+    """InvalidExtension unless E_K and E_L are Eisenstein: every coefficient
+    has valuation >= 1, and the constant term has valuation exactly 1,
+    below the horizon.  One rule for both moduli: v_p with horizon N for
+    the integer coefficients of E_K, v_K with horizon N e_K for those of
+    E_L.  A coefficient that vanishes at precision has the horizon, which
+    certifies valuation >= 1 and refuses a constant term; at N = 1 that is
+    every constant term of E_K.  E_L's valuations are read only after E_K
+    has passed, since v_K assumes it."""
+    p, N = tower.p, tower.N
+    moduli = (("E_K", (padic_val(c, p) if c else N for c in tower.E_K), N),
+              ("E_L", map(valuation_K, tower.E_L), tower.horizon_K))
+    for name, valuations, horizon in moduli:
+        for i, v in enumerate(valuations):
+            if v < 1:
+                raise InvalidExtension(f"coefficient {i} of {name} is a unit")
+            if i == 0 and v == horizon:
+                raise InvalidExtension(
+                    f"constant term of {name} vanishes at precision N={N}")
+            if i == 0 and v != 1:
+                raise InvalidExtension(f"constant term of {name} has valuation {v} != 1")
+
+
 def _check_hilbert(tower: Tower, t: int):
     """InvalidExtension unless Hilbert's formula v_L(E_L'(pi_L)) = (t+1)(p-1)
     holds: (E_L'(pi_L)) is the different of L/K, because O_L = O_K[pi_L]
@@ -236,17 +278,20 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     (the spec ``{"kind": name}``).  The build keeps its own copy of the
     spec, with ``precision`` set to the given one, if any.
 
-    The one place that refuses extension data.  Checks, in order: the
-    spec's fields obey the document rules, and the kind takes its fields
-    and p; the rank D = p * e_K is at most MAX_RANK and the work
-    D^2 * log10(p^N) at most MAX_WORK (all in ``_materialize``); p^N
-    has at most MAX_MODULUS_DIGITS decimal digits (ConfigError otherwise);
-    both moduli are Eisenstein (``Tower``); sigma_pi is a root of E_L;
-    sigma does not fix pi_L and sigma^p does; the conjugates
-    sigma^i(pi_L), i < p, sum to tr(pi_L) = -c_{p-1}; and the ramification
-    break t = v_L(sigma(pi_L) - pi_L) - 1 satisfies Hilbert's formula
-    (``_check_hilbert``), which also puts t >= 1.  t is exact: sigma does
-    not fix pi_L, so the difference is nonzero at precision.
+    The one place that refuses extension data: ``Tower`` and its lifts
+    check nothing.  Each check runs once per build, in order: the spec's
+    fields obey the document rules, the kind takes its fields, and p is
+    a prime (``is_prime``), with moduli of degrees e_K >= 1 and p for
+    ``custom``; the rank D = p * e_K is at most MAX_RANK and the work
+    D^2 * log10(p^N) at most MAX_WORK (all in ``_materialize``); N >= 1,
+    and p^N has at most MAX_MODULUS_DIGITS decimal digits (ConfigError
+    otherwise); both moduli are Eisenstein (``_check_eisenstein``);
+    sigma_pi is a root of E_L; sigma does not fix pi_L and sigma^p does;
+    the conjugates sigma^i(pi_L), i < p, sum to tr(pi_L) = -c_{p-1}; and
+    the ramification break t = v_L(sigma(pi_L) - pi_L) - 1 satisfies
+    Hilbert's formula (``_check_hilbert``), which also puts t >= 1.  t is
+    exact: sigma does not fix pi_L, so the difference is nonzero at
+    precision.
     """
     if isinstance(spec, str):
         spec = {"kind": spec}
@@ -254,6 +299,8 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
         raise InvalidExtension(f"a spec is a JSON object, not {type(spec).__name__}")
     spec = dict(spec) if precision is None else dict(spec, precision=precision)
     p, N, base_coeffs, top_coeffs, sigma_rows = _materialize(spec)
+    if N < 1:
+        raise InvalidExtension(f"precision N = {N} must be positive")
     # p^N has floor(N log10 p) + 1 digits; p^N itself is never formed here
     if N * math.log10(p) >= MAX_MODULUS_DIGITS:
         raise ConfigError(
@@ -261,6 +308,7 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
             f"{MAX_MODULUS_DIGITS} decimal digits")
 
     tower = Tower(p, N, base_coeffs, top_coeffs)
+    _check_eisenstein(tower)
     sigma_pi = tower.from_rows(sigma_rows)
 
     root = tower.one_ol  # E_L(sigma_pi) by Horner; the leading 1 is implicit

@@ -8,7 +8,9 @@ of the scalar ring sit two monogenic quotients
 
 with both moduli monic and Eisenstein, so the tower models the ring of
 integers of a totally ramified extension L / K / Q_p with e(L/Q_p) = p*e_K,
-truncated at p-adic precision N.
+truncated at p-adic precision N.  This module is arithmetic only: it
+refuses no data, and ``extensions.build_extension`` is the one place that
+checks p, N and the moduli.
 
 There is one element type.  An OLElement is a flat tuple of D = p*e_K
 scalars in the monomial basis pi_L^i pi_K^j (i < p, j < e_K), coordinate
@@ -55,8 +57,6 @@ from __future__ import annotations
 from functools import cached_property
 from operator import mul
 
-from .errors import InvalidExtension
-
 
 def padic_val(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
@@ -67,42 +67,6 @@ def padic_val(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-#: Miller-Rabin on the primes up to 37 as bases is exact below this bound
-#: (Sorenson and Webster, Math. Comp. 86, 2017), which covers every 64-bit n.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXACT_BELOW = 318665857834031151167461
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test.
-
-    Raises InvalidExtension for n beyond the bound where the fixed bases are
-    known to be exact, rather than answering with an uncertified guess.
-    """
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    if n >= _MR_EXACT_BELOW:
-        raise InvalidExtension(f"cannot certify that p = {n} is prime")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class OLElement:
@@ -181,29 +145,21 @@ class Tower:
 
     ``base_coeffs`` are the non-leading integer coefficients of E_K (length
     e_K) and ``top_coeffs`` the non-leading coefficients of E_L (length p),
-    each given as a coordinate list over O_K.  Both moduli must be
-    Eisenstein (InvalidExtension), which N = 1 cannot certify: the constant
-    term of E_K vanishes there, so it is refused too.  ``E_K`` keeps
-    the integer coefficients and ``E_L`` the coefficients as elements of O_K.
+    each given as a coordinate list over O_K.  ``E_K`` keeps the integer
+    coefficients and ``E_L`` the coefficients as elements of O_K.  The
+    tower is arithmetic over the integers it is given and checks none of
+    them: ``extensions.build_extension`` refuses every p that is not prime,
+    every N < 1, and moduli of the wrong degrees or not Eisenstein, before
+    it builds a tower.
     """
 
     def __init__(self, p: int, N: int, base_coeffs, top_coeffs):
-        if not is_prime(p):
-            raise InvalidExtension(f"p = {p} is not prime")
-        if N < 1:
-            raise InvalidExtension(f"precision N = {N} must be positive")
         self.p = p
         self.N = N
         self.pN = p ** N
         self._data = (tuple(base_coeffs), tuple(top_coeffs))
         self._lifts = {N: self}
         self.e_K = len(base_coeffs)
-        if self.e_K < 1:
-            raise InvalidExtension("base modulus must have positive degree")
-        if len(top_coeffs) != p:
-            raise InvalidExtension(
-                f"top modulus must have degree p = {p}, got {len(top_coeffs)}"
-            )
         self.e_L = p * self.e_K
         self.dim = p * self.e_K
         self.horizon_L = N * self.e_L
@@ -211,7 +167,6 @@ class Tower:
 
         self.E_K = tuple(c % self.pN for c in base_coeffs)
         self.E_L = tuple(self.element(self._ok_block(c)) for c in top_coeffs)
-        self._validate_eisenstein()
 
         self._slot, self._fold = self._build_slots()
 
@@ -223,8 +178,9 @@ class Tower:
 
     def lift(self, N: int) -> "Tower":
         """The same tower at precision N, rebuilt from the integer data as
-        given, once per precision.  Eisenstein data stay Eisenstein at any
-        higher precision, so a lift above N cannot fail."""
+        given, once per precision.  It checks nothing: Eisenstein data stay
+        Eisenstein at any higher precision, so the build's checks hold for
+        every lift above N."""
         if N not in self._lifts:
             self._lifts[N] = Tower(self.p, N, *self._data)
         return self._lifts[N]
@@ -391,36 +347,6 @@ class Tower:
             if bit == "1":
                 result = self.flat_mul(result, x)
         return result
-
-    # -- validation ----------------------------------------------------
-
-    def _validate_eisenstein(self):
-        for i, c in enumerate(self.E_K):
-            if c == 0:
-                # vanishing at precision means v_p >= N >= 1, fine except at c_0
-                if i == 0:
-                    if self.N == 1:
-                        raise InvalidExtension(
-                            "constant term of E_K vanishes at precision N=1; "
-                            "cannot certify Eisenstein"
-                        )
-                    raise InvalidExtension("constant term of E_K has valuation > 1")
-                continue
-            v = padic_val(c, self.p)
-            if v < 1:
-                raise InvalidExtension(f"coefficient {i} of E_K is a unit")
-            if i == 0 and v != 1:
-                raise InvalidExtension(f"constant term of E_K has valuation {v} != 1")
-        # E_K passed, so N >= 2 and a c_0 at the horizon N*e_K >= 2 is not
-        # Eisenstein either; a higher coefficient there has valuation >= 1
-        for i, c in enumerate(self.E_L):
-            v = valuation_K(c)
-            if v < 1:
-                raise InvalidExtension(f"coefficient {i} of E_L is a unit")
-            if i == 0 and v != 1:
-                at_least = "at least " if v == self.horizon_K else ""
-                raise InvalidExtension(
-                    f"constant term of E_L has valuation {at_least}{v} != 1")
 
 
 def matvec(matrix_rows, x, pN: int) -> tuple:

@@ -90,9 +90,9 @@ REFUSED_SPECS = {
     # a string or an object is iterable, but no list of a spec
     "E_L-rows-are-strings": (dict(SQRT2_DOC, E_L=["2", "0"]), "expected a list, got '2'"),
     "E_K-an-object": (dict(SQRT2_DOC, E_K={"7": 1}), "expected a list, got {'7': 1}"),
-    # the tower's rules: p, N, the degrees and the Eisenstein conditions
+    # the build's rules on p, N, the degrees and the Eisenstein conditions
     "custom-at-p4": (dict(SQRT2_DOC, p=4), "p = 4 is not prime"),
-    # past the bound of the deterministic Miller-Rabin bases, and odd
+    # from the trial-division cap 2^32 on, and odd
     "cyclotomic-at-uncertified-p": ({"kind": "cyclotomic-step", "p": 318665857834031151167461},
                                     "cannot certify that p = 318665857834031151167461"),
     "precision-0": (dict(SQRT2_DOC, precision=0), "precision N = 0 must be positive"),
@@ -105,11 +105,19 @@ REFUSED_SPECS = {
     "unit-E_K-coefficient": (dict(SQRT2_DOC, E_K=[1]), "coefficient 0 of E_K is a unit"),
     "E_K-constant-of-valuation-2": (dict(SQRT2_DOC, E_K=[-4]),
                                     "constant term of E_K has valuation 2 != 1"),
-    "E_K-constant-0": (dict(SQRT2_DOC, E_K=[0]), "constant term of E_K has valuation > 1"),
+    "E_K-constant-0": (dict(SQRT2_DOC, E_K=[0]),
+                       "constant term of E_K vanishes at precision N=32"),
+    # x^2 - 3 is not Eisenstein at 2
+    "unit-E_L-constant": (dict(SQRT2_DOC, E_L=[[-3], [0]]), "coefficient 0 of E_L is a unit"),
     "unit-E_L-coefficient": (dict(SQRT2_DOC, E_L=[[-2], [1]]),
                              "coefficient 1 of E_L is a unit"),
     "E_L-constant-of-valuation-2": (dict(SQRT2_DOC, E_L=[[-4], [0]]),
                                     "constant term of E_L has valuation 2 != 1"),
+    # E_L = x^2: v_K(c_0) is at least the horizon N e_K, at N = 2 as at 16
+    "E_L-constant-0-at-N2": (dict(SQRT2_DOC, E_L=[[0], [0]], precision=2),
+                             "constant term of E_L vanishes at precision N=2"),
+    "E_L-constant-0-at-N16": (dict(SQRT2_DOC, E_L=[[0], [0]], precision=16),
+                              "constant term of E_L vanishes at precision N=16"),
     # Galois data: sigma(pi_L) a root of E_L, sigma of order p, the conjugates
     # summing to the trace
     "sigma-not-a-root": (dict(SQRT2_DOC, sigma_pi=[[1], [1]]), "not a root of E_L"),

@@ -102,8 +102,8 @@ def test_witt_poly_huge_level_hits_the_term_limit(level, capsys):
 
 
 def test_witt_poly_large_prime_exits_2_at_once():
-    # 2^61 - 1 is certified prime by Miller-Rabin, then the term guard refuses
-    # it; trial division up to its square root never returned
+    # 2^61 - 1 lies above the trial-division cap 2^32, so it is refused
+    # before any division; division up to its square root never returned
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(wittram.__file__)))
     done = subprocess.run(
@@ -114,7 +114,7 @@ def test_witt_poly_large_prime_exits_2_at_once():
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: projected dense term count")
+    assert lines[0] == "error: cannot certify that p = 2305843009213693951 is prime"
 
 
 def test_witt_poly_uncertifiable_prime_exits_2(capsys):
@@ -174,6 +174,33 @@ def test_kummer_step_spec_file_at_the_largest_break(tmp_path, capsys):
                  "--format", "json"]) == 0
     (suite,) = json.loads(capsys.readouterr().out)["suites"]
     assert suite["checks"][0]["detail"]["invariant_factors"] == [3] * 6
+
+
+#: t = 6 and e_L = 6: at N = 32 and m = 2, N*e_L = 192 = 4*(t+e_L)*(m+2)
+GUARDED_KUMMER = {"kind": "kummer-step", "p": 2, "f": 3, "radicand": "uniformizer"}
+
+
+@pytest.mark.parametrize("suite", ["h1", "symbolic"])
+def test_suites_that_read_no_m_skip_the_precision_guard(tmp_path, capsys, suite):
+    spec = tmp_path / "kummer.json"
+    spec.write_text(json.dumps(GUARDED_KUMMER), encoding="utf-8")
+    assert main(["verify", "--spec-file", str(spec), "--m", "2", "--suites", suite,
+                 "--format", "json"]) == 0
+    (record,) = json.loads(capsys.readouterr().out)["suites"]
+    assert (record["suite"], record["status"]) == (suite, "pass")
+    if suite == "h1":
+        assert record["checks"][0]["detail"]["invariant_factors"] == [2, 2, 2]
+
+
+def test_a_suite_that_reads_m_keeps_the_precision_guard(tmp_path, capsys):
+    spec = tmp_path / "kummer.json"
+    spec.write_text(json.dumps(GUARDED_KUMMER), encoding="utf-8")
+    assert main(["verify", "--spec-file", str(spec), "--m", "2",
+                 "--suites", "h1,negative-control"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: precision guard violated: N*e_L = 192 must exceed "
+                            "4*(t+e_L)*(m+2) = 192; raise --precision\n")
 
 
 def test_unknown_extension_exits_2(capsys):
@@ -390,16 +417,19 @@ def test_bad_m_or_trials_exits_2(flag, value, capsys):
 def test_verify_fuzz_exit_codes(extension, m, trials, precision, suites):
     # whatever the flags, verify ends with a documented exit code and at most
     # one line on stderr, never with an escaping exception.  It passes exactly
-    # when m >= 0, trials >= 1 and the precision guard N*e_L > 4(t+e_L)(m+2)
-    # holds, with e_L = 2 and t = 1 (gaussian) or 2 (sqrt2); every other run
-    # is a configuration error
+    # when m >= 0, trials >= 1, the build accepts N (N >= 2) and, unless the
+    # suites are h1 and symbolic alone, the precision guard
+    # N*e_L > 4(t+e_L)(m+2) holds, with e_L = 2 and t = 1 (gaussian) or 2
+    # (sqrt2); every other run is a configuration error
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--extension", extension, "--m", str(m),
                      "--trials", str(trials), "--precision", str(precision),
                      "--suites", ",".join(suites), "--format", "json"])
     t = {"quadratic-gaussian": 1, "quadratic-sqrt2": 2}[extension]
-    runs = m >= 0 and trials >= 1 and 2 * precision > 4 * (t + 2) * (m + 2)
+    guarded = set(suites) - {"h1", "symbolic"}
+    runs = m >= 0 and trials >= 1 and precision >= 2 and (
+        not guarded or 2 * precision > 4 * (t + 2) * (m + 2))
     assert code == (0 if runs else 2)
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1
@@ -807,6 +837,19 @@ def test_unsolvable_coboundary_fails_the_proposition(monkeypatch):
     assert digest == "6a36377973ddb89cf5cd67bfb4d6c05b7036a50807b6ff437b65dded17fb4eb1"
 
 
+def test_a_wrong_coboundary_preimage_fails_the_proposition(monkeypatch):
+    # the proposition checks each preimage the solver returns: zeros are
+    # wrong for every nonzero a_0
+    monkeypatch.setattr(cohomology, "solve_columnwise", lambda lin, b: (0,) * lin.width)
+    code, doc, _ = _run_json(m=2, trials=10, suites=("proposition",))
+    assert code == 1
+    assert [(s["suite"], s["status"]) for s in doc["suites"]] == [("proposition", "fail")]
+    (check,) = doc["suites"][0]["checks"]
+    assert (check["name"], check["status"]) == ("consistency", "fail")
+    assert check["detail"] == {
+        "error": "VerificationError: solver returned a wrong coboundary preimage"}
+
+
 def _gaussian_spec(tmp_path, precision):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"kind": "quadratic-gaussian",
@@ -848,8 +891,8 @@ def test_spec_file_fields_the_kind_reads_are_accepted(tmp_path, capsys, doc, p):
 
 
 def test_vanishing_el_constant_term_exits_2_as_not_eisenstein(tmp_path, capsys):
-    # E_L = x^2: its constant term vanishes at precision, and N >= 2 after
-    # E_K passed, so v_K(c_0) >= N e_K >= 2 proves it is not Eisenstein
+    # E_L = x^2: its constant term vanishes at precision, so v_K(c_0) is at
+    # least the horizon N e_K >= 2, and it is not Eisenstein
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"kind": "custom", "p": 2, "E_K": [-2],
                                 "E_L": [[0], [0]], "sigma_pi": [[0], [-1]]}),
@@ -857,5 +900,4 @@ def test_vanishing_el_constant_term_exits_2_as_not_eisenstein(tmp_path, capsys):
     assert main(["extension-info", "--spec-file", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: constant term of E_L has valuation "
-                            "at least 32 != 1\n")
+    assert captured.err == "error: constant term of E_L vanishes at precision N=32\n"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from wittram import extensions, rings
 from wittram.cohomology import h1_level1
 from wittram.errors import ConfigError, InvalidExtension
 from wittram.extensions import (
@@ -19,6 +20,7 @@ from wittram.extensions import (
     load_spec_file,
     resolve_extension,
 )
+from wittram.harness import RunConfig, run
 from wittram.rings import valuation_L
 
 from oracles import (
@@ -211,6 +213,27 @@ def test_spec_made_in_code_is_refused_like_its_document(case):
     spec, message = REFUSED_SPECS[case]
     with pytest.raises(InvalidExtension, match=re.escape(message)):
         build_extension(spec)
+
+
+def test_a_verify_checks_the_data_once_however_many_towers_it_builds(monkeypatch):
+    # cyclotomic-step at m = 2 builds the tower at N and lifts it once, to
+    # N + 2; only the build checks p and the moduli
+    calls = {"towers": 0, "is_prime": 0, "eisenstein": 0}
+
+    def counted(key, function):
+        def wrapper(*args):
+            calls[key] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(rings.Tower, "__init__", counted("towers", rings.Tower.__init__))
+    monkeypatch.setattr(extensions, "is_prime", counted("is_prime", extensions.is_prime))
+    monkeypatch.setattr(extensions, "_check_eisenstein",
+                        counted("eisenstein", extensions._check_eisenstein))
+    _, code = run(RunConfig(extension="cyclotomic-step", m=2, trials=2,
+                            suites=("cascade", "proposition")))
+    assert code == 0
+    assert calls == {"towers": 2, "is_prime": 1, "eisenstein": 1}
 
 
 @pytest.mark.parametrize("spec", [{"kind": "quadratic-gaussian", "p": 2},

@@ -6,6 +6,12 @@ E_m/im(sigma-1), the image of restriction from classes of length m+1 in
 H^1 = ker(tr)/im(sigma-1).  The paper's level-1 statement is that the image
 vanishes once p^m exceeds the break t; it is sharp, so the image is nonzero
 whenever p^m <= t.
+
+The last tests check E_m against pure linear algebra: E_m is the filtration
+piece F_j = im(sigma-1) + (E_0 & p_L^j) for j = t - floor(t/p^m), where E_0
+is the saturated trace kernel.  No source states this identity; it was
+found by measurement, so a mismatch would be a finding, not a failure of
+the paper's theorem.
 """
 
 import itertools
@@ -19,7 +25,7 @@ from wittram.cohomology import (
     trace_kernel_saturated,
 )
 from wittram.extensions import build_extension
-from wittram.linalg import howell_form, member
+from wittram.linalg import LinearMap, howell_form, member
 from wittram.rings import padic_val
 from wittram.witt import WittVec, witt_trace
 
@@ -104,3 +110,76 @@ def test_a_basis_missing_a_coboundary_is_refused(monkeypatch):
     del coboundaries[missing]
     with pytest.raises(ValueError, match="do not lie in the span"):
         restriction_image(ext, 0)
+
+
+# -- E_m as a filtration piece -------------------------------------------------
+
+
+def _kummer(radicand, p, f):
+    return {"kind": "kummer-step", "p": p, "f": f, "radicand": radicand}
+
+
+#: (spec, the m at which j is the only matching index: F_{j-1} and F_{j+1}
+#: both differ from E_m there)
+SWEEP = [
+    ({"kind": "quadratic-gaussian"}, ()),
+    ({"kind": "quadratic-sqrt2"}, ()),
+    (T4_SPEC, ()),
+    ({"kind": "cyclotomic-step", "p": 3}, ()),
+    ({"kind": "cyclotomic-step", "p": 5}, ()),
+    (_kummer("unit", 2, 3), ()),
+    (_kummer("unit", 2, 5), ()),
+    (_kummer("unit", 3, 2), (1,)),
+    (_kummer("unit", 3, 4), ()),
+    (_kummer("unit", 5, 2), ()),
+    (_kummer("uniformizer", 2, 3), ()),
+    (_kummer("uniformizer", 3, 1), (1,)),
+    (_kummer("uniformizer", 3, 3), (2,)),
+    (_kummer("uniformizer", 5, 1), (1,)),
+    (_kummer("uniformizer", 5, 2), (1,)),
+    (_kummer("uniformizer", 7, 1), (1,)),
+]
+
+
+def filtration_piece(ext, j) -> tuple:
+    """Howell rows of F_j = im(sigma-1) + (E_0 & p_L^j).  p_L^j is spanned
+    by p^k e_c for each basis monomial c, k the least with e_L k + v_L(e_c)
+    >= j, since the monomials have distinct valuations mod e_L.  The meet
+    is read off the kernel of one map, whose columns are the rows of E_0
+    and the negated lattice generators: each kernel vector (x | y) gives
+    the meet element sum_i x_i E_0[i]."""
+    tower = ext.tower
+    p, N, D = ext.p, ext.N, tower.dim
+    kernel = trace_kernel_saturated(ext, tower.lift(N + 1)).rows
+    lattice = []
+    for c in range(D):
+        i, l = divmod(c, ext.e_K)
+        k = max(0, -(-(j - p * l - i) // ext.e_L))
+        if k < N:
+            lattice.append([-p ** k * (r == c) for r in range(D)])
+    columns = list(kernel) + lattice
+    syzygies = LinearMap(tuple(zip(*columns)), p, N, len(columns)).kernel
+    meet = [[sum(x * g[c] for x, g in zip(row, kernel)) for c in range(D)]
+            for row in syzygies.rows]
+    coboundaries = linear_map_of(ext, "sigma-minus-one").image.rows
+    return howell_form(list(coboundaries) + meet, p, N, D).rows
+
+
+@pytest.mark.parametrize("spec,unique", SWEEP, ids=[
+    "-".join(str(spec[k]) for k in ("radicand", "p", "f")) if "f" in spec else spec_id(spec)
+    for spec, _ in SWEEP])
+def test_each_image_is_the_filtration_piece_at_t_minus_t_over_p_to_the_m(spec, unique):
+    # every m up to the first with p^m > t, where j = t and the theorem
+    # reads E_0 & p_L^t <= im(sigma-1)
+    ext = build_extension(spec, precision=16)
+    t, m = ext.t, 0
+    while True:
+        j = t - t // ext.p ** m
+        rows = restriction_image(ext, m)[0].rows
+        assert filtration_piece(ext, j) == rows
+        if m in unique:
+            assert filtration_piece(ext, j - 1) != rows
+            assert filtration_piece(ext, j + 1) != rows
+        if ext.p ** m > t:
+            break
+        m += 1

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from wittram.cohomology import random_element
 from wittram.errors import InvalidExtension
-from wittram.extensions import build_extension
+from wittram.extensions import build_extension, is_prime
 from wittram.rings import (
     Tower,
-    is_prime,
     padic_val,
     valuation_K,
     valuation_L,
@@ -37,14 +36,14 @@ def test_is_prime_matches_trial_division():
 
 
 def test_is_prime_on_large_numbers():
-    assert is_prime(2 ** 61 - 1)
-    assert is_prime(2 ** 64 - 59)  # the largest 64-bit prime
-    # strong pseudoprimes to every base up to 31: only the base 37 exposes them
-    assert not is_prime(3825123056546413051)
-    assert not is_prime(2 ** 64 - 1)
-    # beyond the bound where the fixed bases are proved exact, refuse
-    with pytest.raises(InvalidExtension):
-        is_prime(2 ** 89 - 1)
+    assert is_prime(2 ** 32 - 5)  # the largest prime below the cap
+    assert is_prime(2 ** 31 - 1)
+    assert not is_prime(65521 ** 2)  # the square of the largest 16-bit prime
+    assert not is_prime(2 ** 32 - 1)
+    # from the cap 2^32 on, refuse rather than divide up to the square root
+    for n in (2 ** 32, 2 ** 61 - 1, 2 ** 89 - 1):
+        with pytest.raises(InvalidExtension, match=f"cannot certify that p = {n} is prime"):
+            is_prime(n)
 
 
 # -- tower reduction ---------------------------------------------------------
@@ -354,36 +353,6 @@ def test_canonical_form_shapes(all_extensions):
         a = uniform_element(ext, rng) * uniform_element(ext, rng)
         assert len(a.coeffs) == t.dim
         assert all(0 <= c < t.pN for c in a.coeffs)
-
-
-# -- Eisenstein validation -----------------------------------------------------
-
-
-def test_unit_constant_term_rejected():
-    with pytest.raises(InvalidExtension, match="coefficient 0 of E_L is a unit"):
-        Tower(2, 16, (-2,), ((-3,), (0,)))  # x^2 - 3 is not Eisenstein at 2
-
-
-def test_unit_middle_coefficient_rejected():
-    with pytest.raises(InvalidExtension, match="coefficient 1 of E_L is a unit"):
-        Tower(2, 16, (-2,), ((-2,), (1,)))  # x^2 + x - 2 has a unit coefficient
-
-
-def test_constant_term_valuation_must_be_one():
-    with pytest.raises(InvalidExtension, match="constant term of E_L has valuation 2 != 1"):
-        Tower(2, 16, (-2,), ((-4,), (0,)))  # v(4) = 2
-
-
-def test_precision_one_cannot_certify():
-    with pytest.raises(InvalidExtension, match="vanishes at precision N=1"):
-        Tower(2, 1, (-2,), ((-2,), (0,)))
-
-
-@pytest.mark.parametrize("N", [2, 16])
-def test_vanishing_el_constant_term_is_not_eisenstein(N):
-    # E_K passed, so N >= 2, and v_K(c_0) >= N e_K >= 2 decides the case
-    with pytest.raises(InvalidExtension, match=f"valuation at least {N} != 1"):
-        Tower(2, N, (-2,), ((0,), (0,)))  # x^2
 
 
 # -- mixed-unit valuation bridge -----------------------------------------------

@@ -15,6 +15,9 @@ another module imports it from that one, as ``errors.sha256`` is.
 Frobenius chains stay inside ``witt``: no other module spells the names
 in ``WITT_ONLY``, counted the same way, except that ``rings`` defines the
 power ``Tower.flat_pow`` that ``OLElement.__pow__`` calls too.
+
+Extension data are refused in one module: every ``raise
+InvalidExtension(...)`` in ``src/wittram`` is in ``extensions.py``.
 """
 
 import ast
@@ -149,6 +152,14 @@ def test_only_witt_spells_frobenius_chains():
                for path in sorted(SRC.glob("*.py")) if path.stem != "witt"}
     assert {f"{module}.{name}" for module, names in spelled.items()
             for name in WITT_ONLY if names[name]} == {"rings.flat_pow"}
+
+
+def test_only_extensions_raises_invalid_extension():
+    raising = {path.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and getattr(node.exc.func, "id", None) == "InvalidExtension"}
+    assert raising == {"extensions.py"}
 
 
 def test_every_source_import_is_used():
