@@ -193,6 +193,27 @@ MUTANTS = (
         ],
     },
     {
+        "id": "trace-lemmas-run-guarded-at-m",
+        "file": "harness.py",
+        "text": 'precision_guard(ext, config.m if selected - {"h1", "symbolic", "trace-lemmas"} else 0)',
+        "replacement": "precision_guard(ext, config.m)",
+        "tests": ["tests/test_cli.py::test_a_trace_lemmas_run_is_guarded_at_m_0"],
+    },
+    {
+        "id": "sharpness-control-only-below-t",
+        "file": "cohomology.py",
+        "text": 'detail = {"applicable": ext.p ** m <= ext.t}',
+        "replacement": 'detail = {"applicable": ext.p ** m < ext.t}',
+        "tests": ["tests/test_cohomology.py::test_negative_control_witness_sqrt2"],
+    },
+    {
+        "id": "sharpness-control-skips-the-pi-L-trace",
+        "file": "cohomology.py",
+        "text": "elif not ext.trace(a0).is_zero:",
+        "replacement": "elif False:",
+        "tests": ["tests/test_cohomology.py::test_negative_control_when_pi_L_is_not_trace_zero"],
+    },
+    {
         "id": "no-op-draw-from-zero",
         "file": "cohomology.py",
         "text": "return [rng.randrange(modulus) for _ in basis]",

@@ -153,13 +153,8 @@ def _cmd_extension_info(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "witt-poly":
-            return _cmd_witt_poly(args)
-        if args.command == "extension-info":
-            return _cmd_extension_info(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {"verify": _cmd_verify, "witt-poly": _cmd_witt_poly,
+                "extension-info": _cmd_extension_info}[args.command](args)
     except (WittramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

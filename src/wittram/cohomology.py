@@ -440,52 +440,42 @@ def verify_restriction_vanishing(ext: ExtensionData, m: int,
     return SuiteRecord.of("proposition", ext, m, [val_check, cob_check])
 
 
-def deterministic_witness(ext: ExtensionData, m: int):
-    """A trace-zero vector grown from a_0 = pi_L: at each level n, a_n is
-    the solver's solution of tr(a_n) = the carry target of the prefix
+def negative_control(ext: ExtensionData, m: int) -> SuiteRecord:
+    """Sharpness control: when p^m <= t, a trace-zero vector grown from
+    a_0 = pi_L whose a_0 is not a coboundary.  At each level n, a_n is the
+    solver's solution of tr(a_n) = the carry target of the prefix
     (``_carry_target``), with no kernel offset.  The prefix keeps its
     Frobenius chains as it grows (``witt.extended``), so level n costs n
     powers, and the Witt traces of the targets and of the vector reuse them.
-
-    Returns (vector, note); vector is None when the construction cannot run
-    (pi_L not trace-zero, or the carry target leaves the trace image).
-    """
-    a0 = ext.tower.pi_L
-    if not ext.trace(a0).is_zero:
-        return None, "pi_L is not trace-zero; no deterministic witness"
-    hi = ext.tower.lift(ext.N + m)
-    vec, zero = WittVec(ext, (a0,)), ext.tower.zero_ol
-    for n in range(1, m + 1):
-        target = _carry_target(extended(hi, vec, zero))
-        try:
-            vec = extended(hi, vec, solve_linear(ext, "trace", target))
-        except NoSolution:
-            return None, f"carry target left the trace image at level {n}"
-    return _trace_zero(vec), None
-
-
-def negative_control(ext: ExtensionData, m: int) -> SuiteRecord:
-    """Sharpness control: exhibit a trace-zero vector whose a_0 is not a
-    coboundary when p^m <= t.
+    No witness is built when pi_L is not trace-zero or a carry target
+    leaves the trace image.
 
     Informational: it demonstrates that the p^m > t hypothesis of the
     vanishing suite is not vacuous (the suites cannot pass by accident).
     """
-    check = CheckResult("sharpness-witness", "info")
-    if ext.p ** m > ext.t:
-        check.detail["applicable"] = False
-        check.detail["reason"] = f"p^m = {ext.p ** m} > t = {ext.t}"
-        return SuiteRecord.of("negative-control", ext, m, [check])
-    check.detail["applicable"] = True
-    vec, note = deterministic_witness(ext, m)
-    if vec is None:
-        check.detail["witness_found"] = False
-        check.detail["reason"] = note
-        return SuiteRecord.of("negative-control", ext, m, [check])
-    in_image = member(linear_map_of(ext, "sigma-minus-one").image, vec[0].coeffs)
-    check.detail["witness_found"] = not in_image
-    check.detail["witness"] = wittvec_coords(vec)
-    check.detail["first_component_is_coboundary"] = in_image
+    a0 = ext.tower.pi_L
+    detail = {"applicable": ext.p ** m <= ext.t}
+    if not detail["applicable"]:
+        detail["reason"] = f"p^m = {ext.p ** m} > t = {ext.t}"
+    elif not ext.trace(a0).is_zero:
+        detail.update(witness_found=False,
+                      reason="pi_L is not trace-zero; no deterministic witness")
+    else:
+        hi = ext.tower.lift(ext.N + m)
+        vec, zero = WittVec(ext, (a0,)), ext.tower.zero_ol
+        try:
+            for n in range(1, m + 1):
+                target = _carry_target(extended(hi, vec, zero))
+                vec = extended(hi, vec, solve_linear(ext, "trace", target))
+        except NoSolution:
+            detail.update(witness_found=False,
+                          reason=f"carry target left the trace image at level {n}")
+        else:
+            in_image = member(linear_map_of(ext, "sigma-minus-one").image,
+                              _trace_zero(vec)[0].coeffs)
+            detail.update(witness_found=not in_image, witness=wittvec_coords(vec),
+                          first_component_is_coboundary=in_image)
+    check = CheckResult("sharpness-witness", "info", detail=detail)
     return SuiteRecord.of("negative-control", ext, m, [check])
 
 

@@ -6,7 +6,9 @@ valuation compared by the verifiers far below the truncation horizon (the
 bounds involved are linear in t and e_L while the guard grows with both).
 A run of ``h1`` and ``symbolic`` alone skips the guard: neither reads m,
 h1's count certificate settles its own precision, and ``symbolic`` reads
-no tower.
+no tower.  Only ``cascade``, ``proposition`` and ``negative-control`` read
+m, so a run that selects none of them but ``trace-lemmas`` is guarded at
+m = 0, the m its record states.
 """
 
 from __future__ import annotations
@@ -187,8 +189,9 @@ def run(config: RunConfig):
         raise
     except (WittramError, OSError, ValueError) as exc:
         raise ConfigError(f"cannot build extension {config.extension!r}: {exc}")
-    if set(config.suites) - {"h1", "symbolic"}:
-        precision_guard(ext, config.m)
+    selected = set(config.suites)
+    if selected - {"h1", "symbolic"}:
+        precision_guard(ext, config.m if selected - {"h1", "symbolic", "trace-lemmas"} else 0)
 
     report = Report(REPORT_VERSION, config.echo(ext.N))
     for name in SUITE_ORDER:

@@ -203,6 +203,26 @@ def test_a_suite_that_reads_m_keeps_the_precision_guard(tmp_path, capsys):
                             "4*(t+e_L)*(m+2) = 192; raise --precision\n")
 
 
+def test_a_trace_lemmas_run_is_guarded_at_m_0(capsys):
+    # trace-lemmas reads no m and its record states m = 0, so its run is
+    # guarded at m = 0 whatever --m says; a suite that reads m keeps --m
+    def verify(suites, *flags):
+        code = main(["verify", "--extension", "quadratic-gaussian", "--suites", suites,
+                     "--trials", "5", "--format", "json", *flags])
+        return code, capsys.readouterr()
+
+    code, at_5 = verify("trace-lemmas", "--m", "5")
+    assert code == 0
+    code, at_0 = verify("trace-lemmas", "--m", "0")
+    assert code == 0
+    assert json.loads(at_5.out)["suites"] == json.loads(at_0.out)["suites"]
+    guard = "error: precision guard violated: N*e_L = {} must exceed 4*(t+e_L)*(m+2) = {}"
+    code, low = verify("trace-lemmas", "--m", "5", "--precision", "12")
+    assert (code, low.err) == (2, guard.format(24, 24) + "; raise --precision\n")
+    code, cascade = verify("trace-lemmas,cascade", "--m", "5")
+    assert (code, cascade.err) == (2, guard.format(64, 84) + "; raise --precision\n")
+
+
 def test_unknown_extension_exits_2(capsys):
     assert main(["verify", "--extension", "quadratic-sqrt5"]) == 2
 
@@ -414,13 +434,16 @@ def test_bad_m_or_trials_exits_2(flag, value, capsys):
 @example(extension="quadratic-sqrt2", m=-1, trials=3, precision=48, suites=["cascade"])
 @example(extension="quadratic-gaussian", m=1, trials=1, precision=19, suites=["cascade"])
 @example(extension="quadratic-gaussian", m=1, trials=1, precision=18, suites=["cascade"])
+@example(extension="quadratic-gaussian", m=3, trials=1, precision=20, suites=["trace-lemmas"])
 def test_verify_fuzz_exit_codes(extension, m, trials, precision, suites):
     # whatever the flags, verify ends with a documented exit code and at most
     # one line on stderr, never with an escaping exception.  It passes exactly
     # when m >= 0, trials >= 1, the build accepts N (N >= 2) and, unless the
     # suites are h1 and symbolic alone, the precision guard
-    # N*e_L > 4(t+e_L)(m+2) holds, with e_L = 2 and t = 1 (gaussian) or 2
-    # (sqrt2); every other run is a configuration error
+    # N*e_L > 4(t+e_L)(m+2) holds, with e_L = 2, t = 1 (gaussian) or 2
+    # (sqrt2), and m as the suites read it: --m if cascade, proposition or
+    # negative-control is selected, else 0; every other run is a
+    # configuration error
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--extension", extension, "--m", str(m),
@@ -428,8 +451,9 @@ def test_verify_fuzz_exit_codes(extension, m, trials, precision, suites):
                      "--suites", ",".join(suites), "--format", "json"])
     t = {"quadratic-gaussian": 1, "quadratic-sqrt2": 2}[extension]
     guarded = set(suites) - {"h1", "symbolic"}
+    m_read = m if guarded - {"trace-lemmas"} else 0
     runs = m >= 0 and trials >= 1 and precision >= 2 and (
-        not guarded or 2 * precision > 4 * (t + 2) * (m + 2))
+        not guarded or 2 * precision > 4 * (t + 2) * (m_read + 2))
     assert code == (0 if runs else 2)
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1

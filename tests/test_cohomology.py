@@ -574,6 +574,22 @@ def test_negative_control_without_a_witness(m):
                       "reason": "carry target left the trace image at level 1"}
 
 
+@pytest.mark.parametrize("spec,m", [
+    ({"kind": "quadratic-gaussian"}, 0),
+    ({"kind": "cyclotomic-step"}, 0),
+    ({"kind": "kummer-step", "p": 3, "f": 2, "radicand": "unit"}, 1)], ids=spec_id)
+def test_negative_control_when_pi_L_is_not_trace_zero(spec, m):
+    # p^m <= t, but the witness grows from a_0 = pi_L, and tr(pi_L) is 2 on
+    # the Gaussian tower and -p on the unit radicands, so none is built
+    ext = build_extension(spec)
+    assert ext.p ** m <= ext.t
+    trace = ext.trace(ext.tower.pi_L).coeffs
+    assert trace[0] in (ext.p, ext.tower.pN - ext.p) and not any(trace[1:])
+    detail = negative_control(ext, m).checks[0].detail
+    assert detail == {"applicable": True, "witness_found": False,
+                      "reason": "pi_L is not trace-zero; no deterministic witness"}
+
+
 def test_negative_control_not_applicable(gaussian):
     record = negative_control(gaussian, 1)
     assert record.checks[0].detail["applicable"] is False

@@ -29,7 +29,7 @@ from wittram.linalg import LinearMap, howell_form, member
 from wittram.rings import padic_val
 from wittram.witt import WittVec, witt_trace
 
-from oracles import T4_SPEC, spec_id
+from oracles import T4_SPEC, order_exponent, spec_id
 
 #: (spec, N, log_p |E_m/im(sigma-1)| for m = 0, 1, 2, 3)
 TABLE = [
@@ -165,9 +165,11 @@ def filtration_piece(ext, j) -> tuple:
     return howell_form(list(coboundaries) + meet, p, N, D).rows
 
 
-@pytest.mark.parametrize("spec,unique", SWEEP, ids=[
-    "-".join(str(spec[k]) for k in ("radicand", "p", "f")) if "f" in spec else spec_id(spec)
-    for spec, _ in SWEEP])
+SWEEP_IDS = ["-".join(str(spec[k]) for k in ("radicand", "p", "f")) if "f" in spec
+             else spec_id(spec) for spec, _ in SWEEP]
+
+
+@pytest.mark.parametrize("spec,unique", SWEEP, ids=SWEEP_IDS)
 def test_each_image_is_the_filtration_piece_at_t_minus_t_over_p_to_the_m(spec, unique):
     # every m up to the first with p^m > t, where j = t and the theorem
     # reads E_0 & p_L^t <= im(sigma-1)
@@ -183,3 +185,17 @@ def test_each_image_is_the_filtration_piece_at_t_minus_t_over_p_to_the_m(spec, u
         if ext.p ** m > t:
             break
         m += 1
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in SWEEP], ids=SWEEP_IDS)
+def test_the_filtration_jumps_where_p_does_not_divide_t_minus_j(spec):
+    # with K = t - j: F_j != F_{j+1} exactly when p does not divide K, and
+    # log_p |F_j/im(sigma-1)| = K - floor(K/p); at j = 0 that is log_p |H^1|
+    ext = build_extension(spec, precision=16)
+    p, t, D = ext.p, ext.t, ext.tower.dim
+    pieces = [filtration_piece(ext, j) for j in range(t + 2)]
+    base = order_exponent(linear_map_of(ext, "sigma-minus-one").image)
+    for j in range(t + 1):
+        K = t - j
+        assert (pieces[j] != pieces[j + 1]) == (K % p != 0), j
+        assert order_exponent(howell_form(pieces[j], p, ext.N, D)) - base == K - K // p, j
