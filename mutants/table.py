@@ -128,11 +128,11 @@ MUTANTS = (
         "tests": ["tests/test_witt.py::test_witt_trace_takes_a_kept_lift_only_when_it_is_high_enough"],
     },
     {
-        "id": "recovered-ghost-is-the-input",
+        "id": "ghost-keeps-chains-of-another-lift",
         "file": "witt.py",
-        "text": "vec.hi, vec.chains, vec.ghost = hi, chains, kept",
-        "replacement": "vec.hi, vec.chains, vec.ghost = hi, chains, list(ghost)",
-        "tests": ["tests/test_witt.py::test_recovered_vectors_keep_their_ghost_and_chains"],
+        "text": "if vec.hi is not hi:",
+        "replacement": "if vec.hi is None:",
+        "tests": ["tests/test_witt.py::test_witt_trace_takes_a_kept_lift_only_when_it_is_high_enough"],
     },
     {
         "id": "decimal-string-of-any-digits",

@@ -15,10 +15,11 @@ it this module provides:
 * the carry target of the trace-zero recursion (``_carry_target``):
   tr(a_n) cancels the carry delta_n of the prefix, component n of the Witt
   trace of (a_0, ..., a_{n-1}, 0), whose lower components vanish exactly
-  when the prefix is trace-zero.  ``witt.extended`` appends that vector's
-  ghost vector to the prefix's with one power per component, in the lift
-  that ``witt.witt_trace`` reads.  The sharpness witness grows a_0 = pi_L
-  the same way, by the solver's solution of each level's target;
+  when the prefix is trace-zero.  ``witt.extended`` appends a chain for
+  the 0 to the prefix's Frobenius chains, in the lift that
+  ``witt.witt_trace`` reads, whose ghost read then takes one more power per
+  component.  The sharpness witness grows a_0 = pi_L the same way, by the
+  solver's solution of each level's target;
 
 * generators of T_n, the Witt-trace-zero vectors of length n at precision
   N, and a uniform sampler on their span.  delta_n is additive modulo
@@ -49,13 +50,13 @@ it this module provides:
   generators (``trace_zero_generators``) are the saturated trace kernel
   at level 0 and then, per level, the lifts of one kernel's rows.
   Each generator is kept as its ghost vector, a flat coordinate list in
-  the lift of the tower to N + m: ghost components are additive, so a lift
-  is one ``witt.witt_combination`` of the ghost vectors of the (g_i, 0)
-  and of the V^n(e_c), which are p^n e_c in the last block.
-  ``witt._from_ghost`` recovers g_i's components, and the vector it
-  returns keeps their Frobenius chains, so the ghost vector of (g_i, 0)
-  (``witt.extended``), whose Witt trace gives delta_n(g_i), costs one more
-  power per component.
+  the lift of the tower to N + m: ghost components are additive, so the
+  lifts are one ``rings.matvec`` each of the syzygy rows with the
+  transposed ghost vectors of the (g_i, 0) and of the V^n(e_c), which are
+  p^n e_c in the last block.  ``witt._from_ghost`` recovers g_i's
+  components, and the vector it returns keeps their Frobenius chains, so
+  the ghost vector of (g_i, 0) (``witt.extended``), whose Witt trace gives
+  delta_n(g_i), costs one more power per component.
 
   p^(N+m) kills W_{m+1}(O_L/p^N).  The Witt vector functor takes the
   surjection O_L -> O_L/p^N to a surjection, so it is enough that for x
@@ -125,7 +126,7 @@ from .linalg import (
 )
 from .report import CheckResult, SuiteRecord
 from .rings import OLElement, Tower, matvec, padic_val, valuation_K, valuation_L
-from .witt import WittVec, _from_ghost, _ghost, extended, witt_combination, witt_trace
+from .witt import WittVec, _from_ghost, _ghost, extended, witt_trace
 
 # -- deterministic randomness -------------------------------------------------
 
@@ -301,8 +302,8 @@ def trace_zero_generators(ext: ExtensionData, m: int) -> tuple:
     coordinate lists, ``witt._ghost``), the tower lifted to N + max(m, 1).
     Level 0 is the saturated trace kernel; each level n lifts the syzygies
     (x | y) of the carry targets against the trace to
-    sum_i x_i (g_i, 0) + V^n(y), one ``witt_combination`` each (module
-    docstring)."""
+    sum_i x_i (g_i, 0) + V^n(y), one ``matvec`` each with the ghost
+    vectors transposed once per level (module docstring)."""
     hi = ext.tower.lift(ext.N + max(m, 1))
     D, zero = hi.dim, ext.tower.zero_ol
     minus_trace = [tuple(-x for x in row) for row in ext.tower.trace_matrix]
@@ -314,22 +315,24 @@ def trace_zero_generators(ext: ExtensionData, m: int) -> tuple:
                              ext.p, ext.N, len(ghosts) + hi.dim).kernel
         columns = [_ghost(hi, v) for v in prefixes]
         columns += [[0] * (n * D + c) + [ext.p ** n] + [0] * (D - 1 - c) for c in range(D)]
-        ghosts = tuple(witt_combination(hi, row, columns) for row in syzygies.rows)
+        rows = tuple(zip(*columns))
+        ghosts = tuple(matvec(rows, x, hi.pN) for x in syzygies.rows)
     return hi, ghosts
 
 
 def sample_trace_zero(ext: ExtensionData, m: int, seed: int = 0) -> WittVec:
     """A seeded uniform element of the span of ``trace_zero_generators``,
     certified by its Witt trace: coefficients drawn once mod p^(N+m), which
-    kills W_{m+1}(O_L/p^N) (module docstring), and one combination;
-    nothing is rejected.  The certificate traces the ghost vector of the
-    recovered components, kept by the recovery, not the combination."""
+    kills W_{m+1}(O_L/p^N) (module docstring), and one ``matvec`` with the
+    transposed ghost vectors; nothing is rejected.  The certificate traces
+    the ghost vector summed from the recovered components' chains, not the
+    combination."""
     if m < 0:
         raise ValueError("m must be >= 0")
     rng = derive_rng(seed, "sample-trace-zero", ext.name, m)
     hi, ghosts = trace_zero_generators(ext, m)
     coeffs = random_from_basis(ghosts, ext.p ** (ext.N + m), rng)
-    return _trace_zero(_from_ghost(ext, hi, witt_combination(hi, coeffs, ghosts)))
+    return _trace_zero(_from_ghost(ext, hi, matvec(tuple(zip(*ghosts)), coeffs, hi.pN)))
 
 
 # -- cascade verifier ---------------------------------------------------------

@@ -218,15 +218,16 @@ def _parse_list(value, parse=_parse_int) -> tuple:
 
 def _check_cost(p: int, e_K: int, N: int):
     """ConfigError when the tower rank D = p * e_K exceeds MAX_RANK, or the
-    work D^2 * log10(p^N) exceeds MAX_WORK."""
+    work D^2 * log10(p^N) exceeds MAX_WORK.  N is compared with the bound
+    over D^2 * log10(p), never made a float, so an N of any size is
+    refused."""
     D = p * e_K
     if D > MAX_RANK:
         raise ConfigError(f"tower rank D = p*e_K = {p}*{e_K} = {D} "
                           f"exceeds the bound {MAX_RANK}")
-    work = D * D * N * math.log10(p)
-    if work > MAX_WORK:
-        raise ConfigError(f"tower rank D = {D} at precision N = {N}: work "
-                          f"D^2 * log10(p^N) = {work:.0f} exceeds the bound {MAX_WORK}")
+    if N > MAX_WORK / (D * D * math.log10(p)):
+        raise ConfigError(f"tower rank D = {D} at precision N = {N}: work D^2 * "
+                          f"log10(p^N) = {D * D * N} * log10({p}) exceeds the bound {MAX_WORK}")
 
 
 def _check_eisenstein(tower: Tower):
@@ -301,8 +302,9 @@ def build_extension(spec, precision: int = None) -> ExtensionData:
     p, N, base_coeffs, top_coeffs, sigma_rows = _materialize(spec)
     if N < 1:
         raise InvalidExtension(f"precision N = {N} must be positive")
-    # p^N has floor(N log10 p) + 1 digits; p^N itself is never formed here
-    if N * math.log10(p) >= MAX_MODULUS_DIGITS:
+    # p^N has floor(N log10 p) + 1 digits; neither p^N nor a float of N is
+    # formed here
+    if N >= MAX_MODULUS_DIGITS / math.log10(p):
         raise ConfigError(
             f"precision N = {N} is too large: p^N = {p}^{N} has more than "
             f"{MAX_MODULUS_DIGITS} decimal digits")

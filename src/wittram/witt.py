@@ -13,28 +13,24 @@ are traced or added, and z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) / p^k
 is projected back to precision N.  O_L is free over Z_p, so p^k divides an
 element iff it divides every coordinate, which is checked
 (IntegralityError); z_k is exact modulo p^(N+m-k) >= p^N.  Ghost
-components are additive, so a combination sum_i c_i v_i is one product of
-the coefficients with the ghost vectors (``witt_combination``), and
-``witt_add`` is its two-term case.
+components are additive, so ``witt_add`` adds two ghost vectors, and a
+combination sum_i c_i v_i is one ``rings.matvec`` of the coefficients
+with the transposed ghost vectors.
 
-The recovery (``_from_ghost``) keeps what it builds.  The vector it
-returns carries the chains of its components, each started from the
-component mod p^N, and its ghost vector W'_k = sum_{i<k} p^i
-z_i^(p^(k-i)) + p^k z_k, whose lower terms the recovery summed anyway, so
-W' costs no product.  ``_ghost`` reads them off (or builds and keeps them
-on a vector that has none in that lift), and ``extended`` appends a
-component for one more power per chain.  ``witt_trace``, the one Witt
-trace (the carry targets of ``cohomology._carry_target`` are its
-components), reads the ghost vector a vector keeps in any lift to N+m or
-above, so it powers nothing again on a recovered or extended vector, and
-it still tests the components returned: W' are the integers that
-``_ghost`` computes on a fresh vector with those components.  The ghost
-vector that went into the recovery would test nothing: a combination of
-trace-zero ghost vectors has trace zero whatever components come out.
+A vector keeps only its lift ``hi`` and the Frobenius chains of its
+components there, each started from the component mod p^N.
+``_from_ghost`` keeps the chains it powers to sum each level's lower
+terms, ``extended`` appends a chain for one more component and takes no
+power, and ``_ghost`` extends the chains as far as the vector's length
+needs and sums them on every read (``ghost_level``), so a chain is powered
+once however often it is read.  The one rule: a ghost vector is always
+summed from the chains of the returned components, so ``witt_trace``, the
+one Witt trace (the carry targets of ``cohomology._carry_target`` are its
+components), tests those components.
 
-``_ghost``, ``_from_ghost``, ``extended`` and ``witt_combination`` are the
-only ghost entry points other modules use; chains are built and extended
-in this module alone (``ghost_level``).  The tests compare this path with
+``_ghost``, ``_from_ghost`` and ``extended`` are the only ghost entry
+points other modules use; chains are built and extended in this module
+alone (``ghost_level``).  The tests compare this path with
 ``evaluate_poly``, the plain oracle.  ``verify`` calls neither it nor
 ``witt_add``; the benchmark tracer wraps both.
 """
@@ -52,11 +48,11 @@ class WittVec:
     """A point of W_{m+1}(O_L) at precision; components share one extension.
 
     Witt vectors compare by identity; compare ``components`` for values.
-    ``hi``, ``chains`` and ``ghost`` keep the Frobenius chains and the ghost
-    vector in the lift ``hi`` (``_ghost``), None until first needed.
+    ``chains`` are the Frobenius chains of the components in the lift
+    ``hi`` (``_chains``), both None until first needed.
     """
 
-    __slots__ = ("ext", "components", "hi", "chains", "ghost")
+    __slots__ = ("ext", "components", "hi", "chains")
 
     def __init__(self, ext, components: tuple):
         for c in components:
@@ -64,7 +60,7 @@ class WittVec:
                 raise ValueError("components must be O_L elements of the extension")
         self.ext = ext
         self.components = components
-        self.hi = self.chains = self.ghost = None
+        self.hi = self.chains = None
 
     def __len__(self) -> int:
         return len(self.components)
@@ -123,15 +119,20 @@ def ghost_level(hi: Tower, chains, n: int) -> list:
     return [sum(map(mul, weights, col)) for col in zip(*terms)] or [0] * hi.dim
 
 
-def _ghost(hi: Tower, vec: WittVec) -> list:
-    """The ghost vector of ``vec`` in ``hi`` (the tower at precision N+m, or
-    at N itself): W_0..W_m mod p^(N+m), D coordinates each, summed over
-    chains that start at the coordinates of the components.  Kept on
-    ``vec`` with the chains, so a vector recovered in ``hi`` has it."""
+def _chains(hi: Tower, vec: WittVec) -> list:
+    """The Frobenius chains of ``vec`` in ``hi``, started at the coordinates
+    of its components when it keeps none there; kept on ``vec``."""
     if vec.hi is not hi:
         vec.hi, vec.chains = hi, [[c.coeffs] for c in vec.components]
-        vec.ghost = [x % hi.pN for k in range(len(vec)) for x in ghost_level(hi, vec.chains, k)]
-    return vec.ghost
+    return vec.chains
+
+
+def _ghost(hi: Tower, vec: WittVec) -> list:
+    """The ghost vector of ``vec`` in ``hi`` (the tower at precision N+m, or
+    at N itself): W_0..W_m mod p^(N+m), D coordinates each, summed on every
+    call over the chains ``vec`` keeps there."""
+    chains = _chains(hi, vec)
+    return [x % hi.pN for k in range(len(chains)) for x in ghost_level(hi, chains, k)]
 
 
 def _from_ghost(ext, hi: Tower, ghost) -> WittVec:
@@ -139,55 +140,38 @@ def _from_ghost(ext, hi: Tower, ghost) -> WittVec:
     ``ghost``: z_k = (W_k - sum_{i<k} p^i z_i^(p^(k-i))) / p^k mod p^N,
     each z_i's chain starting from its value mod p^N (``ghost_level``);
     raises IntegralityError where p^k fails to divide.  The vector keeps
-    those chains and its own ghost vector, the lower terms plus p^k z_k at
-    each level k (module docstring)."""
-    p, D, pN, low = ext.p, hi.dim, hi.pN, ext.tower
-    chains, kept = [], []
+    those chains, already as long as its own ghost vector needs."""
+    p, D, low = ext.p, hi.dim, ext.tower
+    chains = []
     for k in range(len(ghost) // D):
-        lower = ghost_level(hi, chains, k)
-        w = [x - y for x, y in zip(ghost[k * D:k * D + D], lower)]
+        w = [x - y for x, y in zip(ghost[k * D:k * D + D], ghost_level(hi, chains, k))]
         pk = p ** k
         if any(x % pk for x in w):
             raise IntegralityError(f"ghost level {k} is not divisible by p^{k}")
-        z = tuple(x // pk % low.pN for x in w)
-        chains.append([z])
-        kept += [(x + pk * y) % pN for x, y in zip(lower, z)]
+        chains.append([tuple(x // pk % low.pN for x in w)])
     vec = WittVec(ext, tuple(OLElement(low, chain[0]) for chain in chains))
-    vec.hi, vec.chains, vec.ghost = hi, chains, kept
+    vec.hi, vec.chains = hi, chains
     return vec
 
 
 def extended(hi: Tower, vec: WittVec, a: OLElement) -> WittVec:
-    """(vec, a), keeping ``vec``'s chains in ``hi``: its ghost vector is
-    vec's followed by W_n of (vec, 0) plus p^n a, n = len(vec), which
-    costs at most one power per chain."""
-    ghost, n = _ghost(hi, vec), len(vec)
-    pn = hi.p ** n
+    """(vec, a), sharing ``vec``'s chains in ``hi`` and starting one for
+    ``a``.  No power is taken here: the first ghost read of the result
+    takes the one more power per chain that level len(vec) needs."""
     out = WittVec(vec.ext, vec.components + (a,))
-    out.hi, out.chains = hi, vec.chains + [[a.coeffs]]
-    out.ghost = ghost + [(x + pn * y) % hi.pN
-                         for x, y in zip(ghost_level(hi, vec.chains, n), a.coeffs)]
+    out.hi, out.chains = hi, _chains(hi, vec) + [[a.coeffs]]
     return out
 
 
-def witt_combination(hi: Tower, coeffs, ghosts) -> list:
-    """The ghost vector of sum_i coeffs[i] * v_i in ``hi``, for Witt vectors
-    v_i given by their ghost vectors ``ghosts[i]`` there (``_ghost``).  The
-    ghost map is additive, so this is one product of the coefficients with
-    the matrix of ghost vectors, coordinate by coordinate over all levels;
-    ``_from_ghost`` recovers the components, in a lift of the tower to
-    precision at least N+m for length m+1."""
-    return [sum(map(mul, coeffs, col)) % hi.pN for col in zip(*ghosts)]
-
-
 def witt_add(a: WittVec, b: WittVec) -> WittVec:
-    """Witt vector sum: the two-term ``witt_combination``."""
+    """Witt vector sum, through the sum of the two ghost vectors."""
     if a.ext is not b.ext:
         raise LengthMismatch("Witt vectors belong to different extensions")
     if len(a) != len(b):
         raise LengthMismatch(f"lengths differ: {len(a)} vs {len(b)}")
     hi = a.ext.tower.lift(a.ext.N + len(a) - 1)
-    return _from_ghost(a.ext, hi, witt_combination(hi, (1, 1), (_ghost(hi, a), _ghost(hi, b))))
+    return _from_ghost(a.ext, hi, [(x + y) % hi.pN
+                                   for x, y in zip(_ghost(hi, a), _ghost(hi, b))])
 
 
 def witt_trace(a: WittVec) -> WittVec:

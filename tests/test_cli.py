@@ -278,16 +278,24 @@ def test_precision_zero_exits_2(command, capsys):
     _assert_one_error_line(capsys)
 
 
+#: a precision no float can hold: each bound compares N as an integer
+OVERSIZED_PRECISION = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("command", ["verify", "extension-info"])
 @pytest.mark.parametrize("source,precision", [
     (["--extension", "quadratic-sqrt2"], "14400"),
     (None, "100000"),  # cyclotomic-step at p = 7
+    pytest.param(["--extension", "quadratic-gaussian"], OVERSIZED_PRECISION,
+                 id="gaussian-oversized"),
+    pytest.param(["--extension", "cyclotomic-step"], OVERSIZED_PRECISION,
+                 id="cyclo3-oversized"),
 ])
 def test_precision_above_the_ceiling_exits_2(tmp_path, capsys, monkeypatch,
                                              command, source, precision):
     # refused before any tower is built: 2^14400 has 4335 decimal digits,
     # more than a report can print, and the p = 7 tower at N = 100000 alone
-    # takes over a minute to build
+    # takes over a minute to build; 10^400 overflows a float
     if source is None:
         path = tmp_path / "cyclo7.json"
         path.write_text(json.dumps({"kind": "cyclotomic-step", "p": 7}),
@@ -299,6 +307,18 @@ def test_precision_above_the_ceiling_exits_2(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(extensions, "Tower", no_tower)
     assert main([command] + source + ["--precision", precision]) == 2
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["verify", "extension-info"])
+@pytest.mark.parametrize("kind", ["quadratic-gaussian", "cyclotomic-step"])
+def test_oversized_precision_in_a_spec_file_exits_2(tmp_path, capsys, command, kind):
+    # as a flag (above), a precision no float can hold meets the digit
+    # ceiling (quadratic-gaussian) or the work bound (cyclotomic-step)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": kind, "precision": OVERSIZED_PRECISION}),
+                    encoding="utf-8")
+    assert main([command, "--spec-file", str(path)]) == 2
     _assert_one_error_line(capsys)
 
 

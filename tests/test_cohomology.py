@@ -303,17 +303,18 @@ def test_sampler_at_length_three(sqrt2_hi, cyclo):
 def test_sampler_refuses_a_draw_whose_witt_trace_is_nonzero(monkeypatch):
     # p^m added to the first coordinate of the last ghost block keeps every
     # level divisible and moves a_m by 1, so the Witt trace gains tr(1) = p
-    # in component m; the generators are built before the patch
+    # in component m; the generators are built before the patch, so only
+    # the draw's recovery is shifted
     ext, m = build_extension("quadratic-gaussian", precision=48), 2
     hi, _ = cohomology.trace_zero_generators(ext, m)
-    combine = cohomology.witt_combination
+    recover = cohomology._from_ghost
 
-    def shifted(tower, coeffs, ghosts):
-        ghost = combine(tower, coeffs, ghosts)
+    def shifted(ext, tower, ghost):
+        ghost = list(ghost)
         ghost[m * tower.dim] += ext.p ** m
-        return ghost
+        return recover(ext, tower, ghost)
 
-    monkeypatch.setattr(cohomology, "witt_combination", shifted)
+    monkeypatch.setattr(cohomology, "_from_ghost", shifted)
     with pytest.raises(VerificationError,
                        match="level recursion produced a nonzero Witt trace"):
         sample_trace_zero(ext, m, seed=0)

@@ -374,10 +374,11 @@ def test_ghost_recovery_rejects_non_ghost_vectors(all_extensions):
     {"kind": "cyclotomic-step", "p": 3}, {"kind": "cyclotomic-step", "p": 5}], ids=spec_id)
 def test_recovered_vectors_keep_their_ghost_and_chains(spec, monkeypatch):
     # a vector from ``_from_ghost`` (a Witt sum, and a trace-zero draw) keeps
-    # the ghost vector of its own components and their chains: they equal
-    # what a fresh vector with the same components computes, so the Witt
-    # trace and W_n of (vec, 0) read off them are the fresh ones too.  The
-    # draw's certificate makes no product, and (vec, 0) one p-th power per
+    # the chains of its own components: the ghost vector summed from them
+    # equals what a fresh vector with the same components computes, so the
+    # Witt trace and W_n of (vec, 0) read off them are the fresh ones too.
+    # The draw's certificate makes no product; ``extended`` makes none
+    # either, and the first ghost read of (vec, 0) one p-th power per
     # nonzero component
     ext = build_extension(spec)
     rng = random.Random(23)
@@ -396,13 +397,15 @@ def test_recovered_vectors_keep_their_ghost_and_chains(spec, monkeypatch):
             products.clear()
             hi, D = vec.hi, vec.hi.dim
             fresh = WittVec(ext, vec.components)
-            assert vec.ghost == _ghost(hi, fresh)
+            assert _ghost(hi, vec) == _ghost(hi, fresh)
             assert witt_trace(vec).components == witt_trace(fresh).components
             monkeypatch.setattr(Tower, "flat_mul", counting)
             if vec is drawn:
                 assert witt_trace(vec).is_zero and not products
             products.clear()
-            w = _ghost(hi, extended(hi, vec, zero))[length * D:]
+            padded = extended(hi, vec, zero)
+            assert not products
+            w = _ghost(hi, padded)[length * D:]
             nonzero = sum(not c.is_zero for c in vec.components)
             assert len(products) == nonzero * (len(bin(p)) - 3 + bin(p)[3:].count("1"))
             monkeypatch.undo()
