@@ -156,6 +156,32 @@ MUTANTS = (
         "tests": ["tests/test_cli.py::test_repeated_suite_exits_2"],
     },
     {
+        "id": "abbreviated-options-accepted",
+        "file": "cli.py",
+        "text": 'help="run verification suites", allow_abbrev=False',
+        "replacement": 'help="run verification suites", allow_abbrev=True',
+        "tests": ["tests/test_cli.py::test_an_abbreviated_option_exits_2"],
+    },
+    {
+        "id": "empty-suite-name-dropped",
+        "file": "cli.py",
+        "text": 'tuple(s.strip() for s in args.suites.split(","))',
+        "replacement": 'tuple(s.strip() for s in args.suites.split(",") if s.strip())',
+        "tests": ["tests/test_cli.py::test_an_empty_suite_name_exits_2"],
+    },
+    {
+        "id": "spec-restates-e_K",
+        "file": "extensions.py",
+        "text": 'SPEC_FIELDS = ("kind", "p", "precision", "E_K",',
+        "replacement": 'SPEC_FIELDS = ("kind", "p", "precision", "e_K", "E_K",',
+        "tests": [
+            "tests/test_cli.py::test_malformed_spec_file_exits_2[custom-restates-e_K-verify]",
+            "tests/test_cli.py::test_malformed_spec_file_exits_2"
+            "[custom-restates-e_K-extension-info]",
+            "tests/test_extensions.py::test_spec_file_rejects_mismatched_degree",
+        ],
+    },
+    {
         "id": "kummer-base-ignores-f",
         "file": "extensions.py",
         "text": "base[f * (k - 1)] = math.comb(p, k)",

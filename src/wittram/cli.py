@@ -9,6 +9,10 @@ Exit codes: 0 all pass/fail-bearing suites passed, 1 at least one suite
 failed, 2 configuration error (unknown extension, precision guard, bad
 flags) or memory exhausted.
 
+Every option is spelled in full: prefix matching is off, so ``--p`` is not
+``--precision``.  ``--suites`` is split at every comma and each name
+stripped, so an empty name is refused like any unknown suite.
+
 Each command imports the layers it runs when it runs, so ``witt-poly``
 loads the symbolic layer and not the verify stack (``cohomology``,
 ``harness``, ``report``), and ``extension-info`` loads only the build
@@ -32,13 +36,13 @@ def _refuse(message):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="wittram",
+        prog="wittram", allow_abbrev=False,
         description="Verification harness for Witt vector cohomology over "
                     "wildly ramified cyclic degree-p extensions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run verification suites")
+    verify = sub.add_parser("verify", help="run verification suites", allow_abbrev=False)
     _extension_flags(verify)
     verify.add_argument("--m", type=int, default=1,
                         help="Witt length minus one (vectors have m+1 components)")
@@ -50,14 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("text", "json", "csv"))
     verify.add_argument("--out", default=None, help="write the report to a file")
 
-    poly = sub.add_parser("witt-poly", help="print a universal polynomial")
+    poly = sub.add_parser("witt-poly", help="print a universal polynomial", allow_abbrev=False)
     poly.add_argument("--p", type=int, required=True)
     poly.add_argument("--level", type=int, required=True)
     poly.add_argument("--arity", type=int, default=None,
                       help="number of summands (z only; defaults to p)")
     poly.add_argument("--which", required=True, choices=("z", "f", "g"))
 
-    info = sub.add_parser("extension-info", help="print extension invariants")
+    info = sub.add_parser("extension-info", help="print extension invariants", allow_abbrev=False)
     _extension_flags(info)
     for cmd in (parser, *sub.choices.values()):
         cmd.error = _refuse  # not argparse's usage block and exit
@@ -92,7 +96,7 @@ def _cmd_verify(args) -> int:
     from .harness import RunConfig, run
     from .report import emit_report
 
-    suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
+    suites = tuple(s.strip() for s in args.suites.split(","))
     config = RunConfig(extension=_pick_extension(args), precision=args.precision,
                        m=args.m, trials=args.trials, seed=args.seed,
                        suites=suites, fmt=args.fmt)

@@ -44,8 +44,7 @@ from .rings import OLElement, Tower, matvec, padic_val, valuation_K, valuation_L
 BUILTIN_NAMES = ("quadratic-gaussian", "quadratic-sqrt2", "cyclotomic-step")
 DEFAULT_PRECISION = 32
 #: the fields a spec may hold, in a spec file and in code alike
-SPEC_FIELDS = ("kind", "p", "precision", "e_K", "E_K", "E_L", "sigma_pi", "f",
-               "radicand")
+SPEC_FIELDS = ("kind", "p", "precision", "E_K", "E_L", "sigma_pi", "f", "radicand")
 #: at most this many decimal digits in p^N: CPython's default int-to-str
 #: limit, which every coordinate of a JSON report must stay under
 MAX_MODULUS_DIGITS = 4300
@@ -112,26 +111,23 @@ def _materialize(spec: dict) -> tuple:
     """(p, N, base_coeffs, top_coeffs, sigma_pi) of ``spec``: the one code
     that reads a spec's fields.  First the document rules (a ``kind``, no
     field outside SPEC_FIELDS, a list or tuple (a JSON array) at every list
-    position, ints or decimal strings but no booleans, ``e_K`` the length
-    of ``E_K``), then the kind's fields and p, a prime, and a custom
-    spec's degrees.  The rank and the work are bounded before any
-    coefficient is built."""
+    position, ints or decimal strings but no booleans), then the kind's
+    fields and p, a prime, and a custom spec's degrees; e_K is the length
+    of ``E_K``, never a field.  The rank and the work are bounded before
+    any coefficient is built."""
     if "kind" not in spec:
         raise InvalidExtension("a spec needs a 'kind' field")
     unknown = spec.keys() - SPEC_FIELDS
     if unknown:
         raise InvalidExtension(f"no spec reads field {', '.join(sorted(map(str, unknown)))}")
     try:
-        p, e_K, f = (_parse_int(spec[k]) if k in spec else None
-                     for k in ("p", "e_K", "f"))
+        p, f = (_parse_int(spec[k]) if k in spec else None for k in ("p", "f"))
         N = _parse_int(spec.get("precision", DEFAULT_PRECISION))
         base = _parse_list(spec["E_K"]) if "E_K" in spec else None
         top, sigma = (_parse_list(spec[k], _parse_list) if k in spec else None
                       for k in ("E_L", "sigma_pi"))
     except (TypeError, ValueError) as exc:
         raise InvalidExtension(f"malformed spec: {type(exc).__name__}: {exc}") from exc
-    if e_K is not None and (base is None or e_K != len(base)):
-        raise InvalidExtension("e_K is not the length of E_K")
     kind, given = spec["kind"], (base, top, sigma)
     kummer_fields = spec.keys() & {"f", "radicand"}
     if kummer_fields and kind != "kummer-step":

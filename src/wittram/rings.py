@@ -172,7 +172,6 @@ class Tower:
 
         self.zero_ol = self.element(())
         self.one_ol = self.ol_const(1)
-        self.pi_K = self.element(self._ok_block([0, 1]))
         self.pi_L = self.element((0,) * self.e_K + (1,))
         self._pi_L_powers = [self.one_ol]
 

@@ -13,8 +13,8 @@ the package, except that a valuation at the precision horizon raises this
 module's own ``PrecisionExhausted``.
 
 It also holds the spec documents that several test modules share: the t=4
-tower, the t=1 tower, the custom sqrt2 document and the table of refused
-specs.
+tower, the t=1 tower, the first step of the cyclotomic Z_3-tower, the
+custom sqrt2 document and the table of refused specs.
 """
 
 from functools import lru_cache
@@ -39,8 +39,15 @@ T4_SPEC = {"kind": "custom", "p": 2, "E_K": [-2, 0], "E_L": [[0, -1], [0, 0]],
 T1_SPEC = {"kind": "custom", "p": 2, "E_K": [-2, 0, 0, 0],
            "E_L": [[0, -1], [0, 1]], "sigma_pi": [[0, -1], [-1, 0]]}
 
+#: Q_3 < L_1, the first step of the cyclotomic Z_3-extension: L_1 = Q_3(eta)
+#: with eta = zeta_9 + zeta_9^-1, pi_L = 2 - eta a root of x^3 - 6x^2 + 9x - 3,
+#: and sigma(eta) = -eta^2 - eta + 2 gives sigma(pi_L) = pi_L^2 - 5 pi_L + 6.
+#: Break t = 1 over a base without zeta_3 (e_K = 1)
+ZP_STEP_SPEC = {"kind": "custom", "p": 3, "E_K": [-3], "E_L": [[-3], [9], [-6]],
+                "sigma_pi": [[6], [-5], [1]]}
+
 #: ``quadratic-sqrt2`` spelled as a custom document
-SQRT2_DOC = {"kind": "custom", "p": 2, "e_K": 1, "E_K": [-2],
+SQRT2_DOC = {"kind": "custom", "p": 2, "E_K": [-2],
              "E_L": [[-2], [0]], "sigma_pi": [[0], [-1]]}
 
 #: documents that ``build_extension`` refuses with InvalidExtension, and the
@@ -79,12 +86,13 @@ REFUSED_SPECS = {
     "cyclotomic-with-E_K": ({"kind": "cyclotomic-step", "p": 3, "E_K": [1]},
                             "reads no coefficient"),
     "cyclotomic-with-custom-fields": (
-        {"kind": "cyclotomic-step", "p": 5, "sigma_pi": [[1]], "e_K": 9},
-        "e_K is not the length of E_K"),
+        {"kind": "cyclotomic-step", "p": 5, "sigma_pi": [[1]]}, "reads no coefficient"),
     "cyclotomic-with-f": ({"kind": "cyclotomic-step", "p": 5, "f": 2},
                           "kind 'cyclotomic-step' reads no field f"),
     "custom-with-radicand": (dict(SQRT2_DOC, radicand="unit"), "reads no field radicand"),
     "custom-with-bogus": (dict(SQRT2_DOC, bogus=1), "no spec reads field bogus"),
+    # e_K is the length of E_K, never a field, even where it is right
+    "custom-restates-e_K": (dict(SQRT2_DOC, e_K=1), "no spec reads field e_K"),
     "custom-at-p0": (dict(SQRT2_DOC, p=0), "has no p = 0"),
     "unknown-kind": ({"kind": "quartic"}, "unknown extension kind 'quartic'"),
     # a string or an object is iterable, but no list of a spec
@@ -98,8 +106,7 @@ REFUSED_SPECS = {
     "precision-0": (dict(SQRT2_DOC, precision=0), "precision N = 0 must be positive"),
     "precision-1": ({"kind": "quadratic-gaussian", "precision": 1},
                     "constant term of E_K vanishes at precision N=1"),
-    "empty-E_K": ({k: v for k, v in SQRT2_DOC.items() if k != "e_K"} | {"E_K": []},
-                  "base modulus must have positive degree"),
+    "empty-E_K": (dict(SQRT2_DOC, E_K=[]), "base modulus must have positive degree"),
     "E_L-of-degree-p+1": (dict(SQRT2_DOC, E_L=[[-2], [0], [0]]),
                           "top modulus must have degree p = 2, got 3"),
     "unit-E_K-coefficient": (dict(SQRT2_DOC, E_K=[1]), "coefficient 0 of E_K is a unit"),

@@ -36,7 +36,7 @@ from wittram.extensions import (
 from wittram.harness import SUITE_ORDER, RunConfig, run
 from wittram.report import emit_report
 
-from oracles import REFUSED_SPECS, SQRT2_DOC, T4_SPEC
+from oracles import REFUSED_SPECS, SQRT2_DOC, T4_SPEC, ZP_STEP_SPEC
 
 SRC = Path(wittram.__file__).resolve().parent
 
@@ -51,6 +51,12 @@ def test_witt_poly_golden_z(capsys):
 def test_witt_poly_golden_f(capsys):
     assert main(["witt-poly", "--p", "2", "--level", "1", "--which", "f"]) == 0
     assert capsys.readouterr().out == "-1 0:0^1 1:0^1\n"
+    # at p = 3, -x_i^2 x_j for each i != j and -2 x_0 x_1 x_2; --p is
+    # witt-poly's own option, while verify refuses it as a prefix
+    assert main(["witt-poly", "--p", "3", "--level", "1", "--which", "f"]) == 0
+    assert capsys.readouterr().out == (
+        "-1 0:0^2 1:0^1\n-1 0:0^2 2:0^1\n-1 0:0^1 1:0^2\n-2 0:0^1 1:0^1 2:0^1\n"
+        "-1 0:0^1 2:0^2\n-1 1:0^2 2:0^1\n-1 1:0^1 2:0^2\n")
 
 
 def test_witt_poly_golden_g(capsys):
@@ -174,6 +180,19 @@ def test_kummer_step_spec_file_at_the_largest_break(tmp_path, capsys):
                  "--format", "json"]) == 0
     (suite,) = json.loads(capsys.readouterr().out)["suites"]
     assert suite["checks"][0]["detail"]["invariant_factors"] == [3] * 6
+
+
+def test_first_step_of_the_cyclotomic_z3_tower(tmp_path, capsys):
+    # Q_3 < L_1: t = 1, tr(O_L) = p_K^d with d = 1, and H^1 = Z/3
+    spec = tmp_path / "zp.json"
+    spec.write_text(json.dumps(ZP_STEP_SPEC), encoding="utf-8")
+    assert main(["extension-info", "--spec-file", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert "p: 3\ne_K: 1\ne_L: 3\nt: 1\nd: 1\n" in out
+    assert main(["verify", "--spec-file", str(spec), "--suites", "h1",
+                 "--format", "json"]) == 0
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    assert suite["checks"][0]["detail"]["invariant_factors"] == [3]
 
 
 #: t = 6 and e_L = 6: at N = 32 and m = 2, N*e_L = 192 = 4*(t+e_L)*(m+2)
@@ -506,6 +525,21 @@ def test_term_budget_is_no_flag(capsys):
     assert "--max-terms" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suites", ["h1,", ",h1", "h1,,cascade"])
+def test_an_empty_suite_name_exits_2(capsys, suites):
+    # the empty name is refused like any unknown suite, not dropped
+    assert main(["verify", "--extension", "quadratic-sqrt2", "--suites", suites]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown suite ''; choose from {SUITE_ORDER}\n"
+
+
+def test_suite_names_may_be_padded(capsys):
+    assert main(["verify", "--extension", "quadratic-sqrt2", "--suites", "h1, trace-lemmas",
+                 "--trials", "3", "--format", "json"]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert [s["suite"] for s in suites] == ["trace-lemmas", "h1"]
+
+
 @pytest.mark.parametrize("suites", [",", ""])
 def test_empty_suite_selection_exits_2(capsys, suites):
     assert main(["verify", "--extension", "quadratic-sqrt2",
@@ -706,6 +740,26 @@ def test_a_parse_error_is_one_error_line(capsys, argv):
     _assert_one_error_line(capsys)
 
 
+#: prefixes of options, which prefix matching would read as --precision
+#: (a p = 3 run at N = 11), --trials, --seed and --extension
+ABBREVIATED = {
+    "verify-p": ["verify", "--extension", "cyclotomic-step", "--p", "11"],
+    "extension-info-p": ["extension-info", "--extension", "cyclotomic-step", "--p", "11"],
+    "verify-tr": ["verify", "--extension", "quadratic-gaussian", "--suites", "h1", "--tr", "5"],
+    "verify-se": ["verify", "--extension", "quadratic-gaussian", "--suites", "h1", "--se", "1"],
+    "verify-ext": ["verify", "--ext", "quadratic-gaussian", "--suites", "h1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ABBREVIATED))
+def test_an_abbreviated_option_exits_2(capsys, case):
+    assert main(ABBREVIATED[case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: unrecognized arguments: --")
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
 def test_help_still_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as done:
@@ -717,7 +771,7 @@ def test_help_still_exits_0(capsys, argv):
 @pytest.mark.parametrize("command", ["verify", "extension-info"])
 @pytest.mark.parametrize("doc,rank", [
     ({"kind": "cyclotomic-step", "p": 101}, "101*100 = 10100"),
-    (dict(SQRT2_DOC, e_K=2000, E_K=[-2] + [0] * 1999), "2*2000 = 4000"),
+    (dict(SQRT2_DOC, E_K=[-2] + [0] * 1999), "2*2000 = 4000"),
 ], ids=["cyclotomic-p101", "custom-degree-2000"])
 def test_rank_above_the_bound_exits_2_before_any_build(tmp_path, capsys, monkeypatch,
                                                        command, doc, rank):

@@ -88,7 +88,7 @@ def test_cyclotomic_invariants(cyclo):
     diff = cyclo.apply_sigma(cyclo.tower.pi_L) - cyclo.tower.pi_L
     t = cyclo.tower
     zeta9 = t.pi_L + t.one_ol
-    assert diff == zeta9 * t.pi_K
+    assert diff == zeta9 * t.from_rows([[0, 1]])
     assert valuation_L(diff) == 3
 
 
@@ -100,7 +100,7 @@ def test_generator_independence(cyclo, sqrt2, gaussian):
 
 def test_sigma_fixes_base_field(cyclo):
     # sigma restricted to O_K is the identity
-    a = cyclo.tower.pi_K
+    a = cyclo.tower.from_rows([[0, 1]])  # pi_K
     assert cyclo.apply_sigma(a) == a
 
 
@@ -375,10 +375,11 @@ def test_sigma_basis_spans(all_extensions):
         dim = ext.tower.dim
         identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
         basis = sigma_basis(ext)
+        pi_K = ext.tower.from_rows([[0, 1]])
         rows = []
         for mu in range(ext.p):
             for j in range(ext.e_K):
-                rows.append((basis.elements[mu] * ext.tower.pi_K ** j).coeffs)
+                rows.append((basis.elements[mu] * pi_K ** j).coeffs)
         hb = howell_form(rows, ext.p, ext.N, dim)
         assert hb.rows == identity
 
@@ -391,7 +392,6 @@ def test_load_spec_file_roundtrip(tmp_path):
         "kind": "custom",
         "p": 2,
         "precision": 24,
-        "e_K": 1,
         "E_K": ["-2"],
         "E_L": [["-2"], ["0"]],
         "sigma_pi": [["0"], ["-1"]],
@@ -419,11 +419,12 @@ def test_resolve_builtin_by_name():
 
 
 def test_spec_file_rejects_mismatched_degree(tmp_path):
-    # the file is read as it stands; the build refuses its e_K
+    # the file is read as it stands; the build refuses its e_K, which is
+    # the length of E_K and no field
     doc = {"kind": "custom", "p": 2, "e_K": 2, "E_K": ["-2"],
            "E_L": [["-2"], ["0"]], "sigma_pi": [["0"], ["-1"]]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert load_spec_file(path) == doc
-    with pytest.raises(InvalidExtension, match="e_K is not the length of E_K"):
+    with pytest.raises(InvalidExtension, match="no spec reads field e_K"):
         resolve_extension(str(path))

@@ -29,13 +29,15 @@ from wittram.linalg import LinearMap, howell_form, member
 from wittram.rings import padic_val
 from wittram.witt import WittVec, witt_trace
 
-from oracles import T4_SPEC, order_exponent, spec_id
+from oracles import T4_SPEC, ZP_STEP_SPEC, order_exponent, spec_id
 
 #: (spec, N, log_p |E_m/im(sigma-1)| for m = 0, 1, 2, 3)
 TABLE = [
     ({"kind": "quadratic-sqrt2"}, 48, (1, 1, 0, 0)),
     ({"kind": "quadratic-gaussian"}, 48, (1, 0, 0, 0)),
     (T4_SPEC, 48, (2, 1, 1, 0)),
+    # the first step of the cyclotomic Z_3-tower: t = 1 over a base without zeta_3
+    (ZP_STEP_SPEC, 32, (1, 0, 0, 0)),
     ({"kind": "cyclotomic-step", "p": 3}, 40, (2, 0, 0, 0)),
     ({"kind": "cyclotomic-step", "p": 5}, 32, (4, 0, 0, 0)),
     # t = pf, and at (3, 3) the boundary p^m = t = 9 at m = 2
@@ -125,6 +127,7 @@ SWEEP = [
     ({"kind": "quadratic-gaussian"}, ()),
     ({"kind": "quadratic-sqrt2"}, ()),
     (T4_SPEC, ()),
+    (ZP_STEP_SPEC, ()),
     ({"kind": "cyclotomic-step", "p": 3}, ()),
     ({"kind": "cyclotomic-step", "p": 5}, ()),
     (_kummer("unit", 2, 3), ()),
